@@ -52,13 +52,12 @@ from .losses import (
 from .merging import (
     BlockGeometry,
     InstanceMask,
-    MergeConfig,
     discard_boundary_masks,
     overlap_merge_baseline,
     resolve_points,
     score_filter,
     score_nms,
-    semantic_vote,
+    semantic_vote_arrays,
 )
 from .metrics import (
     EvalReport,

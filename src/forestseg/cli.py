@@ -1,5 +1,5 @@
-"""Command-line entry points: synth, pipeline, select-queries, merge,
-evaluate, gradcheck.
+"""Command-line entry points: synth, pipeline, select-queries, evaluate,
+gradcheck.
 
 Exit codes: 0 success, 2 input error, 3 config error, 4 internal invariant
 violation. Every command is deterministic given its --seed.
@@ -16,7 +16,7 @@ import click
 
 from . import io
 from .core import voxelize, voxel_labels_from_points
-from .errors import ForestSegError, ParseError
+from .errors import ConfigError, ForestSegError, ParseError
 from .isa_select import select_queries_fps_euclidean, select_queries_isa, selection_stats
 from .losses import run_gradient_checks
 from .pipeline import (
@@ -56,11 +56,10 @@ def _handle_errors(fn):
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        io.write_json(out, payload)
     else:
-        click.echo(text)
+        click.echo(json.dumps(payload, sort_keys=True, indent=2))
 
 
 @click.group()
@@ -116,38 +115,6 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
     click.echo(f"wrote {cloud.n} points ({params.n_trees} trees) to {out}")
 
 
-def _config_options(fn):
-    options = [
-        click.option("--radius", type=float, default=16.0, show_default=True),
-        click.option("--stride", type=float, default=4.0, show_default=True),
-        click.option("--resolution", type=float, default=0.2, show_default=True),
-        click.option("--k-queries", type=int, default=300, show_default=True),
-        click.option("--binary-threshold", type=float, default=0.5, show_default=True),
-        click.option("--nms-iou", type=float, default=0.3, show_default=True),
-        click.option("--score-threshold", type=float, default=0.4, show_default=True),
-        click.option("--boundary-margin", type=float, default=0.5, show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-def _build_config(radius, stride, resolution, k_queries, binary_threshold,
-                  nms_iou, score_threshold, boundary_margin, seed) -> PipelineConfig:
-    return PipelineConfig(
-        radius=radius,
-        stride=stride,
-        resolution=resolution,
-        k_queries=k_queries,
-        binary_threshold=binary_threshold,
-        nms_iou=nms_iou,
-        score_threshold=score_threshold,
-        boundary_margin=boundary_margin,
-        seed=seed,
-    )
-
-
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--predictor", default="oracle", show_default=True,
@@ -162,21 +129,29 @@ def _build_config(radius, stride, resolution, k_queries, binary_threshold,
 @click.option("--drop-prob", type=float, default=0.0, show_default=True)
 @click.option("--point-noise", type=float, default=0.0, show_default=True)
 @click.option("--score-noise", type=float, default=0.0, show_default=True)
-@_config_options
+@click.option("--radius", type=float, default=16.0, show_default=True)
+@click.option("--stride", type=float, default=4.0, show_default=True)
+@click.option("--nms-iou", type=float, default=0.3, show_default=True)
+@click.option("--score-threshold", type=float, default=0.4, show_default=True)
+@click.option("--boundary-margin", type=float, default=0.5, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @_handle_errors
 def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads,
              split_prob, merge_prob, drop_prob, point_noise, score_noise, **config_kwargs) -> None:
     """Run the full segmentation pipeline over a point cloud."""
-    config = _build_config(**config_kwargs)
+    config = PipelineConfig(**config_kwargs)
+    corruption = CorruptionParams(
+        split_prob=split_prob,
+        merge_prob=merge_prob,
+        drop_prob=drop_prob,
+        point_noise=point_noise,
+        score_noise=score_noise,
+    )
+    if predictor != "oracle" and (corruption != CorruptionParams() or dump_blocks):
+        raise ConfigError("--split-prob, --merge-prob, --drop-prob, --point-noise, --score-noise "
+                          "and --dump-blocks apply only to the oracle predictor")
     cloud = io.read_cloud(input_path)
     if predictor == "oracle":
-        corruption = CorruptionParams(
-            split_prob=split_prob,
-            merge_prob=merge_prob,
-            drop_prob=drop_prob,
-            point_noise=point_noise,
-            score_noise=score_noise,
-        )
         result = run_pipeline(cloud, config, corruption=corruption, threads=threads)
         if dump_blocks:
             from .pipeline import make_oracle_predictor
@@ -193,15 +168,11 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
         block_dir = Path(predictor)
         if not block_dir.is_dir():
             raise ParseError(f"predictor must be 'oracle' or a directory, got {predictor!r}")
-        predictions = _load_block_dir(block_dir)
-        result = run_pipeline_from_blocks(predictions, cloud, config)
+        result = run_pipeline_from_blocks(_load_block_dir(block_dir), cloud, config)
 
     if out_labels:
         io.write_labels_tsv(out_labels, result.merge.instance, result.merge.semantic)
-    if out_report:
-        io.write_json(out_report, result.report)
-    else:
-        click.echo(json.dumps(result.report, sort_keys=True, indent=2))
+    _emit_json(result.report, out_report)
 
 
 def _load_block_dir(block_dir: Path) -> list[BlockPrediction]:
@@ -253,27 +224,6 @@ def select_queries(input_path, method, k, threshold, resolution, noise_sigma, se
         },
         out,
     )
-
-
-@main.command()
-@click.option("--blocks", "blocks_dir", type=click.Path(exists=True, file_okay=False), required=True)
-@click.option("--cloud", "cloud_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out-labels", type=click.Path(dir_okay=False), default=None)
-@click.option("--out-report", type=click.Path(dir_okay=False), default=None)
-@_config_options
-@_handle_errors
-def merge(blocks_dir, cloud_path, out_labels, out_report, **config_kwargs) -> None:
-    """Merge per-block mask files into a scene labeling (TSV)."""
-    config = _build_config(**config_kwargs)
-    cloud = io.read_cloud(cloud_path)
-    predictions = _load_block_dir(Path(blocks_dir))
-    result = run_pipeline_from_blocks(predictions, cloud, config)
-    if out_labels:
-        io.write_labels_tsv(out_labels, result.merge.instance, result.merge.semantic)
-    if out_report:
-        io.write_json(out_report, result.report)
-    else:
-        click.echo(json.dumps(result.report, sort_keys=True, indent=2))
 
 
 @main.command()

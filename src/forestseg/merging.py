@@ -50,26 +50,6 @@ class BlockGeometry:
     radius: float
 
 
-@dataclass(frozen=True)
-class MergeConfig:
-    """Thresholds controlling the merging stages."""
-
-    nms_iou_threshold: float = 0.3
-    score_threshold: float = 0.4
-    boundary_margin: float = 0.5
-    block_radius: float = 16.0
-
-    def __post_init__(self) -> None:
-        for name in ("nms_iou_threshold", "score_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.boundary_margin < 0:
-            raise ConfigError("boundary_margin must be >= 0")
-        if self.boundary_margin >= self.block_radius:
-            raise ConfigError("boundary_margin must be smaller than the block radius")
-
-
 def _mask_iou(a: InstanceMask, b: InstanceMask) -> float:
     inter = len(np.intersect1d(a.point_ids, b.point_ids, assume_unique=True))
     if inter == 0:
@@ -188,31 +168,16 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
     return merged
 
 
-def semantic_vote(votes: Iterable[tuple[int, int]], n_points: int) -> npt.NDArray[np.int64]:
-    """Majority semantic class per point from overlapping block predictions.
-
-    Ties resolve toward the lowest class index. Every point must receive at
-    least one vote.
-    """
-    counts = np.zeros((n_points, N_CLASSES), dtype=np.int64)
-    for point_id, cls in votes:
-        if not 0 <= cls < N_CLASSES:
-            raise InvalidLabel(f"vote for point {point_id} names invalid class {cls}")
-        if not 0 <= point_id < n_points:
-            raise ShapeMismatch(f"vote references point {point_id} outside 0..{n_points - 1}")
-        counts[point_id, cls] += 1
-    unvoted = np.flatnonzero(counts.sum(axis=1) == 0)
-    if len(unvoted):
-        raise Unvoted(f"{len(unvoted)} points received no semantic vote (first: {unvoted[0]})")
-    return np.argmax(counts, axis=1).astype(np.int64)
-
-
 def semantic_vote_arrays(
     point_ids_per_block: Sequence[npt.NDArray[np.int64]],
     classes_per_block: Sequence[npt.NDArray[np.int64]],
     n_points: int,
 ) -> npt.NDArray[np.int64]:
-    """Vectorized :func:`semantic_vote` over per-block (point_ids, classes) arrays."""
+    """Majority semantic class per point from per-block (point_ids, classes) votes.
+
+    Ties resolve toward the lowest class index. Every point must receive at
+    least one vote.
+    """
     counts = np.zeros((n_points, N_CLASSES), dtype=np.int64)
     for pids, classes in zip(point_ids_per_block, classes_per_block):
         pids = np.asarray(pids, dtype=np.int64)

@@ -8,19 +8,19 @@ worker count or completion order.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, EmptyInput, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockGeometry,
     InstanceMask,
-    MergeConfig,
     discard_boundary_masks,
     resolve_points,
     score_filter,
@@ -40,47 +40,27 @@ class PipelineConfig:
 
     radius: float = 16.0
     stride: float = 4.0
-    resolution: float = 0.2
-    k_queries: int = 300
-    binary_threshold: float = 0.5
     nms_iou: float = 0.3
     score_threshold: float = 0.4
     boundary_margin: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("radius", "stride", "resolution"):
+        for name in ("radius", "stride"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.k_queries < 1:
-            raise ConfigError("k_queries must be >= 1")
-        for name in ("binary_threshold", "nms_iou", "score_threshold"):
+        # A point midway between four grid centers is stride/sqrt(2) from each.
+        if self.stride > self.radius * math.sqrt(2):
+            raise ConfigError(
+                f"stride {self.stride} exceeds radius*sqrt(2) = {self.radius * math.sqrt(2):.4g}: "
+                "some points would lie in no block"
+            )
+        for name in ("nms_iou", "score_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if not 0.0 <= self.boundary_margin < self.radius:
             raise ConfigError("boundary_margin must be in [0, radius)")
-
-    def merge_config(self) -> MergeConfig:
-        return MergeConfig(
-            nms_iou_threshold=self.nms_iou,
-            score_threshold=self.score_threshold,
-            boundary_margin=self.boundary_margin,
-            block_radius=self.radius,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "stride": self.stride,
-            "resolution": self.resolution,
-            "k_queries": self.k_queries,
-            "binary_threshold": self.binary_threshold,
-            "nms_iou": self.nms_iou,
-            "score_threshold": self.score_threshold,
-            "boundary_margin": self.boundary_margin,
-            "seed": self.seed,
-        }
 
 
 @dataclass(eq=False)
@@ -150,7 +130,6 @@ def merge_block_predictions(
     first.
     """
     n_points = len(positions)
-    merge_cfg = config.merge_config()
     geometries = {p.block_id: p.geometry for p in predictions}
     masks = sorted(
         (m for p in predictions for m in p.masks),
@@ -161,9 +140,9 @@ def merge_block_predictions(
             raise ShapeMismatch(
                 f"mask from block {mask.block_id} references points outside 0..{n_points - 1}"
             )
-    after_boundary = discard_boundary_masks(masks, geometries, positions, merge_cfg.boundary_margin)
-    after_filter = score_filter(after_boundary, merge_cfg.score_threshold)
-    kept = score_nms(after_filter, merge_cfg.nms_iou_threshold)
+    after_boundary = discard_boundary_masks(masks, geometries, positions, config.boundary_margin)
+    after_filter = score_filter(after_boundary, config.score_threshold)
+    kept = score_nms(after_filter, config.nms_iou)
     instance = resolve_points(kept, n_points)
 
     semantic = None
@@ -209,16 +188,13 @@ def run_pipeline(
     corruption: CorruptionParams = CorruptionParams(),
     predictor=None,
     threads: int = 1,
-    evaluate: bool = True,
 ) -> PipelineResult:
-    """Tile the cloud, predict every block, merge, and evaluate against GT.
+    """Tile the cloud, predict every block, then merge, evaluate and report.
 
     ``predictor`` maps a CylinderBlock to a BlockPrediction; the default is
-    the ground-truth oracle with the given corruption. Evaluation runs when
-    the cloud carries instance labels.
+    the ground-truth oracle with the given corruption.
     """
     blocks = tile_cloud(cloud, config.radius, config.stride)
-    n_centers_x_y = _grid_size(cloud, config.stride)
     if predictor is None:
         predictor = make_oracle_predictor(cloud, corruption, config.seed)
 
@@ -228,38 +204,12 @@ def run_pipeline(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             predictions = list(pool.map(predictor, blocks))
-    predictions.sort(key=lambda p: p.block_id)
-
-    merge = merge_block_predictions(predictions, cloud.positions, config)
-
-    evaluation = None
-    if evaluate and cloud.instance is not None:
-        evaluation = evaluate_labels(
-            merge.instance,
-            cloud.instance,
-            merge.semantic,
-            cloud.semantic if merge.semantic is not None else None,
-        )
-
-    result = PipelineResult(
-        config=config,
-        n_blocks=len(blocks),
-        n_blocks_empty=n_centers_x_y - len(blocks),
-        merge=merge,
-        evaluation=evaluation,
-    )
-    result.report = build_report(result)
-    return result
-
-
-def _grid_size(cloud: PointCloud, stride: float) -> int:
-    xy = cloud.positions[:, :2]
-    return len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), stride))
+    return run_pipeline_from_blocks(predictions, cloud, config)
 
 
 def build_report(result: PipelineResult) -> dict:
     report = {
-        "config": result.config.to_dict(),
+        "config": asdict(result.config),
         "blocks": {"grid": result.n_blocks + result.n_blocks_empty,
                    "processed": result.n_blocks,
                    "empty_skipped": result.n_blocks_empty},
@@ -274,13 +224,28 @@ def run_pipeline_from_blocks(
     predictions: list[BlockPrediction],
     cloud: PointCloud,
     config: PipelineConfig,
-    evaluate: bool = True,
 ) -> PipelineResult:
-    """Merge externally supplied per-block predictions (file-fed predictor)."""
+    """Merge per-block predictions, evaluate them when the cloud carries
+    instance labels, and report.
+
+    Block ids are row-major indices into the sliding-window grid of the
+    cloud's xy extent at ``config.stride``; the grid cells no prediction
+    covers are reported as empty.
+    """
+    if cloud.n == 0:
+        raise EmptyInput("cannot merge predictions over an empty point cloud")
+    xy = cloud.positions[:, :2]
+    n_grid = len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride))
     predictions = sorted(predictions, key=lambda p: p.block_id)
+    block_ids = [p.block_id for p in predictions]
+    if len(set(block_ids)) != len(block_ids) or (block_ids and (block_ids[0] < 0 or block_ids[-1] >= n_grid)):
+        raise UnknownBlock(
+            f"block ids must be distinct and within the {n_grid}-cell grid at stride {config.stride}"
+        )
+
     merge = merge_block_predictions(predictions, cloud.positions, config)
     evaluation = None
-    if evaluate and cloud.instance is not None:
+    if cloud.instance is not None:
         evaluation = evaluate_labels(
             merge.instance,
             cloud.instance,
@@ -290,7 +255,7 @@ def run_pipeline_from_blocks(
     result = PipelineResult(
         config=config,
         n_blocks=len(predictions),
-        n_blocks_empty=0,
+        n_blocks_empty=n_grid - len(predictions),
         merge=merge,
         evaluation=evaluation,
     )

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from forestseg import io
 from forestseg.cli import main
+from forestseg.core import PointCloud
 from forestseg.merging import InstanceMask
 from forestseg.synthgen import ForestParams, generate_forest
 
@@ -106,25 +107,76 @@ class TestPipeline:
 
     def test_infeasible_config_exits_3(self, runner, forest_files):
         _, ply = forest_files
-        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--boundary-margin", "20.0"])
-        assert result.exit_code == 3
+        for flags in (["--boundary-margin", "20.0"], ["--radius", "2", "--stride", "8"]):
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), *flags])
+            assert result.exit_code == 3, flags
+
+    def test_removed_config_flags_are_unknown(self, runner, forest_files):
+        _, ply = forest_files
+        for flag in ("--resolution", "--k-queries", "--binary-threshold"):
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), flag, "1"])
+            assert result.exit_code == 2 and "No such option" in result.output, flag
 
     def test_external_predictor_from_dumped_blocks(self, runner, tmp_path, forest_files):
+        cloud, ply = forest_files
+        # The same plot again 60 m along x leaves empty grid cells between the copies.
+        twin = tmp_path / "twin.ply"
+        io.write_ply(twin, PointCloud(
+            positions=np.vstack([cloud.positions, cloud.positions + [60.0, 0.0, 0.0]]),
+            semantic=np.r_[cloud.semantic, cloud.semantic],
+            instance=np.r_[cloud.instance, np.where(cloud.instance > 0, cloud.instance + cloud.instance.max(), 0)],
+        ))
+        for scene, flags in ((ply, []), (twin, ["--radius", "8", "--stride", "4"])):
+            outputs = {}
+            for name, predictor in (("direct", ["--dump-blocks", str(tmp_path / scene.stem)]),
+                                    ("replay", ["--predictor", str(tmp_path / scene.stem)])):
+                report, labels = tmp_path / f"{scene.stem}_{name}.json", tmp_path / f"{scene.stem}_{name}.tsv"
+                result = runner.invoke(main, [
+                    "pipeline", "--input", str(scene), *flags, *predictor,
+                    "--out-report", str(report), "--out-labels", str(labels),
+                ])
+                assert result.exit_code == 0, result.output
+                outputs[name] = (report.read_bytes(), labels.read_bytes())
+            assert outputs["replay"] == outputs["direct"]
+        blocks = json.loads(outputs["replay"][0])["blocks"]
+        assert blocks["empty_skipped"] > 0
+        assert blocks["grid"] == blocks["processed"] + blocks["empty_skipped"]
+
+    def test_oracle_only_flags_rejected_with_block_directory(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         blocks = tmp_path / "blocks"
-        direct = tmp_path / "direct.json"
+        blocks.mkdir()
+        corruption = ("--split-prob", "--merge-prob", "--drop-prob", "--point-noise", "--score-noise")
+        for flags in [[flag, "0.1"] for flag in corruption] + [["--dump-blocks", str(tmp_path / "out")]]:
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks), *flags])
+            assert result.exit_code == 3, flags
+            assert "oracle predictor" in result.output
+
+    def test_block_directory_single_block_passthrough(self, runner, tmp_path, forest_files):
+        cloud, ply = forest_files
+        tree_one = np.flatnonzero(cloud.instance == 1)
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        io.write_block_file(
+            blocks / "block_00000.json", 0, (5.0, 5.0), 16.0,
+            [InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
+        )
+        labels_path = tmp_path / "merged.tsv"
         result = runner.invoke(main, [
-            "pipeline", "--input", str(ply), "--dump-blocks", str(blocks), "--out-report", str(direct),
+            "pipeline", "--input", str(ply), "--predictor", str(blocks),
+            "--out-labels", str(labels_path), "--boundary-margin", "0.0",
         ])
         assert result.exit_code == 0, result.output
-        replay = tmp_path / "replay.json"
-        result = runner.invoke(main, [
-            "pipeline", "--input", str(ply), "--predictor", str(blocks), "--out-report", str(replay),
-        ])
-        assert result.exit_code == 0, result.output
-        direct_eval = json.loads(direct.read_text())["evaluation"]
-        replay_eval = json.loads(replay.read_text())["evaluation"]
-        assert direct_eval == replay_eval
+        inst, _ = io.read_labels_tsv(labels_path)
+        assert set(np.flatnonzero(inst == 1).tolist()) == set(tree_one.tolist())
+        assert np.sum(inst > 0) == len(tree_one)
+
+    def test_empty_block_directory_exits_2(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        empty = tmp_path / "none"
+        empty.mkdir()
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(empty)])
+        assert result.exit_code == 2
 
 
 class TestSelectQueries:
@@ -149,39 +201,9 @@ class TestSelectQueries:
         assert payload["method"] == "fps_euclidean"
 
     def test_unlabeled_cloud_exits_2(self, runner, tmp_path, rng):
-        from forestseg.core import PointCloud
-
         ply = tmp_path / "bare.ply"
         io.write_ply(ply, PointCloud(positions=rng.normal(size=(30, 3))))
         result = runner.invoke(main, ["select-queries", "--input", str(ply)])
-        assert result.exit_code == 2
-
-
-class TestMergeCommand:
-    def test_single_block_passthrough(self, runner, tmp_path, forest_files):
-        cloud, ply = forest_files
-        tree_one = np.flatnonzero(cloud.instance == 1)
-        blocks = tmp_path / "blocks"
-        blocks.mkdir()
-        io.write_block_file(
-            blocks / "block_00000.json", 0, (5.0, 5.0), 16.0,
-            [InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
-        )
-        labels_path = tmp_path / "merged.tsv"
-        result = runner.invoke(main, [
-            "merge", "--blocks", str(blocks), "--cloud", str(ply),
-            "--out-labels", str(labels_path), "--boundary-margin", "0.0",
-        ])
-        assert result.exit_code == 0, result.output
-        inst, _ = io.read_labels_tsv(labels_path)
-        assert set(np.flatnonzero(inst == 1).tolist()) == set(tree_one.tolist())
-        assert np.sum(inst > 0) == len(tree_one)
-
-    def test_empty_directory_exits_2(self, runner, tmp_path, forest_files):
-        _, ply = forest_files
-        empty = tmp_path / "none"
-        empty.mkdir()
-        result = runner.invoke(main, ["merge", "--blocks", str(empty), "--cloud", str(ply)])
         assert result.exit_code == 2
 
 

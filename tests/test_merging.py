@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from forestseg.errors import UnknownBlock, Unvoted
+from forestseg.errors import InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
 from forestseg.merging import (
     BlockGeometry,
     InstanceMask,
-    MergeConfig,
     discard_boundary_masks,
     overlap_merge_baseline,
     resolve_points,
     score_filter,
     score_nms,
-    semantic_vote,
+    semantic_vote_arrays,
 )
 
 
@@ -212,20 +211,31 @@ class TestOverlapMergeBaseline:
         assert len(overlap_merge_baseline(masks, 1.01)) == 15
 
 
+def vote(pairs, n_points):
+    """semantic_vote_arrays over (point_id, class) pairs given as one block."""
+    pids, classes = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return semantic_vote_arrays([pids], [classes], n_points)
+
+
 class TestSemanticVote:
     def test_majority(self):
-        out = semantic_vote([(0, 0), (0, 0), (0, 2)], 1)
+        out = vote([(0, 0), (0, 0), (0, 2)], 1)
         assert out.tolist() == [0]
 
     def test_tie_breaks_to_lowest_class(self):
-        out = semantic_vote([(0, 1), (0, 2)], 1)
+        out = vote([(0, 1), (0, 2)], 1)
         assert out.tolist() == [1]
 
     def test_matches_counting_oracle(self, rng):
         n = 50
         votes = [(int(rng.integers(0, n)), int(rng.integers(0, 3))) for _ in range(600)]
         votes += [(p, 0) for p in range(n)]  # make sure everyone is voted
-        out = semantic_vote(votes, n)
+        blocks = [votes[i:i + 97] for i in range(0, len(votes), 97)]
+        out = semantic_vote_arrays(
+            [np.array([p for p, _ in b]) for b in blocks],
+            [np.array([c for _, c in b]) for b in blocks],
+            n,
+        )
         for p in range(n):
             tallies = [0, 0, 0]
             for pid, cls in votes:
@@ -235,12 +245,29 @@ class TestSemanticVote:
 
     def test_unvoted_point_rejected(self):
         with pytest.raises(Unvoted):
-            semantic_vote([(0, 1)], 2)
+            vote([(0, 1)], 2)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            semantic_vote_arrays([np.array([0, 1])], [np.array([1])], 2)
+
+    @pytest.mark.parametrize("cls", [-1, 3])
+    def test_invalid_class_rejected(self, cls):
+        with pytest.raises(InvalidLabel):
+            vote([(0, cls)], 1)
+
+    @pytest.mark.parametrize("point_id", [-1, 2])
+    def test_out_of_range_point_rejected(self, point_id):
+        with pytest.raises(ShapeMismatch):
+            vote([(0, 1), (point_id, 1)], 2)
 
 
 class TestMergeConfig:
+    """The merge thresholds are carried and checked by ``PipelineConfig``."""
+
     def test_margin_must_stay_below_radius(self):
         from forestseg.errors import ConfigError
+        from forestseg.pipeline import PipelineConfig
 
         with pytest.raises(ConfigError):
-            MergeConfig(boundary_margin=16.0, block_radius=16.0)
+            PipelineConfig(boundary_margin=16.0, radius=16.0)

@@ -112,7 +112,7 @@ class TestExternalPredictorInterface:
 
         assert np.array_equal(from_files.merge.instance, direct.merge.instance)
         assert np.array_equal(from_files.merge.semantic, direct.merge.semantic)
-        assert from_files.evaluation.f1 == direct.evaluation.f1
+        assert from_files.report == direct.report
 
     def test_blocks_without_semantic_skip_voting(self, forest):
         config = PipelineConfig()
@@ -132,7 +132,8 @@ class TestStageAccounting:
     def test_report_structure(self, forest):
         result = run_pipeline(forest, PipelineConfig(), threads=1)
         report = result.report
-        assert report["config"]["radius"] == 16.0
+        assert report["config"] == {"radius": 16.0, "stride": 4.0, "nms_iou": 0.3, "score_threshold": 0.4,
+                                    "boundary_margin": 0.5, "seed": 0}
         counts = report["masks"]
         assert counts["predicted"] >= counts["after_boundary_discard"] >= counts["after_score_filter"]
         assert counts["after_score_filter"] >= counts["after_nms"]
@@ -144,7 +145,12 @@ class TestStageAccounting:
         with pytest.raises(ConfigError):
             PipelineConfig(boundary_margin=20.0, radius=16.0)
         with pytest.raises(ConfigError):
+            PipelineConfig(boundary_margin=16.0, radius=16.0)
+        with pytest.raises(ConfigError):
             PipelineConfig(score_threshold=1.5)
+        with pytest.raises(ConfigError):  # points midway between grid centers lie in no block
+            PipelineConfig(radius=2.0, stride=8.0)
+        PipelineConfig(radius=2.0, stride=2.8)
 
     def test_out_of_range_mask_points_rejected(self, forest):
         from forestseg.errors import ShapeMismatch
@@ -157,3 +163,13 @@ class TestStageAccounting:
         )
         with pytest.raises(ShapeMismatch):
             run_pipeline_from_blocks([bad], forest, PipelineConfig())
+
+    @pytest.mark.parametrize("block_ids", [[0, 0], [-1], [10_000]])
+    def test_block_ids_off_the_grid_rejected(self, forest, block_ids):
+        from forestseg.errors import UnknownBlock
+        from forestseg.merging import BlockGeometry
+
+        bad = [BlockPrediction(block_id=i, geometry=BlockGeometry(center_xy=(0.0, 0.0), radius=16.0), masks=[])
+               for i in block_ids]
+        with pytest.raises(UnknownBlock):
+            run_pipeline_from_blocks(bad, forest, PipelineConfig())
