@@ -22,6 +22,7 @@ from .losses import run_gradient_checks
 from .pipeline import (
     BlockPrediction,
     PipelineConfig,
+    effective_threads,
     run_pipeline,
     run_pipeline_from_blocks,
 )
@@ -140,6 +141,7 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
              split_prob, merge_prob, drop_prob, point_noise, score_noise, **config_kwargs) -> None:
     """Run the full segmentation pipeline over a point cloud."""
     config = PipelineConfig(**config_kwargs)
+    effective_threads(threads)
     corruption = CorruptionParams(
         split_prob=split_prob,
         merge_prob=merge_prob,

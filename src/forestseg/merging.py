@@ -5,11 +5,19 @@ Masks from all blocks are fused by a deterministic fold: the total order
 independent of the order in which blocks were produced. The default stage
 order is boundary discard, score filter, NMS, point resolution; each stage
 is a separate function so ablations can reorder them.
+
+NMS and the overlap baseline never compare masks pairwise. Both keep a
+point→mask index of ``(point, mask id)`` entries sorted by point; a query
+gathers the entries of a mask's points with ``searchsorted`` ranges and
+counts them per mask with ``bincount``, so pairs that share no point are
+never visited. A candidate costs O(|mask| log E) plus the entries it hits,
+where E is the number of entries in the index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +37,9 @@ class InstanceMask:
     query_index: int
 
     def __post_init__(self) -> None:
-        ids = np.unique(np.asarray(self.point_ids, dtype=np.int64))
+        ids = np.array(self.point_ids, dtype=np.int64).reshape(-1)
+        if not np.all(ids[1:] > ids[:-1]):
+            ids = np.unique(ids)
         self.point_ids = ids
         if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ShapeMismatch(f"mask score must be in [0, 1], got {self.score}")
@@ -50,11 +60,51 @@ class BlockGeometry:
     radius: float
 
 
-def _mask_iou(a: InstanceMask, b: InstanceMask) -> float:
-    inter = len(np.intersect1d(a.point_ids, b.point_ids, assume_unique=True))
-    if inter == 0:
-        return 0.0
-    return inter / (a.size + b.size - inter)
+_RUN_RATIO = 8
+
+
+class _PointIndex:
+    """``(point, mask id)`` entries sorted by point, for intersection counts.
+
+    The entries live in a few sorted runs, each more than ``_RUN_RATIO`` times
+    the size of the next newer one. Adding a mask merges runs the way a
+    counter carries, so a query searches O(log E) runs and an entry is
+    re-merged O(log E) times. NMS makes many more queries than additions,
+    hence a ratio that keeps the runs few.
+    """
+
+    def __init__(self) -> None:
+        self._runs: list[tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]] = []
+
+    def add(self, point_ids: npt.NDArray[np.int64], mask_id: int) -> None:
+        """Index a mask's sorted, unique ``point_ids`` under ``mask_id``."""
+        if not len(point_ids):
+            return
+        points, owners = point_ids, np.full(len(point_ids), mask_id, dtype=np.int64)
+        while self._runs and len(self._runs[-1][0]) <= _RUN_RATIO * len(points):
+            older_points, older_owners = self._runs.pop()
+            points = np.concatenate([older_points, points])
+            order = np.argsort(points, kind="stable")
+            points, owners = points[order], np.concatenate([older_owners, owners])[order]
+        self._runs.append((points, owners))
+
+    def intersections(
+        self, point_ids: npt.NDArray[np.int64]
+    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        """Ids of the indexed masks sharing a point with ``point_ids``, and how many each shares."""
+        hits = []
+        for points, owners in self._runs:
+            lo = np.searchsorted(points, point_ids, side="left")
+            n = np.searchsorted(points, point_ids, side="right") - lo
+            total = int(n.sum())
+            if total:
+                starts = np.repeat(lo - (np.cumsum(n) - n), n)
+                hits.append(owners[starts + np.arange(total)])
+        if not hits:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        counts = np.bincount(np.concatenate(hits))
+        ids = np.flatnonzero(counts)
+        return ids, counts[ids]
 
 
 def score_filter(masks: Sequence[InstanceMask], threshold: float) -> list[InstanceMask]:
@@ -79,14 +129,21 @@ def discard_boundary_masks(
     """
     positions = np.asarray(positions, dtype=np.float64)
     kept = []
-    for mask in masks:
-        geom = blocks.get(mask.block_id)
+    # One distance pass per run of same-block masks; the pipeline sorts by block.
+    for block_id, run in groupby(masks, key=lambda m: m.block_id):
+        geom = blocks.get(block_id)
         if geom is None:
-            raise UnknownBlock(f"mask references unknown block id {mask.block_id}")
-        delta = positions[mask.point_ids, :2] - np.asarray(geom.center_xy)
-        max_sq = float(np.max(delta[:, 0] ** 2 + delta[:, 1] ** 2)) if mask.size else 0.0
-        if max_sq <= (geom.radius - margin) ** 2:
-            kept.append(mask)
+            raise UnknownBlock(f"mask references unknown block id {block_id}")
+        run = list(run)
+        sizes = np.array([m.size for m in run], dtype=np.int64)
+        max_sq = np.zeros(len(run))
+        nonempty = sizes > 0
+        if nonempty.any():
+            delta = positions[np.concatenate([m.point_ids for m in run]), :2] - np.asarray(geom.center_xy)
+            starts = (np.cumsum(sizes) - sizes)[nonempty]
+            max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
+        keep = max_sq <= (geom.radius - margin) ** 2
+        kept.extend(m for m, k in zip(run, keep) if k)
     return kept
 
 
@@ -101,10 +158,18 @@ def score_nms(masks: Iterable[InstanceMask], iou_threshold: float) -> list[Insta
     if not 0.0 <= iou_threshold <= 1.0:
         raise ConfigError(f"NMS IoU threshold must be in [0, 1], got {iou_threshold}")
     ranked = sorted(masks, key=InstanceMask.sort_key)
+    if iou_threshold == 0:
+        return ranked[:1]  # every IoU, even that of disjoint masks, fails ``iou < 0``
+    index = _PointIndex()
     kept: list[InstanceMask] = []
+    kept_sizes = np.empty(len(ranked), dtype=np.int64)
     for mask in ranked:
-        if all(_mask_iou(mask, other) < iou_threshold for other in kept):
-            kept.append(mask)
+        ids, inter = index.intersections(mask.point_ids)
+        if np.any(inter / (mask.size + kept_sizes[ids] - inter) >= iou_threshold):
+            continue
+        index.add(mask.point_ids, len(kept))
+        kept_sizes[len(kept)] = mask.size
+        kept.append(mask)
     return kept
 
 
@@ -133,6 +198,7 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
     if overlap_threshold <= 0:
         raise ConfigError(f"overlap threshold must be positive, got {overlap_threshold}")
     masks = list(masks)
+    sizes = np.array([m.size for m in masks], dtype=np.int64)
     parent = list(range(len(masks)))
 
     def find(i: int) -> int:
@@ -141,12 +207,12 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
             i = parent[i]
         return i
 
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            inter = len(np.intersect1d(masks[i].point_ids, masks[j].point_ids, assume_unique=True))
-            smaller = min(masks[i].size, masks[j].size)
-            if smaller and inter / smaller >= overlap_threshold:
-                parent[find(i)] = find(j)
+    index = _PointIndex()
+    for j, mask in enumerate(masks):
+        ids, inter = index.intersections(mask.point_ids)
+        for i in ids[inter / np.minimum(sizes[ids], mask.size) >= overlap_threshold]:
+            parent[find(int(i))] = find(j)
+        index.add(mask.point_ids, j)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(masks)):

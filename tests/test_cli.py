@@ -111,6 +111,15 @@ class TestPipeline:
             result = runner.invoke(main, ["pipeline", "--input", str(ply), *flags])
             assert result.exit_code == 3, flags
 
+    def test_bad_thread_count_exits_3_for_both_predictors(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        assert runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)]).exit_code == 0
+        for predictor in ("oracle", str(blocks)):
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", predictor, "--threads", "0"])
+            assert result.exit_code == 3, predictor
+            assert "thread count" in result.output
+
     def test_removed_config_flags_are_unknown(self, runner, forest_files):
         _, ply = forest_files
         for flag in ("--resolution", "--k-queries", "--binary-threshold"):

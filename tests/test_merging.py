@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestseg.errors import InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
 from forestseg.merging import (
@@ -14,6 +16,7 @@ from forestseg.merging import (
     score_nms,
     semantic_vote_arrays,
 )
+from merging_reference import reference_overlap_merge_baseline, reference_score_nms
 
 
 def mask(point_ids, score, block_id=0, query_index=0):
@@ -34,6 +37,43 @@ def set_iou(a, b):
     sa, sb = set(a.point_ids.tolist()), set(b.point_ids.tolist())
     inter = len(sa & sb)
     return inter / len(sa | sb) if sa | sb else 0.0
+
+
+@st.composite
+def mask_lists(draw, universe=30):
+    """Masks with empty point sets, exact duplicates and tied scores, plus a shuffled copy."""
+    point_sets = draw(st.lists(st.sets(st.integers(0, universe - 1), max_size=12), max_size=16))
+    if point_sets:
+        point_sets += draw(st.lists(st.sampled_from(point_sets), max_size=6))
+    masks = [
+        mask(sorted(points), draw(st.sampled_from([0.25, 0.5, 0.5, 0.9])),
+             block_id=draw(st.integers(0, 3)), query_index=i)
+        for i, points in enumerate(point_sets)
+    ]
+    return masks, draw(st.permutations(masks))
+
+
+def merged_view(masks):
+    return [(m.block_id, m.query_index, m.score, m.point_ids.tolist()) for m in masks]
+
+
+class TestInstanceMask:
+    def test_unsorted_ids_are_sorted_and_deduplicated(self):
+        assert mask([5, 1, 5, 3], 0.5).point_ids.tolist() == [1, 3, 5]
+        assert mask([1, 3, 3, 5], 0.5).point_ids.tolist() == [1, 3, 5]
+
+    def test_sorted_ids_are_copied_as_int64(self):
+        ids = np.array([1, 4, 9], dtype=np.int32)
+        m = mask(ids, 0.5)
+        assert m.point_ids.dtype == np.int64 and m.point_ids.tolist() == [1, 4, 9]
+        ids64 = np.array([2, 3], dtype=np.int64)
+        m = InstanceMask(point_ids=ids64, score=0.5, block_id=0, query_index=0)
+        ids64[0] = 7
+        assert m.point_ids.tolist() == [2, 3]
+
+    def test_empty_and_scalar_ids(self):
+        assert mask([], 0.5).point_ids.shape == (0,)
+        assert InstanceMask(point_ids=np.int64(4), score=0.5, block_id=0, query_index=0).point_ids.tolist() == [4]
 
 
 class TestScoreFilter:
@@ -86,6 +126,20 @@ class TestDiscardBoundaryMasks:
         with pytest.raises(UnknownBlock):
             discard_boundary_masks(masks, {}, np.zeros((1, 3)), 0.5)
 
+    def test_unknown_block_after_known_blocks_rejected(self):
+        geoms = {0: BlockGeometry(center_xy=(0.0, 0.0), radius=16.0)}
+        masks = [mask([0], 0.5), mask([0], 0.5, block_id=9)]
+        with pytest.raises(UnknownBlock):
+            discard_boundary_masks(masks, geoms, np.zeros((1, 3)), 0.5)
+
+    def test_empty_masks_kept_and_order_preserved_across_interleaved_blocks(self):
+        positions = np.array([[0.0, 0.0, 0.0], [15.6, 0.0, 0.0], [15.4, 0.0, 0.0]])
+        geoms = {b: BlockGeometry(center_xy=(0.0, 0.0), radius=16.0) for b in (0, 1)}
+        masks = [mask([], 0.5, 1), mask([0, 1], 0.5, 1, 1), mask([0, 2], 0.5, 0, 2),
+                 mask([], 0.5, 0, 3), mask([1], 0.5, 1, 4), mask([2], 0.5, 1, 5)]
+        kept = discard_boundary_masks(masks, geoms, positions, 0.5)
+        assert [m.query_index for m in kept] == [0, 2, 3, 5]
+
 
 class TestScoreNms:
     def test_duplicate_suppression(self):
@@ -126,6 +180,44 @@ class TestScoreNms:
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert not set(kept[i].point_ids.tolist()) & set(kept[j].point_ids.tolist())
+
+
+class TestIndexKernelsMatchPairwiseReference:
+    """The point-index kernels against the pairwise ``intersect1d`` loops they replaced."""
+
+    @settings(deadline=None)
+    @given(data=mask_lists(), threshold=st.sampled_from([0.0, 1e-9, 0.3, 1.0]))
+    def test_score_nms(self, data, threshold):
+        masks, shuffled = data
+        expected = reference_score_nms(masks, threshold)
+        assert score_nms(masks, threshold) == expected
+        assert score_nms(shuffled, threshold) == expected
+
+    @settings(deadline=None)
+    @given(data=mask_lists(), threshold=st.sampled_from([0.4, 1.0, 1.01]))
+    def test_overlap_merge_baseline(self, data, threshold):
+        for masks in data:
+            assert merged_view(overlap_merge_baseline(masks, threshold)) == merged_view(
+                reference_overlap_merge_baseline(masks, threshold)
+            )
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 0.5, 1.0])
+    def test_score_nms_on_many_overlapping_masks(self, rng, threshold):
+        masks = random_masks(rng, 300, universe=400, max_size=60)
+        masks += [mask(m.point_ids, m.score, m.block_id, 300 + i) for i, m in enumerate(masks[:40])]
+        assert score_nms(masks, threshold) == reference_score_nms(masks, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.4, 1.0, 1.01])
+    def test_overlap_merge_baseline_on_many_overlapping_masks(self, rng, threshold):
+        masks = random_masks(rng, 200, universe=2000, max_size=60)
+        assert merged_view(overlap_merge_baseline(masks, threshold)) == merged_view(
+            reference_overlap_merge_baseline(masks, threshold)
+        )
+
+    def test_zero_threshold_keeps_only_the_top_ranked_mask(self):
+        masks = [mask([0], 0.5), mask([1], 0.9, query_index=1), mask([], 0.7, query_index=2)]
+        assert score_nms(masks, 0.0) == [masks[1]]
+        assert score_nms([], 0.0) == []
 
 
 class TestResolvePoints:
