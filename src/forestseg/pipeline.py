@@ -47,8 +47,11 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("radius", "stride"):
-            if getattr(self, name) <= 0:
+            # Written so that NaN fails too.
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A point midway between four grid centers is stride/sqrt(2) from each.
         if self.stride > self.radius * math.sqrt(2):
             raise ConfigError(

@@ -10,6 +10,7 @@ be verified end to end.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class CorruptionParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.score_noise < 0:
-            raise ConfigError("score_noise must be >= 0")
+        if not (math.isfinite(self.score_noise) and self.score_noise >= 0):
+            raise ConfigError(f"score_noise must be finite and >= 0, got {self.score_noise}")
 
 
 def generate_forest(params: ForestParams) -> PointCloud:
@@ -247,6 +248,14 @@ def oracle_predictor(
     correlate with quality the way the score supervision intends. In
     particular a tree clipped by the block boundary scores below 1 even
     without corruption.
+
+    Per block, one stable argsort groups the points by tree and one
+    ``bincount`` of the cloud gives the tree sizes; after that a mask costs
+    at most O(block). A noisy mask draws its added points from the block's
+    points outside the mask, taken with a boolean mask over the block's
+    ascending point ids, so the pool stays ascending and the random draws
+    are those of a sorted set difference. ``point_indices`` are taken to be
+    unique.
     """
     if not cloud.has_labels:
         raise MissingLabels("oracle predictor requires ground-truth labels on the cloud")
@@ -257,12 +266,20 @@ def oracle_predictor(
     if len(present) == 0:
         return []
 
-    local = {int(uid): pts[inst == uid] for uid in present}
-    full = {int(uid): np.flatnonzero(cloud.instance == uid) for uid in present}
+    # A stable sort by tree keeps each tree's points in block order.
+    order = np.argsort(inst, kind="stable")
+    by_tree, tree_of = pts[order], inst[order]
+    lo = np.searchsorted(tree_of, present, side="left")
+    hi = np.searchsorted(tree_of, present, side="right")
+    local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, lo, hi)}
+    tree_sizes = np.bincount(cloud.instance)
+    ordered = pts if np.all(pts[1:] > pts[:-1]) else np.unique(pts)
 
     survivors = [int(uid) for uid in present if rng.random() >= corruption.drop_prob]
 
-    centroids = {uid: cloud.positions[local[uid], :2].mean(axis=0) for uid in survivors}
+    centroids: dict[int, np.ndarray] = {}
+    if corruption.merge_prob > 0:
+        centroids = {uid: cloud.positions[local[uid], :2].mean(axis=0) for uid in survivors}
     consumed: set[int] = set()
     units: list[tuple[tuple[int, ...], np.ndarray]] = []
     for uid in survivors:
@@ -288,21 +305,23 @@ def oracle_predictor(
 
     result = []
     for query_index, (source, members) in enumerate(emitted):
-        original = members
         if corruption.point_noise > 0 and len(members):
             n_swap = int(rng.uniform(0.0, corruption.point_noise) * len(members))
             if n_swap:
                 drop_idx = rng.choice(len(members), size=n_swap, replace=False)
                 kept = np.delete(members, drop_idx)
-                pool = np.setdiff1d(pts, original, assume_unique=False)
+                outside = np.ones(len(ordered), dtype=bool)
+                outside[np.searchsorted(ordered, members)] = False
+                pool = ordered[outside]
                 n_add = min(n_swap, len(pool))
                 added = rng.choice(pool, size=n_add, replace=False) if n_add else np.empty(0, dtype=np.int64)
-                members = np.union1d(kept, added)
+                # kept and added are disjoint, so sorting their concatenation is their union.
+                members = np.sort(np.concatenate([kept, added]))
         score = 0.0
         for uid in source:
-            inter = len(np.intersect1d(members, full[uid], assume_unique=True))
+            inter = int(np.count_nonzero(cloud.instance[members] == uid))
             if inter:
-                score = max(score, inter / (len(members) + len(full[uid]) - inter))
+                score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
         if corruption.score_noise > 0:
             score = float(np.clip(score + rng.normal(0.0, corruption.score_noise), 0.0, 1.0))
         result.append(

@@ -46,8 +46,9 @@ def cylinder_crop(cloud: PointCloud, center_xy, radius: float, block_id: int = 0
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {radius}")
     center = np.asarray(center_xy, dtype=np.float64).reshape(2)
-    delta = cloud.positions[:, :2] - center
-    inside = (delta[:, 0] ** 2 + delta[:, 1] ** 2) <= radius**2
+    dx = cloud.positions[:, 0] - center[0]
+    dy = cloud.positions[:, 1] - center[1]
+    inside = (dx**2 + dy**2) <= radius**2
     indices = np.flatnonzero(inside)
     if len(indices) == 0:
         raise EmptyBlock(f"no points within {radius} m of center {tuple(center)}")

@@ -111,6 +111,19 @@ class TestPipeline:
             result = runner.invoke(main, ["pipeline", "--input", str(ply), *flags])
             assert result.exit_code == 3, flags
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--stride", "nan"], "stride"),
+        (["--radius", "nan"], "radius"),
+        (["--score-noise", "nan"], "score_noise"),
+        (["--score-noise", "inf"], "score_noise"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_nan_infinite_and_negative_values_exit_3(self, runner, forest_files, flags, name):
+        _, ply = forest_files
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), *flags])
+        assert result.exit_code == 3, result.output
+        assert f"{name} must" in result.output
+
     def test_bad_thread_count_exits_3_for_both_predictors(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         blocks = tmp_path / "blocks"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestseg.core import GROUND, LEAF, WOOD, voxel_labels_from_points, voxelize
 from forestseg.errors import CodebookExhausted, MissingLabels, PlacementFailed
@@ -14,7 +16,8 @@ from forestseg.synthgen import (
     oracle_embeddings,
     oracle_predictor,
 )
-from forestseg.tiling import cylinder_crop
+from forestseg.tiling import CylinderBlock, cylinder_crop, tile_cloud
+from synthgen_reference import reference_oracle_predictor
 
 
 def full_scene_block(cloud, block_id=0):
@@ -177,3 +180,57 @@ class TestOraclePredictor:
         block = full_scene_block(unlabeled)
         with pytest.raises(MissingLabels):
             oracle_predictor(block, unlabeled, CorruptionParams(), seed=0)
+
+
+corruptions = st.builds(
+    CorruptionParams,
+    split_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    merge_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    drop_prob=st.sampled_from([0.0, 0.3]),
+    point_noise=st.sampled_from([0.0, 0.3, 1.0]),
+    score_noise=st.sampled_from([0.0, 0.1]),
+)
+
+
+def assert_same_masks(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.block_id, a.query_index) == (b.block_id, b.query_index)
+        assert a.point_ids.dtype == b.point_ids.dtype
+        assert np.array_equal(a.point_ids, b.point_ids)
+        assert type(a.score) is type(b.score)
+        assert np.float64(a.score).tobytes() == np.float64(b.score).tobytes()
+
+
+class TestOraclePredictorMatchesSetReference:
+    @settings(max_examples=30, deadline=None)
+    @given(forest_seed=st.integers(0, 1000), corruption=corruptions, seed=st.integers(0, 2**32 - 1))
+    def test_tile_cloud_blocks(self, forest_seed, corruption, seed):
+        cloud = generate_forest(ForestParams(n_trees=6, plot_size=10.0, ground_density=6.0, seed=forest_seed))
+        for block in tile_cloud(cloud, radius=4.0, stride=4.0):
+            assert_same_masks(
+                oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
+                reference_oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(corruption=corruptions, seed=st.integers(0, 2**32 - 1), keep=st.floats(0.01, 1.0))
+    def test_hand_built_block_with_unsorted_indices(self, small_forest, corruption, seed, keep):
+        order = np.random.default_rng(seed).permutation(small_forest.n)
+        block = CylinderBlock(center_xy=(0.0, 0.0), radius=1.0,
+                              point_indices=order[: max(1, int(keep * small_forest.n))], block_id=7)
+        assert_same_masks(
+            oracle_predictor(block, small_forest, corruption, seed=seed),
+            reference_oracle_predictor(block, small_forest, corruption, seed=seed),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_corrupted_scene_with_many_masks(self, seed):
+        cloud = generate_forest(ForestParams(n_trees=20, plot_size=16.0, seed=seed))
+        corruption = CorruptionParams(split_prob=0.5, merge_prob=0.3, drop_prob=0.1, point_noise=0.3,
+                                      score_noise=0.05)
+        for block in tile_cloud(cloud, radius=6.0, stride=4.0):
+            assert_same_masks(
+                oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
+                reference_oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
+            )

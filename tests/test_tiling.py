@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from forestseg.core import PointCloud
 from forestseg.errors import ConfigError, EmptyBlock, EmptyInput
 from forestseg.tiling import cylinder_crop, random_crop_center, sliding_window_centers, tile_cloud
+from synthgen_reference import reference_cylinder_crop
 
 
 def _cloud_at(xy_points):
@@ -55,6 +56,31 @@ class TestCylinderCrop:
     def test_bad_radius(self):
         with pytest.raises(ConfigError):
             cylinder_crop(_cloud_at([[0, 0]]), (0, 0), 0.0)
+
+    @settings(deadline=None)
+    @given(
+        center=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        radius=st.floats(0.01, 40.0),
+        xy=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), max_size=30),
+        on_circle=st.lists(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8), (-0.8, -0.6)]),
+                           max_size=6),
+    )
+    def test_matches_delta_reference(self, center, radius, xy, on_circle):
+        # Offsets of exactly one radius along an axis, and 3-4-5 offsets that land
+        # on the circle up to rounding, probe the inclusive boundary.
+        xy = xy + [(center[0] + radius * a, center[1] + radius * b) for a, b in on_circle]
+        if not xy:
+            return
+        cloud = _cloud_at(xy)
+        try:
+            expected = reference_cylinder_crop(cloud, center, radius, block_id=3).point_indices
+        except EmptyBlock:
+            with pytest.raises(EmptyBlock):
+                cylinder_crop(cloud, center, radius, block_id=3)
+            return
+        block = cylinder_crop(cloud, center, radius, block_id=3)
+        assert block.point_indices.dtype == np.int64
+        assert np.array_equal(block.point_indices, expected)
 
 
 class TestSlidingWindow:
