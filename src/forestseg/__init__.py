@@ -50,7 +50,7 @@ from .losses import (
     semantic_ce_loss,
 )
 from .merging import (
-    BlockGeometry,
+    BlockPrediction,
     InstanceMask,
     discard_boundary_masks,
     overlap_merge_baseline,

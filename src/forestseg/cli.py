@@ -19,13 +19,8 @@ from .core import voxelize, voxel_labels_from_points
 from .errors import ConfigError, ForestSegError, ParseError
 from .isa_select import select_queries_fps_euclidean, select_queries_isa, selection_stats
 from .losses import run_gradient_checks
-from .pipeline import (
-    BlockPrediction,
-    PipelineConfig,
-    effective_threads,
-    run_pipeline,
-    run_pipeline_from_blocks,
-)
+from .merging import BlockPrediction
+from .pipeline import PipelineConfig, effective_threads, run_pipeline, run_pipeline_from_blocks
 from .synthgen import CorruptionParams, ForestParams, generate_forest, oracle_embeddings
 
 _FOREST_PARAM_KEYS = {
@@ -163,9 +158,7 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
             out_dir.mkdir(parents=True, exist_ok=True)
             predict = make_oracle_predictor(cloud, corruption, config.seed)
             for block in tile_cloud(cloud, config.radius, config.stride):
-                bp = predict(block)
-                io.write_block_file(out_dir / f"block_{bp.block_id:05d}.json", bp.block_id,
-                                    bp.geometry.center_xy, bp.geometry.radius, bp.masks, bp.semantic)
+                io.write_block_file(out_dir / f"block_{block.block_id:05d}.json", predict(block))
     else:
         block_dir = Path(predictor)
         if not block_dir.is_dir():
@@ -181,11 +174,7 @@ def _load_block_dir(block_dir: Path) -> list[BlockPrediction]:
     files = sorted(block_dir.glob("*.json"))
     if not files:
         raise ParseError(f"{block_dir}: no block JSON files found")
-    predictions = []
-    for path in files:
-        block_id, geom, masks, semantic = io.read_block_file(path)
-        predictions.append(BlockPrediction(block_id=block_id, geometry=geom, masks=masks, semantic=semantic))
-    return predictions
+    return [io.read_block_file(path) for path in files]
 
 
 @main.command("select-queries")

@@ -25,7 +25,6 @@ GROUND = 0
 WOOD = 1
 LEAF = 2
 SEMANTIC_NAMES = {GROUND: "ground", WOOD: "wood", LEAF: "leaf"}
-NO_INSTANCE = 0
 
 
 def _as_float_positions(positions) -> npt.NDArray[np.float64]:
@@ -81,14 +80,6 @@ class PointCloud:
     @property
     def has_labels(self) -> bool:
         return self.semantic is not None and self.instance is not None
-
-    def subset(self, indices: npt.NDArray[np.int64]) -> "PointCloud":
-        """New cloud restricted to ``indices`` (order preserved)."""
-        return PointCloud(
-            positions=self.positions[indices],
-            semantic=None if self.semantic is None else self.semantic[indices],
-            instance=None if self.instance is None else self.instance[indices],
-        )
 
 
 @dataclass(eq=False)

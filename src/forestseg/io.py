@@ -1,34 +1,87 @@
 """Readers and writers: ASCII PLY and TSV point clouds, label tables, and
 per-block mask files.
 
-Floats are written with ``repr`` so a read-back reproduces every value
-bit-exactly. Parse failures raise :class:`ParseError` naming the offending
-line.
+Every point table goes through one row parser and one row formatter; the
+formats differ only in their header and separator. Floats are written with
+``repr`` so a read-back reproduces every value bit-exactly. Parse failures
+raise :class:`ParseError` naming the file and the offending line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
 from .errors import ParseError
-from .merging import BlockGeometry, InstanceMask
+from .merging import BlockPrediction, InstanceMask
 
+_SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
 _FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
 _INT_PLY_TYPES = {"char", "uchar", "int8", "uint8", "short", "ushort", "int16", "uint16",
                   "int", "uint", "int32", "uint32", "int64", "uint64"}
+# Cloud columns in their positional order, with the converter of each.
+_CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance": int}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _parse_rows(path: Path, lines: list[str], first_lineno: int, width: int,
+                fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
+    """Parse rows of ``width`` ``sep``-separated values into one array per field.
+
+    ``fields`` maps a name to its column index and converter; the converters
+    run in that order on each row, ``float`` ones filling float64 arrays and
+    the rest int64. A wrong value count, or a value a converter rejects or
+    its array cannot hold, raises :class:`ParseError` naming the line.
+    """
+    out = {name: np.empty(len(lines), dtype=np.float64 if convert is float else np.int64)
+           for name, (_, convert) in fields.items()}
+    targets = [(out[name], i, convert) for name, (i, convert) in fields.items()]
+    for row, raw in enumerate(lines):
+        tokens = raw.split(sep)
+        if len(tokens) != width:
+            raise ParseError(f"{path}: line {first_lineno + row}: expected {width} values, got {len(tokens)}")
+        try:
+            for array, i, convert in targets:
+                array[row] = convert(tokens[i])
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: line {first_lineno + row}: {exc}") from None
+    return out
 
 
-# ---------------------------------------------------------------------------
-# PLY
+def _parse_cloud(path: Path, lines: list[str], first_lineno: int, columns: list[str], sep: str | None) -> PointCloud:
+    """Parse point rows whose columns are named ``columns``; a repeated name reads its last column."""
+    col = {name: i for i, name in enumerate(columns)}
+    fields = {name: (col[name], convert) for name, convert in _CLOUD_TYPES.items() if name in col}
+    values = _parse_rows(path, lines, first_lineno, len(columns), fields, sep)
+    return PointCloud(positions=np.column_stack([values["x"], values["y"], values["z"]]),
+                      semantic=values.get("semantic"), instance=values.get("instance"))
+
+
+def _write_rows(path, header: list[str], sep: str, columns: dict[str, npt.NDArray]) -> None:
+    """Write the header lines, then the columns as ``sep``-joined rows (``str`` of a float is its ``repr``)."""
+    rows = map(sep.join, zip(*(map(str, c.tolist()) for c in columns.values()), strict=True))
+    Path(path).write_text("\n".join([*header, *rows]) + "\n")
+
+
+def _cloud_columns(cloud: PointCloud) -> dict[str, npt.NDArray]:
+    columns = {"x": cloud.positions[:, 0], "y": cloud.positions[:, 1], "z": cloud.positions[:, 2]}
+    for name in ("semantic", "instance"):
+        if getattr(cloud, name) is not None:
+            columns[name] = getattr(cloud, name)
+    return columns
+
+
+def _table_lines(path: Path) -> list[str]:
+    """The non-blank lines of a TSV table; line numbers count only these."""
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    return lines
 
 
 def read_ply(path) -> PointCloud:
@@ -40,7 +93,6 @@ def read_ply(path) -> PointCloud:
                          else f"{path}: empty file")
 
     n_vertices = None
-    in_vertex_element = False
     properties: list[str] = []
     data_start = None
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -55,16 +107,16 @@ def read_ply(path) -> PointCloud:
             if tokens[1:] != ["ascii", "1.0"]:
                 raise ParseError(f"{path}: line {lineno}: only 'format ascii 1.0' is supported, got {line!r}")
         elif tokens[0] == "element":
-            if tokens[1] == "vertex":
-                in_vertex_element = True
-                try:
-                    n_vertices = int(tokens[2])
-                except (IndexError, ValueError):
-                    raise ParseError(f"{path}: line {lineno}: bad vertex count in {line!r}") from None
-            else:
-                raise ParseError(f"{path}: line {lineno}: unsupported element {tokens[1]!r}")
+            if tokens[1:2] != ["vertex"]:
+                raise ParseError(f"{path}: line {lineno}: unsupported element {' '.join(tokens[1:2])!r}")
+            try:
+                n_vertices = int(tokens[2])
+                if n_vertices < 0:
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}: line {lineno}: bad vertex count in {line!r}") from None
         elif tokens[0] == "property":
-            if not in_vertex_element:
+            if n_vertices is None:
                 raise ParseError(f"{path}: line {lineno}: property outside vertex element")
             if len(tokens) != 3:
                 raise ParseError(f"{path}: line {lineno}: malformed property {line!r}")
@@ -88,53 +140,18 @@ def read_ply(path) -> PointCloud:
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
-    col = {name: i for i, name in enumerate(properties)}
-    xyz = np.empty((n_vertices, 3))
-    semantic = np.empty(n_vertices, dtype=np.int64) if "semantic" in col else None
-    instance = np.empty(n_vertices, dtype=np.int64) if "instance" in col else None
-    for row, raw in enumerate(data_lines[:n_vertices]):
-        lineno = data_start + 1 + row
-        tokens = raw.split()
-        if len(tokens) != len(properties):
-            raise ParseError(f"{path}: line {lineno}: expected {len(properties)} values, got {len(tokens)}")
-        try:
-            xyz[row, 0] = float(tokens[col["x"]])
-            xyz[row, 1] = float(tokens[col["y"]])
-            xyz[row, 2] = float(tokens[col["z"]])
-            if semantic is not None:
-                semantic[row] = int(tokens[col["semantic"]])
-            if instance is not None:
-                instance[row] = int(tokens[col["instance"]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return PointCloud(positions=xyz, semantic=semantic, instance=instance)
+    cloud = _parse_cloud(path, data_lines[:n_vertices], data_start + 1, properties, None)
+    for lineno, raw in enumerate(data_lines[n_vertices:], start=data_start + 1 + n_vertices):
+        if raw.strip():
+            raise ParseError(f"{path}: line {lineno}: data beyond the {n_vertices} declared vertices")
+    return cloud
 
 
 def write_ply(path, cloud: PointCloud) -> None:
-    path = Path(path)
-    header = ["ply", "format ascii 1.0", f"element vertex {cloud.n}",
-              "property double x", "property double y", "property double z"]
-    if cloud.semantic is not None:
-        header.append("property int semantic")
-    if cloud.instance is not None:
-        header.append("property int instance")
-    header.append("end_header")
-    rows = []
-    for i in range(cloud.n):
-        parts = [_fmt(cloud.positions[i, 0]), _fmt(cloud.positions[i, 1]), _fmt(cloud.positions[i, 2])]
-        if cloud.semantic is not None:
-            parts.append(str(int(cloud.semantic[i])))
-        if cloud.instance is not None:
-            parts.append(str(int(cloud.instance[i])))
-        rows.append(" ".join(parts))
-    path.write_text("\n".join(header + rows) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# TSV point clouds
-
-
-_CLOUD_COLUMNS = ("x", "y", "z", "semantic", "instance")
+    columns = _cloud_columns(cloud)
+    header = ["ply", "format ascii 1.0", f"element vertex {cloud.n}"]
+    header += [f"property {'double' if _CLOUD_TYPES[name] is float else 'int'} {name}" for name in columns]
+    _write_rows(path, header + ["end_header"], " ", columns)
 
 
 def read_tsv(path) -> PointCloud:
@@ -144,98 +161,52 @@ def read_tsv(path) -> PointCloud:
     the order above.
     """
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
+    lines = _table_lines(path)
     first = lines[0].split("\t")
     if any(tok.strip().isalpha() for tok in first):
         columns = [tok.strip() for tok in first]
         for name in columns:
-            if name not in _CLOUD_COLUMNS:
+            if name not in _CLOUD_TYPES:
                 raise ParseError(f"{path}: line 1: unknown column {name!r}")
-        for req in ("x", "y", "z"):
-            if req not in columns:
-                raise ParseError(f"{path}: line 1: missing required column {req!r}")
-        data_lines = lines[1:]
-        start = 2
+        lines, start = lines[1:], 2
     else:
-        columns = list(_CLOUD_COLUMNS[: len(first)])
-        data_lines = lines
-        start = 1
-    col = {name: i for i, name in enumerate(columns)}
-    n = len(data_lines)
-    xyz = np.empty((n, 3))
-    semantic = np.empty(n, dtype=np.int64) if "semantic" in col else None
-    instance = np.empty(n, dtype=np.int64) if "instance" in col else None
-    for row, raw in enumerate(data_lines):
-        lineno = start + row
-        tokens = raw.split("\t")
-        if len(tokens) != len(columns):
-            raise ParseError(f"{path}: line {lineno}: expected {len(columns)} values, got {len(tokens)}")
-        try:
-            xyz[row] = (float(tokens[col["x"]]), float(tokens[col["y"]]), float(tokens[col["z"]]))
-            if semantic is not None:
-                semantic[row] = int(tokens[col["semantic"]])
-            if instance is not None:
-                instance[row] = int(tokens[col["instance"]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return PointCloud(positions=xyz, semantic=semantic, instance=instance)
+        columns, start = list(_CLOUD_TYPES)[: len(first)], 1
+    for req in ("x", "y", "z"):
+        if req not in columns:
+            raise ParseError(f"{path}: line 1: missing required column {req!r}")
+    return _parse_cloud(path, lines, start, columns, "\t")
 
 
 def write_tsv(path, cloud: PointCloud) -> None:
-    path = Path(path)
-    columns = ["x", "y", "z"]
-    if cloud.semantic is not None:
-        columns.append("semantic")
-    if cloud.instance is not None:
-        columns.append("instance")
-    rows = ["\t".join(columns)]
-    for i in range(cloud.n):
-        parts = [_fmt(cloud.positions[i, 0]), _fmt(cloud.positions[i, 1]), _fmt(cloud.positions[i, 2])]
-        if cloud.semantic is not None:
-            parts.append(str(int(cloud.semantic[i])))
-        if cloud.instance is not None:
-            parts.append(str(int(cloud.instance[i])))
-        rows.append("\t".join(parts))
-    path.write_text("\n".join(rows) + "\n")
+    columns = _cloud_columns(cloud)
+    _write_rows(path, ["\t".join(columns)], "\t", columns)
+
+
+def _by_extension(path, ply, tsv):
+    suffix = Path(path).suffix.lower()
+    if suffix == ".ply":
+        return ply
+    if suffix in (".tsv", ".txt"):
+        return tsv
+    raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .ply or .tsv")
 
 
 def read_cloud(path) -> PointCloud:
     """Dispatch on extension: .ply or .tsv/.txt."""
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        return read_ply(path)
-    if suffix in (".tsv", ".txt"):
-        return read_tsv(path)
-    raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .ply or .tsv")
+    return _by_extension(path, read_ply, read_tsv)(path)
 
 
 def write_cloud(path, cloud: PointCloud) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        write_ply(path, cloud)
-    elif suffix in (".tsv", ".txt"):
-        write_tsv(path, cloud)
-    else:
-        raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .ply or .tsv")
-
-
-# ---------------------------------------------------------------------------
-# Per-point label tables
+    _by_extension(path, write_ply, write_tsv)(path, cloud)
 
 
 def write_labels_tsv(path, instance, semantic=None) -> None:
     """Write final per-point labels: point_id, instance, and optional semantic."""
     instance = np.asarray(instance, dtype=np.int64)
-    columns = ["point_id", "instance"] + (["semantic"] if semantic is not None else [])
-    rows = ["\t".join(columns)]
-    for i in range(len(instance)):
-        parts = [str(i), str(int(instance[i]))]
-        if semantic is not None:
-            parts.append(str(int(semantic[i])))
-        rows.append("\t".join(parts))
-    Path(path).write_text("\n".join(rows) + "\n")
+    columns = {"point_id": np.arange(len(instance)), "instance": instance}
+    if semantic is not None:
+        columns["semantic"] = np.asarray(semantic, dtype=np.int64)
+    _write_rows(path, ["\t".join(columns)], "\t", columns)
 
 
 def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] | None]:
@@ -247,80 +218,57 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     path = Path(path)
     if path.suffix.lower() == ".ply":
         cloud = read_ply(path)
-        if cloud.instance is None:
-            raise ParseError(f"{path}: no instance labels present")
-        return cloud.instance, cloud.semantic
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [tok.strip() for tok in lines[0].split("\t")]
-    if "x" in header:
-        cloud = read_tsv(path)
+    else:
+        lines = _table_lines(path)
+        header = [tok.strip() for tok in lines[0].split("\t")]
+        cloud = read_tsv(path) if "x" in header else None
+    if cloud is not None:
         if cloud.instance is None:
             raise ParseError(f"{path}: no instance labels present")
         return cloud.instance, cloud.semantic
     if header[:2] != ["point_id", "instance"]:
         raise ParseError(f"{path}: line 1: expected columns starting 'point_id\\tinstance', got {lines[0]!r}")
-    has_semantic = "semantic" in header
     n = len(lines) - 1
-    instance = np.empty(n, dtype=np.int64)
-    semantic = np.empty(n, dtype=np.int64) if has_semantic else None
     seen = np.zeros(n, dtype=bool)
-    for row, raw in enumerate(lines[1:]):
-        lineno = row + 2
-        tokens = raw.split("\t")
-        if len(tokens) != len(header):
-            raise ParseError(f"{path}: line {lineno}: expected {len(header)} values, got {len(tokens)}")
-        try:
-            pid = int(tokens[0])
-            if not 0 <= pid < n:
-                raise ValueError(f"point_id {pid} outside 0..{n - 1}")
-            if seen[pid]:
-                raise ValueError(f"duplicate point_id {pid}")
-            seen[pid] = True
-            instance[pid] = int(tokens[1])
-            if semantic is not None:
-                semantic[pid] = int(tokens[header.index("semantic")])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-    return instance, semantic
+
+    def point_id(token: str) -> int:
+        pid = int(token)
+        if not 0 <= pid < n:
+            raise ValueError(f"point_id {pid} outside 0..{n - 1}")
+        if seen[pid]:
+            raise ValueError(f"duplicate point_id {pid}")
+        seen[pid] = True
+        return pid
+
+    fields = {"point_id": (0, point_id), "instance": (1, int)}
+    if "semantic" in header:
+        fields["semantic"] = (header.index("semantic"), int)
+    values = _parse_rows(path, lines[1:], 2, len(header), fields, "\t")
+    # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
+    order = np.argsort(values["point_id"])
+    return values["instance"][order], values["semantic"][order] if "semantic" in values else None
 
 
-# ---------------------------------------------------------------------------
-# Per-block mask files (the external-predictor interface)
-
-
-def write_block_file(path, block_id: int, center_xy, radius: float,
-                     masks: list[InstanceMask], semantic=None) -> None:
-    """Write one block's predictions as JSON.
-
-    ``semantic``, when given, is a pair of (point_ids, classes) arrays with
-    this block's per-point semantic votes.
-    """
+def write_block_file(path, prediction: BlockPrediction) -> None:
+    """Write one block's predictions as JSON."""
     payload: dict = {
-        "block_id": int(block_id),
-        "center": [float(center_xy[0]), float(center_xy[1])],
-        "radius": float(radius),
-        "masks": [
-            {
-                "query_index": int(m.query_index),
-                "score": float(m.score),
-                "point_ids": [int(p) for p in m.point_ids],
-            }
-            for m in masks
-        ],
+        "block_id": int(prediction.block_id),
+        "center": [float(prediction.center_xy[0]), float(prediction.center_xy[1])],
+        "radius": float(prediction.radius),
+        "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
+                  for m in prediction.masks],
     }
-    if semantic is not None:
-        point_ids, classes = semantic
-        payload["semantic"] = {
-            "point_ids": [int(p) for p in point_ids],
-            "classes": [int(c) for c in classes],
-        }
+    if prediction.semantic is not None:
+        payload["semantic"] = {key: np.asarray(values, dtype=np.int64).tolist()
+                               for key, values in zip(_SEMANTIC_KEYS, prediction.semantic)}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def read_block_file(path) -> tuple[int, BlockGeometry, list[InstanceMask], tuple | None]:
-    """Read one block's predictions; returns (block_id, geometry, masks, semantic)."""
+def read_block_file(path) -> BlockPrediction:
+    """Read one block's predictions, as :func:`write_block_file` writes them.
+
+    ``query_index`` defaults to a mask's position and ``semantic`` is optional.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -328,29 +276,22 @@ def read_block_file(path) -> tuple[int, BlockGeometry, list[InstanceMask], tuple
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     try:
         block_id = int(payload["block_id"])
-        geom = BlockGeometry(center_xy=(float(payload["center"][0]), float(payload["center"][1])),
-                             radius=float(payload["radius"]))
-        masks = [
-            InstanceMask(
-                point_ids=np.asarray(m["point_ids"], dtype=np.int64),
-                score=float(m["score"]),
-                block_id=block_id,
-                query_index=int(m.get("query_index", qi)),
-            )
-            for qi, m in enumerate(payload["masks"])
-        ]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        center_xy = (float(payload["center"][0]), float(payload["center"][1]))
+        radius = float(payload["radius"])
+        masks = [InstanceMask(point_ids=np.asarray(m["point_ids"], dtype=np.int64), score=float(m["score"]),
+                              block_id=block_id, query_index=int(m.get("query_index", qi)))
+                 for qi, m in enumerate(payload["masks"])]
+        semantic = None
+        if "semantic" in payload:
+            semantic = tuple(np.asarray(payload["semantic"][key], dtype=np.int64) for key in _SEMANTIC_KEYS)
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed block file: {exc!r}") from None
-    semantic = None
-    if "semantic" in payload:
-        try:
-            semantic = (
-                np.asarray(payload["semantic"]["point_ids"], dtype=np.int64),
-                np.asarray(payload["semantic"]["classes"], dtype=np.int64),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: malformed semantic section: {exc!r}") from None
-    return block_id, geom, masks, semantic
+    # The boundary test squares the radius; NaN would silently drop every mask.
+    if not (math.isfinite(center_xy[0]) and math.isfinite(center_xy[1]) and radius > 0
+            and math.isfinite(radius * radius)):
+        raise ParseError(f"{path}: block center must be finite and radius positive with a finite square, "
+                         f"got center {list(center_xy)} and radius {radius}")
+    return BlockPrediction(block_id=block_id, center_xy=center_xy, radius=radius, masks=masks, semantic=semantic)
 
 
 def write_json(path, payload: dict) -> None:

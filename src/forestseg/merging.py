@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -52,12 +52,17 @@ class InstanceMask:
         return (-self.score, self.block_id, self.query_index)
 
 
-@dataclass(frozen=True)
-class BlockGeometry:
-    """Cylinder footprint of a block, for boundary tests."""
+@dataclass(eq=False)
+class BlockPrediction:
+    """Everything one block contributes to the merge: its cylinder footprint
+    (for the boundary test), its masks and optional per-point semantic votes
+    as a pair of (point_ids, classes) arrays."""
 
+    block_id: int
     center_xy: tuple[float, float]
     radius: float
+    masks: list[InstanceMask]
+    semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
 
 
 _RUN_RATIO = 8
@@ -116,33 +121,35 @@ def score_filter(masks: Sequence[InstanceMask], threshold: float) -> list[Instan
 
 def discard_boundary_masks(
     masks: Sequence[InstanceMask],
-    blocks: Mapping[int, BlockGeometry],
+    predictions: Iterable[BlockPrediction],
     positions: npt.NDArray[np.float64],
     margin: float,
 ) -> list[InstanceMask]:
     """Drop masks reaching into the outer margin annulus of their block.
 
     A mask is discarded iff any of its points lies at horizontal distance
-    greater than ``radius - margin`` from its source block center. Trees cut
+    greater than ``radius - margin`` from the center of the prediction of its
+    source block. Trees cut
     by the crop boundary always reach the annulus, and the small stride
     guarantees an interior copy from a neighboring block survives.
     """
     positions = np.asarray(positions, dtype=np.float64)
+    blocks = {p.block_id: p for p in predictions}
     kept = []
     # One distance pass per run of same-block masks; the pipeline sorts by block.
     for block_id, run in groupby(masks, key=lambda m: m.block_id):
-        geom = blocks.get(block_id)
-        if geom is None:
+        block = blocks.get(block_id)
+        if block is None:
             raise UnknownBlock(f"mask references unknown block id {block_id}")
         run = list(run)
         sizes = np.array([m.size for m in run], dtype=np.int64)
         max_sq = np.zeros(len(run))
         nonempty = sizes > 0
         if nonempty.any():
-            delta = positions[np.concatenate([m.point_ids for m in run]), :2] - np.asarray(geom.center_xy)
+            delta = positions[np.concatenate([m.point_ids for m in run]), :2] - np.asarray(block.center_xy)
             starts = (np.cumsum(sizes) - sizes)[nonempty]
             max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
-        keep = max_sq <= (geom.radius - margin) ** 2
+        keep = max_sq <= (block.radius - margin) ** 2
         kept.extend(m for m, k in zip(run, keep) if k)
     return kept
 

@@ -19,7 +19,7 @@ import numpy.typing as npt
 from .core import PointCloud
 from .errors import ConfigError, EmptyInput, ShapeMismatch, UnknownBlock
 from .merging import (
-    BlockGeometry,
+    BlockPrediction,
     InstanceMask,
     discard_boundary_masks,
     resolve_points,
@@ -47,9 +47,10 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("radius", "stride"):
-            # Written so that NaN fails too.
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            # Written so that NaN fails too; tiling and boundary discard square both.
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value * value)):
+                raise ConfigError(f"{name} must be positive with a finite square, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A point midway between four grid centers is stride/sqrt(2) from each.
@@ -64,16 +65,6 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         if not 0.0 <= self.boundary_margin < self.radius:
             raise ConfigError("boundary_margin must be in [0, radius)")
-
-
-@dataclass(eq=False)
-class BlockPrediction:
-    """Everything one block contributes to the merge."""
-
-    block_id: int
-    geometry: BlockGeometry
-    masks: list[InstanceMask]
-    semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
 
 
 @dataclass(eq=False)
@@ -133,7 +124,6 @@ def merge_block_predictions(
     first.
     """
     n_points = len(positions)
-    geometries = {p.block_id: p.geometry for p in predictions}
     masks = sorted(
         (m for p in predictions for m in p.masks),
         key=lambda m: (m.block_id, m.query_index),
@@ -143,7 +133,7 @@ def merge_block_predictions(
             raise ShapeMismatch(
                 f"mask from block {mask.block_id} references points outside 0..{n_points - 1}"
             )
-    after_boundary = discard_boundary_masks(masks, geometries, positions, config.boundary_margin)
+    after_boundary = discard_boundary_masks(masks, predictions, positions, config.boundary_margin)
     after_filter = score_filter(after_boundary, config.score_threshold)
     kept = score_nms(after_filter, config.nms_iou)
     instance = resolve_points(kept, n_points)
@@ -176,8 +166,8 @@ def make_oracle_predictor(cloud: PointCloud, corruption: CorruptionParams, maste
             semantic = (block.point_indices, cloud.semantic[block.point_indices])
         return BlockPrediction(
             block_id=block.block_id,
-            geometry=BlockGeometry(center_xy=(float(block.center_xy[0]), float(block.center_xy[1])),
-                                   radius=block.radius),
+            center_xy=(float(block.center_xy[0]), float(block.center_xy[1])),
+            radius=block.radius,
             masks=masks,
             semantic=semantic,
         )
@@ -267,7 +257,6 @@ def run_pipeline_from_blocks(
 
 
 __all__ = [
-    "BlockPrediction",
     "MergeOutcome",
     "PipelineConfig",
     "PipelineResult",

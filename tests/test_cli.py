@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from forestseg import io
 from forestseg.cli import main
 from forestseg.core import PointCloud
-from forestseg.merging import InstanceMask
+from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.synthgen import ForestParams, generate_forest
 
 PARAMS_TEXT = """\
@@ -114,6 +114,8 @@ class TestPipeline:
     @pytest.mark.parametrize("flags, name", [
         (["--stride", "nan"], "stride"),
         (["--radius", "nan"], "radius"),
+        (["--radius", "inf"], "radius"),
+        (["--radius", "1e308"], "radius"),
         (["--score-noise", "nan"], "score_noise"),
         (["--score-noise", "inf"], "score_noise"),
         (["--seed", "-1"], "seed"),
@@ -179,10 +181,10 @@ class TestPipeline:
         tree_one = np.flatnonzero(cloud.instance == 1)
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        io.write_block_file(
-            blocks / "block_00000.json", 0, (5.0, 5.0), 16.0,
-            [InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
-        )
+        io.write_block_file(blocks / "block_00000.json", BlockPrediction(
+            block_id=0, center_xy=(5.0, 5.0), radius=16.0,
+            masks=[InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
+        ))
         labels_path = tmp_path / "merged.tsv"
         result = runner.invoke(main, [
             "pipeline", "--input", str(ply), "--predictor", str(blocks),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from forestseg.errors import InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
 from forestseg.merging import (
-    BlockGeometry,
+    BlockPrediction,
     InstanceMask,
     discard_boundary_masks,
     overlap_merge_baseline,
@@ -22,6 +22,10 @@ from merging_reference import reference_overlap_merge_baseline, reference_score_
 def mask(point_ids, score, block_id=0, query_index=0):
     return InstanceMask(point_ids=np.asarray(point_ids, dtype=np.int64), score=score,
                         block_id=block_id, query_index=query_index)
+
+
+def footprint(block_id, center_xy=(0.0, 0.0), radius=16.0):
+    return BlockPrediction(block_id=block_id, center_xy=center_xy, radius=radius, masks=[])
 
 
 def random_masks(rng, count, universe=200, max_size=40):
@@ -96,26 +100,24 @@ class TestDiscardBoundaryMasks:
     def _setup(self, farthest):
         positions = np.zeros((2, 3))
         positions[1, 0] = farthest
-        geoms = {0: BlockGeometry(center_xy=(0.0, 0.0), radius=16.0)}
-        return [mask([0, 1], 0.9)], geoms, positions
+        return [mask([0, 1], 0.9)], [footprint(0)], positions
 
     def test_mask_reaching_margin_discarded(self):
-        masks, geoms, positions = self._setup(15.6)
-        assert discard_boundary_masks(masks, geoms, positions, 0.5) == []
+        masks, blocks, positions = self._setup(15.6)
+        assert discard_boundary_masks(masks, blocks, positions, 0.5) == []
 
     def test_interior_mask_kept(self):
-        masks, geoms, positions = self._setup(15.4)
-        assert len(discard_boundary_masks(masks, geoms, positions, 0.5)) == 1
+        masks, blocks, positions = self._setup(15.4)
+        assert len(discard_boundary_masks(masks, blocks, positions, 0.5)) == 1
 
     def test_matches_distance_scan_oracle(self, rng):
         positions = np.c_[rng.uniform(-20, 20, size=(300, 2)), np.zeros(300)]
-        geoms = {b: BlockGeometry(center_xy=(float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))),
-                                  radius=16.0) for b in range(5)}
+        blocks = [footprint(b, (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))) for b in range(5)]
         masks = random_masks(rng, 40, universe=300)
-        kept = discard_boundary_masks(masks, geoms, positions, 0.5)
+        kept = discard_boundary_masks(masks, blocks, positions, 0.5)
         expected = []
         for m in masks:
-            center = np.array(geoms[m.block_id].center_xy)
+            center = np.array(blocks[m.block_id].center_xy)
             dists = [np.hypot(*(positions[p, :2] - center)) for p in m.point_ids]
             if max(dists) <= 16.0 - 0.5:
                 expected.append(m)
@@ -124,20 +126,19 @@ class TestDiscardBoundaryMasks:
     def test_unknown_block_rejected(self):
         masks = [mask([0], 0.5, block_id=9)]
         with pytest.raises(UnknownBlock):
-            discard_boundary_masks(masks, {}, np.zeros((1, 3)), 0.5)
+            discard_boundary_masks(masks, [], np.zeros((1, 3)), 0.5)
 
     def test_unknown_block_after_known_blocks_rejected(self):
-        geoms = {0: BlockGeometry(center_xy=(0.0, 0.0), radius=16.0)}
         masks = [mask([0], 0.5), mask([0], 0.5, block_id=9)]
         with pytest.raises(UnknownBlock):
-            discard_boundary_masks(masks, geoms, np.zeros((1, 3)), 0.5)
+            discard_boundary_masks(masks, [footprint(0)], np.zeros((1, 3)), 0.5)
 
     def test_empty_masks_kept_and_order_preserved_across_interleaved_blocks(self):
         positions = np.array([[0.0, 0.0, 0.0], [15.6, 0.0, 0.0], [15.4, 0.0, 0.0]])
-        geoms = {b: BlockGeometry(center_xy=(0.0, 0.0), radius=16.0) for b in (0, 1)}
+        blocks = [footprint(0), footprint(1)]
         masks = [mask([], 0.5, 1), mask([0, 1], 0.5, 1, 1), mask([0, 2], 0.5, 0, 2),
                  mask([], 0.5, 0, 3), mask([1], 0.5, 1, 4), mask([2], 0.5, 1, 5)]
-        kept = discard_boundary_masks(masks, geoms, positions, 0.5)
+        kept = discard_boundary_masks(masks, blocks, positions, 0.5)
         assert [m.query_index for m in kept] == [0, 2, 3, 5]
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from forestseg import io
 from forestseg.errors import ConfigError
+from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import (
-    BlockPrediction,
     PipelineConfig,
     effective_threads,
     make_oracle_predictor,
@@ -100,14 +100,9 @@ class TestExternalPredictorInterface:
         block_dir = tmp_path / "blocks"
         block_dir.mkdir()
         for block in tile_cloud(forest, config.radius, config.stride):
-            bp = predict(block)
-            io.write_block_file(block_dir / f"block_{bp.block_id:05d}.json", bp.block_id,
-                                bp.geometry.center_xy, bp.geometry.radius, bp.masks, bp.semantic)
+            io.write_block_file(block_dir / f"block_{block.block_id:05d}.json", predict(block))
 
-        predictions = []
-        for path in sorted(block_dir.glob("*.json")):
-            block_id, geom, masks, semantic = io.read_block_file(path)
-            predictions.append(BlockPrediction(block_id=block_id, geometry=geom, masks=masks, semantic=semantic))
+        predictions = [io.read_block_file(path) for path in sorted(block_dir.glob("*.json"))]
         from_files = run_pipeline_from_blocks(predictions, forest, config)
 
         assert np.array_equal(from_files.merge.instance, direct.merge.instance)
@@ -119,9 +114,9 @@ class TestExternalPredictorInterface:
         predict = make_oracle_predictor(forest, CorruptionParams(), config.seed)
         predictions = []
         for block in tile_cloud(forest, config.radius, config.stride):
-            bp = predict(block)
-            predictions.append(BlockPrediction(block_id=bp.block_id, geometry=bp.geometry,
-                                               masks=bp.masks, semantic=None))
+            prediction = predict(block)
+            prediction.semantic = None
+            predictions.append(prediction)
         result = run_pipeline_from_blocks(predictions, forest, config)
         assert result.merge.semantic is None
         assert result.evaluation.miou is None
@@ -154,11 +149,11 @@ class TestStageAccounting:
 
     def test_out_of_range_mask_points_rejected(self, forest):
         from forestseg.errors import ShapeMismatch
-        from forestseg.merging import BlockGeometry, InstanceMask
 
         bad = BlockPrediction(
             block_id=0,
-            geometry=BlockGeometry(center_xy=(0.0, 0.0), radius=16.0),
+            center_xy=(0.0, 0.0),
+            radius=16.0,
             masks=[InstanceMask(point_ids=np.array([forest.n + 5]), score=0.9, block_id=0, query_index=0)],
         )
         with pytest.raises(ShapeMismatch):
@@ -167,9 +162,7 @@ class TestStageAccounting:
     @pytest.mark.parametrize("block_ids", [[0, 0], [-1], [10_000]])
     def test_block_ids_off_the_grid_rejected(self, forest, block_ids):
         from forestseg.errors import UnknownBlock
-        from forestseg.merging import BlockGeometry
 
-        bad = [BlockPrediction(block_id=i, geometry=BlockGeometry(center_xy=(0.0, 0.0), radius=16.0), masks=[])
-               for i in block_ids]
+        bad = [BlockPrediction(block_id=i, center_xy=(0.0, 0.0), radius=16.0, masks=[]) for i in block_ids]
         with pytest.raises(UnknownBlock):
             run_pipeline_from_blocks(bad, forest, PipelineConfig())
