@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`forestseg.core` -- point clouds, sparse voxel grids, label transfer
+* :mod:`forestseg.core` -- point clouds, sparse voxel grids, point-to-voxel labels
 * :mod:`forestseg.tiling` -- cylindrical crops and sliding-window centers
 * :mod:`forestseg.isa_select` -- guided and baseline query point selection
 * :mod:`forestseg.losses` -- loss stack with analytic gradients
@@ -21,7 +21,6 @@ from .core import (
     PointCloud,
     SparseVoxelization,
     VoxelLabels,
-    labels_to_points,
     voxel_labels_from_points,
     voxelize,
 )
@@ -76,6 +75,6 @@ from .synthgen import (
     oracle_embeddings,
     oracle_predictor,
 )
-from .tiling import CylinderBlock, cylinder_crop, random_crop_center, sliding_window_centers, tile_cloud
+from .tiling import CylinderBlock, cylinder_crop, sliding_window_centers, tile_cloud
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Point-cloud and sparse-voxel-grid types, voxelization, and label transfer.
+"""Point-cloud and sparse-voxel-grid types, voxelization, and point-to-voxel
+label aggregation.
 
 Coordinates are meters in float64. Voxel keys are ``floor(p / resolution)``
 as signed 64-bit integers with the origin at world (0, 0, 0), so forest plots
@@ -7,7 +8,7 @@ spanning hundreds of meters stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -25,6 +26,7 @@ GROUND = 0
 WOOD = 1
 LEAF = 2
 SEMANTIC_NAMES = {GROUND: "ground", WOOD: "wood", LEAF: "leaf"}
+N_CLASSES = len(SEMANTIC_NAMES)
 
 
 def _as_float_positions(positions) -> npt.NDArray[np.float64]:
@@ -84,16 +86,15 @@ class PointCloud:
 
 @dataclass(eq=False)
 class SparseVoxelization:
-    """Occupied-voxel set at fixed resolution with point/voxel index maps.
+    """Occupied-voxel set at fixed resolution with the point-to-voxel map.
 
-    ``voxel_keys`` are unique and lexicographically sorted; ``voxel_to_points``
-    partitions the point indices 0..N-1.
+    ``voxel_keys`` are unique and lexicographically sorted; ``point_to_voxel``
+    gives each point's row in ``voxel_keys``.
     """
 
     resolution: float
     voxel_keys: npt.NDArray[np.int64]
     point_to_voxel: npt.NDArray[np.int64]
-    voxel_to_points: list[npt.NDArray[np.int64]] = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -141,15 +142,10 @@ def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
         raise EmptyInput("cannot voxelize an empty point cloud")
     keys = np.floor(cloud.positions / resolution).astype(np.int64)
     voxel_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    point_to_voxel = inverse.reshape(-1).astype(np.int64)
-    order = np.argsort(point_to_voxel, kind="stable")
-    counts = np.bincount(point_to_voxel, minlength=len(voxel_keys))
-    voxel_to_points = np.split(order, np.cumsum(counts)[:-1])
     return SparseVoxelization(
         resolution=float(resolution),
         voxel_keys=voxel_keys,
-        point_to_voxel=point_to_voxel,
-        voxel_to_points=voxel_to_points,
+        point_to_voxel=inverse.reshape(-1).astype(np.int64),
     )
 
 
@@ -188,18 +184,3 @@ def voxel_labels_from_points(vox: SparseVoxelization, cloud: PointCloud) -> Voxe
     sem = _majority_per_group(vox.point_to_voxel, cloud.semantic, vox.m)
     inst = _majority_per_group(vox.point_to_voxel, cloud.instance, vox.m)
     return VoxelLabels(semantic=sem, instance=inst)
-
-
-def labels_to_points(
-    vox: SparseVoxelization, vlabels: VoxelLabels
-) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-    """Broadcast voxel labels back to every member point.
-
-    Returns ``(semantic, instance)`` arrays of length N.
-    """
-    if vlabels.m != vox.m:
-        raise ShapeMismatch(f"expected {vox.m} voxel labels, got {vlabels.m}")
-    return (
-        vlabels.semantic[vox.point_to_voxel],
-        vlabels.instance[vox.point_to_voxel],
-    )

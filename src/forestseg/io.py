@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -29,9 +29,10 @@ _INT_PLY_TYPES = {"char", "uchar", "int8", "uint8", "short", "ushort", "int16", 
 _CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance": int}
 
 
-def _parse_rows(path: Path, lines: list[str], first_lineno: int, width: int,
+def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
                 fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
-    """Parse rows of ``width`` ``sep``-separated values into one array per field.
+    """Parse rows of ``width`` ``sep``-separated values, found on file lines
+    ``linenos``, into one array per field.
 
     ``fields`` maps a name to its column index and converter; the converters
     run in that order on each row, ``float`` ones filling float64 arrays and
@@ -41,23 +42,31 @@ def _parse_rows(path: Path, lines: list[str], first_lineno: int, width: int,
     out = {name: np.empty(len(lines), dtype=np.float64 if convert is float else np.int64)
            for name, (_, convert) in fields.items()}
     targets = [(out[name], i, convert) for name, (i, convert) in fields.items()]
-    for row, raw in enumerate(lines):
+    for row, (lineno, raw) in enumerate(zip(linenos, lines)):
         tokens = raw.split(sep)
         if len(tokens) != width:
-            raise ParseError(f"{path}: line {first_lineno + row}: expected {width} values, got {len(tokens)}")
+            raise ParseError(f"{path}: line {lineno}: expected {width} values, got {len(tokens)}")
         try:
             for array, i, convert in targets:
                 array[row] = convert(tokens[i])
         except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: line {first_lineno + row}: {exc}") from None
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 
-def _parse_cloud(path: Path, lines: list[str], first_lineno: int, columns: list[str], sep: str | None) -> PointCloud:
-    """Parse point rows whose columns are named ``columns``; a repeated name reads its last column."""
+def _check_unique(path: Path, lineno: int, names: list[str]) -> None:
+    """Reject a header that names a column twice, so no reader has to pick one."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"{path}: line {lineno}: repeated column name {name!r}")
+
+
+def _parse_cloud(path: Path, lines: Sequence[str], linenos: Sequence[int], columns: list[str],
+                 sep: str | None) -> PointCloud:
+    """Parse point rows whose columns are named ``columns`` (names are unique)."""
     col = {name: i for i, name in enumerate(columns)}
     fields = {name: (col[name], convert) for name, convert in _CLOUD_TYPES.items() if name in col}
-    values = _parse_rows(path, lines, first_lineno, len(columns), fields, sep)
+    values = _parse_rows(path, lines, linenos, len(columns), fields, sep)
     return PointCloud(positions=np.column_stack([values["x"], values["y"], values["z"]]),
                       semantic=values.get("semantic"), instance=values.get("instance"))
 
@@ -76,12 +85,13 @@ def _cloud_columns(cloud: PointCloud) -> dict[str, npt.NDArray]:
     return columns
 
 
-def _table_lines(path: Path) -> list[str]:
-    """The non-blank lines of a TSV table; line numbers count only these."""
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+def _table_lines(path: Path) -> tuple[list[str], list[int]]:
+    """The non-blank lines of a TSV table, and their file line numbers."""
+    lines = path.read_text().splitlines()
+    linenos = [lineno for lineno, ln in enumerate(lines, start=1) if ln.strip()]
+    if not linenos:
         raise ParseError(f"{path}: empty file")
-    return lines
+    return [lines[lineno - 1] for lineno in linenos], linenos
 
 
 def read_ply(path) -> PointCloud:
@@ -125,6 +135,7 @@ def read_ply(path) -> PointCloud:
                 raise ParseError(f"{path}: line {lineno}: {pname} must be a float type, got {ptype!r}")
             if pname in ("semantic", "instance") and ptype not in _INT_PLY_TYPES:
                 raise ParseError(f"{path}: line {lineno}: {pname} must be an integer type, got {ptype!r}")
+            _check_unique(path, lineno, [*properties, pname])
             properties.append(pname)
         else:
             raise ParseError(f"{path}: line {lineno}: unexpected header line {line!r}")
@@ -140,7 +151,8 @@ def read_ply(path) -> PointCloud:
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
-    cloud = _parse_cloud(path, data_lines[:n_vertices], data_start + 1, properties, None)
+    cloud = _parse_cloud(path, data_lines[:n_vertices], range(data_start + 1, data_start + 1 + n_vertices),
+                         properties, None)
     for lineno, raw in enumerate(data_lines[n_vertices:], start=data_start + 1 + n_vertices):
         if raw.strip():
             raise ParseError(f"{path}: line {lineno}: data beyond the {n_vertices} declared vertices")
@@ -161,20 +173,21 @@ def read_tsv(path) -> PointCloud:
     the order above.
     """
     path = Path(path)
-    lines = _table_lines(path)
-    first = lines[0].split("\t")
+    lines, linenos = _table_lines(path)
+    first, first_lineno = lines[0].split("\t"), linenos[0]
     if any(tok.strip().isalpha() for tok in first):
         columns = [tok.strip() for tok in first]
         for name in columns:
             if name not in _CLOUD_TYPES:
-                raise ParseError(f"{path}: line 1: unknown column {name!r}")
-        lines, start = lines[1:], 2
+                raise ParseError(f"{path}: line {first_lineno}: unknown column {name!r}")
+        _check_unique(path, first_lineno, columns)
+        lines, linenos = lines[1:], linenos[1:]
     else:
-        columns, start = list(_CLOUD_TYPES)[: len(first)], 1
+        columns = list(_CLOUD_TYPES)[: len(first)]
     for req in ("x", "y", "z"):
         if req not in columns:
-            raise ParseError(f"{path}: line 1: missing required column {req!r}")
-    return _parse_cloud(path, lines, start, columns, "\t")
+            raise ParseError(f"{path}: line {first_lineno}: missing required column {req!r}")
+    return _parse_cloud(path, lines, linenos, columns, "\t")
 
 
 def write_tsv(path, cloud: PointCloud) -> None:
@@ -219,7 +232,7 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     if path.suffix.lower() == ".ply":
         cloud = read_ply(path)
     else:
-        lines = _table_lines(path)
+        lines, linenos = _table_lines(path)
         header = [tok.strip() for tok in lines[0].split("\t")]
         cloud = read_tsv(path) if "x" in header else None
     if cloud is not None:
@@ -227,7 +240,9 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
             raise ParseError(f"{path}: no instance labels present")
         return cloud.instance, cloud.semantic
     if header[:2] != ["point_id", "instance"]:
-        raise ParseError(f"{path}: line 1: expected columns starting 'point_id\\tinstance', got {lines[0]!r}")
+        raise ParseError(f"{path}: line {linenos[0]}: expected columns starting 'point_id\\tinstance', "
+                         f"got {lines[0]!r}")
+    _check_unique(path, linenos[0], header)
     n = len(lines) - 1
     seen = np.zeros(n, dtype=bool)
 
@@ -243,7 +258,7 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     fields = {"point_id": (0, point_id), "instance": (1, int)}
     if "semantic" in header:
         fields["semantic"] = (header.index("semantic"), int)
-    values = _parse_rows(path, lines[1:], 2, len(header), fields, "\t")
+    values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
     # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
     order = np.argsort(values["point_id"])
     return values["instance"][order], values["semantic"][order] if "semantic" in values else None

@@ -75,21 +75,11 @@ def filter_tree_voxels(field: EmbeddingField, threshold: float) -> npt.NDArray[n
     return candidates
 
 
-def _pairwise_distance(points: npt.NDArray[np.float64], anchor: npt.NDArray[np.float64], metric: str):
-    if metric == "l2":
-        # Squared distances preserve the max-min ordering exactly.
-        diff = points - anchor
-        return np.einsum("ij,ij->i", diff, diff)
-    if metric == "l1":
-        return np.abs(points - anchor).sum(axis=1)
-    raise ConfigError(f"unknown FPS metric {metric!r}, expected 'l2' or 'l1'")
-
-
-def fps(points, k: int, start_index: int = 0, metric: str = "l2") -> npt.NDArray[np.int64]:
+def fps(points, k: int, start_index: int = 0) -> npt.NDArray[np.int64]:
     """Greedy farthest-point sampling, returning indices in selection order.
 
-    Each pick maximizes the minimum distance to the already-selected set;
-    ties break toward the lowest index. Requesting more points than exist
+    Each pick maximizes the minimum Euclidean distance to the already-selected
+    set; ties break toward the lowest index. Requesting more points than exist
     truncates to the point count.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -102,49 +92,29 @@ def fps(points, k: int, start_index: int = 0, metric: str = "l2") -> npt.NDArray
         raise ConfigError(f"start_index {start_index} out of range for {n} points")
     k = min(k, n)
     selected = np.empty(k, dtype=np.int64)
-    selected[0] = start_index
-    min_dist = _pairwise_distance(pts, pts[start_index], metric)
-    min_dist[start_index] = -np.inf
-    for i in range(1, k):
-        nxt = int(np.argmax(min_dist))
+    min_dist = np.full(n, np.inf)
+    nxt = start_index
+    for i in range(k):
         selected[i] = nxt
-        np.minimum(min_dist, _pairwise_distance(pts, pts[nxt], metric), out=min_dist)
+        # Squared distances preserve the max-min ordering exactly.
+        diff = pts - pts[nxt]
+        np.minimum(min_dist, np.einsum("ij,ij->i", diff, diff), out=min_dist)
         min_dist[nxt] = -np.inf
+        nxt = int(np.argmax(min_dist))
     return selected
 
 
-def _start_position(n_candidates: int, start_rule: str, seed) -> int:
-    if start_rule == "lowest":
-        return 0
-    if start_rule == "random":
-        return int(np.random.default_rng(seed).integers(0, n_candidates))
-    raise ConfigError(f"unknown start_rule {start_rule!r}, expected 'lowest' or 'random'")
-
-
-def select_queries_isa(
-    field: EmbeddingField,
-    k: int,
-    threshold: float = 0.5,
-    start_rule: str = "lowest",
-    seed=0,
-    metric: str = "l2",
-) -> QuerySelection:
-    """Guided selection: filter non-tree voxels, then FPS in embedding space."""
+def select_queries_isa(field: EmbeddingField, k: int, threshold: float = 0.5) -> QuerySelection:
+    """Guided selection: filter non-tree voxels, then FPS in embedding space
+    from the lowest-index candidate."""
     candidates = filter_tree_voxels(field, threshold)
-    start = _start_position(len(candidates), start_rule, seed)
-    local = fps(field.embeddings[candidates], k, start_index=start, metric=metric)
+    local = fps(field.embeddings[candidates], k)
     return QuerySelection(voxel_indices=candidates[local], method="isa", k_requested=k)
 
 
-def select_queries_fps_euclidean(
-    vox: SparseVoxelization,
-    k: int,
-    start_rule: str = "lowest",
-    seed=0,
-) -> QuerySelection:
-    """Baseline: plain Euclidean FPS over all voxel centers, no filtering."""
-    start = _start_position(vox.m, start_rule, seed)
-    indices = fps(vox.voxel_centers(), k, start_index=start, metric="l2")
+def select_queries_fps_euclidean(vox: SparseVoxelization, k: int) -> QuerySelection:
+    """Baseline: plain Euclidean FPS over all voxel centers from voxel 0, no filtering."""
+    indices = fps(vox.voxel_centers(), k)
     return QuerySelection(voxel_indices=indices, method="fps_euclidean", k_requested=k)
 
 

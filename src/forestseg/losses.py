@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .core import VoxelLabels
+from .core import N_CLASSES, VoxelLabels
 from .errors import (
     ConfigError,
     InvalidLabel,
@@ -34,7 +34,6 @@ SCORE_WEIGHT = 0.5
 SEMANTIC_WEIGHT = 0.2
 REG_WEIGHT = 0.001
 DECODER_LAYERS = 6
-N_CLASSES = 3
 
 
 def _sigmoid(z: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:

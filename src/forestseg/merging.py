@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.typing as npt
 
+from .core import N_CLASSES
 from .errors import ConfigError, InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
-from .losses import N_CLASSES
 
 
 @dataclass(eq=False)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
+from .core import N_CLASSES, SEMANTIC_NAMES
 from .errors import EmptyInput, NoGroundTruth, ShapeMismatch
-
-SEMANTIC_CLASS_SET = (0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,9 @@ def coverage(pred, gt) -> float:
     return float(np.mean([best[int(g)] for g in gt_ids]))
 
 
-def semantic_miou(pred_classes, gt_classes, class_set=SEMANTIC_CLASS_SET) -> tuple[dict[int, float], float]:
-    """Per-class IoU and their mean over classes present in gt or pred.
+def semantic_miou(pred_classes, gt_classes) -> tuple[dict[int, float], float]:
+    """Per-class IoU of the classes 0..N_CLASSES-1, and their mean over the
+    classes present in gt or pred.
 
     Classes absent from both sides are excluded rather than scored 0/0.
     """
@@ -135,15 +135,15 @@ def semantic_miou(pred_classes, gt_classes, class_set=SEMANTIC_CLASS_SET) -> tup
     if len(pred) == 0:
         raise EmptyInput("semantic mIoU requires at least one point")
     per_class = {}
-    for cls in class_set:
+    for cls in range(N_CLASSES):
         p = pred == cls
         g = gt == cls
         union = int(np.sum(p | g))
         if union == 0:
             continue
-        per_class[int(cls)] = float(np.sum(p & g) / union)
+        per_class[cls] = float(np.sum(p & g) / union)
     if not per_class:
-        raise EmptyInput(f"none of the classes {tuple(class_set)} are present")
+        raise EmptyInput(f"none of the classes 0..{N_CLASSES - 1} are present")
     return per_class, float(np.mean(list(per_class.values())))
 
 
@@ -179,8 +179,6 @@ class EvalReport:
             "aggregation": "micro",
         }
         if self.miou is not None:
-            from .core import SEMANTIC_NAMES
-
             out["semantic"] = {
                 "per_class_iou": {SEMANTIC_NAMES.get(c, str(c)): v for c, v in sorted(self.per_class_iou.items())},
                 "miou": self.miou,

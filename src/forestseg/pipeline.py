@@ -121,18 +121,22 @@ def merge_block_predictions(
 
     Stage order: boundary discard, score filter, NMS, point resolution,
     semantic vote. Input order is irrelevant; masks are canonically sorted
-    first.
+    first. Every mask must carry the block id of the prediction holding it,
+    since boundary discard measures it against that block's footprint.
     """
     n_points = len(positions)
+    for p in predictions:
+        for mask in p.masks:
+            if mask.block_id != p.block_id:
+                raise UnknownBlock(f"prediction for block {p.block_id} holds a mask of block {mask.block_id}")
+            if mask.size and (mask.point_ids[0] < 0 or mask.point_ids[-1] >= n_points):
+                raise ShapeMismatch(
+                    f"mask from block {mask.block_id} references points outside 0..{n_points - 1}"
+                )
     masks = sorted(
         (m for p in predictions for m in p.masks),
         key=lambda m: (m.block_id, m.query_index),
     )
-    for mask in masks:
-        if mask.size and (mask.point_ids[0] < 0 or mask.point_ids[-1] >= n_points):
-            raise ShapeMismatch(
-                f"mask from block {mask.block_id} references points outside 0..{n_points - 1}"
-            )
     after_boundary = discard_boundary_masks(masks, predictions, positions, config.boundary_margin)
     after_filter = score_filter(after_boundary, config.score_threshold)
     kept = score_nms(after_filter, config.nms_iou)
@@ -179,17 +183,16 @@ def run_pipeline(
     cloud: PointCloud,
     config: PipelineConfig = PipelineConfig(),
     corruption: CorruptionParams = CorruptionParams(),
-    predictor=None,
     threads: int = 1,
 ) -> PipelineResult:
-    """Tile the cloud, predict every block, then merge, evaluate and report.
+    """Tile the cloud, predict every block with the ground-truth oracle under
+    the given corruption, then merge, evaluate and report.
 
-    ``predictor`` maps a CylinderBlock to a BlockPrediction; the default is
-    the ground-truth oracle with the given corruption.
+    Predictions from any other model enter through
+    :func:`run_pipeline_from_blocks`.
     """
     blocks = tile_cloud(cloud, config.radius, config.stride)
-    if predictor is None:
-        predictor = make_oracle_predictor(cloud, corruption, config.seed)
+    predictor = make_oracle_predictor(cloud, corruption, config.seed)
 
     workers = effective_threads(threads)
     if workers == 1:

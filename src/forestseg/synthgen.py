@@ -27,6 +27,9 @@ from .tiling import CylinderBlock
 # overlapping above typical NMS thresholds lets duplicate suppression see
 # them; a disjoint split would be invisible to IoU-based NMS.
 SPLIT_OVERLAP = 0.4
+# Oracle instance codes are integer 5-vectors with coordinates below this; one
+# code goes to the background, so a scene may hold LATTICE_EXTENT**5 - 1 trees.
+LATTICE_EXTENT = 10
 
 
 @dataclass(frozen=True)
@@ -158,20 +161,19 @@ def generate_forest(params: ForestParams) -> PointCloud:
     )
 
 
-def _lattice_codes(count: int, extent: int) -> npt.NDArray[np.float64]:
+def _lattice_codes(count: int) -> npt.NDArray[np.float64]:
     """First ``count`` nonnegative integer 5-vectors ordered by (L1 norm, lex).
 
     Distinct vectors differ by L1 distance >= 1, so scaling by a separation
     yields codes at least that far apart.
     """
-    if count > extent**EMBEDDING_DIM:
-        raise CodebookExhausted(
-            f"{count} codes requested but lattice extent {extent} offers only {extent**EMBEDDING_DIM}"
-        )
+    if count > LATTICE_EXTENT**EMBEDDING_DIM:
+        raise CodebookExhausted(f"{count} codes requested but lattice extent {LATTICE_EXTENT} "
+                                f"offers only {LATTICE_EXTENT**EMBEDDING_DIM}")
     vecs: list[tuple[int, ...]] = []
     shell = 0
     while len(vecs) < count:
-        width = min(extent, shell + 1)
+        width = min(LATTICE_EXTENT, shell + 1)
         vecs.extend(
             sorted(v for v in itertools.product(range(width), repeat=EMBEDDING_DIM) if sum(v) == shell)
         )
@@ -184,16 +186,14 @@ def oracle_embeddings(
     gt: VoxelLabels,
     noise_sigma: float = 0.0,
     separation: float = 2 * DELTA_D,
-    flip_prob: float = 0.0,
     seed: int = 0,
-    lattice_extent: int = 10,
 ) -> EmbeddingField:
     """Per-voxel embeddings clustered by instance, plus binary tree probability.
 
     Every instance receives a fixed 5-D code with pairwise L1 distance at
     least ``separation``; background voxels sit at the origin code. Gaussian
     noise of the given sigma is added per voxel, and tree probabilities are
-    exact indicators optionally flipped with a small probability.
+    exact 0/1 indicators.
     """
     if separation <= 0:
         raise ConfigError("separation must be positive")
@@ -201,7 +201,7 @@ def oracle_embeddings(
         raise ConfigError(f"labels cover {gt.m} voxels but the grid has {vox.m}")
     rng = np.random.default_rng(seed)
     present = np.unique(gt.instance[gt.instance >= 1])
-    codes = _lattice_codes(len(present) + 1, lattice_extent) * separation
+    codes = _lattice_codes(len(present) + 1) * separation
     table = np.zeros((int(gt.instance.max(initial=0)) + 1, EMBEDDING_DIM))
     table[0] = codes[0]
     for i, uid in enumerate(present):
@@ -209,11 +209,7 @@ def oracle_embeddings(
     emb = table[gt.instance].copy()
     if noise_sigma > 0:
         emb += rng.normal(0.0, noise_sigma, size=emb.shape)
-    tree_prob = (gt.instance >= 1).astype(np.float64)
-    if flip_prob > 0:
-        flip = rng.random(vox.m) < flip_prob
-        tree_prob[flip] = 1.0 - tree_prob[flip]
-    return EmbeddingField(embeddings=emb, tree_prob=tree_prob)
+    return EmbeddingField(embeddings=emb, tree_prob=(gt.instance >= 1).astype(np.float64))
 
 
 def _overlap_split(

@@ -97,15 +97,3 @@ def tile_cloud(cloud: PointCloud, radius: float, stride: float) -> list[Cylinder
             continue
     return blocks
 
-
-def random_crop_center(cloud: PointCloud, rng_seed) -> npt.NDArray[np.float64]:
-    """The xy of a uniformly sampled cloud point; deterministic given the seed.
-
-    Drawing from data points rather than the plot area guarantees non-empty
-    crops in sparse scenes.
-    """
-    if cloud.n == 0:
-        raise EmptyInput("cannot sample a crop center from an empty cloud")
-    rng = np.random.default_rng(rng_seed)
-    idx = int(rng.integers(0, cloud.n))
-    return cloud.positions[idx, :2].copy()

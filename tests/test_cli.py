@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, determinism of emitted files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,8 @@ from forestseg import io
 from forestseg.cli import main
 from forestseg.core import PointCloud
 from forestseg.merging import BlockPrediction, InstanceMask
-from forestseg.synthgen import ForestParams, generate_forest
+from forestseg.pipeline import PipelineConfig
+from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
 
 PARAMS_TEXT = """\
 # desk-scale test forest
@@ -69,6 +71,15 @@ class TestSynth:
 
 
 class TestPipeline:
+    def test_option_defaults_match_library_defaults(self):
+        # A CLI run with no flags must equal a library run with default
+        # PipelineConfig and CorruptionParams, so the two default sets agree.
+        options = {param.name: param.default for param in main.commands["pipeline"].params}
+        for dataclass_type in (PipelineConfig, CorruptionParams):
+            for field in dataclasses.fields(dataclass_type):
+                assert field.name in options, f"no pipeline option for {dataclass_type.__name__}.{field.name}"
+                assert options[field.name] == field.default, field.name
+
     def test_oracle_identity_report(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         report_path = tmp_path / "report.json"

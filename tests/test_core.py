@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from forestseg.core import (
     PointCloud,
-    labels_to_points,
     voxel_labels_from_points,
     voxelize,
 )
@@ -38,7 +37,7 @@ class TestVoxelize:
         cloud = PointCloud(positions=[[0.05, 0.05, 0.05], [0.15, 0.15, 0.15]])
         vox = voxelize(cloud, 0.2)
         assert vox.m == 1
-        assert len(vox.voxel_to_points[0]) == 2
+        assert vox.point_to_voxel.tolist() == [0, 0]
 
     def test_count_matches_brute_force_hash(self, rng):
         positions = rng.uniform(0.0, 10.0, size=(10_000, 3))
@@ -54,8 +53,9 @@ class TestVoxelize:
     def test_partition_property(self, rng):
         positions = rng.uniform(0.0, 3.0, size=(300, 3))
         vox = voxelize(PointCloud(positions=positions), 0.5)
-        gathered = np.sort(np.concatenate(vox.voxel_to_points))
-        assert np.array_equal(gathered, np.arange(300))
+        # every point lies in exactly one voxel, and every voxel holds a point
+        assert vox.point_to_voxel.shape == (300,)
+        assert np.array_equal(np.unique(vox.point_to_voxel), np.arange(vox.m))
 
     def test_lexicographic_voxel_order(self, rng):
         positions = rng.uniform(-2.0, 2.0, size=(200, 3))
@@ -120,7 +120,7 @@ class TestVoxelLabels:
         assert vox.m >= 500
         labels = voxel_labels_from_points(vox, cloud)
         for v in range(vox.m):
-            members = vox.voxel_to_points[v]
+            members = np.flatnonzero(vox.point_to_voxel == v)
             for field, arr in (("semantic", semantic), ("instance", instance)):
                 counts = Counter(arr[members].tolist())
                 top = max(counts.values())
@@ -133,53 +133,6 @@ class TestVoxelLabels:
         vox = voxelize(cloud, 0.2)
         with pytest.raises(MissingLabels):
             voxel_labels_from_points(vox, cloud)
-
-
-class TestLabelsToPoints:
-    def test_broadcast_single_voxel(self):
-        cloud = PointCloud(positions=np.full((4, 3), 0.1))
-        vox = voxelize(cloud, 0.2)
-        from forestseg.core import VoxelLabels
-
-        sem, inst = labels_to_points(vox, VoxelLabels(semantic=[2], instance=[3]))
-        assert np.array_equal(sem, [2, 2, 2, 2])
-        assert np.array_equal(inst, [3, 3, 3, 3])
-
-    def test_round_trip_on_homogeneous_voxels(self):
-        # every voxel's points share one label: transfer down then up is identity
-        positions = np.repeat(np.arange(6, dtype=float)[:, None] * 1.0, 3, axis=1)
-        positions = np.repeat(positions, 4, axis=0) + 0.01
-        instance = np.repeat(np.arange(1, 7), 4)
-        semantic = np.where(instance % 2 == 0, 1, 2)
-        cloud = PointCloud(positions=positions, semantic=semantic, instance=instance)
-        vox = voxelize(cloud, 0.2)
-        labels = voxel_labels_from_points(vox, cloud)
-        sem, inst = labels_to_points(vox, labels)
-        assert np.array_equal(sem, semantic)
-        assert np.array_equal(inst, instance)
-
-    def test_matches_index_oracle(self, rng):
-        positions = rng.uniform(0.0, 2.0, size=(400, 3))
-        cloud = PointCloud(positions=positions)
-        vox = voxelize(cloud, 0.4)
-        from forestseg.core import VoxelLabels
-
-        vlabels = VoxelLabels(
-            semantic=rng.integers(0, 3, size=vox.m),
-            instance=rng.integers(0, 5, size=vox.m),
-        )
-        sem, inst = labels_to_points(vox, vlabels)
-        for i in range(cloud.n):
-            assert sem[i] == vlabels.semantic[vox.point_to_voxel[i]]
-            assert inst[i] == vlabels.instance[vox.point_to_voxel[i]]
-
-    def test_length_mismatch_rejected(self, rng):
-        cloud = PointCloud(positions=rng.uniform(0, 1, size=(10, 3)))
-        vox = voxelize(cloud, 0.2)
-        from forestseg.core import VoxelLabels
-
-        with pytest.raises(ShapeMismatch):
-            labels_to_points(vox, VoxelLabels(semantic=np.zeros(vox.m + 1), instance=np.zeros(vox.m + 1)))
 
 
 class TestPointCloudValidation:

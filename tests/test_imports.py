@@ -1,5 +1,6 @@
 """What importing the package pulls in."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +19,33 @@ def test_import_does_not_load_scipy():
         "resident memory, more than the 15% peak-RSS bound allows on the 30-tree benchmark "
         "scenes (67-75 MiB peak); keep the merge kernels numpy-only"
     )
+
+
+def _package_imports(module: str) -> set[str]:
+    """Sibling ``forestseg`` modules that ``module``'s source imports directly."""
+    tree = ast.parse((Path(forestseg.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("forestseg."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("forestseg."))
+    return found
+
+
+def test_merge_path_loads_no_training_code():
+    # tile -> predict -> merge -> evaluate, plus the readers and writers,
+    # must not depend on the loss stack or query selection, even indirectly.
+    training = {"losses", "isa_select"}
+    for module in ("core", "tiling", "merging", "metrics", "io"):
+        reached, frontier = set(), {module}
+        while frontier:
+            name = frontier.pop()
+            reached.add(name)
+            frontier |= _package_imports(name) - reached
+        assert not reached & training, f"forestseg.{module} imports {sorted(reached & training)}"

@@ -113,6 +113,15 @@ class TestPly:
         with pytest.raises(ParseError, match="big.ply: line 9: "):
             io.read_ply(path)
 
+    def test_repeated_property_rejected(self, tmp_path):
+        path = tmp_path / "twice.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
+            "property double z\nproperty double z\nend_header\n0 0 0 1\n"
+        )
+        with pytest.raises(ParseError, match="twice.ply: line 7: repeated column name 'z'"):
+            io.read_ply(path)
+
     def test_missing_coordinate_property(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text(
@@ -166,6 +175,21 @@ class TestTsv:
         with pytest.raises(ParseError, match="line 3"):
             io.read_tsv(path)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "gaps.tsv"
+        path.write_text("x\ty\tz\n\n0\t0\t0\n\n0\toops\t0\n")
+        with pytest.raises(ParseError, match="gaps.tsv: line 5: "):
+            io.read_tsv(path)
+        path.write_text("\n\nx\ty\tz\tcolor\n0\t0\t0\t1\n")
+        with pytest.raises(ParseError, match="gaps.tsv: line 3: unknown column 'color'"):
+            io.read_tsv(path)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "twice.tsv"
+        path.write_text("x\ty\tz\tz\n0\t0\t0\t1\n")
+        with pytest.raises(ParseError, match="twice.tsv: line 1: repeated column name 'z'"):
+            io.read_tsv(path)
+
 
 class TestLabelsTsv:
     def test_round_trip(self, tmp_path, rng):
@@ -200,6 +224,21 @@ class TestLabelsTsv:
         path = tmp_path / "labels.tsv"
         path.write_text("point_id\tinstance\n0\t1\n2\t2\n")
         with pytest.raises(ParseError, match="line 3: point_id 2 outside 0..1"):
+            io.read_labels_tsv(path)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "twice.tsv"
+        path.write_text("point_id\tinstance\tsemantic\tsemantic\n0\t1\t1\t2\n")
+        with pytest.raises(ParseError, match="twice.tsv: line 1: repeated column name 'semantic'"):
+            io.read_labels_tsv(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("\npoint_id\tinstance\n\n0\t1\n\n0\t2\n")
+        with pytest.raises(ParseError, match="labels.tsv: line 6: duplicate point_id 0"):
+            io.read_labels_tsv(path)
+        path.write_text("\npoint_id\tinstanse\n0\t1\n")
+        with pytest.raises(ParseError, match="labels.tsv: line 2: expected columns starting"):
             io.read_labels_tsv(path)
 
     def test_rows_in_any_order(self, tmp_path):

@@ -74,12 +74,6 @@ class TestFps:
             assert sel[step] == best_idx
             chosen.append(best_idx)
 
-    def test_l1_metric_switch(self):
-        # under L1 the corner (0.6, 0.6) beats (0.9, 0.0): 1.2 > 0.9
-        pts = np.array([[0.0, 0.0], [0.9, 0.0], [0.6, 0.6]])
-        assert fps(pts, 2, start_index=0, metric="l1")[1] == 2
-        assert fps(pts, 2, start_index=0, metric="l2")[1] == 1
-
     def test_permutation_stability_of_selected_set(self, rng):
         pts = rng.normal(size=(40, 5))
         sel = fps(pts, 8, start_index=0)

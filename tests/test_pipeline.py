@@ -166,3 +166,17 @@ class TestStageAccounting:
         bad = [BlockPrediction(block_id=i, center_xy=(0.0, 0.0), radius=16.0, masks=[]) for i in block_ids]
         with pytest.raises(UnknownBlock):
             run_pipeline_from_blocks(bad, forest, PipelineConfig())
+
+    def test_mask_tagged_with_another_block_rejected(self):
+        from forestseg.errors import UnknownBlock
+
+        # Both points lie well inside block 0 and outside block 1, so
+        # measuring the mask against block 1's footprint would drop it.
+        positions = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        stray = InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=1, query_index=0)
+        predictions = [
+            BlockPrediction(block_id=0, center_xy=(0.0, 0.0), radius=4.0, masks=[stray]),
+            BlockPrediction(block_id=1, center_xy=(10.0, 0.0), radius=4.0, masks=[]),
+        ]
+        with pytest.raises(UnknownBlock, match="block 0 holds a mask of block 1"):
+            merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestseg.core import PointCloud
-from forestseg.errors import ConfigError, EmptyBlock, EmptyInput
-from forestseg.tiling import cylinder_crop, random_crop_center, sliding_window_centers, tile_cloud
+from forestseg.errors import ConfigError, EmptyBlock
+from forestseg.tiling import cylinder_crop, sliding_window_centers, tile_cloud
 from synthgen_reference import reference_cylinder_crop
 
 
@@ -129,26 +129,3 @@ class TestSlidingWindow:
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
 
-
-class TestRandomCropCenter:
-    def test_deterministic(self, labeled_cloud):
-        a = random_crop_center(labeled_cloud, 99)
-        b = random_crop_center(labeled_cloud, 99)
-        assert np.array_equal(a, b)
-
-    def test_center_is_a_cloud_point(self, labeled_cloud):
-        center = random_crop_center(labeled_cloud, 5)
-        assert any(np.allclose(center, p) for p in labeled_cloud.positions[:, :2])
-
-    def test_cluster_sampling_proportions(self):
-        # two clusters of 200 and 800 points; binomial with p = 0.2
-        a = np.tile([0.0, 0.0], (200, 1))
-        b = np.tile([100.0, 100.0], (800, 1))
-        cloud = _cloud_at(np.vstack([a, b]))
-        hits_a = sum(random_crop_center(cloud, seed)[0] < 50.0 for seed in range(1000))
-        sigma = np.sqrt(1000 * 0.2 * 0.8)
-        assert abs(hits_a - 200) <= 5 * sigma
-
-    def test_empty_cloud(self):
-        with pytest.raises(EmptyInput):
-            random_crop_center(PointCloud(positions=np.empty((0, 3))), 0)
