@@ -116,6 +116,13 @@ class TestPipeline:
         assert result.exit_code == 2
         assert "line 3" in result.output
 
+    def test_repeated_column_exits_2_and_names_line(self, runner, tmp_path):
+        bad = tmp_path / "twice.tsv"
+        bad.write_text("x\ty\tz\tz\n0\t0\t0\t1\n")
+        result = runner.invoke(main, ["pipeline", "--input", str(bad)])
+        assert result.exit_code == 2
+        assert "line 1: repeated column name 'z'" in result.output
+
     def test_infeasible_config_exits_3(self, runner, forest_files):
         _, ply = forest_files
         for flags in (["--boundary-margin", "20.0"], ["--radius", "2", "--stride", "8"]):

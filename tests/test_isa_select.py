@@ -117,6 +117,19 @@ class TestSelectQueries:
         with pytest.raises(NoTreeVoxels):
             select_queries_isa(field, 3)
 
+    def test_starts_at_lowest_candidate(self, rng):
+        # Voxels 0-2 are filtered out, so the first pick is candidate 3.
+        field = _field(rng.normal(size=(10, 5)), np.r_[np.zeros(3), np.ones(7)])
+        sel = select_queries_isa(field, 4)
+        assert sel.voxel_indices[0] == 3
+        assert np.array_equal(sel.voxel_indices, 3 + fps(field.embeddings[3:], 4))
+
+    def test_fps_euclidean_starts_at_voxel_zero(self, small_forest):
+        vox = voxelize(small_forest, 0.2)
+        sel = select_queries_fps_euclidean(vox, 20)
+        assert sel.voxel_indices[0] == 0
+        assert np.array_equal(sel.voxel_indices, fps(vox.voxel_centers(), 20, start_index=0))
+
     def test_fps_euclidean_baseline_runs_over_all_voxels(self, small_forest):
         vox = voxelize(small_forest, 0.2)
         sel = select_queries_fps_euclidean(vox, 50)

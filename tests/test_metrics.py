@@ -4,6 +4,7 @@ confusion-matrix oracles."""
 import numpy as np
 import pytest
 
+from forestseg.core import N_CLASSES
 from forestseg.errors import EmptyInput, NoGroundTruth, ShapeMismatch
 from forestseg.metrics import (
     coverage,
@@ -202,6 +203,16 @@ class TestSemanticMiou:
                     expected[cls] = inter / union
             assert per_class == pytest.approx(expected, abs=1e-12)
             assert miou == pytest.approx(np.mean(list(expected.values())), abs=1e-12)
+
+    def test_scores_only_the_core_class_set(self):
+        # Labels outside 0..N_CLASSES-1 count in no class's intersection or union.
+        gt = np.array([0, 1, 2, N_CLASSES, -1])
+        pred = np.array([0, 1, 2, 0, -1])
+        per_class, miou = semantic_miou(pred, gt)
+        assert per_class == {0: 0.5, 1: 1.0, 2: 1.0}
+        assert miou == pytest.approx(2.5 / 3)
+        with pytest.raises(EmptyInput):
+            semantic_miou(np.array([N_CLASSES, -1]), np.array([-1, N_CLASSES]))
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyInput):
