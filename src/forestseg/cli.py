@@ -7,6 +7,7 @@ violation. Every command is deterministic given its --seed.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -22,22 +23,6 @@ from .losses import run_gradient_checks
 from .merging import BlockPrediction
 from .pipeline import PipelineConfig, effective_threads, run_pipeline, run_pipeline_from_blocks
 from .synthgen import CorruptionParams, ForestParams, generate_forest, oracle_embeddings
-
-_FOREST_PARAM_KEYS = {
-    "n_trees": int,
-    "plot_size": float,
-    "trunk_height_min": float,
-    "trunk_height_max": float,
-    "crown_radius_min": float,
-    "crown_radius_max": float,
-    "points_per_tree_min": int,
-    "points_per_tree_max": int,
-    "understory_fraction": float,
-    "ground_density": float,
-    "min_spacing": float,
-    "seed": int,
-}
-
 
 def _handle_errors(fn):
     @functools.wraps(fn)
@@ -64,7 +49,15 @@ def main() -> None:
 
 
 def _parse_forest_params(path: str, seed_override: int | None) -> ForestParams:
-    values: dict = {}
+    # One key per ForestParams field; an ``X_range`` field is set as X_min / X_max.
+    keys: dict = {}
+    for f in dataclasses.fields(ForestParams):
+        if f.name.endswith("_range"):
+            for index, bound in enumerate(("min", "max")):
+                keys[f.name.removesuffix("range") + bound] = (f.name, index, type(f.default[index]))
+        else:
+            keys[f.name] = (f.name, None, type(f.default))
+    kwargs: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,29 +65,39 @@ def _parse_forest_params(path: str, seed_override: int | None) -> ForestParams:
         if "=" not in line:
             raise ParseError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _FOREST_PARAM_KEYS:
+        if key not in keys:
             raise ParseError(f"{path}: line {lineno}: unknown parameter {key!r}")
+        name, index, kind = keys[key]
         try:
-            values[key] = _FOREST_PARAM_KEYS[key](value)
+            parsed = kind(value)
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: bad value {value!r} for {key}") from None
-    kwargs: dict = {}
-    for name in ("n_trees", "plot_size", "understory_fraction", "ground_density", "min_spacing", "seed"):
-        if name in values:
-            kwargs[name] = values[name]
-    for field_name, lo_key, hi_key in (
-        ("trunk_height_range", "trunk_height_min", "trunk_height_max"),
-        ("crown_radius_range", "crown_radius_min", "crown_radius_max"),
-        ("points_per_tree_range", "points_per_tree_min", "points_per_tree_max"),
-    ):
-        lo = values.get(lo_key)
-        hi = values.get(hi_key)
-        if lo is not None or hi is not None:
-            base = dict(zip(("lo", "hi"), getattr(ForestParams(), field_name)))
-            kwargs[field_name] = (lo if lo is not None else base["lo"], hi if hi is not None else base["hi"])
+        if index is None:
+            kwargs[name] = parsed
+        else:
+            bounds = list(kwargs.get(name, getattr(ForestParams, name)))
+            bounds[index] = parsed
+            kwargs[name] = tuple(bounds)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return ForestParams(**kwargs)
+
+
+def _field_options(*dataclass_types):
+    """One ``--kebab-case`` option per dataclass field, typed and defaulted from the field."""
+    fields = [f for t in dataclass_types for f in dataclasses.fields(t)]
+
+    def decorate(fn):
+        for f in reversed(fields):
+            fn = click.option(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default,
+                              show_default=True)(fn)
+        return fn
+
+    return decorate
+
+
+def _from_options(dataclass_type, options: dict):
+    return dataclass_type(**{f.name: options[f.name] for f in dataclasses.fields(dataclass_type)})
 
 
 @main.command()
@@ -120,33 +123,16 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
 @click.option("--dump-blocks", type=click.Path(file_okay=False), default=None,
               help="Also write each block's predictions as JSON into this directory.")
 @click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--split-prob", type=float, default=0.0, show_default=True)
-@click.option("--merge-prob", type=float, default=0.0, show_default=True)
-@click.option("--drop-prob", type=float, default=0.0, show_default=True)
-@click.option("--point-noise", type=float, default=0.0, show_default=True)
-@click.option("--score-noise", type=float, default=0.0, show_default=True)
-@click.option("--radius", type=float, default=16.0, show_default=True)
-@click.option("--stride", type=float, default=4.0, show_default=True)
-@click.option("--nms-iou", type=float, default=0.3, show_default=True)
-@click.option("--score-threshold", type=float, default=0.4, show_default=True)
-@click.option("--boundary-margin", type=float, default=0.5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_field_options(CorruptionParams, PipelineConfig)
 @_handle_errors
-def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads,
-             split_prob, merge_prob, drop_prob, point_noise, score_noise, **config_kwargs) -> None:
+def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads, **options) -> None:
     """Run the full segmentation pipeline over a point cloud."""
-    config = PipelineConfig(**config_kwargs)
+    config = _from_options(PipelineConfig, options)
     effective_threads(threads)
-    corruption = CorruptionParams(
-        split_prob=split_prob,
-        merge_prob=merge_prob,
-        drop_prob=drop_prob,
-        point_noise=point_noise,
-        score_noise=score_noise,
-    )
+    corruption = _from_options(CorruptionParams, options)
     if predictor != "oracle" and (corruption != CorruptionParams() or dump_blocks):
-        raise ConfigError("--split-prob, --merge-prob, --drop-prob, --point-noise, --score-noise "
-                          "and --dump-blocks apply only to the oracle predictor")
+        flags = ", ".join(f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(CorruptionParams))
+        raise ConfigError(f"{flags} and --dump-blocks apply only to the oracle predictor")
     cloud = io.read_cloud(input_path)
     if predictor == "oracle":
         result = run_pipeline(cloud, config, corruption=corruption, threads=threads)

@@ -243,6 +243,9 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
         raise ParseError(f"{path}: line {linenos[0]}: expected columns starting 'point_id\\tinstance', "
                          f"got {lines[0]!r}")
     _check_unique(path, linenos[0], header)
+    for name in header[2:]:
+        if name != "semantic":
+            raise ParseError(f"{path}: line {linenos[0]}: unknown column {name!r}")
     n = len(lines) - 1
     seen = np.zeros(n, dtype=bool)
 
@@ -257,7 +260,7 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
 
     fields = {"point_id": (0, point_id), "instance": (1, int)}
     if "semantic" in header:
-        fields["semantic"] = (header.index("semantic"), int)
+        fields["semantic"] = (2, int)
     values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
     # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
     order = np.argsort(values["point_id"])

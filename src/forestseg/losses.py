@@ -406,6 +406,10 @@ def run_gradient_checks(trials: int = 100, seed: int = 0, h: float = 1e-5, tol: 
     Returns a report dict with one entry per loss: the worst relative error
     over all trials and whether it stayed below ``tol``.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 

@@ -15,7 +15,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import N_CLASSES, SEMANTIC_NAMES
-from .errors import EmptyInput, NoGroundTruth, ShapeMismatch
+from .errors import ConfigError, EmptyInput, NoGroundTruth, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     the threshold never matches, so its prediction counts as a false
     positive and its ground-truth tree as a false negative.
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ConfigError(f"IoU threshold must be in [0, 1], got {iou_threshold}")
     pred, gt = _check_universe(pred, gt)
     pred_ids, _ = _instance_sets(pred)
     gt_ids, _ = _instance_sets(gt)

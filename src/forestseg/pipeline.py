@@ -9,7 +9,6 @@ worker count or completion order.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -30,8 +29,6 @@ from .merging import (
 from .metrics import EvalReport, evaluate_labels
 from .synthgen import CorruptionParams, oracle_predictor
 from .tiling import sliding_window_centers, tile_cloud
-
-THREADS_ENV_VAR = "FORESTSEG_THREADS"
 
 
 @dataclass(frozen=True)
@@ -98,17 +95,9 @@ class PipelineResult:
 
 
 def effective_threads(requested: int) -> int:
-    """Requested worker count, capped by the FORESTSEG_THREADS env var."""
+    """The worker count to run with: ``requested``, which must be >= 1."""
     if requested < 1:
         raise ConfigError("thread count must be >= 1")
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}") from None
-        if cap_value >= 1:
-            return min(requested, cap_value)
     return requested
 
 

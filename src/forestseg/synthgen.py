@@ -47,18 +47,23 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Written so that NaN fails too; the ground sample count squares plot_size.
         if self.n_trees < 1:
             raise ConfigError("n_trees must be >= 1")
-        if self.plot_size <= 0:
-            raise ConfigError("plot_size must be positive")
+        if not (self.plot_size > 0 and math.isfinite(self.plot_size * self.plot_size)):
+            raise ConfigError(f"plot_size must be positive with a finite square, got {self.plot_size}")
         for name in ("trunk_height_range", "crown_radius_range", "points_per_tree_range"):
             lo, hi = getattr(self, name)
-            if lo <= 0 or hi < lo:
-                raise ConfigError(f"{name} must be a positive (low, high) range")
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigError(f"{name} must be a finite positive (low, high) range, got {(lo, hi)}")
         if not 0.0 <= self.understory_fraction <= 1.0:
             raise ConfigError("understory_fraction must be in [0, 1]")
-        if self.ground_density < 0 or self.min_spacing < 0:
-            raise ConfigError("ground_density and min_spacing must be >= 0")
+        if not (math.isfinite(self.ground_density) and self.ground_density >= 0):
+            raise ConfigError(f"ground_density must be finite and >= 0, got {self.ground_density}")
+        if not self.min_spacing >= 0:
+            raise ConfigError(f"min_spacing must be >= 0, got {self.min_spacing}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,12 @@ def oracle_embeddings(
     noise of the given sigma is added per voxel, and tree probabilities are
     exact 0/1 indicators.
     """
-    if separation <= 0:
-        raise ConfigError("separation must be positive")
+    if not (separation > 0 and math.isfinite(separation)):
+        raise ConfigError(f"separation must be finite and positive, got {separation}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if gt.m != vox.m:
         raise ConfigError(f"labels cover {gt.m} voxels but the grid has {vox.m}")
     rng = np.random.default_rng(seed)

@@ -69,6 +69,46 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("text, expected", [
+        # Every key set away from its default: pins the key table derived from ForestParams.
+        ("n_trees = 5\nplot_size = 12.5\ntrunk_height_min = 2.5\ntrunk_height_max = 5.0\n"
+         "crown_radius_min = 0.6\ncrown_radius_max = 1.5\npoints_per_tree_min = 100\n"
+         "points_per_tree_max = 250\nunderstory_fraction = 0.4\nground_density = 3.0\n"
+         "min_spacing = 1.1\nseed = 7\n",
+         ForestParams(n_trees=5, plot_size=12.5, trunk_height_range=(2.5, 5.0), crown_radius_range=(0.6, 1.5),
+                      points_per_tree_range=(100, 250), understory_fraction=0.4, ground_density=3.0,
+                      min_spacing=1.1, seed=7)),
+        # One bound of a range keeps the default of the other.
+        ("crown_radius_max = 2.5\n", ForestParams(crown_radius_range=(0.8, 2.5))),
+    ], ids=["all-keys", "crown-radius-max-only"])
+    def test_params_file_keys_match_forest_params(self, runner, tmp_path, text, expected):
+        params = tmp_path / "params.txt"
+        params.write_text(text)
+        out = tmp_path / "cli.tsv"
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        cloud, library = io.read_tsv(out), generate_forest(expected)
+        assert np.array_equal(cloud.positions, library.positions)
+        assert np.array_equal(cloud.semantic, library.semantic)
+        assert np.array_equal(cloud.instance, library.instance)
+
+    @pytest.mark.parametrize("line, name", [
+        ("plot_size = nan", "plot_size"),
+        ("plot_size = inf", "plot_size"),
+        ("trunk_height_min = nan", "trunk_height_range"),
+        ("crown_radius_max = inf", "crown_radius_range"),
+        ("ground_density = inf", "ground_density"),
+        ("ground_density = nan", "ground_density"),
+        ("min_spacing = nan", "min_spacing"),
+        ("seed = -1", "seed"),
+    ])
+    def test_nan_infinite_and_negative_values_exit_3(self, runner, tmp_path, line, name):
+        params = tmp_path / "params.txt"
+        params.write_text(line + "\n")
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
+        assert result.exit_code == 3, result.output
+        assert f"{name} must" in result.output
+
 
 class TestPipeline:
     def test_option_defaults_match_library_defaults(self):
@@ -270,6 +310,25 @@ class TestEvaluateCommand:
         io.write_labels_tsv(gt, np.array([1, 1, 2]))
         result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("evaluate", ["--iou", "nan"], "IoU threshold"),
+    ("evaluate", ["--iou", "1.5"], "IoU threshold"),
+    ("select-queries", ["--noise-sigma", "-1"], "noise_sigma"),
+    ("select-queries", ["--noise-sigma", "nan"], "noise_sigma"),
+    ("select-queries", ["--separation", "nan"], "separation"),
+    ("select-queries", ["--separation", "inf"], "separation"),
+    ("select-queries", ["--seed", "-1"], "seed"),
+    ("gradcheck", ["--trials", "0"], "trials"),
+    ("gradcheck", ["--seed", "-1"], "seed"),
+])
+def test_unusable_values_exit_3(runner, tmp_path, forest_files, command, flags, name):
+    _, ply = forest_files
+    inputs = {"evaluate": ["--pred", str(ply), "--gt", str(ply)], "select-queries": ["--input", str(ply)]}
+    result = runner.invoke(main, [command, *inputs.get(command, []), *flags])
+    assert result.exit_code == 3, result.output
+    assert f"{name} must" in result.output
 
 
 class TestGradcheckCommand:

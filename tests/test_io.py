@@ -232,6 +232,16 @@ class TestLabelsTsv:
         with pytest.raises(ParseError, match="twice.tsv: line 1: repeated column name 'semantic'"):
             io.read_labels_tsv(path)
 
+    @pytest.mark.parametrize("header, column", [
+        ("point_id\tinstance\tsemnatic", "semnatic"),
+        ("point_id\tinstance\tsemantic\tcolour", "colour"),
+    ])
+    def test_unknown_column_rejected(self, tmp_path, header, column):
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"\n{header}\n" + "0\t1\t2\t3\n")
+        with pytest.raises(ParseError, match=f"labels.tsv: line 2: unknown column '{column}'"):
+            io.read_labels_tsv(path)
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("\npoint_id\tinstance\n\n0\t1\n\n0\t2\n")

@@ -84,9 +84,8 @@ class TestDeterminism:
             assert np.array_equal(outcome.semantic, reference.semantic)
 
     def test_thread_env_cap(self, monkeypatch):
+        # The environment no longer caps the worker count; --threads is the only setting.
         monkeypatch.setenv("FORESTSEG_THREADS", "2")
-        assert effective_threads(8) == 2
-        monkeypatch.delenv("FORESTSEG_THREADS")
         assert effective_threads(8) == 8
 
 
