@@ -12,6 +12,12 @@ gathers the entries of a mask's points with ``searchsorted`` ranges and
 counts them per mask with ``bincount``, so pairs that share no point are
 never visited. A candidate costs O(|mask| log E) plus the entries it hits,
 where E is the number of entries in the index.
+
+NMS also skips, without a query, every nonempty mask whose point set equals
+that of an earlier-ranked mask. The result is unchanged: a copy of a kept
+mask has IoU 1 with it, and a copy of a suppressed mask meets the same kept
+masks, because the kept set only grows. Empty masks are never skipped, since
+several of them all survive NMS.
 """
 
 from __future__ import annotations
@@ -170,7 +176,13 @@ def score_nms(masks: Iterable[InstanceMask], iou_threshold: float) -> list[Insta
     index = _PointIndex()
     kept: list[InstanceMask] = []
     kept_sizes = np.empty(len(ranked), dtype=np.int64)
+    seen: set[bytes] = set()
     for mask in ranked:
+        if mask.size:
+            key = mask.point_ids.tobytes()
+            if key in seen:
+                continue  # an earlier-ranked copy was kept or suppressed; this one goes the same way
+            seen.add(key)
         ids, inter = index.intersections(mask.point_ids)
         if np.any(inter / (mask.size + kept_sizes[ids] - inter) >= iou_threshold):
             continue
@@ -202,7 +214,7 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
     member. Thresholds above 1 never merge anything, which is useful as a
     no-op control.
     """
-    if overlap_threshold <= 0:
+    if not overlap_threshold > 0:
         raise ConfigError(f"overlap threshold must be positive, got {overlap_threshold}")
     masks = list(masks)
     sizes = np.array([m.size for m in masks], dtype=np.int64)

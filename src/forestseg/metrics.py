@@ -39,26 +39,6 @@ class MatchResult:
         return len(self.unmatched_gts)
 
 
-def _instance_sets(labels: npt.NDArray[np.int64]):
-    ids, counts = np.unique(labels[labels >= 1], return_counts=True)
-    return ids, dict(zip(ids.tolist(), counts.tolist()))
-
-
-def _pair_ious(pred: npt.NDArray[np.int64], gt: npt.NDArray[np.int64]) -> dict[tuple[int, int], float]:
-    """IoU for every (pred_id, gt_id) pair with non-empty intersection."""
-    _, pred_sizes = _instance_sets(pred)
-    _, gt_sizes = _instance_sets(gt)
-    both = (pred >= 1) & (gt >= 1)
-    if not both.any():
-        return {}
-    pairs = np.stack([pred[both], gt[both]], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    ious = {}
-    for (p, g), inter in zip(uniq.tolist(), counts.tolist()):
-        ious[(p, g)] = inter / (pred_sizes[p] + gt_sizes[g] - inter)
-    return ious
-
-
 def _check_universe(pred, gt):
     pred = np.asarray(pred, dtype=np.int64).reshape(-1)
     gt = np.asarray(gt, dtype=np.int64).reshape(-1)
@@ -67,19 +47,42 @@ def _check_universe(pred, gt):
     return pred, gt
 
 
-def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
-    """Greedily match predictions to ground truth by descending IoU.
+def _instance_sets(labels: npt.NDArray[np.int64]) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """Sorted instance ids (>= 1) of a labeling and their point counts."""
+    return np.unique(labels[labels >= 1], return_counts=True)
 
-    Ties break toward the lower gt id, then the lower pred id. A pair below
-    the threshold never matches, so its prediction counts as a false
-    positive and its ground-truth tree as a false negative.
+
+def _contingency(pred, gt) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], dict[tuple[int, int], float]]:
+    """Instance ids of both labelings and the IoU of every (pred_id, gt_id)
+    pair with non-empty intersection, from one count over the points.
+
+    Each point labelled on both sides is keyed by the dense ranks of its ids,
+    ``pred_rank * n_gt + gt_rank``. The key stays below the square of the
+    point count, so it cannot overflow whatever the ids are, and sorted keys
+    list the pairs in (pred_id, gt_id) order.
     """
+    pred, gt = _check_universe(pred, gt)
+    pred_ids, pred_sizes = _instance_sets(pred)
+    gt_ids, gt_sizes = _instance_sets(gt)
+    both = (pred >= 1) & (gt >= 1)
+    key = np.searchsorted(pred_ids, pred[both]) * len(gt_ids) + np.searchsorted(gt_ids, gt[both])
+    keys, inters = np.unique(key, return_counts=True)
+    p, g = np.divmod(keys, len(gt_ids))
+    ious = {
+        (pid, gid): inter / (a + b - inter)
+        for pid, gid, a, b, inter in zip(
+            pred_ids[p].tolist(), gt_ids[g].tolist(), pred_sizes[p].tolist(), gt_sizes[g].tolist(), inters.tolist()
+        )
+    }
+    return pred_ids, gt_ids, ious
+
+
+def _check_iou_threshold(iou_threshold: float) -> None:
     if not 0.0 <= iou_threshold <= 1.0:
         raise ConfigError(f"IoU threshold must be in [0, 1], got {iou_threshold}")
-    pred, gt = _check_universe(pred, gt)
-    pred_ids, _ = _instance_sets(pred)
-    gt_ids, _ = _instance_sets(gt)
-    ious = _pair_ious(pred, gt)
+
+
+def _match(pred_ids, gt_ids, ious, iou_threshold: float) -> MatchResult:
     candidates = sorted(
         ((p, g, iou) for (p, g), iou in ious.items() if iou >= iou_threshold),
         key=lambda t: (-t[2], t[1], t[0]),
@@ -100,6 +103,27 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     )
 
 
+def _coverage(gt_ids, ious) -> float:
+    if len(gt_ids) == 0:
+        raise NoGroundTruth("coverage requires at least one ground-truth instance")
+    best = {int(g): 0.0 for g in gt_ids}
+    for (_, g), iou in ious.items():
+        if iou > best[g]:
+            best[g] = iou
+    return float(np.mean([best[int(g)] for g in gt_ids]))
+
+
+def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
+    """Greedily match predictions to ground truth by descending IoU.
+
+    Ties break toward the lower gt id, then the lower pred id. A pair below
+    the threshold never matches, so its prediction counts as a false
+    positive and its ground-truth tree as a false negative.
+    """
+    _check_iou_threshold(iou_threshold)
+    return _match(*_contingency(pred, gt), iou_threshold)
+
+
 def detection_scores(match: MatchResult) -> tuple[float, float, float]:
     """Precision, recall, and F1 from a match result; 0 on empty denominators."""
     tp, fp, fn = match.tp, match.fp, match.fn
@@ -115,16 +139,8 @@ def coverage(pred, gt) -> float:
     No threshold and not one-to-one: a single prediction may be the best
     match of several trees.
     """
-    pred, gt = _check_universe(pred, gt)
-    gt_ids, _ = _instance_sets(gt)
-    if len(gt_ids) == 0:
-        raise NoGroundTruth("coverage requires at least one ground-truth instance")
-    ious = _pair_ious(pred, gt)
-    best = {int(g): 0.0 for g in gt_ids}
-    for (_, g), iou in ious.items():
-        if iou > best[g]:
-            best[g] = iou
-    return float(np.mean([best[int(g)] for g in gt_ids]))
+    _, gt_ids, ious = _contingency(pred, gt)
+    return _coverage(gt_ids, ious)
 
 
 def semantic_miou(pred_classes, gt_classes) -> tuple[dict[int, float], float]:
@@ -195,10 +211,15 @@ def evaluate_labels(
     gt_semantic=None,
     iou_threshold: float = 0.5,
 ) -> EvalReport:
-    """Full evaluation of a predicted labeling against ground truth."""
-    match = match_instances(pred_instance, gt_instance, iou_threshold)
+    """Full evaluation of a predicted labeling against ground truth.
+
+    Matching and coverage share one contingency pass over the instance labels.
+    """
+    _check_iou_threshold(iou_threshold)
+    pred_ids, gt_ids, ious = _contingency(pred_instance, gt_instance)
+    match = _match(pred_ids, gt_ids, ious, iou_threshold)
     precision, recall, f1 = detection_scores(match)
-    cov = coverage(pred_instance, gt_instance)
+    cov = _coverage(gt_ids, ious)
     per_class: dict[int, float] = {}
     miou = None
     if pred_semantic is not None and gt_semantic is not None:

@@ -30,6 +30,7 @@ SPLIT_OVERLAP = 0.4
 # Oracle instance codes are integer 5-vectors with coordinates below this; one
 # code goes to the background, so a scene may hold LATTICE_EXTENT**5 - 1 trees.
 LATTICE_EXTENT = 10
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,13 @@ class ForestParams:
             raise ConfigError("understory_fraction must be in [0, 1]")
         if not (math.isfinite(self.ground_density) and self.ground_density >= 0):
             raise ConfigError(f"ground_density must be finite and >= 0, got {self.ground_density}")
+        # Point counts are drawn and allocated as int64.
+        high = self.points_per_tree_range[1]
+        if high > _INT64_MAX:
+            raise ConfigError(f"points_per_tree_range must have a high that fits int64, got {high}")
+        n_ground = self.ground_density * self.plot_size**2
+        if not (math.isfinite(n_ground) and round(n_ground) <= _INT64_MAX):
+            raise ConfigError(f"ground_density must give a ground point count that fits int64, got {n_ground:g} points")
         if not self.min_spacing >= 0:
             raise ConfigError(f"min_spacing must be >= 0, got {self.min_spacing}")
         if self.seed < 0:

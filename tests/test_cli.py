@@ -101,6 +101,8 @@ class TestSynth:
         ("ground_density = nan", "ground_density"),
         ("min_spacing = nan", "min_spacing"),
         ("seed = -1", "seed"),
+        pytest.param("points_per_tree_max = 1" + "0" * 400, "points_per_tree_range", id="points_per_tree_max=1e400"),
+        pytest.param("ground_density = 1e300\nplot_size = 1e10", "ground_density", id="ground_point_count=inf"),
     ])
     def test_nan_infinite_and_negative_values_exit_3(self, runner, tmp_path, line, name):
         params = tmp_path / "params.txt"

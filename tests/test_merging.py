@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestseg.errors import InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
+from forestseg import merging
+from forestseg.errors import ConfigError, InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
 from forestseg.merging import (
     BlockPrediction,
     InstanceMask,
@@ -52,6 +53,20 @@ def mask_lists(draw, universe=30):
     masks = [
         mask(sorted(points), draw(st.sampled_from([0.25, 0.5, 0.5, 0.9])),
              block_id=draw(st.integers(0, 3)), query_index=i)
+        for i, points in enumerate(point_sets)
+    ]
+    return masks, draw(st.permutations(masks))
+
+
+@st.composite
+def duplicate_heavy_mask_lists(draw, universe=30):
+    """Copies of a few distinct nonempty point sets under other block ids,
+    query indices and scores (exact score ties included), plus several empty masks."""
+    distinct = draw(st.lists(st.sets(st.integers(0, universe - 1), min_size=1, max_size=12), min_size=1, max_size=5))
+    point_sets = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    point_sets += [set()] * draw(st.integers(2, 4))
+    masks = [
+        mask(sorted(points), draw(st.sampled_from([0.25, 0.5, 0.9])), block_id=draw(st.integers(0, 3)), query_index=i)
         for i, points in enumerate(point_sets)
     ]
     return masks, draw(st.permutations(masks))
@@ -195,6 +210,33 @@ class TestIndexKernelsMatchPairwiseReference:
         assert score_nms(shuffled, threshold) == expected
 
     @settings(deadline=None)
+    @given(data=duplicate_heavy_mask_lists(), threshold=st.sampled_from([0.0, 1e-9, 0.3, 1.0]))
+    def test_score_nms_on_exact_copies(self, data, threshold):
+        masks, shuffled = data
+        expected = reference_score_nms(masks, threshold)
+        assert score_nms(masks, threshold) == expected
+        assert score_nms(shuffled, threshold) == expected
+        if threshold > 0:
+            assert sum(m.size == 0 for m in expected) == sum(m.size == 0 for m in masks)
+
+    def test_score_nms_queries_each_distinct_mask_once(self, monkeypatch):
+        calls = []
+        intersections = merging._PointIndex.intersections
+
+        def counted(index, point_ids):
+            calls.append(len(point_ids))
+            return intersections(index, point_ids)
+
+        monkeypatch.setattr(merging._PointIndex, "intersections", counted)
+        distinct = [np.arange(0, 40), np.arange(30, 70), np.arange(100, 120)]
+        masks = [
+            mask(ids, 0.5 + 0.01 * (copy % 7), block_id=copy, query_index=q)
+            for copy in range(50) for q, ids in enumerate(distinct)
+        ]
+        assert score_nms(masks, 0.3) == reference_score_nms(masks, 0.3)
+        assert len(calls) <= 3
+
+    @settings(deadline=None)
     @given(data=mask_lists(), threshold=st.sampled_from([0.4, 1.0, 1.01]))
     def test_overlap_merge_baseline(self, data, threshold):
         for masks in data:
@@ -302,6 +344,12 @@ class TestOverlapMergeBaseline:
     def test_threshold_above_one_never_merges(self, rng):
         masks = random_masks(rng, 15)
         assert len(overlap_merge_baseline(masks, 1.01)) == 15
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan")])
+    def test_threshold_not_positive_rejected(self, threshold):
+        copies = [mask([0, 1, 2], 0.9), mask([0, 1, 2], 0.8, query_index=1)]
+        with pytest.raises(ConfigError, match="overlap threshold must be positive"):
+            overlap_merge_baseline(copies, threshold)
 
 
 def vote(pairs, n_points):

@@ -3,15 +3,24 @@ confusion-matrix oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forestseg.core import N_CLASSES
 from forestseg.errors import EmptyInput, NoGroundTruth, ShapeMismatch
 from forestseg.metrics import (
+    _contingency,
     coverage,
     detection_scores,
     evaluate_labels,
     match_instances,
     semantic_miou,
+)
+from metrics_reference import (
+    reference_coverage,
+    reference_evaluate_labels,
+    reference_match_instances,
+    reference_pair_ious,
 )
 
 
@@ -48,6 +57,40 @@ def exhaustive_max_tp(pred, gt, threshold):
 
 def random_labeling(rng, n_points, max_id):
     return rng.integers(0, max_id + 1, size=n_points)
+
+
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+LABEL_POOL = [INT64_MIN, -5, -1, 0, 0, 1, 2, 3, 7, 2**62 - 1, 2**62, 2**62 + 1, INT64_MAX]
+
+
+@st.composite
+def labelings(draw):
+    """A pred/gt pair of instance labelings over ids near both int64 ends.
+
+    ``layout`` also makes every point its own instance on both sides, or
+    leaves no point labelled >= 1 on both sides at once.
+    """
+    n = draw(st.integers(0, 40))
+    ids = st.lists(st.sampled_from(LABEL_POOL), min_size=n, max_size=n)
+    pred = np.array(draw(ids), dtype=np.int64)
+    gt = np.array(draw(ids), dtype=np.int64)
+    layout = draw(st.sampled_from(["shared", "own_instance", "no_overlap"]))
+    if layout == "own_instance":
+        pred = draw(st.sampled_from([1, 2**62])) + np.arange(n, dtype=np.int64)
+        gt = draw(st.sampled_from([1, 2**62])) + np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    elif layout == "no_overlap":
+        pred = np.where(gt >= 1, 0, pred)
+    return pred, gt
+
+
+def _same_or_no_ground_truth(fast, reference):
+    try:
+        expected = reference()
+    except NoGroundTruth:
+        with pytest.raises(NoGroundTruth):
+            fast()
+        return
+    assert fast() == expected
 
 
 class TestMatchInstances:
@@ -236,3 +279,29 @@ class TestEvalReport:
         assert payload["completeness"] == payload["recall"]
         assert payload["omission"] == pytest.approx(1 - payload["recall"])
         assert payload["commission"] == pytest.approx(1 - payload["precision"])
+
+
+class TestContingencyMatchesPairReference:
+    """The packed-key contingency pass against the ``np.unique(axis=0)`` pair count it replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=labelings(), threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+           semantic_seed=st.integers(0, 2**32 - 1))
+    @example(data=(np.array([2**62, 2**62, -3, 1]), np.array([2**62 + 1, 2**62 + 1, 1, INT64_MAX])),
+             threshold=0.5, semantic_seed=0)
+    @example(data=(np.array([1, 0, 2, 0]), np.array([0, 1, 0, 2])), threshold=0.0, semantic_seed=0)
+    def test_same_ious_matches_coverage_and_report(self, data, threshold, semantic_seed):
+        pred, gt = data
+        ious = _contingency(pred, gt)[2]
+        expected = reference_pair_ious(pred, gt)
+        assert list(ious.items()) == list(expected.items())
+        assert match_instances(pred, gt, threshold) == reference_match_instances(pred, gt, threshold)
+        _same_or_no_ground_truth(lambda: coverage(pred, gt), lambda: reference_coverage(pred, gt))
+        semantic = [None, None]
+        if len(pred):
+            rng = np.random.default_rng(semantic_seed)
+            semantic = [rng.integers(0, N_CLASSES, size=len(pred)) for _ in range(2)]
+        _same_or_no_ground_truth(
+            lambda: evaluate_labels(pred, gt, *semantic, iou_threshold=threshold).to_dict(),
+            lambda: reference_evaluate_labels(pred, gt, *semantic, iou_threshold=threshold).to_dict(),
+        )
