@@ -4,11 +4,11 @@ Library layout:
 
 * :mod:`forestseg.core` -- point clouds, sparse voxel grids, point-to-voxel labels
 * :mod:`forestseg.tiling` -- cylindrical crops and sliding-window centers
-* :mod:`forestseg.isa_select` -- guided and baseline query point selection
+* :mod:`forestseg.isa_select` -- the embedding space, oracle embeddings, query point selection
 * :mod:`forestseg.losses` -- loss stack with analytic gradients
 * :mod:`forestseg.merging` -- score-based block merging and voting
 * :mod:`forestseg.metrics` -- detection scores, coverage, semantic mIoU
-* :mod:`forestseg.synthgen` -- synthetic forests and oracle predictors
+* :mod:`forestseg.synthgen` -- synthetic forests and the oracle predictor
 * :mod:`forestseg.pipeline` -- end-to-end orchestration
 * :mod:`forestseg.io` -- PLY/TSV/JSON readers and writers
 * :mod:`forestseg.cli` -- the `forestseg` command
@@ -30,6 +30,7 @@ from .isa_select import (
     SelectionStats,
     filter_tree_voxels,
     fps,
+    oracle_embeddings,
     select_queries_fps_euclidean,
     select_queries_isa,
     selection_stats,
@@ -72,7 +73,6 @@ from .synthgen import (
     CorruptionParams,
     ForestParams,
     generate_forest,
-    oracle_embeddings,
     oracle_predictor,
 )
 from .tiling import CylinderBlock, cylinder_crop, sliding_window_centers, tile_cloud

@@ -17,12 +17,13 @@ import click
 
 from . import io
 from .core import voxelize, voxel_labels_from_points
-from .errors import ConfigError, ForestSegError, ParseError
-from .isa_select import select_queries_fps_euclidean, select_queries_isa, selection_stats
+from .errors import ConfigError, ForestSegError, MissingLabels, ParseError
+from .isa_select import DELTA_D, oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats
 from .losses import run_gradient_checks
 from .merging import BlockPrediction
+from .metrics import evaluate_labels
 from .pipeline import PipelineConfig, effective_threads, run_pipeline, run_pipeline_from_blocks
-from .synthgen import CorruptionParams, ForestParams, generate_forest, oracle_embeddings
+from .synthgen import CorruptionParams, ForestParams, generate_forest
 
 def _handle_errors(fn):
     @functools.wraps(fn)
@@ -171,15 +172,13 @@ def _load_block_dir(block_dir: Path) -> list[BlockPrediction]:
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 @click.option("--resolution", type=float, default=0.2, show_default=True)
 @click.option("--noise-sigma", type=float, default=0.05, show_default=True)
-@click.option("--separation", type=float, default=3.0, show_default=True)
+@click.option("--separation", type=float, default=2 * DELTA_D, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_handle_errors
 def select_queries(input_path, method, k, threshold, resolution, noise_sigma, separation, seed, out) -> None:
     """Select query voxels and report coverage statistics as JSON."""
     cloud = io.read_cloud(input_path)
-    from .errors import MissingLabels
-
     if not cloud.has_labels:
         raise MissingLabels(f"{input_path}: query selection statistics need GT labels")
     vox = voxelize(cloud, resolution)
@@ -211,20 +210,9 @@ def select_queries(input_path, method, k, threshold, resolution, noise_sigma, se
 @_handle_errors
 def evaluate(pred_path, gt_path, iou, out) -> None:
     """Evaluate predicted labels against ground truth; JSON report."""
-    from .errors import ShapeMismatch
-    from .metrics import evaluate_labels
-
     pred_inst, pred_sem = io.read_labels_tsv(pred_path)
     gt_inst, gt_sem = io.read_labels_tsv(gt_path)
-    if len(pred_inst) != len(gt_inst):
-        raise ShapeMismatch(f"pred has {len(pred_inst)} points but gt has {len(gt_inst)}")
-    report = evaluate_labels(
-        pred_inst,
-        gt_inst,
-        pred_sem if pred_sem is not None and gt_sem is not None else None,
-        gt_sem if pred_sem is not None and gt_sem is not None else None,
-        iou_threshold=iou,
-    )
+    report = evaluate_labels(pred_inst, gt_inst, pred_sem, gt_sem, iou_threshold=iou)
     _emit_json({"iou_threshold": iou, **report.to_dict()}, out)
 
 

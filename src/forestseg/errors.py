@@ -69,7 +69,7 @@ class UnassociatedQuery(InputDataError):
 
 
 class UnknownBlock(InputDataError):
-    """A mask references a block id with no known geometry."""
+    """Block or mask ids are unknown, repeated or inconsistent."""
 
 
 class Unvoted(InputDataError):

@@ -25,11 +25,10 @@ from .errors import (
     ShapeMismatch,
     UnassociatedQuery,
 )
-from .isa_select import QuerySelection
+from .isa_select import DELTA_D, QuerySelection
 
 EPS = 1e-7
 DELTA_V = 0.5
-DELTA_D = 1.5
 SCORE_WEIGHT = 0.5
 SEMANTIC_WEIGHT = 0.2
 REG_WEIGHT = 0.001

@@ -135,10 +135,12 @@ def discard_boundary_masks(
 
     A mask is discarded iff any of its points lies at horizontal distance
     greater than ``radius - margin`` from the center of the prediction of its
-    source block. Trees cut
-    by the crop boundary always reach the annulus, and the small stride
-    guarantees an interior copy from a neighboring block survives.
+    source block, so a block narrower than the margin keeps only empty masks.
+    Trees cut by the crop boundary always reach the annulus, and the small
+    stride guarantees an interior copy from a neighboring block survives.
     """
+    if not margin >= 0:
+        raise ConfigError(f"boundary margin must be >= 0, got {margin}")
     positions = np.asarray(positions, dtype=np.float64)
     blocks = {p.block_id: p for p in predictions}
     kept = []
@@ -155,7 +157,8 @@ def discard_boundary_masks(
             delta = positions[np.concatenate([m.point_ids for m in run]), :2] - np.asarray(block.center_xy)
             starts = (np.cumsum(sizes) - sizes)[nonempty]
             max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
-        keep = max_sq <= (block.radius - margin) ** 2
+        inner = block.radius - margin
+        keep = max_sq <= inner**2 if inner >= 0 else ~nonempty
         kept.extend(m for m, k in zip(run, keep) if k)
     return kept
 

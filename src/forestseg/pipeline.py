@@ -110,8 +110,9 @@ def merge_block_predictions(
 
     Stage order: boundary discard, score filter, NMS, point resolution,
     semantic vote. Input order is irrelevant; masks are canonically sorted
-    first. Every mask must carry the block id of the prediction holding it,
-    since boundary discard measures it against that block's footprint.
+    first, so no two may share a ``(block_id, query_index)`` key. Every mask
+    must carry the block id of the prediction holding it, since boundary
+    discard measures it against that block's footprint.
     """
     n_points = len(positions)
     for p in predictions:
@@ -126,6 +127,9 @@ def merge_block_predictions(
         (m for p in predictions for m in p.masks),
         key=lambda m: (m.block_id, m.query_index),
     )
+    for a, b in zip(masks, masks[1:]):
+        if (a.block_id, a.query_index) == (b.block_id, b.query_index):
+            raise UnknownBlock(f"block {a.block_id} holds two masks with query index {a.query_index}")
     after_boundary = discard_boundary_masks(masks, predictions, positions, config.boundary_margin)
     after_filter = score_filter(after_boundary, config.score_threshold)
     kept = score_nms(after_filter, config.nms_iou)
@@ -231,12 +235,7 @@ def run_pipeline_from_blocks(
     merge = merge_block_predictions(predictions, cloud.positions, config)
     evaluation = None
     if cloud.instance is not None:
-        evaluation = evaluate_labels(
-            merge.instance,
-            cloud.instance,
-            merge.semantic,
-            cloud.semantic if merge.semantic is not None else None,
-        )
+        evaluation = evaluate_labels(merge.instance, cloud.instance, merge.semantic, cloud.semantic)
     result = PipelineResult(
         config=config,
         n_blocks=len(predictions),

@@ -1,25 +1,21 @@
-"""Deterministic synthetic forests and oracle predictors for pipeline checks.
+"""Deterministic synthetic forests and the oracle predictor for pipeline checks.
 
 The generator builds multi-scale scenes (large canopy trees plus small
-understory trees over a ground plane). The oracles emit per-voxel embeddings
-and per-block instance masks whose quality degrades under controlled
-corruption, standing in for a trained network so every downstream stage can
-be verified end to end.
+understory trees over a ground plane). The oracle emits per-block instance
+masks whose quality degrades under controlled corruption, standing in for a
+trained network so every downstream stage can be verified end to end.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .core import GROUND, LEAF, WOOD, PointCloud, SparseVoxelization, VoxelLabels
-from .errors import CodebookExhausted, ConfigError, MissingLabels, PlacementFailed
-from .isa_select import EMBEDDING_DIM, EmbeddingField
-from .losses import DELTA_D
+from .core import GROUND, LEAF, WOOD, PointCloud
+from .errors import ConfigError, MissingLabels, PlacementFailed
 from .merging import InstanceMask
 from .tiling import CylinderBlock
 
@@ -27,9 +23,6 @@ from .tiling import CylinderBlock
 # overlapping above typical NMS thresholds lets duplicate suppression see
 # them; a disjoint split would be invisible to IoU-based NMS.
 SPLIT_OVERLAP = 0.4
-# Oracle instance codes are integer 5-vectors with coordinates below this; one
-# code goes to the background, so a scene may hold LATTICE_EXTENT**5 - 1 trees.
-LATTICE_EXTENT = 10
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -172,61 +165,6 @@ def generate_forest(params: ForestParams) -> PointCloud:
         semantic=np.concatenate(semantic),
         instance=np.concatenate(instance),
     )
-
-
-def _lattice_codes(count: int) -> npt.NDArray[np.float64]:
-    """First ``count`` nonnegative integer 5-vectors ordered by (L1 norm, lex).
-
-    Distinct vectors differ by L1 distance >= 1, so scaling by a separation
-    yields codes at least that far apart.
-    """
-    if count > LATTICE_EXTENT**EMBEDDING_DIM:
-        raise CodebookExhausted(f"{count} codes requested but lattice extent {LATTICE_EXTENT} "
-                                f"offers only {LATTICE_EXTENT**EMBEDDING_DIM}")
-    vecs: list[tuple[int, ...]] = []
-    shell = 0
-    while len(vecs) < count:
-        width = min(LATTICE_EXTENT, shell + 1)
-        vecs.extend(
-            sorted(v for v in itertools.product(range(width), repeat=EMBEDDING_DIM) if sum(v) == shell)
-        )
-        shell += 1
-    return np.array(vecs[:count], dtype=np.float64)
-
-
-def oracle_embeddings(
-    vox: SparseVoxelization,
-    gt: VoxelLabels,
-    noise_sigma: float = 0.0,
-    separation: float = 2 * DELTA_D,
-    seed: int = 0,
-) -> EmbeddingField:
-    """Per-voxel embeddings clustered by instance, plus binary tree probability.
-
-    Every instance receives a fixed 5-D code with pairwise L1 distance at
-    least ``separation``; background voxels sit at the origin code. Gaussian
-    noise of the given sigma is added per voxel, and tree probabilities are
-    exact 0/1 indicators.
-    """
-    if not (separation > 0 and math.isfinite(separation)):
-        raise ConfigError(f"separation must be finite and positive, got {separation}")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if gt.m != vox.m:
-        raise ConfigError(f"labels cover {gt.m} voxels but the grid has {vox.m}")
-    rng = np.random.default_rng(seed)
-    present = np.unique(gt.instance[gt.instance >= 1])
-    codes = _lattice_codes(len(present) + 1) * separation
-    table = np.zeros((int(gt.instance.max(initial=0)) + 1, EMBEDDING_DIM))
-    table[0] = codes[0]
-    for i, uid in enumerate(present):
-        table[uid] = codes[i + 1]
-    emb = table[gt.instance].copy()
-    if noise_sigma > 0:
-        emb += rng.normal(0.0, noise_sigma, size=emb.shape)
-    return EmbeddingField(embeddings=emb, tree_prob=(gt.instance >= 1).astype(np.float64))
 
 
 def _overlap_split(

@@ -6,6 +6,7 @@ deterministic row-major grid index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,9 @@ def cylinder_crop(cloud: PointCloud, center_xy, radius: float, block_id: int = 0
     Raises:
         EmptyBlock: no point falls inside; callers may skip such blocks.
     """
-    if radius <= 0:
-        raise ConfigError(f"radius must be positive, got {radius}")
+    # Written so that NaN fails too; the crop squares the radius.
+    if not (radius > 0 and math.isfinite(radius * radius)):
+        raise ConfigError(f"radius must be positive with a finite square, got {radius}")
     center = np.asarray(center_xy, dtype=np.float64).reshape(2)
     dx = cloud.positions[:, 0] - center[0]
     dy = cloud.positions[:, 1] - center[1]
@@ -68,8 +70,8 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
     axis is >= the bounds maximum. Centers are returned in row-major order
     (x slow, y fast), which also defines block ids.
     """
-    if stride <= 0:
-        raise ConfigError(f"stride must be positive, got {stride}")
+    if not (stride > 0 and math.isfinite(stride * stride)):
+        raise ConfigError(f"stride must be positive with a finite square, got {stride}")
     lo = np.asarray(min_xy, dtype=np.float64).reshape(2)
     hi = np.asarray(max_xy, dtype=np.float64).reshape(2)
     if np.any(hi < lo):

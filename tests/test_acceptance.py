@@ -13,6 +13,7 @@ import pytest
 from forestseg import io
 from forestseg.core import PointCloud, voxel_labels_from_points, voxelize
 from forestseg.isa_select import (
+    oracle_embeddings,
     select_queries_fps_euclidean,
     select_queries_isa,
     selection_stats,
@@ -31,7 +32,7 @@ from forestseg.pipeline import (
     merge_block_predictions,
     run_pipeline,
 )
-from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest, oracle_embeddings
+from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
 from forestseg.tiling import cylinder_crop, sliding_window_centers, tile_cloud
 
 from test_metrics import exhaustive_max_tp, iou_table

@@ -255,6 +255,36 @@ class TestPipeline:
         assert set(np.flatnonzero(inst == 1).tolist()) == set(tree_one.tolist())
         assert np.sum(inst > 0) == len(tree_one)
 
+    def test_block_narrower_than_margin_keeps_no_mask(self, runner, tmp_path, forest_files):
+        cloud, ply = forest_files
+        center = cloud.positions[0, :2]
+        near = np.flatnonzero(np.hypot(*(cloud.positions[:, :2] - center).T) <= 0.2)
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        io.write_block_file(blocks / "block_00000.json", BlockPrediction(
+            block_id=0, center_xy=(float(center[0]), float(center[1])), radius=0.3,
+            masks=[InstanceMask(point_ids=near, score=0.9, block_id=0, query_index=0)],
+        ))
+        result = runner.invoke(main, [
+            "pipeline", "--input", str(ply), "--predictor", str(blocks), "--boundary-margin", "0.5",
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["masks"]["after_boundary_discard"] == 0
+
+    def test_repeated_query_index_exits_2(self, runner, tmp_path, forest_files):
+        cloud, ply = forest_files
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        io.write_block_file(blocks / "block_00000.json", BlockPrediction(
+            block_id=0, center_xy=(5.0, 5.0), radius=16.0,
+            masks=[InstanceMask(point_ids=np.flatnonzero(cloud.instance == uid), score=0.9, block_id=0, query_index=0)
+                   for uid in (1, 2)],
+        ))
+        assert '"query_index": 0' in (blocks / "block_00000.json").read_text()
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert "two masks with query index 0" in result.output
+
     def test_empty_block_directory_exits_2(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         empty = tmp_path / "none"
@@ -312,6 +342,14 @@ class TestEvaluateCommand:
         io.write_labels_tsv(gt, np.array([1, 1, 2]))
         result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
         assert result.exit_code == 2
+
+    def test_bad_iou_checked_before_lengths(self, runner, tmp_path):
+        pred = tmp_path / "pred.tsv"
+        gt = tmp_path / "gt.tsv"
+        io.write_labels_tsv(pred, np.array([1, 1]))
+        io.write_labels_tsv(gt, np.array([1, 1, 2]))
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt), "--iou", "1.5"])
+        assert result.exit_code == 3, result.output
 
 
 @pytest.mark.parametrize("command, flags, name", [

@@ -39,10 +39,11 @@ def _package_imports(module: str) -> set[str]:
 
 
 def test_merge_path_loads_no_training_code():
-    # tile -> predict -> merge -> evaluate, plus the readers and writers,
-    # must not depend on the loss stack or query selection, even indirectly.
+    # tile -> predict -> merge -> evaluate, plus the readers and writers, the
+    # oracle predictor and the orchestration over them, must not depend on the
+    # loss stack or the embedding space, even indirectly.
     training = {"losses", "isa_select"}
-    for module in ("core", "tiling", "merging", "metrics", "io"):
+    for module in ("core", "tiling", "merging", "metrics", "io", "synthgen", "pipeline"):
         reached, frontier = set(), {module}
         while frontier:
             name = frontier.pop()

@@ -1,18 +1,22 @@
-"""Query selection: filtering, FPS against a greedy-step oracle, statistics."""
+"""The embedding space: oracle embeddings, filtering, FPS against a greedy-step
+oracle, query selection and its statistics."""
 
 import numpy as np
 import pytest
 
-from forestseg.core import VoxelLabels, voxel_labels_from_points, voxelize
-from forestseg.errors import NoTreeVoxels, ShapeMismatch
+from forestseg.core import WOOD, PointCloud, VoxelLabels, voxel_labels_from_points, voxelize
+from forestseg.errors import CodebookExhausted, NoTreeVoxels, ShapeMismatch
 from forestseg.isa_select import (
+    LATTICE_EXTENT,
     EmbeddingField,
     filter_tree_voxels,
     fps,
+    oracle_embeddings,
     select_queries_fps_euclidean,
     select_queries_isa,
     selection_stats,
 )
+from forestseg.losses import discriminative_loss
 
 
 def _field(embeddings, tree_prob):
@@ -21,6 +25,42 @@ def _field(embeddings, tree_prob):
 
 def _uniform_field(m, rng, prob=1.0):
     return _field(rng.normal(size=(m, 5)), np.full(m, prob))
+
+
+class TestOracleEmbeddings:
+    def test_margin_law_exact_zeros(self, small_forest):
+        vox = voxelize(small_forest, 0.2)
+        gt = voxel_labels_from_points(vox, small_forest)
+        field = oracle_embeddings(vox, gt, noise_sigma=0.0, separation=3.0)
+        tree = gt.instance >= 1
+        l_var, l_dist, _, _, _ = discriminative_loss(field.embeddings[tree], gt.instance[tree])
+        assert l_var == 0.0
+        assert l_dist == 0.0
+
+    def test_noiseless_selection_covers_every_instance(self, small_forest):
+        vox = voxelize(small_forest, 0.2)
+        gt = voxel_labels_from_points(vox, small_forest)
+        field = oracle_embeddings(vox, gt, noise_sigma=0.0)
+        n_instances = len(np.unique(gt.instance[gt.instance >= 1]))
+        sel = select_queries_isa(field, max(n_instances, 10))
+        assert selection_stats(sel, gt).coverage_rate == 1.0
+
+    def test_exact_probabilities_give_pure_tree_selection(self, small_forest):
+        vox = voxelize(small_forest, 0.2)
+        gt = voxel_labels_from_points(vox, small_forest)
+        field = oracle_embeddings(vox, gt)
+        sel = select_queries_isa(field, 200)
+        assert selection_stats(sel, gt).tree_voxel_ratio == 1.0
+
+    def test_codebook_exhaustion(self):
+        # 10**5 instances need 10**5 + 1 codes with the background's, one
+        # more than the extent-10 lattice holds; the count is checked before
+        # any code is enumerated.
+        n = LATTICE_EXTENT**5
+        vox = voxelize(PointCloud(positions=np.c_[np.arange(n), np.zeros((n, 2))]), 1.0)
+        gt = VoxelLabels(semantic=np.full(n, WOOD), instance=np.arange(1, n + 1))
+        with pytest.raises(CodebookExhausted, match=f"{n + 1} codes requested"):
+            oracle_embeddings(vox, gt)
 
 
 class TestFilterTreeVoxels:
@@ -168,8 +208,6 @@ class TestSelectionStats:
         assert stats.coverage_rate is None
 
     def test_perfect_binary_labels_give_ratio_one(self, small_forest):
-        from forestseg.synthgen import oracle_embeddings
-
         vox = voxelize(small_forest, 0.2)
         gt = voxel_labels_from_points(vox, small_forest)
         field = oracle_embeddings(vox, gt, noise_sigma=0.0)

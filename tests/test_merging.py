@@ -138,6 +138,19 @@ class TestDiscardBoundaryMasks:
                 expected.append(m)
         assert kept == expected
 
+    def test_block_narrower_than_margin_keeps_only_empty_masks(self):
+        # radius - margin = -0.2, so every point lies beyond it, even one at the center.
+        positions = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
+        masks = [mask([0], 0.9), mask([0, 1], 0.9, query_index=1), mask([], 0.9, query_index=2)]
+        kept = discard_boundary_masks(masks, [footprint(0, radius=0.3)], positions, 0.5)
+        assert [m.query_index for m in kept] == [2]
+
+    @pytest.mark.parametrize("margin", [-3.0, float("nan")])
+    def test_negative_or_nan_margin_rejected(self, margin):
+        positions = np.array([[3.0, 0.0, 0.0]])
+        with pytest.raises(ConfigError, match="boundary margin must be >= 0"):
+            discard_boundary_masks([mask([0], 0.9)], [footprint(0, radius=1.0)], positions, margin)
+
     def test_unknown_block_rejected(self):
         masks = [mask([0], 0.5, block_id=9)]
         with pytest.raises(UnknownBlock):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from forestseg import io
-from forestseg.errors import ConfigError
+from forestseg.errors import ConfigError, UnknownBlock
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import (
     PipelineConfig,
@@ -160,15 +160,11 @@ class TestStageAccounting:
 
     @pytest.mark.parametrize("block_ids", [[0, 0], [-1], [10_000]])
     def test_block_ids_off_the_grid_rejected(self, forest, block_ids):
-        from forestseg.errors import UnknownBlock
-
         bad = [BlockPrediction(block_id=i, center_xy=(0.0, 0.0), radius=16.0, masks=[]) for i in block_ids]
         with pytest.raises(UnknownBlock):
             run_pipeline_from_blocks(bad, forest, PipelineConfig())
 
     def test_mask_tagged_with_another_block_rejected(self):
-        from forestseg.errors import UnknownBlock
-
         # Both points lie well inside block 0 and outside block 1, so
         # measuring the mask against block 1's footprint would drop it.
         positions = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [10.0, 0.0, 0.0]])
@@ -179,3 +175,15 @@ class TestStageAccounting:
         ]
         with pytest.raises(UnknownBlock, match="block 0 holds a mask of block 1"):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_repeated_mask_key_rejected(self, order):
+        # The two masks tie on (score, block id, query index), so without the
+        # check the labelling would follow their order inside the prediction.
+        twins = [InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=0, query_index=0),
+                 InstanceMask(point_ids=np.array([1, 2]), score=0.9, block_id=0, query_index=0)]
+        if order == "reversed":
+            twins.reverse()
+        prediction = BlockPrediction(block_id=0, center_xy=(0.0, 0.0), radius=4.0, masks=twins)
+        with pytest.raises(UnknownBlock, match="block 0 holds two masks with query index 0"):
+            merge_block_predictions([prediction], np.zeros((4, 3)), PipelineConfig(radius=4.0, stride=4.0))

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestseg.core import GROUND, LEAF, WOOD, PointCloud, VoxelLabels, voxel_labels_from_points, voxelize
-from forestseg.errors import CodebookExhausted, MissingLabels, PlacementFailed
-from forestseg.isa_select import select_queries_isa, selection_stats
-from forestseg.losses import discriminative_loss
-from forestseg.synthgen import (
-    LATTICE_EXTENT,
-    CorruptionParams,
-    ForestParams,
-    generate_forest,
-    oracle_embeddings,
-    oracle_predictor,
-)
+from forestseg.core import GROUND, LEAF, WOOD, PointCloud
+from forestseg.errors import MissingLabels, PlacementFailed
+from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest, oracle_predictor
 from forestseg.tiling import CylinderBlock, cylinder_crop, tile_cloud
 from synthgen_reference import reference_oracle_predictor
 
@@ -65,42 +56,6 @@ class TestGenerateForest:
     def test_infeasible_spacing_fails(self):
         with pytest.raises(PlacementFailed):
             generate_forest(ForestParams(n_trees=50, plot_size=2.0, min_spacing=3.0, seed=0))
-
-
-class TestOracleEmbeddings:
-    def test_margin_law_exact_zeros(self, small_forest):
-        vox = voxelize(small_forest, 0.2)
-        gt = voxel_labels_from_points(vox, small_forest)
-        field = oracle_embeddings(vox, gt, noise_sigma=0.0, separation=3.0)
-        tree = gt.instance >= 1
-        l_var, l_dist, _, _, _ = discriminative_loss(field.embeddings[tree], gt.instance[tree])
-        assert l_var == 0.0
-        assert l_dist == 0.0
-
-    def test_noiseless_selection_covers_every_instance(self, small_forest):
-        vox = voxelize(small_forest, 0.2)
-        gt = voxel_labels_from_points(vox, small_forest)
-        field = oracle_embeddings(vox, gt, noise_sigma=0.0)
-        n_instances = len(np.unique(gt.instance[gt.instance >= 1]))
-        sel = select_queries_isa(field, max(n_instances, 10))
-        assert selection_stats(sel, gt).coverage_rate == 1.0
-
-    def test_exact_probabilities_give_pure_tree_selection(self, small_forest):
-        vox = voxelize(small_forest, 0.2)
-        gt = voxel_labels_from_points(vox, small_forest)
-        field = oracle_embeddings(vox, gt)
-        sel = select_queries_isa(field, 200)
-        assert selection_stats(sel, gt).tree_voxel_ratio == 1.0
-
-    def test_codebook_exhaustion(self):
-        # 10**5 instances need 10**5 + 1 codes with the background's, one
-        # more than the extent-10 lattice holds; the count is checked before
-        # any code is enumerated.
-        n = LATTICE_EXTENT**5
-        vox = voxelize(PointCloud(positions=np.c_[np.arange(n), np.zeros((n, 2))]), 1.0)
-        gt = VoxelLabels(semantic=np.full(n, WOOD), instance=np.arange(1, n + 1))
-        with pytest.raises(CodebookExhausted, match=f"{n + 1} codes requested"):
-            oracle_embeddings(vox, gt)
 
 
 class TestOraclePredictor:

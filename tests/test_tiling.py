@@ -57,6 +57,11 @@ class TestCylinderCrop:
         with pytest.raises(ConfigError):
             cylinder_crop(_cloud_at([[0, 0]]), (0, 0), 0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 1e200])
+    def test_radius_without_finite_square_rejected(self, radius):
+        with pytest.raises(ConfigError, match="radius must be positive with a finite square"):
+            cylinder_crop(_cloud_at([[0, 0]]), (0, 0), radius)
+
     @settings(deadline=None)
     @given(
         center=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
@@ -89,6 +94,16 @@ class TestSlidingWindow:
         assert len(centers) == 25
         xs = sorted(set(centers[:, 0].tolist()))
         assert xs == [0.0, 4.0, 8.0, 12.0, 16.0]
+
+    @pytest.mark.parametrize("stride", [float("nan"), float("inf"), 1e200])
+    def test_stride_without_finite_square_rejected(self, stride):
+        with pytest.raises(ConfigError, match="stride must be positive with a finite square"):
+            sliding_window_centers((0.0, 0.0), (16.0, 16.0), stride)
+
+    @pytest.mark.parametrize("radius, stride", [(float("nan"), 4.0), (4.0, float("inf"))])
+    def test_tile_cloud_rejects_unusable_radius_or_stride(self, radius, stride):
+        with pytest.raises(ConfigError):
+            tile_cloud(_cloud_at([[0.0, 0.0], [10.0, 10.0]]), radius, stride)
 
     def test_degenerate_bounds(self):
         centers = sliding_window_centers((3.0, 5.0), (3.0, 5.0), 4.0)
