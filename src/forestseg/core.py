@@ -134,12 +134,17 @@ def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
 
     Raises:
         EmptyInput: the cloud has no points.
-        ConfigError: resolution is not positive.
+        ConfigError: resolution is not positive, or so small that a voxel
+            key overflows int64.
     """
     if resolution <= 0 or not np.isfinite(resolution):
         raise ConfigError(f"resolution must be positive, got {resolution}")
     if cloud.n == 0:
         raise EmptyInput("cannot voxelize an empty point cloud")
+    reach = float(np.abs(cloud.positions).max())
+    if not reach / resolution < 2.0**63:  # also rejects the infinite quotient
+        raise ConfigError(f"resolution must keep voxel keys within int64, got {resolution} "
+                          f"for coordinates up to {reach}")
     keys = np.floor(cloud.positions / resolution).astype(np.int64)
     voxel_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
     return SparseVoxelization(

@@ -3,14 +3,17 @@ per-block mask files.
 
 Every point table goes through one row parser and one row formatter; the
 formats differ only in their header and separator. Floats are written with
-``repr`` so a read-back reproduces every value bit-exactly. Parse failures
-raise :class:`ParseError` naming the file and the offending line.
+``repr`` so a read-back reproduces every value bit-exactly. The parser
+converts a whole table in one vectorized ``np.loadtxt`` pass; only when that
+pass rejects the rows does a loop parse them one by one, so parse failures
+still raise :class:`ParseError` naming the file and the offending line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,13 +33,50 @@ _CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance":
 
 
 def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
-                fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
+                fields: dict[str, tuple[int, Callable]], sep: str | None,
+                accept: Callable[[dict[str, npt.NDArray]], bool] = lambda values: True) -> dict[str, npt.NDArray]:
     """Parse rows of ``width`` ``sep``-separated values, found on file lines
     ``linenos``, into one array per field.
 
-    ``fields`` maps a name to its column index and converter; the converters
-    run in that order on each row, ``float`` ones filling float64 arrays and
-    the rest int64. A wrong value count, or a value a converter rejects or
+    ``fields`` maps a name to its column index and converter (``float`` ones
+    fill float64 arrays, the rest int64). :func:`_load_rows` parses all rows
+    at once; its arrays stand if ``accept`` passes them. Otherwise the row
+    loop parses the rows again: it raises the :class:`ParseError` naming the
+    line, or returns spellings only Python's converters read, such as ``1_0``.
+    """
+    values = _load_rows(lines, width, fields, sep)
+    if values is None or not accept(values):
+        values = _parse_row_by_row(path, lines, linenos, width, fields, sep)
+    return values
+
+
+def _load_rows(lines: Sequence[str], width: int, fields: dict[str, tuple[int, Callable]],
+               sep: str | None) -> dict[str, npt.NDArray] | None:
+    """:func:`_parse_rows` in one ``np.loadtxt`` pass, or None where it may differ from the row loop."""
+    # numpy's integer parser passes any code point to C's isdigit: a non-ASCII
+    # one may read as a digit (U+667CD as 419741) or crash the process.
+    if not all(map(str.isascii, lines)):
+        return None
+    # Columns no field names are read as strings, so loadtxt still checks every row's width.
+    dtype = [(f"_{i}", "U1") for i in range(width)]
+    for name, (i, convert) in fields.items():
+        dtype[i] = (name, np.float64 if convert is float else np.int64)
+    try:
+        # numpy 1.x parses "1.0" into an int column with only a DeprecationWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, delimiter=sep, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(table) != len(lines):  # loadtxt skips blank lines, which the row loop rejects
+        return None
+    return {name: np.ascontiguousarray(table[name]) for name in fields}
+
+
+def _parse_row_by_row(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
+                      fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
+    """:func:`_parse_rows` one row at a time: the converters run in ``fields``
+    order on each row. A wrong value count, or a value a converter rejects or
     its array cannot hold, raises :class:`ParseError` naming the line.
     """
     out = {name: np.empty(len(lines), dtype=np.float64 if convert is float else np.int64)
@@ -258,12 +298,21 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
         seen[pid] = True
         return pid
 
+    def each_id_once(values: dict[str, npt.NDArray]) -> bool:
+        ids = values["point_id"]
+        if not np.all((ids >= 0) & (ids < n)):
+            return False
+        hit = np.zeros(n, dtype=bool)
+        hit[ids] = True
+        return bool(hit.all())  # n ids cover 0..n-1 only if none repeats
+
     fields = {"point_id": (0, point_id), "instance": (1, int)}
     if "semantic" in header:
         fields["semantic"] = (2, int)
-    values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
-    # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
-    order = np.argsort(values["point_id"])
+    values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t", accept=each_id_once)
+    # The ids are a permutation of 0..n-1; scattering row numbers by id inverts it.
+    order = np.empty(n, dtype=np.int64)
+    order[values["point_id"]] = np.arange(n)
     return values["instance"][order], values["semantic"][order] if "semantic" in values else None
 
 

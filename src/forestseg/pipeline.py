@@ -155,9 +155,11 @@ def merge_block_predictions(
 
 def make_oracle_predictor(cloud: PointCloud, corruption: CorruptionParams, master_seed: int):
     """Per-block predictor backed by the ground-truth oracle."""
+    tree_sizes = None if cloud.instance is None else np.bincount(cloud.instance)
 
     def predict(block) -> BlockPrediction:
-        masks = oracle_predictor(block, cloud, corruption, seed=[master_seed, block.block_id])
+        masks = oracle_predictor(block, cloud, corruption, seed=[master_seed, block.block_id],
+                                 tree_sizes=tree_sizes)
         semantic = None
         if cloud.semantic is not None:
             semantic = (block.point_indices, cloud.semantic[block.point_indices])

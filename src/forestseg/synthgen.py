@@ -189,6 +189,7 @@ def oracle_predictor(
     cloud: PointCloud,
     corruption: CorruptionParams = CorruptionParams(),
     seed=0,
+    tree_sizes: npt.NDArray[np.int64] | None = None,
 ) -> list[InstanceMask]:
     """Emit instance masks for one block, starting from ground truth.
 
@@ -200,13 +201,14 @@ def oracle_predictor(
     particular a tree clipped by the block boundary scores below 1 even
     without corruption.
 
-    Per block, one stable argsort groups the points by tree and one
-    ``bincount`` of the cloud gives the tree sizes; after that a mask costs
-    at most O(block). A noisy mask draws its added points from the block's
-    points outside the mask, taken with a boolean mask over the block's
-    ascending point ids, so the pool stays ascending and the random draws
-    are those of a sorted set difference. ``point_indices`` are taken to be
-    unique.
+    Per block, one stable argsort groups the points by tree; the tree sizes
+    are ``tree_sizes`` (``np.bincount(cloud.instance)``, computed here when
+    not given, so a caller predicting many blocks passes it once). After
+    that a mask costs at most O(block). A noisy mask draws its added points
+    from the block's points outside the mask, taken with a boolean mask over
+    the block's ascending point ids, so the pool stays ascending and the
+    random draws are those of a sorted set difference. ``point_indices`` are
+    taken to be unique.
     """
     if not cloud.has_labels:
         raise MissingLabels("oracle predictor requires ground-truth labels on the cloud")
@@ -223,7 +225,8 @@ def oracle_predictor(
     lo = np.searchsorted(tree_of, present, side="left")
     hi = np.searchsorted(tree_of, present, side="right")
     local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, lo, hi)}
-    tree_sizes = np.bincount(cloud.instance)
+    if tree_sizes is None:
+        tree_sizes = np.bincount(cloud.instance)
     ordered = pts if np.all(pts[1:] > pts[:-1]) else np.unique(pts)
 
     survivors = [int(uid) for uid in present if rng.random() >= corruption.drop_prob]

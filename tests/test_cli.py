@@ -158,6 +158,17 @@ class TestPipeline:
         assert result.exit_code == 2
         assert "line 3" in result.output
 
+    def test_bad_token_deep_in_ply_exits_2_and_names_line(self, runner, tmp_path, rng):
+        ply = tmp_path / "deep.ply"
+        io.write_ply(ply, PointCloud(positions=rng.uniform(0.0, 10.0, size=(40_001, 3))))
+        lines = ply.read_text().splitlines()
+        end = lines.index("end_header") + 1
+        lines[end + 39_999] = "1.0 oops 2.0"  # data row 40,000
+        ply.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["pipeline", "--input", str(ply)])
+        assert result.exit_code == 2
+        assert f"deep.ply: line {end + 40_000}: could not convert string to float: 'oops'" in result.output
+
     def test_repeated_column_exits_2_and_names_line(self, runner, tmp_path):
         bad = tmp_path / "twice.tsv"
         bad.write_text("x\ty\tz\tz\n0\t0\t0\t1\n")
@@ -343,6 +354,17 @@ class TestEvaluateCommand:
         result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
         assert result.exit_code == 2
 
+    def test_duplicate_point_id_deep_in_table_exits_2_and_names_line(self, runner, tmp_path, rng):
+        pred = tmp_path / "pred.tsv"
+        gt = tmp_path / "gt.tsv"
+        io.write_labels_tsv(gt, rng.integers(0, 5, size=50_000))
+        lines = gt.read_text().splitlines()
+        lines[45_000] = "17\t3"  # file line 45,001 repeats point_id 17
+        pred.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
+        assert result.exit_code == 2
+        assert "pred.tsv: line 45001: duplicate point_id 17" in result.output
+
     def test_bad_iou_checked_before_lengths(self, runner, tmp_path):
         pred = tmp_path / "pred.tsv"
         gt = tmp_path / "gt.tsv"
@@ -362,6 +384,7 @@ class TestEvaluateCommand:
     ("select-queries", ["--seed", "-1"], "seed"),
     ("gradcheck", ["--trials", "0"], "trials"),
     ("gradcheck", ["--seed", "-1"], "seed"),
+    ("select-queries", ["--resolution", "1e-300"], "resolution"),
 ])
 def test_unusable_values_exit_3(runner, tmp_path, forest_files, command, flags, name):
     _, ply = forest_files

@@ -13,6 +13,7 @@ from forestseg.core import (
     voxelize,
 )
 from forestseg.errors import (
+    ConfigError,
     EmptyInput,
     InvalidGeometry,
     InvalidLabel,
@@ -86,6 +87,17 @@ class TestVoxelize:
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyInput):
             voxelize(PointCloud(positions=np.empty((0, 3))), 0.2)
+
+    @pytest.mark.parametrize("position, resolution", [(1.0, 1e-300), (-1e4, 1e-16), (2.0**63, 1.0)])
+    def test_resolution_overflowing_int64_keys_rejected(self, position, resolution):
+        cloud = PointCloud(positions=[[0.0, 0.0, 0.0], [0.0, position, 0.0]])
+        with pytest.raises(ConfigError, match="resolution must keep voxel keys within int64"):
+            voxelize(cloud, resolution)
+
+    def test_largest_keys_below_int64_limit_accepted(self):
+        largest = float(np.nextafter(2.0**63, 0.0))  # 2**63 - 1024
+        vox = voxelize(PointCloud(positions=[[-largest, 0.0, largest]]), 1.0)
+        assert vox.voxel_keys.tolist() == [[-(2**63) + 1024, 0, 2**63 - 1024]]
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidGeometry):

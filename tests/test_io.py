@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from forestseg import io
 from forestseg.core import PointCloud
-from forestseg.errors import ParseError
+from forestseg.errors import ForestSegError, ParseError
 from forestseg.merging import BlockPrediction, InstanceMask
+from io_reference import reference_read_labels_tsv, reference_read_ply, reference_read_tsv
 
 
 def assert_clouds_equal(a: PointCloud, b: PointCloud):
@@ -377,3 +380,201 @@ BLOCK_TEXT = """\
   }
 }
 """
+
+
+class TestVectorizedParse:
+    """Well-formed tables take the one-pass ``np.loadtxt`` parse; the row loop runs only on rejection."""
+
+    @pytest.fixture
+    def row_loop_calls(self, monkeypatch):
+        calls = []
+        row_by_row = io._parse_row_by_row
+
+        def counted(*args):
+            calls.append(args[0])
+            return row_by_row(*args)
+
+        monkeypatch.setattr(io, "_parse_row_by_row", counted)
+        return calls
+
+    def test_well_formed_tables_skip_the_row_loop(self, cloud, tmp_path, row_loop_calls):
+        io.write_ply(tmp_path / "cloud.ply", cloud)
+        io.write_tsv(tmp_path / "cloud.tsv", cloud)
+        io.write_labels_tsv(tmp_path / "labels.tsv", cloud.instance, cloud.semantic)
+        assert_clouds_equal(io.read_ply(tmp_path / "cloud.ply"), cloud)
+        assert_clouds_equal(io.read_tsv(tmp_path / "cloud.tsv"), cloud)
+        instance, semantic = io.read_labels_tsv(tmp_path / "labels.tsv")
+        assert np.array_equal(instance, cloud.instance) and np.array_equal(semantic, cloud.semantic)
+        (tmp_path / "shuffled.tsv").write_text("point_id\tinstance\n2\t5\n0\t7\n1\t6\n")
+        assert io.read_labels_tsv(tmp_path / "shuffled.tsv")[0].tolist() == [7, 6, 5]
+        assert row_loop_calls == []
+
+    def test_ignored_ply_property_still_counts_toward_row_width(self, tmp_path, row_loop_calls):
+        path = tmp_path / "extra.ply"
+        header = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty uchar red\n"
+                  "property double y\nproperty double z\nend_header\n")
+        path.write_text(header + "1.5 255 2.5 3.5\n-0.0 longer-token 1e308 5e-324\n")
+        assert io.read_ply(path).positions.tolist() == [[1.5, 2.5, 3.5], [-0.0, 1e308, 5e-324]]
+        assert row_loop_calls == []
+        path.write_text(header + "1.5 255 2.5 3.5\n1.5 2.5 3.5\n")
+        with pytest.raises(ParseError, match="extra.ply: line 10: expected 4 values, got 3"):
+            io.read_ply(path)
+        assert row_loop_calls == [path]
+
+    @pytest.mark.filterwarnings("error")
+    def test_float_spelling_in_int_column_raises_the_row_error(self, tmp_path, row_loop_calls):
+        path = tmp_path / "labels.tsv"
+        path.write_text("point_id\tinstance\n0\t1\n1\t1.0\n")
+        with pytest.raises(ParseError, match="labels.tsv: line 3: invalid literal for int"):
+            io.read_labels_tsv(path)
+        assert row_loop_calls == [path]
+
+    def test_non_ascii_int_token_skips_the_loadtxt_pass(self, tmp_path, row_loop_calls):
+        path = tmp_path / "labels.tsv"
+        path.write_text("point_id\tinstance\n0\t\U000667cd\n")
+        with pytest.raises(ParseError, match="labels.tsv: line 2: invalid literal for int"):
+            io.read_labels_tsv(path)
+        assert row_loop_calls == [path]
+
+    def test_python_only_spellings_still_parse(self, tmp_path, row_loop_calls):
+        path = tmp_path / "odd.tsv"
+        path.write_text("x\ty\tz\tinstance\n1_0\t\u0661.5\t0\t\uff17\n")
+        cloud = io.read_tsv(path)
+        assert cloud.positions.tolist() == [[10.0, 1.5, 0.0]] and cloud.instance.tolist() == [7]
+        assert row_loop_calls == [path]
+
+
+# Tokens Python's float or int reads and numpy does not, that neither reads, that overflow int64, or
+# that numpy 2.4's int parser misreads (U+667CD as 419741).
+BAD_TOKENS = ["1.0", "1e3", "1_0", "True", "\u0661", "\uff15", "\U000667cd", "9223372036854775808",
+              "-9223372036854775809", "oops", "", "0x10", "nan", "-inf"]
+FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17e}"),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "-2.225073858507201e-308", "1e308", "-1e308", "+3.", ".5", "7"]),
+)
+INT64_TOKENS = st.one_of(st.integers(-5, 5), st.integers(-(2**63), -(2**63) + 3),
+                         st.integers(2**63 - 4, 2**63 - 1)).map(str)
+# Text without whitespace or line breaks, for PLY properties the reader ignores.
+OTHER_TOKENS = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1, max_size=4)
+
+
+@st.composite
+def label_tokens(draw):
+    """A (semantic, instance) pair that ``PointCloud`` accepts, instance ids up to the int64 limit."""
+    instance = draw(st.one_of(st.just(0), st.integers(1, 3), st.integers(2**63 - 3, 2**63 - 1)))
+    return ("0" if instance == 0 else draw(st.sampled_from(["1", "2"]))), str(instance)
+
+
+@st.composite
+def damaged(draw, rows, ids=None):
+    """Rows of tokens, left intact or with one defect: a short or long row, a
+    blank line, a token from ``BAD_TOKENS``, or (with ``ids``, a label table's
+    point_id column index) a repeated or out-of-range point_id.
+    """
+    kinds = ["none", "short", "long", "blank", "bad"] + (["duplicate", "range"] if ids is not None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blank":
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    elif rows and kind != "none":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "short":
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif kind == "long":
+            row.insert(draw(st.integers(0, len(row))), "0")
+        elif kind == "bad":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif kind == "duplicate":
+            row[ids] = draw(st.sampled_from(rows))[ids]
+        else:
+            row[ids] = draw(st.sampled_from([str(len(rows)), "-1"]))
+    return rows
+
+
+@st.composite
+def ply_files(draw):
+    labels = draw(st.sampled_from([[], ["instance"], ["semantic", "instance"]]))
+    columns = ["x", "y", "z", *labels]
+    for name in draw(st.lists(st.sampled_from(["red", "nx", "intensity"]), max_size=2, unique=True)):
+        columns.insert(draw(st.integers(0, len(columns))), name)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        semantic, instance = draw(label_tokens())
+        values = {"semantic": semantic, "instance": instance}
+        rows.append([values.get(name) or draw(FLOAT_TOKENS if name in ("x", "y", "z") else OTHER_TOKENS)
+                     for name in columns])
+    n = len(rows)
+    rows = draw(damaged(rows))
+    pads = st.sampled_from(["", " ", "\t", " \t  "])
+    lines = [draw(pads) + draw(st.sampled_from([" ", "\t", "  \t"])).join(row) + draw(pads) for row in rows]
+    types = {"x": "double", "y": "float", "z": "double", "semantic": "uchar", "instance": "int64"}
+    header = ["ply", "format ascii 1.0", f"element vertex {n}"]
+    header += [f"property {types.get(name, 'int')} {name}" for name in columns] + ["end_header"]
+    return "\n".join(header + lines) + "\n"
+
+
+def space_padded(draw, rows):
+    pad = st.sampled_from(["", "", " ", "  "])
+    return ["\t".join(draw(pad) + token + draw(pad) for token in row) for row in rows]
+
+
+@st.composite
+def cloud_tsv_files(draw):
+    columns = ["x", "y", "z", *draw(st.sampled_from([[], ["semantic"], ["semantic", "instance"]]))]
+    headed = draw(st.booleans())
+    if headed:
+        columns = draw(st.permutations(columns))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        semantic, instance = draw(label_tokens())
+        values = {"semantic": semantic, "instance": instance}
+        rows.append([values.get(name) or draw(FLOAT_TOKENS) for name in columns])
+    rows = draw(damaged(rows))
+    lines = space_padded(draw, rows)
+    return "\n".join((["\t".join(columns)] if headed else []) + lines) + "\n"
+
+
+@st.composite
+def label_table_files(draw):
+    columns = ["point_id", "instance", *draw(st.sampled_from([[], ["semantic"]]))]
+    n = draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(n)))
+    rows = [[str(pid)] + [draw(INT64_TOKENS) for _ in columns[1:]] for pid in ids]
+    rows = draw(damaged(rows, ids=0))
+    return "\n".join(["\t".join(columns)] + space_padded(draw, rows)) + "\n"
+
+
+def outcome(read, path):
+    """What a reader returns, as the bytes of each array, or the error it raises."""
+    try:
+        result = read(path)
+    except ForestSegError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, PointCloud):
+        result = (result.positions, result.semantic, result.instance)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in result]
+
+
+class TestMatchesRowByRowReference:
+    """Every table gives the row-by-row readers' arrays bit for bit, or their error message."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=ply_files())
+    def test_ply(self, tmp_path, text):
+        path = tmp_path / "cloud.ply"
+        path.write_text(text)
+        assert outcome(io.read_ply, path) == outcome(reference_read_ply, path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=cloud_tsv_files())
+    def test_cloud_tsv(self, tmp_path, text):
+        path = tmp_path / "cloud.tsv"
+        path.write_text(text)
+        assert outcome(io.read_tsv, path) == outcome(reference_read_tsv, path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=label_table_files())
+    def test_label_table(self, tmp_path, text):
+        path = tmp_path / "labels.tsv"
+        path.write_text(text)
+        assert outcome(io.read_labels_tsv, path) == outcome(reference_read_labels_tsv, path)

@@ -181,8 +181,9 @@ class TestOraclePredictorMatchesSetReference:
         cloud = generate_forest(ForestParams(n_trees=20, plot_size=16.0, seed=seed))
         corruption = CorruptionParams(split_prob=0.5, merge_prob=0.3, drop_prob=0.1, point_noise=0.3,
                                       score_noise=0.05)
+        tree_sizes = np.bincount(cloud.instance)  # given once per cloud, as the pipeline does
         for block in tile_cloud(cloud, radius=6.0, stride=4.0):
             assert_same_masks(
-                oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
+                oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id], tree_sizes=tree_sizes),
                 reference_oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
             )
