@@ -7,6 +7,12 @@ formats differ only in their header and separator. Floats are written with
 converts a whole table in one vectorized ``np.loadtxt`` pass; only when that
 pass rejects the rows does a loop parse them one by one, so parse failures
 still raise :class:`ParseError` naming the file and the offending line.
+
+Block files are written as compact JSON: one line, keys sorted, no spaces, so
+Python's C encoder writes them. The reader accepts any JSON whitespace, so
+indented files from older dumps or other writers load too. It converts no
+value: ids must be JSON integers (not booleans) and coordinates and scores
+JSON numbers, or the file is rejected.
 """
 
 from __future__ import annotations
@@ -209,13 +215,32 @@ def write_ply(path, cloud: PointCloud) -> None:
 def read_tsv(path) -> PointCloud:
     """Read a TSV cloud with columns x y z [semantic] [instance].
 
-    A header row is optional; without one, columns are taken positionally in
-    the order above.
+    A header row is optional: a first row with a token that reads as a
+    number is data, and the columns are then taken positionally in the order
+    above.
     """
     path = Path(path)
-    lines, linenos = _table_lines(path)
+    columns, lines, linenos = _tsv_columns(path, *_table_lines(path))
+    return _parse_cloud(path, lines, linenos, columns, "\t")
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _tsv_columns(path: Path, lines: list[str], linenos: list[int]) -> tuple[list[str], list[str], list[int]]:
+    """A TSV cloud's column names, and its data lines with their file line numbers.
+
+    The first line is a header when none of its tokens reads as a number;
+    otherwise it is data, and the columns are x y z [semantic] [instance] by
+    position, so a bad value there is reported as a bad value.
+    """
     first, first_lineno = lines[0].split("\t"), linenos[0]
-    if any(tok.strip().isalpha() for tok in first):
+    if not any(map(_is_number, first)):
         columns = [tok.strip() for tok in first]
         for name in columns:
             if name not in _CLOUD_TYPES:
@@ -227,7 +252,7 @@ def read_tsv(path) -> PointCloud:
     for req in ("x", "y", "z"):
         if req not in columns:
             raise ParseError(f"{path}: line {first_lineno}: missing required column {req!r}")
-    return _parse_cloud(path, lines, linenos, columns, "\t")
+    return columns, lines, linenos
 
 
 def write_tsv(path, cloud: PointCloud) -> None:
@@ -317,7 +342,11 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
 
 
 def write_block_file(path, prediction: BlockPrediction) -> None:
-    """Write one block's predictions as JSON."""
+    """Write one block's predictions as compact JSON: one line, keys sorted, no spaces.
+
+    Without ``indent``, ``json.dumps`` runs Python's C encoder; indented
+    output would put every point id on its own line through the pure-Python one.
+    """
     payload: dict = {
         "block_id": int(prediction.block_id),
         "center": [float(prediction.center_xy[0]), float(prediction.center_xy[1])],
@@ -328,31 +357,61 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     if prediction.semantic is not None:
         payload["semantic"] = {key: np.asarray(values, dtype=np.int64).tolist()
                                for key, values in zip(_SEMANTIC_KEYS, prediction.semantic)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_block_file(path) -> BlockPrediction:
     """Read one block's predictions, as :func:`write_block_file` writes them.
 
-    ``query_index`` defaults to a mask's position and ``semantic`` is optional.
+    Any JSON whitespace reads back, so indented files load too.
+    ``query_index`` defaults to a mask's position and ``semantic`` is
+    optional. Values are not converted: ``block_id`` and ``query_index`` must
+    be JSON integers, ``center``, ``radius`` and ``score`` JSON numbers, and
+    each id or class list a flat list of integers that fit int64 (booleans
+    count as none of these); otherwise :class:`ParseError` is raised.
     """
     path = Path(path)
+    text = path.read_text()
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    # np.asarray reads [true, 2] as [1, 2]; only a file that spells a boolean can hold one.
+    may_hold_booleans = "true" in text or "false" in text
+
+    def malformed(message: str) -> ParseError:
+        return ParseError(f"{path}: malformed block file: {message}")
+
+    def integer(value, what: str) -> int:
+        if type(value) is not int:  # bool is a subclass of int
+            raise malformed(f"{what} must be an integer, got {value!r}")
+        return value
+
+    def number(value, what: str) -> float:
+        if type(value) not in (int, float):
+            raise malformed(f"{what} must be a number, got {value!r}")
+        return float(value)
+
+    def integer_array(values, what: str) -> npt.NDArray[np.int64]:
+        array = np.asarray(values)
+        if (array.ndim != 1 or (array.size and array.dtype.kind != "i")
+                or (may_hold_booleans and bool in map(type, values))):
+            raise malformed(f"{what} must be a flat list of integers that fit int64")
+        return array.astype(np.int64, copy=False)
+
     try:
-        block_id = int(payload["block_id"])
-        center_xy = (float(payload["center"][0]), float(payload["center"][1]))
-        radius = float(payload["radius"])
-        masks = [InstanceMask(point_ids=np.asarray(m["point_ids"], dtype=np.int64), score=float(m["score"]),
-                              block_id=block_id, query_index=int(m.get("query_index", qi)))
+        block_id = integer(payload["block_id"], "block_id")
+        center_xy = (number(payload["center"][0], "center"), number(payload["center"][1], "center"))
+        radius = number(payload["radius"], "radius")
+        masks = [InstanceMask(point_ids=integer_array(m["point_ids"], f"masks[{qi}].point_ids"),
+                              score=number(m["score"], f"masks[{qi}].score"), block_id=block_id,
+                              query_index=integer(m.get("query_index", qi), f"masks[{qi}].query_index"))
                  for qi, m in enumerate(payload["masks"])]
         semantic = None
         if "semantic" in payload:
-            semantic = tuple(np.asarray(payload["semantic"][key], dtype=np.int64) for key in _SEMANTIC_KEYS)
+            semantic = tuple(integer_array(payload["semantic"][key], f"semantic.{key}") for key in _SEMANTIC_KEYS)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed block file: {exc!r}") from None
+        raise malformed(repr(exc)) from None
     # The boundary test squares the radius; NaN would silently drop every mask.
     if not (math.isfinite(center_xy[0]) and math.isfinite(center_xy[1]) and radius > 0
             and math.isfinite(radius * radius)):

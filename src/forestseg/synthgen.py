@@ -23,7 +23,12 @@ from .tiling import CylinderBlock
 # overlapping above typical NMS thresholds lets duplicate suppression see
 # them; a disjoint split would be invisible to IoU-based NMS.
 SPLIT_OVERLAP = 0.4
-_INT64_MAX = np.iinfo(np.int64).max
+# The most points a ForestParams may ask for. Generating takes about 100 bytes
+# per point, so the cap keeps a scene near 1 GB; the 480-tree, 80 m scene asks
+# for at most 512,000.
+MAX_SCENE_POINTS = 10_000_000
+# An understory tree keeps at least this many points.
+_UNDERSTORY_MIN_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,15 @@ class ForestParams:
             raise ConfigError("understory_fraction must be in [0, 1]")
         if not (math.isfinite(self.ground_density) and self.ground_density >= 0):
             raise ConfigError(f"ground_density must be finite and >= 0, got {self.ground_density}")
-        # Point counts are drawn and allocated as int64.
-        high = self.points_per_tree_range[1]
-        if high > _INT64_MAX:
-            raise ConfigError(f"points_per_tree_range must have a high that fits int64, got {high}")
-        n_ground = self.ground_density * self.plot_size**2
-        if not (math.isfinite(n_ground) and round(n_ground) <= _INT64_MAX):
-            raise ConfigError(f"ground_density must give a ground point count that fits int64, got {n_ground:g} points")
+        # Every point is held in memory at once, so the largest count the recipe allows is capped.
+        tree_points = self.n_trees * max(self.points_per_tree_range[1], _UNDERSTORY_MIN_POINTS)
+        if tree_points > MAX_SCENE_POINTS:
+            raise ConfigError(f"n_trees and points_per_tree_range must allow at most {MAX_SCENE_POINTS:,} points, "
+                              f"got up to {tree_points:,} tree points")
+        ground_points = self.ground_density * self.plot_size**2
+        if not ground_points <= MAX_SCENE_POINTS - tree_points:
+            raise ConfigError(f"ground_density must keep the scene within {MAX_SCENE_POINTS:,} points, got up to "
+                              f"{tree_points:,} tree points and {ground_points:,.0f} ground points")
         if not self.min_spacing >= 0:
             raise ConfigError(f"min_spacing must be >= 0, got {self.min_spacing}")
         if self.seed < 0:
@@ -132,7 +139,7 @@ def generate_forest(params: ForestParams) -> PointCloud:
         if under[t]:
             height *= 0.35
             crown_r *= 0.45
-            n_pts = max(40, int(n_pts * 0.3))
+            n_pts = max(_UNDERSTORY_MIN_POINTS, int(n_pts * 0.3))
         n_trunk = max(8, int(0.3 * n_pts))
         n_crown = max(8, n_pts - n_trunk)
 

@@ -1,12 +1,19 @@
-"""Row-by-row reference readers for the vectorized table parser in ``forestseg.io``.
+"""Reference implementations for ``forestseg.io``.
 
-These convert one token at a time with Python's ``float`` and ``int`` and
-order label-table rows with ``argsort``; header parsing is shared with
-``forestseg.io``. The fast readers must return bit-identical arrays or raise
-the same :class:`ParseError` message.
+Row-by-row readers for the vectorized table parser: these convert one token
+at a time with Python's ``float`` and ``int`` and order label-table rows with
+``argsort``; header parsing is shared with ``forestseg.io``. The fast readers
+must return bit-identical arrays or raise the same :class:`ParseError`
+message.
+
+The indented block-file writer, the layout ``write_block_file`` used before
+it switched to compact JSON: files it writes must still read back to the same
+prediction.
 """
 
 from __future__ import annotations
+
+import json
 
 from pathlib import Path
 from typing import Callable, Sequence
@@ -16,7 +23,8 @@ import numpy.typing as npt
 
 from forestseg.core import PointCloud
 from forestseg.errors import ParseError
-from forestseg.io import _CLOUD_TYPES, _FLOAT_PLY_TYPES, _INT_PLY_TYPES, _check_unique, _table_lines
+from forestseg.io import _CLOUD_TYPES, _FLOAT_PLY_TYPES, _INT_PLY_TYPES, _check_unique, _table_lines, _tsv_columns
+from forestseg.merging import BlockPrediction
 
 
 def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
@@ -126,20 +134,7 @@ def reference_read_tsv(path) -> PointCloud:
     the order above.
     """
     path = Path(path)
-    lines, linenos = _table_lines(path)
-    first, first_lineno = lines[0].split("\t"), linenos[0]
-    if any(tok.strip().isalpha() for tok in first):
-        columns = [tok.strip() for tok in first]
-        for name in columns:
-            if name not in _CLOUD_TYPES:
-                raise ParseError(f"{path}: line {first_lineno}: unknown column {name!r}")
-        _check_unique(path, first_lineno, columns)
-        lines, linenos = lines[1:], linenos[1:]
-    else:
-        columns = list(_CLOUD_TYPES)[: len(first)]
-    for req in ("x", "y", "z"):
-        if req not in columns:
-            raise ParseError(f"{path}: line {first_lineno}: missing required column {req!r}")
+    columns, lines, linenos = _tsv_columns(path, *_table_lines(path))
     return _parse_cloud(path, lines, linenos, columns, "\t")
 
 
@@ -186,3 +181,18 @@ def reference_read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[
     # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
     order = np.argsort(values["point_id"])
     return values["instance"][order], values["semantic"][order] if "semantic" in values else None
+
+
+def reference_write_block_file(path, prediction: BlockPrediction) -> None:
+    """Write one block's predictions as indented JSON, one value per line."""
+    payload: dict = {
+        "block_id": int(prediction.block_id),
+        "center": [float(prediction.center_xy[0]), float(prediction.center_xy[1])],
+        "radius": float(prediction.radius),
+        "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
+                  for m in prediction.masks],
+    }
+    if prediction.semantic is not None:
+        payload["semantic"] = {"point_ids": np.asarray(prediction.semantic[0], dtype=np.int64).tolist(),
+                               "classes": np.asarray(prediction.semantic[1], dtype=np.int64).tolist()}
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -63,6 +63,14 @@ class TestSynth:
         assert result.exit_code == 2
         assert "n_bushes" in result.output
 
+    @pytest.mark.parametrize("text", ["ground_density = 1e12\n", "n_trees = 12501\nmin_spacing = 0\n"])
+    def test_point_count_past_cap_exits_3(self, runner, tmp_path, text):
+        params = tmp_path / "params.txt"
+        params.write_text(text)
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
+        assert result.exit_code == 3, result.output
+        assert "10,000,000 points" in result.output
+
     def test_infeasible_spacing_exits_3(self, runner, tmp_path):
         params = tmp_path / "params.txt"
         params.write_text("n_trees = 50\nplot_size = 2.0\nmin_spacing = 3.0\n")
@@ -291,7 +299,7 @@ class TestPipeline:
             masks=[InstanceMask(point_ids=np.flatnonzero(cloud.instance == uid), score=0.9, block_id=0, query_index=0)
                    for uid in (1, 2)],
         ))
-        assert '"query_index": 0' in (blocks / "block_00000.json").read_text()
+        assert [m.query_index for m in io.read_block_file(blocks / "block_00000.json").masks] == [0, 0]
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
         assert "two masks with query index 0" in result.output

@@ -1,5 +1,7 @@
 """Round-trip fidelity of the PLY/TSV/JSON readers and writers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +11,8 @@ from forestseg import io
 from forestseg.core import PointCloud
 from forestseg.errors import ForestSegError, ParseError
 from forestseg.merging import BlockPrediction, InstanceMask
-from io_reference import reference_read_labels_tsv, reference_read_ply, reference_read_tsv
+from io_reference import (reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
+                          reference_write_block_file)
 
 
 def assert_clouds_equal(a: PointCloud, b: PointCloud):
@@ -160,6 +163,15 @@ class TestTsv:
             "x\ty\tz\n0.1\t-2.5\t1e-07\n12345.678901234567\t3.0\t-0.0\n1e+16\t2.220446049250313e-16\t7.0\n"
         )
 
+    def test_first_row_with_a_number_is_data(self, tmp_path):
+        path = tmp_path / "plain.tsv"
+        path.write_text("1.0\t2.0\toops\n3.0\t4.0\t5.0\n")
+        with pytest.raises(ParseError, match="plain.tsv: line 1: could not convert string to float: 'oops'"):
+            io.read_tsv(path)
+        path.write_text("x\ty\tz\tinstance\n3.0\t4.0\t5.0\t2\n")
+        loaded = io.read_tsv(path)
+        assert loaded.positions.tolist() == [[3.0, 4.0, 5.0]] and loaded.instance.tolist() == [2]
+
     def test_headerless_without_z_names_line(self, tmp_path):
         path = tmp_path / "flat.tsv"
         path.write_text("1.0\t2.0\n")
@@ -269,6 +281,37 @@ class TestLabelsTsv:
         assert path.read_text() == "point_id\tinstance\n0\t0\n1\t4\n2\t4\n"
 
 
+def block_outcome(prediction: BlockPrediction):
+    """Everything a block prediction holds, arrays as dtype and bytes, in a form ``==`` compares."""
+    def array(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    masks = [(array(m.point_ids), m.score, m.block_id, m.query_index) for m in prediction.masks]
+    semantic = None if prediction.semantic is None else tuple(map(array, prediction.semantic))
+    return prediction.block_id, prediction.center_xy, prediction.radius, masks, semantic
+
+
+ID_LISTS = st.lists(st.one_of(st.integers(0, 50), st.integers(2**63 - 3, 2**63 - 1)), max_size=12)
+
+
+@st.composite
+def block_predictions(draw):
+    """Block predictions with empty masks, scores 0 and 1, unsorted ids, and with or without semantic votes."""
+    block_id = draw(st.integers(0, 2**31))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    queries = draw(st.lists(st.integers(0, 2**31), max_size=4, unique=True))
+    scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    masks = [InstanceMask(point_ids=np.array(draw(ID_LISTS), dtype=np.int64), score=draw(scores),
+                          block_id=block_id, query_index=q) for q in queries]
+    semantic = None
+    if draw(st.booleans()):
+        ids = draw(ID_LISTS)
+        classes = draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
+        semantic = (np.array(ids, dtype=np.int64), np.array(classes, dtype=np.int64))
+    return BlockPrediction(block_id=block_id, center_xy=(draw(finite), draw(finite)),
+                           radius=draw(st.floats(0.0, 1e150, exclude_min=True)), masks=masks, semantic=semantic)
+
+
 class TestBlockFiles:
     def test_round_trip(self, tmp_path, rng):
         masks = [
@@ -300,9 +343,38 @@ class TestBlockFiles:
                                                   masks=[mask], semantic=votes))
         assert path.read_text() == BLOCK_TEXT
         io.write_block_file(path, BlockPrediction(block_id=7, center_xy=(8.0, 0.25), radius=16.0, masks=[]))
-        assert path.read_text() == (
+        assert path.read_text() == '{"block_id":7,"center":[8.0,0.25],"masks":[],"radius":16.0}\n'
+
+    def test_indented_legacy_text_reads_the_same(self, tmp_path):
+        compact, legacy = tmp_path / "compact.json", tmp_path / "legacy.json"
+        compact.write_text(BLOCK_TEXT)
+        legacy.write_text(LEGACY_BLOCK_TEXT)
+        assert block_outcome(io.read_block_file(legacy)) == block_outcome(io.read_block_file(compact))
+        legacy.write_text(
             '{\n  "block_id": 7,\n  "center": [\n    8.0,\n    0.25\n  ],\n  "masks": [],\n  "radius": 16.0\n}\n'
         )
+        empty = BlockPrediction(block_id=7, center_xy=(8.0, 0.25), radius=16.0, masks=[])
+        assert block_outcome(io.read_block_file(legacy)) == block_outcome(empty)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(prediction=block_predictions())
+    def test_compact_and_indented_files_read_back_identically(self, tmp_path, prediction):
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        io.write_block_file(compact, prediction)
+        reference_write_block_file(indented, prediction)
+        text = compact.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n") and " " not in text
+        read = block_outcome(io.read_block_file(compact))
+        assert read == block_outcome(io.read_block_file(indented))
+        assert read == block_outcome(prediction)
+
+    def test_empty_lists_read_as_empty_arrays(self, tmp_path):
+        path = tmp_path / "block.json"
+        path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16, "masks": [{"score": 0.5, "point_ids": []}],'
+                        ' "semantic": {"point_ids": [], "classes": []}}')
+        loaded = io.read_block_file(path)
+        for array in (loaded.masks[0].point_ids, *loaded.semantic):
+            assert array.dtype == np.int64 and array.shape == (0,)
 
     @pytest.mark.parametrize("center, radius", [
         ("[0, 0]", "-16"), ("[0, 0]", "0"), ("[0, 0]", "NaN"), ("[0, 0]", "Infinity"), ("[0, 0]", "1e200"),
@@ -339,6 +411,56 @@ class TestBlockFiles:
         with pytest.raises(ParseError, match="malformed"):
             io.read_block_file(path)
 
+    @pytest.mark.parametrize("header, masks, what", [
+        ('"block_id": 3.7', "[]", "block_id must be an integer, got 3.7"),
+        ('"block_id": true', "[]", "block_id must be an integer, got True"),
+        ('"block_id": 3.0', "[]", "block_id must be an integer, got 3.0"),
+        ('"block_id": "3"', "[]", "block_id must be an integer, got '3'"),
+        ('"block_id": 0', '[{"score": 0.5, "point_ids": [1], "query_index": 1.5}]',
+         "masks[0].query_index must be an integer, got 1.5"),
+        ('"block_id": 0', '[{"score": 0.5, "point_ids": [1]}, {"score": 0.5, "point_ids": [1], "query_index": false}]',
+         "masks[1].query_index must be an integer, got False"),
+    ])
+    def test_non_integer_id_rejected(self, tmp_path, header, masks, what):
+        path = tmp_path / "ids.json"
+        path.write_text(f'{{{header}, "center": [0, 0], "radius": 16, "masks": {masks}}}')
+        with pytest.raises(ParseError, match=re.escape(f"ids.json: malformed block file: {what}")):
+            io.read_block_file(path)
+
+    @pytest.mark.parametrize("values", ["[1.5, 2.9]", "[1.0]", "[true, 2]", "[2, false]", "[true, false]", "[[1, 2]]",
+                                        "[[]]", '["1"]', "[1, null]", "5", "{}", "[1e3]"])
+    @pytest.mark.parametrize("section, what", [
+        ('"masks": [{"score": 0.5, "point_ids": %s}]', "masks[0].point_ids"),
+        ('"masks": [], "semantic": {"point_ids": %s, "classes": [1]}', "semantic.point_ids"),
+        ('"masks": [], "semantic": {"point_ids": [1], "classes": %s}', "semantic.classes"),
+    ])
+    def test_non_integer_list_rejected(self, tmp_path, values, section, what):
+        path = tmp_path / "ids.json"
+        path.write_text(f'{{"block_id": 0, "center": [0, 0], "radius": 16, {section % values}}}')
+        with pytest.raises(ParseError, match=re.escape(f"ids.json: malformed block file: {what} must be a flat list "
+                                                       "of integers that fit int64")):
+            io.read_block_file(path)
+
+    @pytest.mark.parametrize("center, radius, score, what", [
+        ("[true, 0]", "16", "0.5", "center must be a number, got True"),
+        ('[0, "1"]', "16", "0.5", "center must be a number, got '1'"),
+        ("[0, 0]", '"16"', "0.5", "radius must be a number, got '16'"),
+        ("[0, 0]", "16", "true", "masks[0].score must be a number, got True"),
+        ("[0, 0]", "16", '"0.5"', "masks[0].score must be a number, got '0.5'"),
+    ])
+    def test_non_number_geometry_or_score_rejected(self, tmp_path, center, radius, score, what):
+        path = tmp_path / "numbers.json"
+        path.write_text(f'{{"block_id": 0, "center": {center}, "radius": {radius},'
+                        f' "masks": [{{"score": {score}, "point_ids": [1]}}]}}')
+        with pytest.raises(ParseError, match=re.escape(f"numbers.json: malformed block file: {what}")):
+            io.read_block_file(path)
+
+    def test_boolean_spelled_only_in_an_unknown_string_still_reads(self, tmp_path):
+        path = tmp_path / "note.json"
+        path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16, "note": "true or false",'
+                        ' "masks": [{"score": 1, "point_ids": [2, 1]}]}')
+        assert io.read_block_file(path).masks[0].point_ids.tolist() == [1, 2]
+
     @pytest.mark.parametrize("section", [
         '"masks": [{"score": 0.5, "point_ids": [99999999999999999999]}]',
         '"masks": [], "semantic": {"point_ids": [99999999999999999999], "classes": [1]}',
@@ -350,7 +472,13 @@ class TestBlockFiles:
             io.read_block_file(path)
 
 
-BLOCK_TEXT = """\
+BLOCK_TEXT = (
+    '{"block_id":7,"center":[8.0,0.25],"masks":[{"point_ids":[1,2],"query_index":3,"score":0.75}],"radius":16.0,'
+    '"semantic":{"classes":[1,2],"point_ids":[1,2]}}\n'
+)
+
+# BLOCK_TEXT as block files were written before the compact layout: indented, one value per line.
+LEGACY_BLOCK_TEXT = """\
 {
   "block_id": 7,
   "center": [

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestseg.core import GROUND, LEAF, WOOD, PointCloud
-from forestseg.errors import MissingLabels, PlacementFailed
-from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest, oracle_predictor
+from forestseg.errors import ConfigError, MissingLabels, PlacementFailed
+from forestseg.synthgen import MAX_SCENE_POINTS, CorruptionParams, ForestParams, generate_forest, oracle_predictor
 from forestseg.tiling import CylinderBlock, cylinder_crop, tile_cloud
 from synthgen_reference import reference_oracle_predictor
 
@@ -56,6 +56,26 @@ class TestGenerateForest:
     def test_infeasible_spacing_fails(self):
         with pytest.raises(PlacementFailed):
             generate_forest(ForestParams(n_trees=50, plot_size=2.0, min_spacing=3.0, seed=0))
+
+    def test_point_count_capped(self):
+        # 12,500 trees of up to 800 points reach the cap exactly; one more point is past it.
+        assert MAX_SCENE_POINTS == 12_500 * 800
+        ForestParams(n_trees=12_500, ground_density=0.0, min_spacing=0.0)
+        with pytest.raises(ConfigError, match="ground_density must keep the scene within 10,000,000 points"):
+            ForestParams(n_trees=12_500, ground_density=1 / 400, min_spacing=0.0)
+        with pytest.raises(ConfigError, match="n_trees and points_per_tree_range must allow at most"):
+            ForestParams(n_trees=12_501, ground_density=0.0, min_spacing=0.0)
+        # Trees get at least 40 points whatever points_per_tree_range says, so the cap counts 40.
+        ForestParams(n_trees=250_000, points_per_tree_range=(1, 1), ground_density=0.0, min_spacing=0.0)
+        with pytest.raises(ConfigError, match="got up to 10,000,040 tree points"):
+            ForestParams(n_trees=250_001, points_per_tree_range=(1, 1), ground_density=0.0, min_spacing=0.0)
+
+    @pytest.mark.parametrize("understory_fraction", [0.0, 1.0])
+    def test_tree_sizes_within_the_capped_bound(self, understory_fraction):
+        for low, high in [(1, 1), (1, 39), (100, 120)]:
+            cloud = generate_forest(ForestParams(n_trees=4, plot_size=8.0, points_per_tree_range=(low, high),
+                                                 understory_fraction=understory_fraction, ground_density=0.0))
+            assert np.bincount(cloud.instance)[1:].max() <= max(high, 40)
 
 
 class TestOraclePredictor:
