@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -157,11 +158,12 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
     _emit_json(result.report, out_report)
 
 
-def _load_block_dir(block_dir: Path) -> list[BlockPrediction]:
+def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
+    """The directory's block files in sorted order, each read only when the merge pulls it."""
     files = sorted(block_dir.glob("*.json"))
     if not files:
         raise ParseError(f"{block_dir}: no block JSON files found")
-    return [io.read_block_file(path) for path in files]
+    return map(io.read_block_file, files)
 
 
 @main.command("select-queries")

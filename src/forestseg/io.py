@@ -27,7 +27,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
-from .errors import ParseError
+from .errors import ParseError, ShapeMismatch
 from .merging import BlockPrediction, InstanceMask
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
@@ -399,14 +399,20 @@ def read_block_file(path) -> BlockPrediction:
             raise malformed(f"{what} must be a flat list of integers that fit int64")
         return array.astype(np.int64, copy=False)
 
+    def mask(m: dict, qi: int, block_id: int) -> InstanceMask:
+        point_ids = integer_array(m["point_ids"], f"masks[{qi}].point_ids")
+        score = number(m["score"], f"masks[{qi}].score")
+        query_index = integer(m.get("query_index", qi), f"masks[{qi}].query_index")
+        try:
+            return InstanceMask(point_ids=point_ids, score=score, block_id=block_id, query_index=query_index)
+        except ShapeMismatch as exc:  # the mask's own range checks
+            raise malformed(f"masks[{qi}]: {exc}") from None
+
     try:
         block_id = integer(payload["block_id"], "block_id")
         center_xy = (number(payload["center"][0], "center"), number(payload["center"][1], "center"))
         radius = number(payload["radius"], "radius")
-        masks = [InstanceMask(point_ids=integer_array(m["point_ids"], f"masks[{qi}].point_ids"),
-                              score=number(m["score"], f"masks[{qi}].score"), block_id=block_id,
-                              query_index=integer(m.get("query_index", qi), f"masks[{qi}].query_index"))
-                 for qi, m in enumerate(payload["masks"])]
+        masks = [mask(m, qi, block_id) for qi, m in enumerate(payload["masks"])]
         semantic = None
         if "semantic" in payload:
             semantic = tuple(integer_array(payload["semantic"][key], f"semantic.{key}") for key in _SEMANTIC_KEYS)

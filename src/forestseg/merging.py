@@ -1,10 +1,12 @@
 """Score-based block merging: ranking, NMS, boundary discard, and voting.
 
-Masks from all blocks are fused by a deterministic fold: the total order
-(score descending, then block id, then query index) makes every stage
-independent of the order in which blocks were produced. The default stage
-order is boundary discard, score filter, NMS, point resolution; each stage
-is a separate function so ablations can reorder them.
+Boundary discard and the score filter judge each mask on its own, and a
+semantic vote is a count, so blocks can be merged one at a time as they
+arrive. NMS and point resolution rank the surviving masks by a total order
+(score descending, then block id, then query index), so no stage depends on
+the order in which blocks were produced. The default stage order is boundary
+discard, score filter, NMS, point resolution; each stage is a separate
+function so ablations can reorder them.
 
 NMS and the overlap baseline never compare masks pairwise. Both keep a
 point→mask index of ``(point, mask id)`` entries sorted by point; a query
@@ -144,7 +146,7 @@ def discard_boundary_masks(
     positions = np.asarray(positions, dtype=np.float64)
     blocks = {p.block_id: p for p in predictions}
     kept = []
-    # One distance pass per run of same-block masks; the pipeline sorts by block.
+    # One distance pass per run of same-block masks; the pipeline passes one block at a time.
     for block_id, run in groupby(masks, key=lambda m: m.block_id):
         block = blocks.get(block_id)
         if block is None:
@@ -256,6 +258,37 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
     return merged
 
 
+class SemanticVotes:
+    """Per-point semantic vote counts, added one block at a time."""
+
+    def __init__(self, n_points: int) -> None:
+        self.counts = np.zeros((n_points, N_CLASSES), dtype=np.int64)
+
+    def add(self, point_ids: npt.ArrayLike, classes: npt.ArrayLike) -> None:
+        """Count one block's votes: ``classes[i]`` for point ``point_ids[i]``."""
+        n_points = len(self.counts)
+        pids = np.asarray(point_ids, dtype=np.int64)
+        classes = np.asarray(classes, dtype=np.int64)
+        if pids.shape != classes.shape:
+            raise ShapeMismatch("per-block point_ids and classes lengths differ")
+        if len(pids) and (pids.min() < 0 or pids.max() >= n_points):
+            raise ShapeMismatch(f"semantic votes reference points outside 0..{n_points - 1}")
+        if len(classes) and (classes.min() < 0 or classes.max() >= N_CLASSES):
+            raise InvalidLabel("semantic votes name an invalid class")
+        # numpy's add.at is several times faster over one flat index than over an index pair.
+        np.add.at(self.counts.reshape(-1), pids * N_CLASSES + classes, 1)
+
+    def majority(self) -> npt.NDArray[np.int64]:
+        """Majority class per point, ties toward the lowest class index.
+
+        Every point must have received at least one vote.
+        """
+        unvoted = np.flatnonzero(self.counts.sum(axis=1) == 0)
+        if len(unvoted):
+            raise Unvoted(f"{len(unvoted)} points received no semantic vote (first: {unvoted[0]})")
+        return np.argmax(self.counts, axis=1).astype(np.int64)
+
+
 def semantic_vote_arrays(
     point_ids_per_block: Sequence[npt.NDArray[np.int64]],
     classes_per_block: Sequence[npt.NDArray[np.int64]],
@@ -266,18 +299,7 @@ def semantic_vote_arrays(
     Ties resolve toward the lowest class index. Every point must receive at
     least one vote.
     """
-    counts = np.zeros((n_points, N_CLASSES), dtype=np.int64)
+    votes = SemanticVotes(n_points)
     for pids, classes in zip(point_ids_per_block, classes_per_block):
-        pids = np.asarray(pids, dtype=np.int64)
-        classes = np.asarray(classes, dtype=np.int64)
-        if pids.shape != classes.shape:
-            raise ShapeMismatch("per-block point_ids and classes lengths differ")
-        if len(pids) and (pids.min() < 0 or pids.max() >= n_points):
-            raise ShapeMismatch(f"semantic votes reference points outside 0..{n_points - 1}")
-        if len(classes) and (classes.min() < 0 or classes.max() >= N_CLASSES):
-            raise InvalidLabel("semantic votes name an invalid class")
-        np.add.at(counts, (pids, classes), 1)
-    unvoted = np.flatnonzero(counts.sum(axis=1) == 0)
-    if len(unvoted):
-        raise Unvoted(f"{len(unvoted)} points received no semantic vote (first: {unvoted[0]})")
-    return np.argmax(counts, axis=1).astype(np.int64)
+        votes.add(pids, classes)
+    return votes.majority()

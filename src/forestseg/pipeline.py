@@ -1,9 +1,11 @@
 """End-to-end orchestration: tile, predict per block, merge, vote, evaluate.
 
-Blocks may be predicted in parallel; the merge is a deterministic fold over
-masks sorted by (block id, query index), and each block's random stream is
+Each block is merged as soon as it is predicted or read, then dropped: its
+masks pass boundary discard and the score filter, and its semantic votes are
+counted. Only the surviving masks and one vote count per point and class wait
+for NMS. NMS ranks masks by a total order, and each block's random stream is
 seeded from (master seed, block id), so results are byte-identical for any
-worker count or completion order.
+worker count or block order.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -20,15 +23,16 @@ from .errors import ConfigError, EmptyInput, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockPrediction,
     InstanceMask,
+    SemanticVotes,
     discard_boundary_masks,
     resolve_points,
     score_filter,
     score_nms,
-    semantic_vote_arrays,
+    semantic_vote_arrays,  # noqa: F401 -- perfbench's tracer wraps it by this module's name
 )
 from .metrics import EvalReport, evaluate_labels
 from .synthgen import CorruptionParams, oracle_predictor
-from .tiling import sliding_window_centers, tile_cloud
+from .tiling import CylinderBlock, sliding_window_centers, tile_cloud
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,13 @@ class PipelineConfig:
 
 @dataclass(eq=False)
 class MergeOutcome:
-    """Stage-by-stage mask lists plus the final per-point labeling."""
+    """The per-point labeling, the masks that reached NMS (sorted by block id,
+    then query index) and those it kept, and how many blocks and masks the
+    earlier stages saw."""
 
-    masks_predicted: list[InstanceMask]
-    masks_after_boundary: list[InstanceMask]
+    n_blocks: int
+    n_predicted: int
+    n_after_boundary: int
     masks_after_filter: list[InstanceMask]
     masks_kept: list[InstanceMask]
     instance: npt.NDArray[np.int64]
@@ -77,8 +84,8 @@ class MergeOutcome:
 
     def stage_counts(self) -> dict:
         return {
-            "predicted": len(self.masks_predicted),
-            "after_boundary_discard": len(self.masks_after_boundary),
+            "predicted": self.n_predicted,
+            "after_boundary_discard": self.n_after_boundary,
             "after_score_filter": len(self.masks_after_filter),
             "after_nms": len(self.masks_kept),
         }
@@ -101,55 +108,84 @@ def effective_threads(requested: int) -> int:
     return requested
 
 
+def _grid_cells(positions: npt.NDArray[np.float64], stride: float) -> int:
+    """Cells of the sliding-window grid over the positions' xy extent."""
+    xy = positions[:, :2]
+    return len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), stride))
+
+
+def _checked_masks(
+    prediction: BlockPrediction, seen: set[int], n_grid: int, n_points: int, stride: float
+) -> list[InstanceMask]:
+    """Check one arriving prediction; its masks sorted by query index."""
+    block_id = prediction.block_id
+    if not 0 <= block_id < n_grid:
+        raise UnknownBlock(f"block id {block_id} is outside the {n_grid}-cell grid at stride {stride}")
+    if block_id in seen:
+        raise UnknownBlock(f"block {block_id} arrives twice")
+    seen.add(block_id)
+    for mask in prediction.masks:
+        if mask.block_id != block_id:
+            raise UnknownBlock(f"prediction for block {block_id} holds a mask of block {mask.block_id}")
+        if mask.size and (mask.point_ids[0] < 0 or mask.point_ids[-1] >= n_points):
+            raise ShapeMismatch(f"mask from block {block_id} references points outside 0..{n_points - 1}")
+    masks = sorted(prediction.masks, key=lambda m: m.query_index)
+    for a, b in zip(masks, masks[1:]):
+        if a.query_index == b.query_index:
+            raise UnknownBlock(f"block {block_id} holds two masks with query index {a.query_index}")
+    return masks
+
+
 def merge_block_predictions(
-    predictions: list[BlockPrediction],
+    predictions: Iterable[BlockPrediction],
     positions: npt.NDArray[np.float64],
     config: PipelineConfig,
 ) -> MergeOutcome:
-    """Fuse per-block predictions into one scene labeling.
+    """Fuse per-block predictions, taken from any iterable, into one scene labeling.
 
-    Stage order: boundary discard, score filter, NMS, point resolution,
-    semantic vote. Input order is irrelevant; masks are canonically sorted
-    first, so no two may share a ``(block_id, query_index)`` key. Every mask
-    must carry the block id of the prediction holding it, since boundary
-    discard measures it against that block's footprint.
+    Each prediction is checked, boundary-discarded, score-filtered and voted
+    as it arrives, then dropped before the next one is pulled, so a generator
+    of predictions is merged in the memory of one block, the surviving masks
+    and one vote count per point and class. NMS, point resolution and the
+    semantic majority follow once the iterable is exhausted. Arrival order is
+    irrelevant to the result.
+
+    Block ids must be distinct and index the sliding-window grid of the
+    positions' xy extent at ``config.stride``. Every mask must carry the block
+    id of the prediction holding it, since boundary discard measures it
+    against that block's footprint, and no two masks of a block may share a
+    query index. The first fault to arrive is the one raised.
     """
     n_points = len(positions)
-    for p in predictions:
-        for mask in p.masks:
-            if mask.block_id != p.block_id:
-                raise UnknownBlock(f"prediction for block {p.block_id} holds a mask of block {mask.block_id}")
-            if mask.size and (mask.point_ids[0] < 0 or mask.point_ids[-1] >= n_points):
-                raise ShapeMismatch(
-                    f"mask from block {mask.block_id} references points outside 0..{n_points - 1}"
-                )
-    masks = sorted(
-        (m for p in predictions for m in p.masks),
-        key=lambda m: (m.block_id, m.query_index),
-    )
-    for a, b in zip(masks, masks[1:]):
-        if (a.block_id, a.query_index) == (b.block_id, b.query_index):
-            raise UnknownBlock(f"block {a.block_id} holds two masks with query index {a.query_index}")
-    after_boundary = discard_boundary_masks(masks, predictions, positions, config.boundary_margin)
-    after_filter = score_filter(after_boundary, config.score_threshold)
-    kept = score_nms(after_filter, config.nms_iou)
-    instance = resolve_points(kept, n_points)
+    if n_points == 0:
+        raise EmptyInput("cannot merge predictions over an empty point cloud")
+    n_grid = _grid_cells(positions, config.stride)
+    seen: set[int] = set()
+    votes: SemanticVotes | None = None
+    after_filter: list[InstanceMask] = []
+    n_predicted = n_after_boundary = 0
+    for prediction in predictions:
+        masks = _checked_masks(prediction, seen, n_grid, n_points, config.stride)
+        inside = discard_boundary_masks(masks, [prediction], positions, config.boundary_margin)
+        after_filter.extend(score_filter(inside, config.score_threshold))
+        n_predicted += len(masks)
+        n_after_boundary += len(inside)
+        if prediction.semantic is not None:
+            if votes is None:
+                votes = SemanticVotes(n_points)
+            votes.add(*prediction.semantic)
+        del prediction, masks, inside  # free this block's arrays before the next one is pulled
 
-    semantic = None
-    voted = [p for p in sorted(predictions, key=lambda p: p.block_id) if p.semantic is not None]
-    if voted:
-        semantic = semantic_vote_arrays(
-            [p.semantic[0] for p in voted],
-            [p.semantic[1] for p in voted],
-            n_points,
-        )
+    after_filter.sort(key=lambda m: (m.block_id, m.query_index))
+    kept = score_nms(after_filter, config.nms_iou)
     return MergeOutcome(
-        masks_predicted=masks,
-        masks_after_boundary=after_boundary,
+        n_blocks=len(seen),
+        n_predicted=n_predicted,
+        n_after_boundary=n_after_boundary,
         masks_after_filter=after_filter,
         masks_kept=kept,
-        instance=instance,
-        semantic=semantic,
+        instance=resolve_points(kept, n_points),
+        semantic=None if votes is None else votes.majority(),
     )
 
 
@@ -174,6 +210,14 @@ def make_oracle_predictor(cloud: PointCloud, corruption: CorruptionParams, maste
     return predict
 
 
+def _released(blocks: list[CylinderBlock]) -> Iterator[CylinderBlock]:
+    """Hand out the blocks in order, removing each from the list, so that the
+    list keeps no block alive after its prediction is merged."""
+    blocks.reverse()
+    while blocks:
+        yield blocks.pop()
+
+
 def run_pipeline(
     cloud: PointCloud,
     config: PipelineConfig = PipelineConfig(),
@@ -186,16 +230,14 @@ def run_pipeline(
     Predictions from any other model enter through
     :func:`run_pipeline_from_blocks`.
     """
-    blocks = tile_cloud(cloud, config.radius, config.stride)
+    blocks = _released(tile_cloud(cloud, config.radius, config.stride))
     predictor = make_oracle_predictor(cloud, corruption, config.seed)
 
     workers = effective_threads(threads)
     if workers == 1:
-        predictions = [predictor(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            predictions = list(pool.map(predictor, blocks))
-    return run_pipeline_from_blocks(predictions, cloud, config)
+        return run_pipeline_from_blocks(map(predictor, blocks), cloud, config)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return run_pipeline_from_blocks(pool.map(predictor, blocks), cloud, config)
 
 
 def build_report(result: PipelineResult) -> dict:
@@ -212,7 +254,7 @@ def build_report(result: PipelineResult) -> dict:
 
 
 def run_pipeline_from_blocks(
-    predictions: list[BlockPrediction],
+    predictions: Iterable[BlockPrediction],
     cloud: PointCloud,
     config: PipelineConfig,
 ) -> PipelineResult:
@@ -221,27 +263,17 @@ def run_pipeline_from_blocks(
 
     Block ids are row-major indices into the sliding-window grid of the
     cloud's xy extent at ``config.stride``; the grid cells no prediction
-    covers are reported as empty.
+    covers are reported as empty. ``predictions`` is consumed once, as
+    :func:`merge_block_predictions` describes.
     """
-    if cloud.n == 0:
-        raise EmptyInput("cannot merge predictions over an empty point cloud")
-    xy = cloud.positions[:, :2]
-    n_grid = len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride))
-    predictions = sorted(predictions, key=lambda p: p.block_id)
-    block_ids = [p.block_id for p in predictions]
-    if len(set(block_ids)) != len(block_ids) or (block_ids and (block_ids[0] < 0 or block_ids[-1] >= n_grid)):
-        raise UnknownBlock(
-            f"block ids must be distinct and within the {n_grid}-cell grid at stride {config.stride}"
-        )
-
     merge = merge_block_predictions(predictions, cloud.positions, config)
     evaluation = None
     if cloud.instance is not None:
         evaluation = evaluate_labels(merge.instance, cloud.instance, merge.semantic, cloud.semantic)
     result = PipelineResult(
         config=config,
-        n_blocks=len(predictions),
-        n_blocks_empty=n_grid - len(predictions),
+        n_blocks=merge.n_blocks,
+        n_blocks_empty=_grid_cells(cloud.positions, config.stride) - merge.n_blocks,
         merge=merge,
         evaluation=evaluation,
     )

@@ -304,6 +304,32 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert "two masks with query index 0" in result.output
 
+    def test_out_of_range_score_names_file_and_mask(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        (blocks / "block_00000.json").write_text(
+            '{"block_id":0,"center":[5.0,5.0],"masks":[{"point_ids":[1],"query_index":0,"score":1.5}],"radius":16.0}\n'
+        )
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert ("block_00000.json: malformed block file: masks[0]: mask score must be in [0, 1], got 1.5"
+                in result.output)
+
+    def test_first_fault_to_arrive_is_reported(self, runner, tmp_path, forest_files):
+        # Files are read one at a time in sorted order, so the repeated block
+        # id in the second file is found before the third file is opened.
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        for name in ("block_00000.json", "block_00001.json"):
+            io.write_block_file(blocks / name, BlockPrediction(block_id=0, center_xy=(5.0, 5.0), radius=16.0, masks=[]))
+        (blocks / "block_00002.json").write_text('{"block_id": 2,\n')
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert "block 0 arrives twice" in result.output
+        assert "block_00002" not in result.output
+
     def test_empty_block_directory_exits_2(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         empty = tmp_path / "none"

@@ -455,6 +455,15 @@ class TestBlockFiles:
         with pytest.raises(ParseError, match=re.escape(f"numbers.json: malformed block file: {what}")):
             io.read_block_file(path)
 
+    @pytest.mark.parametrize("score, shown", [("1.5", "1.5"), ("-0.25", "-0.25"), ("NaN", "nan")])
+    def test_mask_range_check_names_file_and_mask(self, tmp_path, score, shown):
+        path = tmp_path / "scores.json"
+        path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16,'
+                        f' "masks": [{{"score": 0.5, "point_ids": [1]}}, {{"score": {score}, "point_ids": [2]}}]}}')
+        with pytest.raises(ParseError, match=re.escape(f"scores.json: malformed block file: masks[1]: mask score must "
+                                                       f"be in [0, 1], got {shown}")):
+            io.read_block_file(path)
+
     def test_boolean_spelled_only_in_an_unknown_string_still_reads(self, tmp_path):
         path = tmp_path / "note.json"
         path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16, "note": "true or false",'
