@@ -60,6 +60,7 @@ def _parse_forest_params(path: str, seed_override: int | None) -> ForestParams:
         else:
             keys[f.name] = (f.name, None, type(f.default))
     kwargs: dict = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -69,6 +70,9 @@ def _parse_forest_params(path: str, seed_override: int | None) -> ForestParams:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in keys:
             raise ParseError(f"{path}: line {lineno}: unknown parameter {key!r}")
+        if key in key_lines:
+            raise ParseError(f"{path}: line {lineno}: parameter {key!r} already set on line {key_lines[key]}")
+        key_lines[key] = lineno
         name, index, kind = keys[key]
         try:
             parsed = kind(value)
@@ -135,6 +139,9 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
     if predictor != "oracle" and (corruption != CorruptionParams() or dump_blocks):
         flags = ", ".join(f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(CorruptionParams))
         raise ConfigError(f"{flags} and --dump-blocks apply only to the oracle predictor")
+    if dump_blocks and any(Path(dump_blocks).glob("*.json")):
+        # A replay reads every *.json there, so files of an earlier dump would join this one's.
+        raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block JSON files")
     cloud = io.read_cloud(input_path)
     if predictor == "oracle":
         result = run_pipeline(cloud, config, corruption=corruption, threads=threads)

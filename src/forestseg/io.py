@@ -299,7 +299,8 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     else:
         lines, linenos = _table_lines(path)
         header = [tok.strip() for tok in lines[0].split("\t")]
-        cloud = read_tsv(path) if "x" in header else None
+        # A first row holding a number is cloud data, as in read_tsv.
+        cloud = read_tsv(path) if "x" in header or any(map(_is_number, header)) else None
     if cloud is not None:
         if cloud.instance is None:
             raise ParseError(f"{path}: no instance labels present")

@@ -71,9 +71,10 @@ class PipelineConfig:
 @dataclass(eq=False)
 class MergeOutcome:
     """The per-point labeling, the masks that reached NMS (sorted by block id,
-    then query index) and those it kept, and how many blocks and masks the
-    earlier stages saw."""
+    then query index) and those it kept, the size of the sliding-window grid,
+    and how many blocks and masks the earlier stages saw."""
 
+    n_grid: int
     n_blocks: int
     n_predicted: int
     n_after_boundary: int
@@ -94,8 +95,6 @@ class MergeOutcome:
 @dataclass(eq=False)
 class PipelineResult:
     config: PipelineConfig
-    n_blocks: int
-    n_blocks_empty: int
     merge: MergeOutcome
     evaluation: EvalReport | None = None
     report: dict = field(default_factory=dict)
@@ -106,12 +105,6 @@ def effective_threads(requested: int) -> int:
     if requested < 1:
         raise ConfigError("thread count must be >= 1")
     return requested
-
-
-def _grid_cells(positions: npt.NDArray[np.float64], stride: float) -> int:
-    """Cells of the sliding-window grid over the positions' xy extent."""
-    xy = positions[:, :2]
-    return len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), stride))
 
 
 def _checked_masks(
@@ -159,7 +152,8 @@ def merge_block_predictions(
     n_points = len(positions)
     if n_points == 0:
         raise EmptyInput("cannot merge predictions over an empty point cloud")
-    n_grid = _grid_cells(positions, config.stride)
+    xy = positions[:, :2]
+    n_grid = len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride))
     seen: set[int] = set()
     votes: SemanticVotes | None = None
     after_filter: list[InstanceMask] = []
@@ -179,6 +173,7 @@ def merge_block_predictions(
     after_filter.sort(key=lambda m: (m.block_id, m.query_index))
     kept = score_nms(after_filter, config.nms_iou)
     return MergeOutcome(
+        n_grid=n_grid,
         n_blocks=len(seen),
         n_predicted=n_predicted,
         n_after_boundary=n_after_boundary,
@@ -240,13 +235,12 @@ def run_pipeline(
         return run_pipeline_from_blocks(pool.map(predictor, blocks), cloud, config)
 
 
-def build_report(result: PipelineResult) -> dict:
+def _build_report(result: PipelineResult) -> dict:
+    merge = result.merge
     report = {
         "config": asdict(result.config),
-        "blocks": {"grid": result.n_blocks + result.n_blocks_empty,
-                   "processed": result.n_blocks,
-                   "empty_skipped": result.n_blocks_empty},
-        "masks": result.merge.stage_counts(),
+        "blocks": {"grid": merge.n_grid, "processed": merge.n_blocks, "empty_skipped": merge.n_grid - merge.n_blocks},
+        "masks": merge.stage_counts(),
     }
     if result.evaluation is not None:
         report["evaluation"] = result.evaluation.to_dict()
@@ -270,25 +264,7 @@ def run_pipeline_from_blocks(
     evaluation = None
     if cloud.instance is not None:
         evaluation = evaluate_labels(merge.instance, cloud.instance, merge.semantic, cloud.semantic)
-    result = PipelineResult(
-        config=config,
-        n_blocks=merge.n_blocks,
-        n_blocks_empty=_grid_cells(cloud.positions, config.stride) - merge.n_blocks,
-        merge=merge,
-        evaluation=evaluation,
-    )
-    result.report = build_report(result)
+    result = PipelineResult(config=config, merge=merge, evaluation=evaluation)
+    result.report = _build_report(result)
     return result
 
-
-__all__ = [
-    "MergeOutcome",
-    "PipelineConfig",
-    "PipelineResult",
-    "build_report",
-    "effective_threads",
-    "make_oracle_predictor",
-    "merge_block_predictions",
-    "run_pipeline",
-    "run_pipeline_from_blocks",
-]

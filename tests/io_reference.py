@@ -23,7 +23,8 @@ import numpy.typing as npt
 
 from forestseg.core import PointCloud
 from forestseg.errors import ParseError
-from forestseg.io import _CLOUD_TYPES, _FLOAT_PLY_TYPES, _INT_PLY_TYPES, _check_unique, _table_lines, _tsv_columns
+from forestseg.io import (_CLOUD_TYPES, _FLOAT_PLY_TYPES, _INT_PLY_TYPES, _check_unique, _is_number, _table_lines,
+                          _tsv_columns)
 from forestseg.merging import BlockPrediction
 
 
@@ -150,7 +151,7 @@ def reference_read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[
     else:
         lines, linenos = _table_lines(path)
         header = [tok.strip() for tok in lines[0].split("\t")]
-        cloud = reference_read_tsv(path) if "x" in header else None
+        cloud = reference_read_tsv(path) if "x" in header or any(map(_is_number, header)) else None
     if cloud is not None:
         if cloud.instance is None:
             raise ParseError(f"{path}: no instance labels present")

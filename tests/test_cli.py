@@ -63,6 +63,14 @@ class TestSynth:
         assert result.exit_code == 2
         assert "n_bushes" in result.output
 
+    def test_repeated_key_exits_2_and_names_both_lines(self, runner, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text("n_trees = 4\nplot_size = 10.0\nn_trees = 6\n")
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
+        assert result.exit_code == 2
+        assert "line 3: parameter 'n_trees' already set on line 1" in result.output
+        assert not (tmp_path / "o.ply").exists()
+
     @pytest.mark.parametrize("text", ["ground_density = 1e12\n", "n_trees = 12501\nmin_spacing = 0\n"])
     def test_point_count_past_cap_exits_3(self, runner, tmp_path, text):
         params = tmp_path / "params.txt"
@@ -244,6 +252,23 @@ class TestPipeline:
         blocks = json.loads(outputs["replay"][0])["blocks"]
         assert blocks["empty_skipped"] > 0
         assert blocks["grid"] == blocks["processed"] + blocks["empty_skipped"]
+
+    def test_dump_blocks_into_directory_holding_block_files_exits_3(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()  # an existing empty directory is fine
+        dump = ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)]
+        assert runner.invoke(main, dump).exit_code == 0
+        dumped = sorted(blocks.glob("*.json"))
+        assert dumped
+        bad = tmp_path / "bad.ply"
+        bad.write_text("not a ply\n")
+        # Checked before the input is read, so a bad input still exits 3.
+        for argv in (dump + ["--radius", "8"], ["pipeline", "--input", str(bad), "--dump-blocks", str(blocks)]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 3, result.output
+            assert "already holds block JSON files" in result.output
+        assert sorted(blocks.glob("*.json")) == dumped
 
     def test_oracle_only_flags_rejected_with_block_directory(self, runner, tmp_path, forest_files):
         _, ply = forest_files

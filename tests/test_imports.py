@@ -9,16 +9,28 @@ from pathlib import Path
 import forestseg
 
 
-def test_import_does_not_load_scipy():
+def _loaded_modules(imports: str) -> set[str]:
+    """Names in ``sys.modules`` after a fresh interpreter runs ``import <imports>``."""
     package_root = str(Path(forestseg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, forestseg; print('scipy' in sys.modules)"
+    code = f"import sys, {imports}; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False", (
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_scipy():
+    # forestseg.cli imports every other module of the package.
+    assert "scipy" not in _loaded_modules("forestseg.cli"), (
         "importing forestseg loaded scipy: `import scipy.sparse` alone adds about 21 MiB of "
         "resident memory, more than the 15% peak-RSS bound allows on the 30-tree benchmark "
         "scenes (67-75 MiB peak); keep the merge kernels numpy-only"
     )
+
+
+def test_merge_path_process_loads_no_training_code():
+    loaded = _loaded_modules("forestseg.pipeline, forestseg.io, forestseg.synthgen")
+    assert {"forestseg.pipeline", "forestseg.io", "forestseg.synthgen"} <= loaded
+    assert not loaded & {"forestseg.losses", "forestseg.isa_select"}
 
 
 def _package_imports(module: str) -> set[str]:

@@ -223,6 +223,14 @@ class TestLabelsTsv:
         assert np.array_equal(inst, cloud.instance)
         assert np.array_equal(sem, cloud.semantic)
 
+    def test_reads_labels_from_headerless_cloud_tsv(self, cloud, tmp_path):
+        path = tmp_path / "cloud.tsv"
+        io.write_tsv(path, cloud)
+        path.write_text(path.read_text().split("\n", 1)[1])
+        inst, sem = io.read_labels_tsv(path)
+        assert np.array_equal(inst, cloud.instance)
+        assert np.array_equal(sem, cloud.semantic)
+
     def test_reads_labels_from_ply(self, cloud, tmp_path):
         path = tmp_path / "cloud.ply"
         io.write_ply(path, cloud)

@@ -377,5 +377,5 @@ class TestStreamingMerge:
         monkeypatch.setattr(pipeline, "tile_cloud", recording_tile)
         monkeypatch.setattr(pipeline, "oracle_predictor", checking_oracle)
         result = run_pipeline(forest, PipelineConfig(), threads=1)
-        assert result.n_blocks == len(tiled)
+        assert result.merge.n_blocks == len(tiled)
         assert all(ref() is None for ref in tiled)
