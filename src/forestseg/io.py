@@ -18,7 +18,6 @@ JSON numbers, or the file is rejected.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from pathlib import Path
 from typing import Callable, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
-from .errors import ParseError, ShapeMismatch
+from .errors import InvalidGeometry, ParseError, ShapeMismatch
 from .merging import BlockPrediction, InstanceMask
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
@@ -419,12 +418,10 @@ def read_block_file(path) -> BlockPrediction:
             semantic = tuple(integer_array(payload["semantic"][key], f"semantic.{key}") for key in _SEMANTIC_KEYS)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise malformed(repr(exc)) from None
-    # The boundary test squares the radius; NaN would silently drop every mask.
-    if not (math.isfinite(center_xy[0]) and math.isfinite(center_xy[1]) and radius > 0
-            and math.isfinite(radius * radius)):
-        raise ParseError(f"{path}: block center must be finite and radius positive with a finite square, "
-                         f"got center {list(center_xy)} and radius {radius}")
-    return BlockPrediction(block_id=block_id, center_xy=center_xy, radius=radius, masks=masks, semantic=semantic)
+    try:
+        return BlockPrediction(block_id=block_id, center_xy=center_xy, radius=radius, masks=masks, semantic=semantic)
+    except InvalidGeometry as exc:  # the footprint check
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_json(path, payload: dict) -> None:

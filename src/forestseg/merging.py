@@ -1,12 +1,12 @@
 """Score-based block merging: ranking, NMS, boundary discard, and voting.
 
-Boundary discard and the score filter judge each mask on its own, and a
-semantic vote is a count, so blocks can be merged one at a time as they
-arrive. NMS and point resolution rank the surviving masks by a total order
-(score descending, then block id, then query index), so no stage depends on
-the order in which blocks were produced. The default stage order is boundary
-discard, score filter, NMS, point resolution; each stage is a separate
-function so ablations can reorder them.
+The merge (``pipeline.merge_block_predictions``) runs the stages in one fixed
+order. Per block, as it arrives: boundary discard measures the block's masks
+against its own footprint, the score filter judges each mask on its own, and
+the block's semantic votes are added to a count. Once every block is in: NMS
+and point resolution rank the surviving masks by a total order (score
+descending, then block id, then query index), so no stage depends on the
+order in which blocks were produced.
 
 NMS and the overlap baseline never compare masks pairwise. Both keep a
 point→mask index of ``(point, mask id)`` entries sorted by point; a query
@@ -24,15 +24,15 @@ several of them all survive NMS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from .core import N_CLASSES
-from .errors import ConfigError, InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
+from .errors import ConfigError, InvalidGeometry, InvalidLabel, ShapeMismatch, Unvoted
 
 
 @dataclass(eq=False)
@@ -63,14 +63,23 @@ class InstanceMask:
 @dataclass(eq=False)
 class BlockPrediction:
     """Everything one block contributes to the merge: its cylinder footprint
-    (for the boundary test), its masks and optional per-point semantic votes
-    as a pair of (point_ids, classes) arrays."""
+    (for the boundary test; a finite center and a radius positive with a
+    finite square, else :class:`InvalidGeometry`), its masks and optional
+    per-point semantic votes as a pair of (point_ids, classes) arrays."""
 
     block_id: int
     center_xy: tuple[float, float]
     radius: float
     masks: list[InstanceMask]
     semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
+
+    def __post_init__(self) -> None:
+        # Boundary discard squares the radius; NaN would silently drop every mask.
+        x, y = self.center_xy
+        if not (math.isfinite(x) and math.isfinite(y) and self.radius > 0
+                and math.isfinite(self.radius * self.radius)):
+            raise InvalidGeometry(f"block center must be finite and radius positive with a finite square, "
+                                  f"got center {list(self.center_xy)} and radius {self.radius}")
 
 
 _RUN_RATIO = 8
@@ -129,40 +138,31 @@ def score_filter(masks: Sequence[InstanceMask], threshold: float) -> list[Instan
 
 def discard_boundary_masks(
     masks: Sequence[InstanceMask],
-    predictions: Iterable[BlockPrediction],
+    block: BlockPrediction,
     positions: npt.NDArray[np.float64],
     margin: float,
 ) -> list[InstanceMask]:
-    """Drop masks reaching into the outer margin annulus of their block.
+    """Drop masks reaching into the outer margin annulus of ``block``; order preserved.
 
     A mask is discarded iff any of its points lies at horizontal distance
-    greater than ``radius - margin`` from the center of the prediction of its
-    source block, so a block narrower than the margin keeps only empty masks.
-    Trees cut by the crop boundary always reach the annulus, and the small
-    stride guarantees an interior copy from a neighboring block survives.
+    greater than ``radius - margin`` from the block's center, so a block
+    narrower than the margin keeps only empty masks. Trees cut by the crop
+    boundary always reach the annulus, and the small stride guarantees an
+    interior copy from a neighboring block survives.
     """
     if not margin >= 0:
         raise ConfigError(f"boundary margin must be >= 0, got {margin}")
     positions = np.asarray(positions, dtype=np.float64)
-    blocks = {p.block_id: p for p in predictions}
-    kept = []
-    # One distance pass per run of same-block masks; the pipeline passes one block at a time.
-    for block_id, run in groupby(masks, key=lambda m: m.block_id):
-        block = blocks.get(block_id)
-        if block is None:
-            raise UnknownBlock(f"mask references unknown block id {block_id}")
-        run = list(run)
-        sizes = np.array([m.size for m in run], dtype=np.int64)
-        max_sq = np.zeros(len(run))
-        nonempty = sizes > 0
-        if nonempty.any():
-            delta = positions[np.concatenate([m.point_ids for m in run]), :2] - np.asarray(block.center_xy)
-            starts = (np.cumsum(sizes) - sizes)[nonempty]
-            max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
-        inner = block.radius - margin
-        keep = max_sq <= inner**2 if inner >= 0 else ~nonempty
-        kept.extend(m for m, k in zip(run, keep) if k)
-    return kept
+    sizes = np.array([m.size for m in masks], dtype=np.int64)
+    max_sq = np.zeros(len(masks))
+    nonempty = sizes > 0
+    if nonempty.any():
+        delta = positions[np.concatenate([m.point_ids for m in masks]), :2] - np.asarray(block.center_xy)
+        starts = (np.cumsum(sizes) - sizes)[nonempty]
+        max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
+    inner = block.radius - margin
+    keep = max_sq <= inner**2 if inner >= 0 else ~nonempty
+    return [m for m, k in zip(masks, keep) if k]
 
 
 def score_nms(masks: Iterable[InstanceMask], iou_threshold: float) -> list[InstanceMask]:

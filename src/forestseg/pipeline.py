@@ -19,7 +19,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
-from .errors import ConfigError, EmptyInput, ShapeMismatch, UnknownBlock
+from .errors import ConfigError, EmptyInput, InvalidLabel, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockPrediction,
     InstanceMask,
@@ -160,14 +160,17 @@ def merge_block_predictions(
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
         masks = _checked_masks(prediction, seen, n_grid, n_points, config.stride)
-        inside = discard_boundary_masks(masks, [prediction], positions, config.boundary_margin)
+        inside = discard_boundary_masks(masks, prediction, positions, config.boundary_margin)
         after_filter.extend(score_filter(inside, config.score_threshold))
         n_predicted += len(masks)
         n_after_boundary += len(inside)
         if prediction.semantic is not None:
             if votes is None:
                 votes = SemanticVotes(n_points)
-            votes.add(*prediction.semantic)
+            try:
+                votes.add(*prediction.semantic)
+            except (ShapeMismatch, InvalidLabel) as exc:
+                raise type(exc)(f"block {prediction.block_id}: {exc}") from None
         del prediction, masks, inside  # free this block's arrays before the next one is pulled
 
     after_filter.sort(key=lambda m: (m.block_id, m.query_index))
@@ -252,8 +255,8 @@ def run_pipeline_from_blocks(
     cloud: PointCloud,
     config: PipelineConfig,
 ) -> PipelineResult:
-    """Merge per-block predictions, evaluate them when the cloud carries
-    instance labels, and report.
+    """Merge per-block predictions, evaluate them when the cloud's instance
+    labels name at least one tree (an id >= 1), and report.
 
     Block ids are row-major indices into the sliding-window grid of the
     cloud's xy extent at ``config.stride``; the grid cells no prediction
@@ -262,7 +265,7 @@ def run_pipeline_from_blocks(
     """
     merge = merge_block_predictions(predictions, cloud.positions, config)
     evaluation = None
-    if cloud.instance is not None:
+    if cloud.instance is not None and (cloud.instance > 0).any():
         evaluation = evaluate_labels(merge.instance, cloud.instance, merge.semantic, cloud.semantic)
     result = PipelineResult(config=config, merge=merge, evaluation=evaluation)
     result.report = _build_report(result)

@@ -3,8 +3,10 @@
 ``reference_merge_block_predictions`` holds every prediction and every
 stage's mask list at once: it checks all masks, then runs each stage over all
 blocks together. ``reference_check_block_ids`` checks the block ids of the
-whole list up front. Run one after the other, they must return what the
-streaming merge returns, and raise the same error class.
+whole list up front. Boundary discard, which measures masks against one
+block's footprint, runs once per block in block-id order. Run one after the
+other, they must return what the streaming merge returns, and raise the same
+error class.
 """
 
 from dataclasses import dataclass
@@ -90,7 +92,10 @@ def reference_merge_block_predictions(
     for a, b in zip(masks, masks[1:]):
         if (a.block_id, a.query_index) == (b.block_id, b.query_index):
             raise UnknownBlock(f"block {a.block_id} holds two masks with query index {a.query_index}")
-    after_boundary = discard_boundary_masks(masks, predictions, positions, config.boundary_margin)
+    after_boundary = []
+    for p in sorted(predictions, key=lambda p: p.block_id):
+        block_masks = sorted(p.masks, key=lambda m: m.query_index)
+        after_boundary += discard_boundary_masks(block_masks, p, positions, config.boundary_margin)
     after_filter = score_filter(after_boundary, config.score_threshold)
     kept = score_nms(after_filter, config.nms_iou)
     instance = resolve_points(kept, n_points)

@@ -355,6 +355,35 @@ class TestPipeline:
         assert "block 0 arrives twice" in result.output
         assert "block_00002" not in result.output
 
+    def test_vote_length_fault_names_the_block(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        (blocks / "block_00000.json").write_text(
+            '{"block_id":0,"center":[5.0,5.0],"masks":[],"radius":16.0,'
+            '"semantic":{"classes":[0],"point_ids":[0,1]}}\n'
+        )
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert "block 0: per-block point_ids and classes lengths differ" in result.output
+
+    def test_labelled_cloud_without_trees_writes_labels_and_report(self, runner, tmp_path, forest_files):
+        cloud, _ = forest_files
+        ground = tmp_path / "g.ply"
+        zeros = np.zeros(cloud.n, dtype=np.int64)
+        io.write_ply(ground, PointCloud(positions=cloud.positions, semantic=zeros, instance=zeros))
+        labels, report = tmp_path / "labels.tsv", tmp_path / "report.json"
+        result = runner.invoke(main, ["pipeline", "--input", str(ground), "--out-labels", str(labels),
+                                      "--out-report", str(report)])
+        assert result.exit_code == 0, result.output
+        instance, semantic = io.read_labels_tsv(labels)
+        assert not instance.any() and not semantic.any()
+        assert "evaluation" not in json.loads(report.read_text())
+        # Evaluating against such a cloud is what `evaluate` is asked for, so it still fails.
+        result = runner.invoke(main, ["evaluate", "--pred", str(labels), "--gt", str(ground)])
+        assert result.exit_code == 2
+        assert "at least one ground-truth instance" in result.output
+
     def test_empty_block_directory_exits_2(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         empty = tmp_path / "none"

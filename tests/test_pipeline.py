@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestseg import io, pipeline
-from forestseg.core import N_CLASSES
-from forestseg.errors import ConfigError, ForestSegError, UnknownBlock
+from forestseg.core import N_CLASSES, PointCloud
+from forestseg.errors import ConfigError, ForestSegError, InvalidLabel, ShapeMismatch, UnknownBlock
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import (
     PipelineConfig,
@@ -206,6 +206,30 @@ class TestStageAccounting:
         with pytest.raises(UnknownBlock, match="block 0 arrives twice"):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
 
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("length", ShapeMismatch, "block 2: per-block point_ids and classes lengths differ"),
+        ("class", InvalidLabel, "block 2: semantic votes name an invalid class"),
+        ("point", ShapeMismatch, r"block 2: semantic votes reference points outside 0\.\.11"),
+    ])
+    def test_vote_error_names_its_block(self, fault, error, message):
+        positions = np.c_[np.arange(12.0), np.zeros(12), np.zeros(12)]
+        pids, classes = np.arange(12), np.zeros(12, dtype=np.int64)
+        bad = {"length": (pids, classes[:-1]), "class": (pids, np.r_[classes[:-1], N_CLASSES]),
+               "point": (np.r_[pids[:-1], 12], classes)}[fault]
+        predictions = [BlockPrediction(block_id=b, center_xy=(4.0 * b, 0.0), radius=4.0, masks=[],
+                                       semantic=bad if b == 2 else (pids, classes)) for b in range(3)]
+        with pytest.raises(error, match=message):
+            merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
+
+    def test_labelled_cloud_without_trees_is_not_evaluated(self, forest):
+        ground = PointCloud(positions=forest.positions, semantic=np.zeros(forest.n, dtype=np.int64),
+                            instance=np.zeros(forest.n, dtype=np.int64))
+        result = run_pipeline(ground, PipelineConfig(), threads=1)
+        assert result.evaluation is None
+        assert "evaluation" not in result.report
+        assert np.array_equal(result.merge.semantic, ground.semantic)
+        assert result.report["masks"]["predicted"] == 0
 
 FAULTS = ["repeated_block", "off_grid", "foreign_mask", "point_out_of_range", "repeated_query",
           "vote_shape", "vote_point", "vote_class"]
