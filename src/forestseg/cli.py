@@ -38,6 +38,16 @@ def _handle_errors(fn):
     return wrapper
 
 
+class _OutputFile(click.Path):
+    """A file path to write inside a directory that exists, so a bad path is a usage error (exit 2) before any work."""
+
+    def convert(self, value, param, ctx):
+        parent = Path(super().convert(value, param, ctx)).parent
+        if not parent.is_dir():
+            self.fail(f"{click.format_filename(parent)!r} is not an existing directory.", param, ctx)
+        return value
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     if out:
         io.write_json(out, payload)
@@ -109,7 +119,7 @@ def _from_options(dataclass_type, options: dict):
 @main.command()
 @click.option("--params", "params_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="Flat key=value parameter file.")
-@click.option("--out", type=click.Path(dir_okay=False), required=True, help="Output cloud (.ply or .tsv).")
+@click.option("--out", type=_OutputFile(dir_okay=False), required=True, help="Output cloud (.ply or .tsv).")
 @click.option("--seed", type=int, default=None, help="Override the seed from the params file.")
 @_handle_errors
 def synth(params_path: str, out: str, seed: int | None) -> None:
@@ -124,8 +134,8 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--predictor", default="oracle", show_default=True,
               help="'oracle' or a directory of per-block mask JSON files.")
-@click.option("--out-labels", type=click.Path(dir_okay=False), default=None)
-@click.option("--out-report", type=click.Path(dir_okay=False), default=None)
+@click.option("--out-labels", type=_OutputFile(dir_okay=False), default=None)
+@click.option("--out-report", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--dump-blocks", type=click.Path(file_okay=False), default=None,
               help="Also write each block's predictions as JSON into this directory.")
 @click.option("--threads", type=int, default=1, show_default=True)
@@ -183,7 +193,7 @@ def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
 @click.option("--noise-sigma", type=float, default=0.05, show_default=True)
 @click.option("--separation", type=float, default=2 * DELTA_D, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=_OutputFile(dir_okay=False), default=None)
 @_handle_errors
 def select_queries(input_path, method, k, threshold, resolution, noise_sigma, separation, seed, out) -> None:
     """Select query voxels and report coverage statistics as JSON."""
@@ -215,7 +225,7 @@ def select_queries(input_path, method, k, threshold, resolution, noise_sigma, se
 @click.option("--pred", "pred_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--gt", "gt_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--iou", type=float, default=0.5, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=_OutputFile(dir_okay=False), default=None)
 @_handle_errors
 def evaluate(pred_path, gt_path, iou, out) -> None:
     """Evaluate predicted labels against ground truth; JSON report."""
@@ -228,7 +238,7 @@ def evaluate(pred_path, gt_path, iou, out) -> None:
 @main.command()
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@click.option("--out", type=_OutputFile(dir_okay=False), default=None)
 @_handle_errors
 def gradcheck(trials, seed, out) -> None:
     """Verify every analytic loss gradient against finite differences."""

@@ -11,8 +11,9 @@ still raise :class:`ParseError` naming the file and the offending line.
 Block files are written as compact JSON: one line, keys sorted, no spaces, so
 Python's C encoder writes them. The reader accepts any JSON whitespace, so
 indented files from older dumps or other writers load too. It converts no
-value: ids must be JSON integers (not booleans) and coordinates and scores
-JSON numbers, or the file is rejected.
+value: ids must be JSON integers (not booleans) and scores JSON numbers, or
+the file is rejected. A block file holds no footprint: the merge derives it
+from the block id, so the ``center`` and ``radius`` of older dumps are ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
-from .errors import InvalidGeometry, ParseError, ShapeMismatch
+from .errors import ParseError, ShapeMismatch
 from .merging import BlockPrediction, InstanceMask
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
@@ -219,8 +220,7 @@ def read_tsv(path) -> PointCloud:
     above.
     """
     path = Path(path)
-    columns, lines, linenos = _tsv_columns(path, *_table_lines(path))
-    return _parse_cloud(path, lines, linenos, columns, "\t")
+    return _parse_cloud(path, *_tsv_columns(path, *_table_lines(path)), "\t")
 
 
 def _is_number(token: str) -> bool:
@@ -231,8 +231,8 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _tsv_columns(path: Path, lines: list[str], linenos: list[int]) -> tuple[list[str], list[str], list[int]]:
-    """A TSV cloud's column names, and its data lines with their file line numbers.
+def _tsv_columns(path: Path, lines: list[str], linenos: list[int]) -> tuple[list[str], list[int], list[str]]:
+    """A TSV cloud's data lines with their file line numbers, and its column names.
 
     The first line is a header when none of its tokens reads as a number;
     otherwise it is data, and the columns are x y z [semantic] [instance] by
@@ -251,7 +251,7 @@ def _tsv_columns(path: Path, lines: list[str], linenos: list[int]) -> tuple[list
     for req in ("x", "y", "z"):
         if req not in columns:
             raise ParseError(f"{path}: line {first_lineno}: missing required column {req!r}")
-    return columns, lines, linenos
+    return lines, linenos, columns
 
 
 def write_tsv(path, cloud: PointCloud) -> None:
@@ -298,8 +298,8 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     else:
         lines, linenos = _table_lines(path)
         header = [tok.strip() for tok in lines[0].split("\t")]
-        # A first row holding a number is cloud data, as in read_tsv.
-        cloud = read_tsv(path) if "x" in header or any(map(_is_number, header)) else None
+        is_cloud = "x" in header or any(map(_is_number, header))  # a first row holding a number is data, as in read_tsv
+        cloud = _parse_cloud(path, *_tsv_columns(path, lines, linenos), "\t") if is_cloud else None
     if cloud is not None:
         if cloud.instance is None:
             raise ParseError(f"{path}: no instance labels present")
@@ -349,8 +349,6 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     """
     payload: dict = {
         "block_id": int(prediction.block_id),
-        "center": [float(prediction.center_xy[0]), float(prediction.center_xy[1])],
-        "radius": float(prediction.radius),
         "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
                   for m in prediction.masks],
     }
@@ -366,9 +364,10 @@ def read_block_file(path) -> BlockPrediction:
     Any JSON whitespace reads back, so indented files load too.
     ``query_index`` defaults to a mask's position and ``semantic`` is
     optional. Values are not converted: ``block_id`` and ``query_index`` must
-    be JSON integers, ``center``, ``radius`` and ``score`` JSON numbers, and
-    each id or class list a flat list of integers that fit int64 (booleans
-    count as none of these); otherwise :class:`ParseError` is raised.
+    be JSON integers, ``score`` a JSON number, and each id or class list a
+    flat list of integers that fit int64 (booleans count as none of these);
+    otherwise :class:`ParseError` is raised. Other keys, such as the
+    ``center`` and ``radius`` older dumps wrote, are ignored.
     """
     path = Path(path)
     text = path.read_text()
@@ -387,11 +386,6 @@ def read_block_file(path) -> BlockPrediction:
             raise malformed(f"{what} must be an integer, got {value!r}")
         return value
 
-    def number(value, what: str) -> float:
-        if type(value) not in (int, float):
-            raise malformed(f"{what} must be a number, got {value!r}")
-        return float(value)
-
     def integer_array(values, what: str) -> npt.NDArray[np.int64]:
         array = np.asarray(values)
         if (array.ndim != 1 or (array.size and array.dtype.kind != "i")
@@ -401,27 +395,24 @@ def read_block_file(path) -> BlockPrediction:
 
     def mask(m: dict, qi: int, block_id: int) -> InstanceMask:
         point_ids = integer_array(m["point_ids"], f"masks[{qi}].point_ids")
-        score = number(m["score"], f"masks[{qi}].score")
+        score = m["score"]
+        if type(score) not in (int, float):
+            raise malformed(f"masks[{qi}].score must be a number, got {score!r}")
         query_index = integer(m.get("query_index", qi), f"masks[{qi}].query_index")
         try:
-            return InstanceMask(point_ids=point_ids, score=score, block_id=block_id, query_index=query_index)
+            return InstanceMask(point_ids=point_ids, score=float(score), block_id=block_id, query_index=query_index)
         except ShapeMismatch as exc:  # the mask's own range checks
             raise malformed(f"masks[{qi}]: {exc}") from None
 
     try:
         block_id = integer(payload["block_id"], "block_id")
-        center_xy = (number(payload["center"][0], "center"), number(payload["center"][1], "center"))
-        radius = number(payload["radius"], "radius")
         masks = [mask(m, qi, block_id) for qi, m in enumerate(payload["masks"])]
         semantic = None
         if "semantic" in payload:
             semantic = tuple(integer_array(payload["semantic"][key], f"semantic.{key}") for key in _SEMANTIC_KEYS)
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise malformed(repr(exc)) from None
-    try:
-        return BlockPrediction(block_id=block_id, center_xy=center_xy, radius=radius, masks=masks, semantic=semantic)
-    except InvalidGeometry as exc:  # the footprint check
-        raise ParseError(f"{path}: {exc}") from None
+    return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
 
 
 def write_json(path, payload: dict) -> None:

@@ -2,7 +2,8 @@
 
 The merge (``pipeline.merge_block_predictions``) runs the stages in one fixed
 order. Per block, as it arrives: boundary discard measures the block's masks
-against its own footprint, the score filter judges each mask on its own, and
+against its footprint, the cylinder of ``config.radius`` around the grid
+center its block id names; the score filter judges each mask on its own, and
 the block's semantic votes are added to a count. Once every block is in: NMS
 and point resolution rank the surviving masks by a total order (score
 descending, then block id, then query index), so no stage depends on the
@@ -32,7 +33,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import N_CLASSES
-from .errors import ConfigError, InvalidGeometry, InvalidLabel, ShapeMismatch, Unvoted
+from .errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
 
 
 @dataclass(eq=False)
@@ -62,24 +63,13 @@ class InstanceMask:
 
 @dataclass(eq=False)
 class BlockPrediction:
-    """Everything one block contributes to the merge: its cylinder footprint
-    (for the boundary test; a finite center and a radius positive with a
-    finite square, else :class:`InvalidGeometry`), its masks and optional
-    per-point semantic votes as a pair of (point_ids, classes) arrays."""
+    """Everything one block contributes to the merge: its grid id, its masks
+    and optional per-point semantic votes as a pair of (point_ids, classes)
+    arrays. The block's footprint follows from its id and the run's config."""
 
     block_id: int
-    center_xy: tuple[float, float]
-    radius: float
     masks: list[InstanceMask]
     semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
-
-    def __post_init__(self) -> None:
-        # Boundary discard squares the radius; NaN would silently drop every mask.
-        x, y = self.center_xy
-        if not (math.isfinite(x) and math.isfinite(y) and self.radius > 0
-                and math.isfinite(self.radius * self.radius)):
-            raise InvalidGeometry(f"block center must be finite and radius positive with a finite square, "
-                                  f"got center {list(self.center_xy)} and radius {self.radius}")
 
 
 _RUN_RATIO = 8
@@ -138,18 +128,25 @@ def score_filter(masks: Sequence[InstanceMask], threshold: float) -> list[Instan
 
 def discard_boundary_masks(
     masks: Sequence[InstanceMask],
-    block: BlockPrediction,
+    center_xy: npt.ArrayLike,
+    radius: float,
     positions: npt.NDArray[np.float64],
     margin: float,
 ) -> list[InstanceMask]:
-    """Drop masks reaching into the outer margin annulus of ``block``; order preserved.
+    """Drop masks reaching into the outer margin annulus of the cylinder of
+    ``radius`` around ``center_xy``; order preserved.
 
     A mask is discarded iff any of its points lies at horizontal distance
-    greater than ``radius - margin`` from the block's center, so a block
-    narrower than the margin keeps only empty masks. Trees cut by the crop
-    boundary always reach the annulus, and the small stride guarantees an
-    interior copy from a neighboring block survives.
+    greater than ``radius - margin`` from the center, so a block narrower
+    than the margin keeps only empty masks. Trees cut by the crop boundary
+    always reach the annulus, and the small stride guarantees an interior
+    copy from a neighboring block survives.
     """
+    center = np.asarray(center_xy, dtype=np.float64)
+    # Written so that NaN fails too; a NaN footprint would silently drop every mask.
+    if not (center.shape == (2,) and np.isfinite(center).all() and radius > 0 and math.isfinite(radius * radius)):
+        raise ConfigError(f"block center must be a finite (x, y) pair and radius positive with a finite square, "
+                          f"got center {center.tolist()} and radius {radius}")
     if not margin >= 0:
         raise ConfigError(f"boundary margin must be >= 0, got {margin}")
     positions = np.asarray(positions, dtype=np.float64)
@@ -157,10 +154,10 @@ def discard_boundary_masks(
     max_sq = np.zeros(len(masks))
     nonempty = sizes > 0
     if nonempty.any():
-        delta = positions[np.concatenate([m.point_ids for m in masks]), :2] - np.asarray(block.center_xy)
+        delta = positions[np.concatenate([m.point_ids for m in masks]), :2] - center
         starts = (np.cumsum(sizes) - sizes)[nonempty]
         max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
-    inner = block.radius - margin
+    inner = radius - margin
     keep = max_sq <= inner**2 if inner >= 0 else ~nonempty
     return [m for m, k in zip(masks, keep) if k]
 

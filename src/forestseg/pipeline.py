@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -97,7 +97,20 @@ class PipelineResult:
     config: PipelineConfig
     merge: MergeOutcome
     evaluation: EvalReport | None = None
-    report: dict = field(default_factory=dict)
+
+    @property
+    def report(self) -> dict:
+        """The run report: config, grid and block counts, mask counts per stage, and the evaluation if any."""
+        merge = self.merge
+        report = {
+            "config": asdict(self.config),
+            "blocks": {"grid": merge.n_grid, "processed": merge.n_blocks,
+                       "empty_skipped": merge.n_grid - merge.n_blocks},
+            "masks": merge.stage_counts(),
+        }
+        if self.evaluation is not None:
+            report["evaluation"] = self.evaluation.to_dict()
+        return report
 
 
 def effective_threads(requested: int) -> int:
@@ -144,23 +157,28 @@ def merge_block_predictions(
     irrelevant to the result.
 
     Block ids must be distinct and index the sliding-window grid of the
-    positions' xy extent at ``config.stride``. Every mask must carry the block
-    id of the prediction holding it, since boundary discard measures it
-    against that block's footprint, and no two masks of a block may share a
-    query index. The first fault to arrive is the one raised.
+    positions' xy extent at ``config.stride``. A block's footprint, against
+    which boundary discard measures its masks, is the cylinder of
+    ``config.radius`` around the grid center its id names, so predictions
+    must come from blocks tiled with the same radius and stride. Every mask
+    must carry the block id of the prediction holding it, and no two masks of
+    a block may share a query index. The first fault to arrive is the one
+    raised.
     """
     n_points = len(positions)
     if n_points == 0:
         raise EmptyInput("cannot merge predictions over an empty point cloud")
     xy = positions[:, :2]
-    n_grid = len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride))
+    centers = sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride)
     seen: set[int] = set()
     votes: SemanticVotes | None = None
     after_filter: list[InstanceMask] = []
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
-        masks = _checked_masks(prediction, seen, n_grid, n_points, config.stride)
-        inside = discard_boundary_masks(masks, prediction, positions, config.boundary_margin)
+        masks = _checked_masks(prediction, seen, len(centers), n_points, config.stride)
+        # Indexed only once checked: numpy would wrap a negative id to a cell at the grid's end.
+        inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
+                                        config.boundary_margin)
         after_filter.extend(score_filter(inside, config.score_threshold))
         n_predicted += len(masks)
         n_after_boundary += len(inside)
@@ -176,7 +194,7 @@ def merge_block_predictions(
     after_filter.sort(key=lambda m: (m.block_id, m.query_index))
     kept = score_nms(after_filter, config.nms_iou)
     return MergeOutcome(
-        n_grid=n_grid,
+        n_grid=len(centers),
         n_blocks=len(seen),
         n_predicted=n_predicted,
         n_after_boundary=n_after_boundary,
@@ -197,13 +215,7 @@ def make_oracle_predictor(cloud: PointCloud, corruption: CorruptionParams, maste
         semantic = None
         if cloud.semantic is not None:
             semantic = (block.point_indices, cloud.semantic[block.point_indices])
-        return BlockPrediction(
-            block_id=block.block_id,
-            center_xy=(float(block.center_xy[0]), float(block.center_xy[1])),
-            radius=block.radius,
-            masks=masks,
-            semantic=semantic,
-        )
+        return BlockPrediction(block_id=block.block_id, masks=masks, semantic=semantic)
 
     return predict
 
@@ -238,18 +250,6 @@ def run_pipeline(
         return run_pipeline_from_blocks(pool.map(predictor, blocks), cloud, config)
 
 
-def _build_report(result: PipelineResult) -> dict:
-    merge = result.merge
-    report = {
-        "config": asdict(result.config),
-        "blocks": {"grid": merge.n_grid, "processed": merge.n_blocks, "empty_skipped": merge.n_grid - merge.n_blocks},
-        "masks": merge.stage_counts(),
-    }
-    if result.evaluation is not None:
-        report["evaluation"] = result.evaluation.to_dict()
-    return report
-
-
 def run_pipeline_from_blocks(
     predictions: Iterable[BlockPrediction],
     cloud: PointCloud,
@@ -267,7 +267,5 @@ def run_pipeline_from_blocks(
     evaluation = None
     if cloud.instance is not None and (cloud.instance > 0).any():
         evaluation = evaluate_labels(merge.instance, cloud.instance, merge.semantic, cloud.semantic)
-    result = PipelineResult(config=config, merge=merge, evaluation=evaluation)
-    result.report = _build_report(result)
-    return result
+    return PipelineResult(config=config, merge=merge, evaluation=evaluation)
 

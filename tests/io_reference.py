@@ -135,7 +135,7 @@ def reference_read_tsv(path) -> PointCloud:
     the order above.
     """
     path = Path(path)
-    columns, lines, linenos = _tsv_columns(path, *_table_lines(path))
+    lines, linenos, columns = _tsv_columns(path, *_table_lines(path))
     return _parse_cloud(path, lines, linenos, columns, "\t")
 
 
@@ -188,8 +188,6 @@ def reference_write_block_file(path, prediction: BlockPrediction) -> None:
     """Write one block's predictions as indented JSON, one value per line."""
     payload: dict = {
         "block_id": int(prediction.block_id),
-        "center": [float(prediction.center_xy[0]), float(prediction.center_xy[1])],
-        "radius": float(prediction.radius),
         "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
                   for m in prediction.masks],
     }

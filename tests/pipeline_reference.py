@@ -4,7 +4,8 @@
 stage's mask list at once: it checks all masks, then runs each stage over all
 blocks together. ``reference_check_block_ids`` checks the block ids of the
 whole list up front. Boundary discard, which measures masks against one
-block's footprint, runs once per block in block-id order. Run one after the
+block's footprint (the cylinder of ``config.radius`` around its grid center),
+runs once per block in block-id order. Run one after the
 other, they must return what the streaming merge returns, and raise the same
 error class.
 """
@@ -74,9 +75,12 @@ def reference_merge_block_predictions(
     semantic vote. Input order is irrelevant; masks are canonically sorted
     first, so no two may share a ``(block_id, query_index)`` key. Every mask
     must carry the block id of the prediction holding it, since boundary
-    discard measures it against that block's footprint.
+    discard measures it against that block's footprint. Block ids must index
+    the grid, as :func:`reference_check_block_ids` checks.
     """
     n_points = len(positions)
+    xy = positions[:, :2]
+    centers = sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride)
     for p in predictions:
         for mask in p.masks:
             if mask.block_id != p.block_id:
@@ -95,7 +99,8 @@ def reference_merge_block_predictions(
     after_boundary = []
     for p in sorted(predictions, key=lambda p: p.block_id):
         block_masks = sorted(p.masks, key=lambda m: m.query_index)
-        after_boundary += discard_boundary_masks(block_masks, p, positions, config.boundary_margin)
+        after_boundary += discard_boundary_masks(block_masks, centers[p.block_id], config.radius, positions,
+                                                 config.boundary_margin)
     after_filter = score_filter(after_boundary, config.score_threshold)
     kept = score_nms(after_filter, config.nms_iou)
     instance = resolve_points(kept, n_points)

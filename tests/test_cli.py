@@ -253,6 +253,26 @@ class TestPipeline:
         assert blocks["empty_skipped"] > 0
         assert blocks["grid"] == blocks["processed"] + blocks["empty_skipped"]
 
+    def test_legacy_footprint_keys_in_block_files_are_ignored(self, runner, tmp_path, forest_files):
+        # Older dumps wrote each block's center and radius; the merge takes
+        # both from the block id and --radius, so even bogus values change nothing.
+        _, ply = forest_files
+        blocks, legacy = tmp_path / "blocks", tmp_path / "legacy"
+        assert runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)]).exit_code == 0
+        legacy.mkdir()
+        for path in sorted(blocks.glob("*.json")):
+            payload = json.loads(path.read_text())
+            assert "center" not in payload and "radius" not in payload
+            (legacy / path.name).write_text(json.dumps({**payload, "center": [1e300, "x"], "radius": -1}))
+        outputs = []
+        for directory in (blocks, legacy):
+            report, labels = tmp_path / f"{directory.name}.json", tmp_path / f"{directory.name}.tsv"
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(directory),
+                                          "--out-report", str(report), "--out-labels", str(labels)])
+            assert result.exit_code == 0, result.output
+            outputs.append((report.read_bytes(), labels.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_dump_blocks_into_directory_holding_block_files_exits_3(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         blocks = tmp_path / "blocks"
@@ -286,8 +306,7 @@ class TestPipeline:
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         io.write_block_file(blocks / "block_00000.json", BlockPrediction(
-            block_id=0, center_xy=(5.0, 5.0), radius=16.0,
-            masks=[InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
+            block_id=0, masks=[InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
         ))
         labels_path = tmp_path / "merged.tsv"
         result = runner.invoke(main, [
@@ -299,28 +318,12 @@ class TestPipeline:
         assert set(np.flatnonzero(inst == 1).tolist()) == set(tree_one.tolist())
         assert np.sum(inst > 0) == len(tree_one)
 
-    def test_block_narrower_than_margin_keeps_no_mask(self, runner, tmp_path, forest_files):
-        cloud, ply = forest_files
-        center = cloud.positions[0, :2]
-        near = np.flatnonzero(np.hypot(*(cloud.positions[:, :2] - center).T) <= 0.2)
-        blocks = tmp_path / "blocks"
-        blocks.mkdir()
-        io.write_block_file(blocks / "block_00000.json", BlockPrediction(
-            block_id=0, center_xy=(float(center[0]), float(center[1])), radius=0.3,
-            masks=[InstanceMask(point_ids=near, score=0.9, block_id=0, query_index=0)],
-        ))
-        result = runner.invoke(main, [
-            "pipeline", "--input", str(ply), "--predictor", str(blocks), "--boundary-margin", "0.5",
-        ])
-        assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["masks"]["after_boundary_discard"] == 0
-
     def test_repeated_query_index_exits_2(self, runner, tmp_path, forest_files):
         cloud, ply = forest_files
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         io.write_block_file(blocks / "block_00000.json", BlockPrediction(
-            block_id=0, center_xy=(5.0, 5.0), radius=16.0,
+            block_id=0,
             masks=[InstanceMask(point_ids=np.flatnonzero(cloud.instance == uid), score=0.9, block_id=0, query_index=0)
                    for uid in (1, 2)],
         ))
@@ -334,7 +337,7 @@ class TestPipeline:
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         (blocks / "block_00000.json").write_text(
-            '{"block_id":0,"center":[5.0,5.0],"masks":[{"point_ids":[1],"query_index":0,"score":1.5}],"radius":16.0}\n'
+            '{"block_id":0,"masks":[{"point_ids":[1],"query_index":0,"score":1.5}]}\n'
         )
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
@@ -348,7 +351,7 @@ class TestPipeline:
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         for name in ("block_00000.json", "block_00001.json"):
-            io.write_block_file(blocks / name, BlockPrediction(block_id=0, center_xy=(5.0, 5.0), radius=16.0, masks=[]))
+            io.write_block_file(blocks / name, BlockPrediction(block_id=0, masks=[]))
         (blocks / "block_00002.json").write_text('{"block_id": 2,\n')
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
@@ -360,8 +363,7 @@ class TestPipeline:
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         (blocks / "block_00000.json").write_text(
-            '{"block_id":0,"center":[5.0,5.0],"masks":[],"radius":16.0,'
-            '"semantic":{"classes":[0],"point_ids":[0,1]}}\n'
+            '{"block_id":0,"masks":[],"semantic":{"classes":[0],"point_ids":[0,1]}}\n'
         )
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
@@ -480,6 +482,32 @@ def test_unusable_values_exit_3(runner, tmp_path, forest_files, command, flags, 
     result = runner.invoke(main, [command, *inputs.get(command, []), *flags])
     assert result.exit_code == 3, result.output
     assert f"{name} must" in result.output
+
+
+@pytest.mark.parametrize("command, inputs, flags", [
+    ("synth", ["--params"], ["--out"]),
+    ("pipeline", ["--input"], ["--out-labels", "--out-report"]),
+    ("select-queries", ["--input"], ["--out"]),
+    ("evaluate", ["--pred", "--gt"], ["--out"]),
+    ("gradcheck", [], ["--out"]),
+])
+def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, forest_files, command, inputs, flags):
+    _, ply = forest_files
+    params = tmp_path / "params.txt"
+    params.write_text(PARAMS_TEXT)
+    args = [command]
+    for flag in inputs:
+        args += [flag, str(params if flag == "--params" else ply)]
+    for flag in flags:
+        # Rejected before any work is done, as a directory given here already is.
+        for parent in (tmp_path / "missing", ply):
+            result = runner.invoke(main, [*args, flag, str(parent / "out.tsv")])
+            assert result.exit_code == 2, result.output
+            assert f"Invalid value for '{flag}'" in result.output
+            assert "is not an existing directory" in result.output
+        result = runner.invoke(main, [*args, flag, str(tmp_path)])
+        assert result.exit_code == 2 and f"Invalid value for '{flag}'" in result.output
+    assert not (tmp_path / "missing").exists()
 
 
 class TestGradcheckCommand:

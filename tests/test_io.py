@@ -231,6 +231,24 @@ class TestLabelsTsv:
         assert np.array_equal(inst, cloud.instance)
         assert np.array_equal(sem, cloud.semantic)
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_cloud_tsv_is_read_once(self, cloud, tmp_path, monkeypatch, header):
+        path = tmp_path / "cloud.tsv"
+        io.write_tsv(path, cloud)
+        if not header:
+            path.write_text(path.read_text().split("\n", 1)[1])
+        reads = []
+        read_text = type(path).read_text
+
+        def counted(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(path), "read_text", counted)
+        inst, _ = io.read_labels_tsv(path)
+        assert reads == [path]
+        assert np.array_equal(inst, cloud.instance)
+
     def test_reads_labels_from_ply(self, cloud, tmp_path):
         path = tmp_path / "cloud.ply"
         io.write_ply(path, cloud)
@@ -296,7 +314,7 @@ def block_outcome(prediction: BlockPrediction):
 
     masks = [(array(m.point_ids), m.score, m.block_id, m.query_index) for m in prediction.masks]
     semantic = None if prediction.semantic is None else tuple(map(array, prediction.semantic))
-    return prediction.block_id, prediction.center_xy, prediction.radius, masks, semantic
+    return prediction.block_id, masks, semantic
 
 
 ID_LISTS = st.lists(st.one_of(st.integers(0, 50), st.integers(2**63 - 3, 2**63 - 1)), max_size=12)
@@ -306,7 +324,6 @@ ID_LISTS = st.lists(st.one_of(st.integers(0, 50), st.integers(2**63 - 3, 2**63 -
 def block_predictions(draw):
     """Block predictions with empty masks, scores 0 and 1, unsorted ids, and with or without semantic votes."""
     block_id = draw(st.integers(0, 2**31))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     queries = draw(st.lists(st.integers(0, 2**31), max_size=4, unique=True))
     scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     masks = [InstanceMask(point_ids=np.array(draw(ID_LISTS), dtype=np.int64), score=draw(scores),
@@ -316,8 +333,7 @@ def block_predictions(draw):
         ids = draw(ID_LISTS)
         classes = draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
         semantic = (np.array(ids, dtype=np.int64), np.array(classes, dtype=np.int64))
-    return BlockPrediction(block_id=block_id, center_xy=(draw(finite), draw(finite)),
-                           radius=draw(st.floats(0.0, 1e150, exclude_min=True)), masks=masks, semantic=semantic)
+    return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
 
 
 class TestBlockFiles:
@@ -329,12 +345,9 @@ class TestBlockFiles:
         ]
         semantic = (np.arange(10), rng.integers(0, 3, size=10))
         path = tmp_path / "block_00003.json"
-        io.write_block_file(path, BlockPrediction(block_id=3, center_xy=(8.0, 4.0), radius=16.0,
-                                                  masks=masks, semantic=semantic))
+        io.write_block_file(path, BlockPrediction(block_id=3, masks=masks, semantic=semantic))
         loaded = io.read_block_file(path)
         assert loaded.block_id == 3
-        assert loaded.center_xy == (8.0, 4.0)
-        assert loaded.radius == 16.0
         assert len(loaded.masks) == 4
         for original, read in zip(masks, loaded.masks):
             assert np.array_equal(np.sort(original.point_ids), read.point_ids)
@@ -347,11 +360,10 @@ class TestBlockFiles:
         path = tmp_path / "block_00007.json"
         mask = InstanceMask(point_ids=[2, 1], score=0.75, block_id=7, query_index=3)
         votes = (np.array([1, 2]), np.array([1, 2]))
-        io.write_block_file(path, BlockPrediction(block_id=7, center_xy=(8.0, 0.25), radius=16.0,
-                                                  masks=[mask], semantic=votes))
+        io.write_block_file(path, BlockPrediction(block_id=7, masks=[mask], semantic=votes))
         assert path.read_text() == BLOCK_TEXT
-        io.write_block_file(path, BlockPrediction(block_id=7, center_xy=(8.0, 0.25), radius=16.0, masks=[]))
-        assert path.read_text() == '{"block_id":7,"center":[8.0,0.25],"masks":[],"radius":16.0}\n'
+        io.write_block_file(path, BlockPrediction(block_id=7, masks=[]))
+        assert path.read_text() == '{"block_id":7,"masks":[]}\n'
 
     def test_indented_legacy_text_reads_the_same(self, tmp_path):
         compact, legacy = tmp_path / "compact.json", tmp_path / "legacy.json"
@@ -361,7 +373,7 @@ class TestBlockFiles:
         legacy.write_text(
             '{\n  "block_id": 7,\n  "center": [\n    8.0,\n    0.25\n  ],\n  "masks": [],\n  "radius": 16.0\n}\n'
         )
-        empty = BlockPrediction(block_id=7, center_xy=(8.0, 0.25), radius=16.0, masks=[])
+        empty = BlockPrediction(block_id=7, masks=[])
         assert block_outcome(io.read_block_file(legacy)) == block_outcome(empty)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -378,28 +390,29 @@ class TestBlockFiles:
 
     def test_empty_lists_read_as_empty_arrays(self, tmp_path):
         path = tmp_path / "block.json"
-        path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16, "masks": [{"score": 0.5, "point_ids": []}],'
+        path.write_text('{"block_id": 0, "masks": [{"score": 0.5, "point_ids": []}],'
                         ' "semantic": {"point_ids": [], "classes": []}}')
         loaded = io.read_block_file(path)
         for array in (loaded.masks[0].point_ids, *loaded.semantic):
             assert array.dtype == np.int64 and array.shape == (0,)
 
     @pytest.mark.parametrize("center, radius", [
-        ("[0, 0]", "-16"), ("[0, 0]", "0"), ("[0, 0]", "NaN"), ("[0, 0]", "Infinity"), ("[0, 0]", "1e200"),
-        ("[NaN, 0]", "16"), ("[0, -Infinity]", "16"),
+        ("[8.0, 0.25]", "16.0"), ("[0, 0]", "-16"), ("[0, 0]", "NaN"), ("[0, 0]", "1e200"), ("[NaN, 0]", "16"),
+        ("[1, 2, 3]", "16"), ('[true, "x"]', '"16"'), ("null", "null"),
     ])
-    def test_bad_geometry_rejected(self, tmp_path, center, radius):
+    def test_legacy_footprint_keys_ignored(self, tmp_path, center, radius):
+        # Older dumps wrote a center and radius; the merge takes both from the block id and the config.
         path = tmp_path / "block.json"
-        path.write_text(f'{{"block_id": 0, "center": {center}, "radius": {radius}, "masks": []}}')
-        with pytest.raises(ParseError, match="block.json: block center must be finite"):
-            io.read_block_file(path)
+        path.write_text(BLOCK_TEXT.replace('"masks"', f'"center": {center}, "radius": {radius}, "masks"'))
+        expected = tmp_path / "expected.json"
+        expected.write_text(BLOCK_TEXT)
+        assert block_outcome(io.read_block_file(path)) == block_outcome(io.read_block_file(expected))
 
     def test_minimal_schema_accepted(self, tmp_path):
         # query_index and semantic are optional in external files
         path = tmp_path / "block.json"
         path.write_text(
-            '{"block_id": 0, "center": [1.0, 2.0], "radius": 16.0,'
-            ' "masks": [{"score": 0.8, "point_ids": [3, 1, 2]}]}'
+            '{"block_id": 0, "masks": [{"score": 0.8, "point_ids": [3, 1, 2]}]}'
         )
         loaded = io.read_block_file(path)
         assert loaded.block_id == 0
@@ -409,7 +422,7 @@ class TestBlockFiles:
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"block_id": 1,\n  "center": [0, 0\n}')
+        path.write_text('{"block_id": 1,\n  "masks": [0, 0\n}')
         with pytest.raises(ParseError, match="line"):
             io.read_block_file(path)
 
@@ -431,7 +444,7 @@ class TestBlockFiles:
     ])
     def test_non_integer_id_rejected(self, tmp_path, header, masks, what):
         path = tmp_path / "ids.json"
-        path.write_text(f'{{{header}, "center": [0, 0], "radius": 16, "masks": {masks}}}')
+        path.write_text(f'{{{header}, "masks": {masks}}}')
         with pytest.raises(ParseError, match=re.escape(f"ids.json: malformed block file: {what}")):
             io.read_block_file(path)
 
@@ -444,29 +457,25 @@ class TestBlockFiles:
     ])
     def test_non_integer_list_rejected(self, tmp_path, values, section, what):
         path = tmp_path / "ids.json"
-        path.write_text(f'{{"block_id": 0, "center": [0, 0], "radius": 16, {section % values}}}')
+        path.write_text(f'{{"block_id": 0, {section % values}}}')
         with pytest.raises(ParseError, match=re.escape(f"ids.json: malformed block file: {what} must be a flat list "
                                                        "of integers that fit int64")):
             io.read_block_file(path)
 
-    @pytest.mark.parametrize("center, radius, score, what", [
-        ("[true, 0]", "16", "0.5", "center must be a number, got True"),
-        ('[0, "1"]', "16", "0.5", "center must be a number, got '1'"),
-        ("[0, 0]", '"16"', "0.5", "radius must be a number, got '16'"),
-        ("[0, 0]", "16", "true", "masks[0].score must be a number, got True"),
-        ("[0, 0]", "16", '"0.5"', "masks[0].score must be a number, got '0.5'"),
+    @pytest.mark.parametrize("score, what", [
+        ("true", "masks[0].score must be a number, got True"),
+        ('"0.5"', "masks[0].score must be a number, got '0.5'"),
     ])
-    def test_non_number_geometry_or_score_rejected(self, tmp_path, center, radius, score, what):
+    def test_non_number_score_rejected(self, tmp_path, score, what):
         path = tmp_path / "numbers.json"
-        path.write_text(f'{{"block_id": 0, "center": {center}, "radius": {radius},'
-                        f' "masks": [{{"score": {score}, "point_ids": [1]}}]}}')
+        path.write_text(f'{{"block_id": 0, "masks": [{{"score": {score}, "point_ids": [1]}}]}}')
         with pytest.raises(ParseError, match=re.escape(f"numbers.json: malformed block file: {what}")):
             io.read_block_file(path)
 
     @pytest.mark.parametrize("score, shown", [("1.5", "1.5"), ("-0.25", "-0.25"), ("NaN", "nan")])
     def test_mask_range_check_names_file_and_mask(self, tmp_path, score, shown):
         path = tmp_path / "scores.json"
-        path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16,'
+        path.write_text('{"block_id": 0,'
                         f' "masks": [{{"score": 0.5, "point_ids": [1]}}, {{"score": {score}, "point_ids": [2]}}]}}')
         with pytest.raises(ParseError, match=re.escape(f"scores.json: malformed block file: masks[1]: mask score must "
                                                        f"be in [0, 1], got {shown}")):
@@ -474,8 +483,7 @@ class TestBlockFiles:
 
     def test_boolean_spelled_only_in_an_unknown_string_still_reads(self, tmp_path):
         path = tmp_path / "note.json"
-        path.write_text('{"block_id": 0, "center": [0, 0], "radius": 16, "note": "true or false",'
-                        ' "masks": [{"score": 1, "point_ids": [2, 1]}]}')
+        path.write_text('{"block_id": 0, "note": "true or false", "masks": [{"score": 1, "point_ids": [2, 1]}]}')
         assert io.read_block_file(path).masks[0].point_ids.tolist() == [1, 2]
 
     @pytest.mark.parametrize("section", [
@@ -484,17 +492,18 @@ class TestBlockFiles:
     ])
     def test_point_id_beyond_int64_rejected(self, tmp_path, section):
         path = tmp_path / "big.json"
-        path.write_text(f'{{"block_id": 0, "center": [0, 0], "radius": 16, {section}}}')
+        path.write_text(f'{{"block_id": 0, {section}}}')
         with pytest.raises(ParseError, match="big.json: malformed"):
             io.read_block_file(path)
 
 
 BLOCK_TEXT = (
-    '{"block_id":7,"center":[8.0,0.25],"masks":[{"point_ids":[1,2],"query_index":3,"score":0.75}],"radius":16.0,'
+    '{"block_id":7,"masks":[{"point_ids":[1,2],"query_index":3,"score":0.75}],'
     '"semantic":{"classes":[1,2],"point_ids":[1,2]}}\n'
 )
 
-# BLOCK_TEXT as block files were written before the compact layout: indented, one value per line.
+# BLOCK_TEXT as block files were written before the compact layout: indented, one value per line, and
+# with the block's center and radius, which the reader ignores.
 LEGACY_BLOCK_TEXT = """\
 {
   "block_id": 7,

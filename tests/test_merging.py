@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestseg import merging
-from forestseg.errors import ConfigError, InvalidGeometry, InvalidLabel, ShapeMismatch, Unvoted
+from forestseg.errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
 from forestseg.merging import (
-    BlockPrediction,
     InstanceMask,
     discard_boundary_masks,
     overlap_merge_baseline,
@@ -23,10 +22,6 @@ from merging_reference import reference_overlap_merge_baseline, reference_score_
 def mask(point_ids, score, block_id=0, query_index=0):
     return InstanceMask(point_ids=np.asarray(point_ids, dtype=np.int64), score=score,
                         block_id=block_id, query_index=query_index)
-
-
-def footprint(block_id, center_xy=(0.0, 0.0), radius=16.0):
-    return BlockPrediction(block_id=block_id, center_xy=center_xy, radius=radius, masks=[])
 
 
 def random_masks(rng, count, universe=200, max_size=40):
@@ -111,40 +106,39 @@ class TestScoreFilter:
         assert kept == [m for m in masks if m.score >= 0.6]
 
 
-class TestBlockPrediction:
-    @pytest.mark.parametrize("center, radius", [
-        ((float("nan"), 0.0), 16.0), ((0.0, float("inf")), 16.0),
-        ((0.0, 0.0), float("nan")), ((0.0, 0.0), 0.0), ((0.0, 0.0), -1.0), ((0.0, 0.0), float("inf")),
-        ((0.0, 0.0), 1e200),
-    ])
-    def test_bad_footprint_rejected(self, center, radius):
-        with pytest.raises(InvalidGeometry, match="block center must be finite and radius positive"):
-            BlockPrediction(block_id=0, center_xy=center, radius=radius, masks=[])
-
-
 class TestDiscardBoundaryMasks:
     def _setup(self, farthest):
         positions = np.zeros((2, 3))
         positions[1, 0] = farthest
-        return [mask([0, 1], 0.9)], footprint(0), positions
+        return [mask([0, 1], 0.9)], positions
 
     def test_mask_reaching_margin_discarded(self):
-        masks, block, positions = self._setup(15.6)
-        assert discard_boundary_masks(masks, block, positions, 0.5) == []
+        masks, positions = self._setup(15.6)
+        assert discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5) == []
 
     def test_interior_mask_kept(self):
-        masks, block, positions = self._setup(15.4)
-        assert len(discard_boundary_masks(masks, block, positions, 0.5)) == 1
+        masks, positions = self._setup(15.4)
+        assert len(discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5)) == 1
+
+    @pytest.mark.parametrize("center, radius", [
+        ((float("nan"), 0.0), 16.0), ((0.0, float("inf")), 16.0), ((0.0, 0.0, 5.0), 16.0), ((0.0,), 16.0),
+        ((0.0, 0.0), float("nan")), ((0.0, 0.0), 0.0), ((0.0, 0.0), -1.0), ((0.0, 0.0), float("inf")),
+        ((0.0, 0.0), 1e200),
+    ])
+    def test_bad_footprint_rejected(self, center, radius):
+        masks, positions = self._setup(1.0)
+        with pytest.raises(ConfigError, match=r"block center must be a finite \(x, y\) pair and radius positive"):
+            discard_boundary_masks(masks, center, radius, positions, 0.5)
 
     def test_matches_distance_scan_oracle(self, rng):
         positions = np.c_[rng.uniform(-20, 20, size=(300, 2)), np.zeros(300)]
         masks = random_masks(rng, 40, universe=300)
         for _ in range(5):
-            block = footprint(0, (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))))
-            kept = discard_boundary_masks(masks, block, positions, 0.5)
+            center = (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
+            kept = discard_boundary_masks(masks, center, 16.0, positions, 0.5)
             expected = []
             for m in masks:
-                dists = [np.hypot(*(positions[p, :2] - np.array(block.center_xy))) for p in m.point_ids]
+                dists = [np.hypot(*(positions[p, :2] - np.array(center))) for p in m.point_ids]
                 if max(dists) <= 16.0 - 0.5:
                     expected.append(m)
             assert kept == expected
@@ -153,20 +147,20 @@ class TestDiscardBoundaryMasks:
         # radius - margin = -0.2, so every point lies beyond it, even one at the center.
         positions = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
         masks = [mask([0], 0.9), mask([0, 1], 0.9, query_index=1), mask([], 0.9, query_index=2)]
-        kept = discard_boundary_masks(masks, footprint(0, radius=0.3), positions, 0.5)
+        kept = discard_boundary_masks(masks, (0.0, 0.0), 0.3, positions, 0.5)
         assert [m.query_index for m in kept] == [2]
 
     @pytest.mark.parametrize("margin", [-3.0, float("nan")])
     def test_negative_or_nan_margin_rejected(self, margin):
         positions = np.array([[3.0, 0.0, 0.0]])
         with pytest.raises(ConfigError, match="boundary margin must be >= 0"):
-            discard_boundary_masks([mask([0], 0.9)], footprint(0, radius=1.0), positions, margin)
+            discard_boundary_masks([mask([0], 0.9)], (0.0, 0.0), 1.0, positions, margin)
 
     def test_empty_masks_kept_and_order_preserved(self):
         positions = np.array([[0.0, 0.0, 0.0], [15.6, 0.0, 0.0], [15.4, 0.0, 0.0]])
         masks = [mask([], 0.5, 0, 4), mask([0, 1], 0.5, 0, 1), mask([0, 2], 0.5, 0, 5),
                  mask([], 0.5, 0, 0), mask([1], 0.5, 0, 3), mask([2], 0.5, 0, 2)]
-        kept = discard_boundary_masks(masks, footprint(0), positions, 0.5)
+        kept = discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5)
         assert [m.query_index for m in kept] == [4, 5, 0, 2]
 
 

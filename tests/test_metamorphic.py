@@ -34,10 +34,10 @@ def _moved(cloud, positions):
 def _assert_same_output(a, b, ignore_config=False):
     assert np.array_equal(a.merge.instance, b.merge.instance)
     assert np.array_equal(a.merge.semantic, b.merge.semantic)
+    report_a, report_b = a.report, b.report
     if ignore_config:
-        a.report.pop("config")
-        b.report.pop("config")
-    assert a.report == b.report
+        del report_a["config"], report_b["config"]
+    assert report_a == report_b
 
 
 def test_power_of_two_shift_of_rounded_cloud_changes_nothing(scene):

@@ -156,8 +156,6 @@ class TestStageAccounting:
 
         bad = BlockPrediction(
             block_id=0,
-            center_xy=(0.0, 0.0),
-            radius=16.0,
             masks=[InstanceMask(point_ids=np.array([forest.n + 5]), score=0.9, block_id=0, query_index=0)],
         )
         with pytest.raises(ShapeMismatch):
@@ -165,20 +163,17 @@ class TestStageAccounting:
 
     @pytest.mark.parametrize("block_ids", [[0, 0], [-1], [10_000]])
     def test_block_ids_off_the_grid_rejected(self, forest, block_ids):
-        bad = [BlockPrediction(block_id=i, center_xy=(0.0, 0.0), radius=16.0, masks=[]) for i in block_ids]
+        bad = [BlockPrediction(block_id=i, masks=[]) for i in block_ids]
         with pytest.raises(UnknownBlock):
             run_pipeline_from_blocks(bad, forest, PipelineConfig())
 
     def test_mask_tagged_with_another_block_rejected(self):
-        # Both points lie well inside block 0 and outside block 1, so
-        # measuring the mask against block 1's footprint would drop it.
-        positions = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [10.0, 0.0, 0.0]])
-        stray = InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=1, query_index=0)
-        predictions = [
-            BlockPrediction(block_id=0, center_xy=(0.0, 0.0), radius=4.0, masks=[stray]),
-            BlockPrediction(block_id=1, center_xy=(10.0, 0.0), radius=4.0, masks=[]),
-        ]
-        with pytest.raises(UnknownBlock, match="block 0 holds a mask of block 1"):
+        # Both points lie well inside block 0 (centered at x = 0) and outside
+        # block 3 (x = 12), so measuring the mask against block 3 would drop it.
+        positions = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [12.0, 0.0, 0.0]])
+        stray = InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=3, query_index=0)
+        predictions = [BlockPrediction(block_id=0, masks=[stray]), BlockPrediction(block_id=3, masks=[])]
+        with pytest.raises(UnknownBlock, match="block 0 holds a mask of block 3"):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
 
     @pytest.mark.parametrize("order", ["forward", "reversed"])
@@ -189,18 +184,16 @@ class TestStageAccounting:
                  InstanceMask(point_ids=np.array([1, 2]), score=0.9, block_id=0, query_index=0)]
         if order == "reversed":
             twins.reverse()
-        prediction = BlockPrediction(block_id=0, center_xy=(0.0, 0.0), radius=4.0, masks=twins)
+        prediction = BlockPrediction(block_id=0, masks=twins)
         with pytest.raises(UnknownBlock, match="block 0 holds two masks with query index 0"):
             merge_block_predictions([prediction], np.zeros((4, 3)), PipelineConfig(radius=4.0, stride=4.0))
 
     def test_repeated_block_id_rejected_even_with_distinct_query_indices(self):
-        # The two footprints differ: measured against the last one, the
-        # first mask would be dropped though it lies inside its own block.
-        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [20.0, 0.0, 0.0], [21.0, 0.0, 0.0]])
+        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         predictions = [
-            BlockPrediction(block_id=0, center_xy=(0.0, 0.0), radius=4.0,
+            BlockPrediction(block_id=0,
                             masks=[InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=0, query_index=0)]),
-            BlockPrediction(block_id=0, center_xy=(20.0, 0.0), radius=4.0,
+            BlockPrediction(block_id=0,
                             masks=[InstanceMask(point_ids=np.array([2, 3]), score=0.9, block_id=0, query_index=1)]),
         ]
         with pytest.raises(UnknownBlock, match="block 0 arrives twice"):
@@ -217,8 +210,8 @@ class TestStageAccounting:
         pids, classes = np.arange(12), np.zeros(12, dtype=np.int64)
         bad = {"length": (pids, classes[:-1]), "class": (pids, np.r_[classes[:-1], N_CLASSES]),
                "point": (np.r_[pids[:-1], 12], classes)}[fault]
-        predictions = [BlockPrediction(block_id=b, center_xy=(4.0 * b, 0.0), radius=4.0, masks=[],
-                                       semantic=bad if b == 2 else (pids, classes)) for b in range(3)]
+        predictions = [BlockPrediction(block_id=b, masks=[], semantic=bad if b == 2 else (pids, classes))
+                       for b in range(3)]
         with pytest.raises(error, match=message):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
 
@@ -239,9 +232,10 @@ FAULTS = ["repeated_block", "off_grid", "foreign_mask", "point_out_of_range", "r
 def merge_cases(draw):
     """Random predictions over a tiny scene, shuffled, with at most one kind of fault.
 
-    Scores come from a few values so that ties are common; masks may be
-    empty, blocks may carry no votes, and the margin, NMS and score
-    thresholds include their edge values.
+    Each block's masks are drawn mostly from the points near its grid
+    center, so that some survive boundary discard. Scores come from a few
+    values so that ties are common; masks may be empty, blocks may carry no
+    votes, and the margin, NMS and score thresholds include their edge values.
     """
     n_points = draw(st.integers(1, 24))
     xy = np.array(draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -253,16 +247,15 @@ def merge_cases(draw):
                             nms_iou=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
                             score_threshold=draw(st.sampled_from([0.0, 0.4, 1.0])),
                             boundary_margin=draw(st.sampled_from([0.0, 0.5, 0.9 * radius])))
-    n_grid = len(sliding_window_centers(xy.min(axis=0), xy.max(axis=0), stride))
+    centers = sliding_window_centers(xy.min(axis=0), xy.max(axis=0), stride)
+    n_grid = len(centers)
     # An empty stream is valid too, but rarer than hypothesis would make it.
     min_blocks = draw(st.sampled_from([0, 1, 1, 1]))
     block_ids = draw(st.lists(st.integers(0, n_grid - 1), unique=True, min_size=min_blocks, max_size=min(n_grid, 6)))
     point_sets = st.sets(st.integers(0, n_points - 1), max_size=n_points)
     predictions = []
     for block_id in block_ids:
-        center = xy[draw(st.integers(0, n_points - 1))] + draw(st.sampled_from([0.0, 0.5, 2.0]))
-        # Masks mostly of points near the center, so that some survive boundary discard.
-        near = np.flatnonzero(np.hypot(*(xy - center).T) <= radius - 0.5).tolist()
+        near = np.flatnonzero(np.hypot(*(xy - centers[block_id]).T) <= radius - 0.5).tolist()
         mask_sets = st.sets(st.sampled_from(near)) if near else st.just(set())
         queries = draw(st.lists(st.integers(0, 7), unique=True, max_size=4))
         masks = [InstanceMask(point_ids=np.array(sorted(draw(st.one_of(mask_sets, point_sets))), dtype=np.int64),
@@ -275,15 +268,14 @@ def merge_cases(draw):
             classes = np.array(draw(st.lists(st.integers(0, N_CLASSES - 1), min_size=len(pids), max_size=len(pids))),
                                dtype=np.int64)
             semantic = (pids, classes)
-        predictions.append(BlockPrediction(block_id=block_id, center_xy=(center[0], center[1]), radius=radius,
-                                           masks=masks, semantic=semantic))
+        predictions.append(BlockPrediction(block_id=block_id, masks=masks, semantic=semantic))
 
     fault = draw(st.one_of(st.none(), st.sampled_from(FAULTS))) if predictions else None
     if fault is not None:
         victim = draw(st.sampled_from(predictions))
         block_id = victim.block_id
         if fault == "repeated_block":
-            predictions.append(BlockPrediction(block_id=block_id, center_xy=(0.0, 0.0), radius=radius, masks=[]))
+            predictions.append(BlockPrediction(block_id=block_id, masks=[]))
         elif fault == "off_grid":
             victim.block_id = draw(st.sampled_from([n_grid, -1]))
             for m in victim.masks:
@@ -353,7 +345,7 @@ class TestStreamingMerge:
         def predict(block_id):
             ids = np.array([4 * block_id, 4 * block_id + 1])
             prediction = BlockPrediction(
-                block_id=block_id, center_xy=(4.0 * block_id, 0.0), radius=4.0,
+                block_id=block_id,
                 masks=[InstanceMask(point_ids=ids, score=0.9, block_id=block_id, query_index=0)],
                 semantic=(np.arange(12), np.full(12, block_id % N_CLASSES)),
             )
@@ -378,7 +370,7 @@ class TestStreamingMerge:
             while True:
                 pulls += 1
                 assert pulls < 3, "pulled past the repeated block"
-                yield BlockPrediction(block_id=0, center_xy=(0.0, 0.0), radius=4.0, masks=[])
+                yield BlockPrediction(block_id=0, masks=[])
 
         with pytest.raises(UnknownBlock, match="block 0 arrives twice"):
             merge_block_predictions(stream(), np.zeros((4, 3)), PipelineConfig(radius=4.0, stride=4.0))
