@@ -48,6 +48,18 @@ class _OutputFile(click.Path):
         return value
 
 
+class _OutputDir(click.Path):
+    """A directory to create or fill, whose nearest existing ancestor is a
+    directory, so a path through a file is a usage error (exit 2) before any work."""
+
+    def convert(self, value, param, ctx):
+        path = Path(super().convert(value, param, ctx))
+        ancestor = next(p for p in (path, *path.parents) if p.exists())
+        if not ancestor.is_dir():
+            self.fail(f"{click.format_filename(ancestor)!r} is not a directory.", param, ctx)
+        return value
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
     if out:
         io.write_json(out, payload)
@@ -136,7 +148,7 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
               help="'oracle' or a directory of per-block mask JSON files.")
 @click.option("--out-labels", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--out-report", type=_OutputFile(dir_okay=False), default=None)
-@click.option("--dump-blocks", type=click.Path(file_okay=False), default=None,
+@click.option("--dump-blocks", type=_OutputDir(file_okay=False), default=None,
               help="Also write each block's predictions as JSON into this directory.")
 @click.option("--threads", type=int, default=1, show_default=True)
 @_field_options(CorruptionParams, PipelineConfig)

@@ -154,9 +154,16 @@ def discard_boundary_masks(
     max_sq = np.zeros(len(masks))
     nonempty = sizes > 0
     if nonempty.any():
-        delta = positions[np.concatenate([m.point_ids for m in masks]), :2] - center
+        ids = np.concatenate([m.point_ids for m in masks])
+        # The gathered columns are squared and summed in place, with no further temporaries.
+        dist_sq, dy = positions[ids, 0], positions[ids, 1]
+        dist_sq -= center[0]
+        dist_sq *= dist_sq
+        dy -= center[1]
+        dy *= dy
+        dist_sq += dy
         starts = (np.cumsum(sizes) - sizes)[nonempty]
-        max_sq[nonempty] = np.maximum.reduceat(delta[:, 0] ** 2 + delta[:, 1] ** 2, starts)
+        max_sq[nonempty] = np.maximum.reduceat(dist_sq, starts)
     inner = radius - margin
     keep = max_sq <= inner**2 if inner >= 0 else ~nonempty
     return [m for m, k in zip(masks, keep) if k]

@@ -11,7 +11,8 @@ worker count or block order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
@@ -247,7 +248,20 @@ def run_pipeline(
     if workers == 1:
         return run_pipeline_from_blocks(map(predictor, blocks), cloud, config)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return run_pipeline_from_blocks(pool.map(predictor, blocks), cloud, config)
+        return run_pipeline_from_blocks(_bounded_map(pool, predictor, blocks, 2 * workers), cloud, config)
+
+
+def _bounded_map(pool: ThreadPoolExecutor, fn, items: Iterable, ahead: int) -> Iterator:
+    """``fn`` over ``items`` on the pool, yielded in order, with at most
+    ``ahead`` calls submitted and not yet yielded, so finished results never
+    pile up ahead of their consumer."""
+    pending: deque[Future] = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def run_pipeline_from_blocks(

@@ -100,6 +100,26 @@ class CorruptionParams:
             raise ConfigError(f"score_noise must be finite and >= 0, got {self.score_noise}")
 
 
+def _place_centers(params: ForestParams, rng: np.random.Generator) -> npt.NDArray[np.float64]:
+    """Rejection-sample ``params.n_trees`` tree centers at least
+    ``params.min_spacing`` apart, one uniform candidate per attempt; each
+    candidate is checked against all placed centers in one vectorized call."""
+    centers = np.empty((params.n_trees, 2))
+    placed = 0
+    max_attempts = 1000 + 200 * params.n_trees
+    for _ in range(max_attempts):
+        cand = rng.uniform(0.0, params.plot_size, size=2)
+        if np.all(np.hypot(cand[0] - centers[:placed, 0], cand[1] - centers[:placed, 1]) >= params.min_spacing):
+            centers[placed] = cand
+            placed += 1
+            if placed == params.n_trees:
+                return centers
+    raise PlacementFailed(
+        f"placed {placed}/{params.n_trees} trees after {max_attempts} attempts; "
+        f"min_spacing {params.min_spacing} m is infeasible on a {params.plot_size} m plot"
+    )
+
+
 def generate_forest(params: ForestParams) -> PointCloud:
     """Sample a labeled forest plot; fully deterministic given the seed.
 
@@ -109,19 +129,7 @@ def generate_forest(params: ForestParams) -> PointCloud:
     carry instance ids 1..n_trees in placement order.
     """
     rng = np.random.default_rng(params.seed)
-    centers: list[np.ndarray] = []
-    max_attempts = 1000 + 200 * params.n_trees
-    attempts = 0
-    while len(centers) < params.n_trees:
-        attempts += 1
-        if attempts > max_attempts:
-            raise PlacementFailed(
-                f"placed {len(centers)}/{params.n_trees} trees after {max_attempts} attempts; "
-                f"min_spacing {params.min_spacing} m is infeasible on a {params.plot_size} m plot"
-            )
-        cand = rng.uniform(0.0, params.plot_size, size=2)
-        if all(np.hypot(*(cand - c)) >= params.min_spacing for c in centers):
-            centers.append(cand)
+    centers = _place_centers(params, rng)
 
     n_under = int(round(params.understory_fraction * params.n_trees))
     under = np.zeros(params.n_trees, dtype=bool)
@@ -208,30 +216,32 @@ def oracle_predictor(
     particular a tree clipped by the block boundary scores below 1 even
     without corruption.
 
-    Per block, one stable argsort groups the points by tree; the tree sizes
-    are ``tree_sizes`` (``np.bincount(cloud.instance)``, computed here when
-    not given, so a caller predicting many blocks passes it once). After
-    that a mask costs at most O(block). A noisy mask draws its added points
-    from the block's points outside the mask, taken with a boolean mask over
-    the block's ascending point ids, so the pool stays ascending and the
-    random draws are those of a sorted set difference. ``point_indices`` are
-    taken to be unique.
+    Per block, one stable argsort groups the points by tree, and the runs
+    of that order name the trees present; the tree sizes are ``tree_sizes``
+    (``np.bincount(cloud.instance)``, computed here when not given, so a
+    caller predicting many blocks passes it once). A noisy mask draws its
+    added points from the pool of the block's points outside the mask, in
+    ascending order, so the random draws are those of a sorted set
+    difference. The pool is never built: the draw picks ranks into it, and
+    each rank maps to a point id through the mask's sorted positions among
+    the block's ids, so a noisy mask costs O(mask log block).
+    ``point_indices`` are taken to be unique.
     """
     if not cloud.has_labels:
         raise MissingLabels("oracle predictor requires ground-truth labels on the cloud")
     rng = np.random.default_rng(seed)
     pts = block.point_indices
     inst = cloud.instance[pts]
-    present = np.unique(inst[inst >= 1])
-    if len(present) == 0:
-        return []
-
-    # A stable sort by tree keeps each tree's points in block order.
+    # A stable sort by tree keeps each tree's points in block order; ground
+    # (id 0) sorts first, and each tree's points form one run after it.
     order = np.argsort(inst, kind="stable")
     by_tree, tree_of = pts[order], inst[order]
-    lo = np.searchsorted(tree_of, present, side="left")
-    hi = np.searchsorted(tree_of, present, side="right")
-    local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, lo, hi)}
+    first = int(np.searchsorted(tree_of, 1))
+    if first == len(tree_of):
+        return []
+    starts = np.r_[first, first + 1 + np.flatnonzero(tree_of[first + 1:] != tree_of[first:-1])]
+    present = tree_of[starts]
+    local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, starts, np.r_[starts[1:], len(tree_of)])}
     if tree_sizes is None:
         tree_sizes = np.bincount(cloud.instance)
     ordered = pts if np.all(pts[1:] > pts[:-1]) else np.unique(pts)
@@ -269,13 +279,19 @@ def oracle_predictor(
         if corruption.point_noise > 0 and len(members):
             n_swap = int(rng.uniform(0.0, corruption.point_noise) * len(members))
             if n_swap:
-                drop_idx = rng.choice(len(members), size=n_swap, replace=False)
-                kept = np.delete(members, drop_idx)
-                outside = np.ones(len(ordered), dtype=bool)
-                outside[np.searchsorted(ordered, members)] = False
-                pool = ordered[outside]
-                n_add = min(n_swap, len(pool))
-                added = rng.choice(pool, size=n_add, replace=False) if n_add else np.empty(0, dtype=np.int64)
+                keep = np.ones(len(members), dtype=bool)
+                keep[rng.choice(len(members), size=n_swap, replace=False)] = False
+                kept = members[keep]
+                n_pool = len(ordered) - len(members)
+                n_add = min(n_swap, n_pool)
+                added = np.empty(0, dtype=np.int64)
+                if n_add:
+                    # choice draws the same ranks over range(n_pool) as over the ascending pool of the
+                    # block's other points. The rank-k pool point is found without building the pool:
+                    # it follows k pool points and every member placed before it.
+                    rank = rng.choice(n_pool, size=n_add, replace=False)
+                    pool_before = np.sort(np.searchsorted(ordered, members)) - np.arange(len(members))
+                    added = ordered[rank + np.searchsorted(pool_before, rank, side="right")]
                 # kept and added are disjoint, so sorting their concatenation is their union.
                 members = np.sort(np.concatenate([kept, added]))
         score = 0.0

@@ -1,7 +1,10 @@
 """Cylindrical cropping and sliding-window tiling over large scenes.
 
 Cylinders avoid cutting trees vertically; blocks are addressed by a
-deterministic row-major grid index.
+deterministic row-major grid index. ``cylinder_crop`` and ``tile_cloud``
+share one crop kernel, which copies the x and y columns and allocates its
+scratch buffers once, so a tiling of many blocks allocates only each block's
+point ids.
 """
 
 from __future__ import annotations
@@ -38,20 +41,43 @@ class CylinderBlock:
         return len(self.point_indices)
 
 
+def _cropper(positions: npt.NDArray[np.float64], radius: float):
+    """A function from a center to the ascending ids of the points within
+    horizontal distance ``radius`` of it (boundary inclusive).
+
+    The x and y columns are copied and the scratch buffers allocated here,
+    once; each crop computes the squared distances into them in place.
+    """
+    # Written so that NaN fails too; the crop squares the radius.
+    if not (radius > 0 and math.isfinite(radius * radius)):
+        raise ConfigError(f"radius must be positive with a finite square, got {radius}")
+    x = np.ascontiguousarray(positions[:, 0])
+    y = np.ascontiguousarray(positions[:, 1])
+    dx, dy = np.empty_like(x), np.empty_like(y)
+    inside = np.empty(len(x), dtype=bool)
+    radius_sq = radius**2
+
+    def crop(center: npt.NDArray[np.float64]) -> npt.NDArray[np.int64]:
+        np.subtract(x, center[0], out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(y, center[1], out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.less_equal(dx, radius_sq, out=inside)
+        return np.flatnonzero(inside)
+
+    return crop
+
+
 def cylinder_crop(cloud: PointCloud, center_xy, radius: float, block_id: int = 0) -> CylinderBlock:
     """Select the points with horizontal distance <= radius (boundary inclusive).
 
     Raises:
         EmptyBlock: no point falls inside; callers may skip such blocks.
     """
-    # Written so that NaN fails too; the crop squares the radius.
-    if not (radius > 0 and math.isfinite(radius * radius)):
-        raise ConfigError(f"radius must be positive with a finite square, got {radius}")
+    crop = _cropper(cloud.positions, radius)
     center = np.asarray(center_xy, dtype=np.float64).reshape(2)
-    dx = cloud.positions[:, 0] - center[0]
-    dy = cloud.positions[:, 1] - center[1]
-    inside = (dx**2 + dy**2) <= radius**2
-    indices = np.flatnonzero(inside)
+    indices = crop(center)
     if len(indices) == 0:
         raise EmptyBlock(f"no points within {radius} m of center {tuple(center)}")
     return CylinderBlock(center_xy=center, radius=float(radius), point_indices=indices, block_id=block_id)
@@ -91,11 +117,11 @@ def tile_cloud(cloud: PointCloud, radius: float, stride: float) -> list[Cylinder
     if cloud.n == 0:
         raise EmptyInput("cannot tile an empty point cloud")
     centers = sliding_window_centers(cloud.positions[:, :2].min(axis=0), cloud.positions[:, :2].max(axis=0), stride)
+    crop = _cropper(cloud.positions, radius)
     blocks = []
     for block_id, center in enumerate(centers):
-        try:
-            blocks.append(cylinder_crop(cloud, center, radius, block_id=block_id))
-        except EmptyBlock:
-            continue
+        indices = crop(center)
+        if len(indices):
+            blocks.append(CylinderBlock(center_xy=center, radius=float(radius), point_indices=indices,
+                                        block_id=block_id))
     return blocks
-

@@ -1,7 +1,8 @@
-"""Pairwise reference kernels for the index-based merges in ``forestseg.merging``.
+"""Reference kernels for the merges in ``forestseg.merging``.
 
-These compare every pair of masks with ``np.intersect1d``, O(K²) in the
-number of masks. The fast kernels must return exactly what these return.
+NMS and the overlap baseline compare every pair of masks with
+``np.intersect1d``, O(K²) in the number of masks; boundary discard measures
+one mask at a time. The fast kernels must return exactly what these return.
 """
 
 import numpy as np
@@ -65,3 +66,16 @@ def reference_overlap_merge_baseline(masks, overlap_threshold):
         )
     merged.sort(key=lambda m: (m.block_id, m.query_index))
     return merged
+
+
+def reference_discard_boundary_masks(masks, center_xy, radius, positions, margin):
+    center = np.asarray(center_xy, dtype=np.float64)
+    inner = radius - margin
+    kept = []
+    for m in masks:
+        if m.size:
+            delta = np.asarray(positions, dtype=np.float64)[m.point_ids, :2] - center
+            if inner < 0 or (delta[:, 0] ** 2 + delta[:, 1] ** 2).max() > inner**2:
+                continue
+        kept.append(m)
+    return kept

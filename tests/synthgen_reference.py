@@ -1,5 +1,6 @@
-"""Set-operation reference for ``forestseg.synthgen.oracle_predictor`` and
-``forestseg.tiling.cylinder_crop``.
+"""Set-operation reference for ``forestseg.synthgen.oracle_predictor``, and
+loop references for tree placement in ``forestseg.synthgen.generate_forest``
+and for ``forestseg.tiling.cylinder_crop``.
 
 The oracle here draws each noisy mask's pool with ``np.setdiff1d`` over the
 whole block, joins members with ``np.union1d``, finds each tree's points with
@@ -10,10 +11,27 @@ same random stream.
 
 import numpy as np
 
-from forestseg.errors import ConfigError, EmptyBlock, MissingLabels
+from forestseg.errors import ConfigError, EmptyBlock, MissingLabels, PlacementFailed
 from forestseg.merging import InstanceMask
 from forestseg.synthgen import CorruptionParams, _overlap_split
 from forestseg.tiling import CylinderBlock
+
+
+def reference_place_centers(params, rng):
+    centers = []
+    max_attempts = 1000 + 200 * params.n_trees
+    attempts = 0
+    while len(centers) < params.n_trees:
+        attempts += 1
+        if attempts > max_attempts:
+            raise PlacementFailed(
+                f"placed {len(centers)}/{params.n_trees} trees after {max_attempts} attempts; "
+                f"min_spacing {params.min_spacing} m is infeasible on a {params.plot_size} m plot"
+            )
+        cand = rng.uniform(0.0, params.plot_size, size=2)
+        if all(np.hypot(*(cand - c)) >= params.min_spacing for c in centers):
+            centers.append(cand)
+    return np.array(centers)
 
 
 def reference_cylinder_crop(cloud, center_xy, radius, block_id=0):

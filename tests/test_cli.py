@@ -290,6 +290,21 @@ class TestPipeline:
             assert "already holds block JSON files" in result.output
         assert sorted(blocks.glob("*.json")) == dumped
 
+    def test_dump_blocks_through_a_file_is_a_usage_error(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        report = tmp_path / "report.json"
+        # Rejected before any work is done, so no report is written.
+        for target in (ply / "blocks", ply / "a" / "b", ply):
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(target),
+                                          "--out-report", str(report)])
+            assert result.exit_code == 2, result.output
+            assert "Invalid value for '--dump-blocks'" in result.output
+        assert not report.exists()
+        nested = tmp_path / "new" / "deeper"
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(nested)])
+        assert result.exit_code == 0, result.output
+        assert any(nested.glob("*.json"))
+
     def test_oracle_only_flags_rejected_with_block_directory(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         blocks = tmp_path / "blocks"

@@ -16,7 +16,11 @@ from forestseg.merging import (
     score_nms,
     semantic_vote_arrays,
 )
-from merging_reference import reference_overlap_merge_baseline, reference_score_nms
+from merging_reference import (
+    reference_discard_boundary_masks,
+    reference_overlap_merge_baseline,
+    reference_score_nms,
+)
 
 
 def mask(point_ids, score, block_id=0, query_index=0):
@@ -162,6 +166,27 @@ class TestDiscardBoundaryMasks:
                  mask([], 0.5, 0, 0), mask([1], 0.5, 0, 3), mask([2], 0.5, 0, 2)]
         kept = discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5)
         assert [m.query_index for m in kept] == [4, 5, 0, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_masks=st.integers(0, 12),
+        center=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        radius=st.floats(0.1, 20.0),
+        # Margin as a share of the radius: 0, inside the block, and at or beyond it.
+        margin_share=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1.5)),
+    )
+    def test_matches_per_mask_reference(self, seed, n_masks, center, radius, margin_share):
+        gen = np.random.default_rng(seed)
+        margin = margin_share * radius
+        inner = radius - margin
+        positions = np.c_[np.array(center) + gen.uniform(-radius, radius, size=(60, 2)), np.zeros(60)]
+        # Points exactly radius - margin away along an axis probe the inclusive boundary.
+        positions[:4, :2] = np.array(center) + max(inner, 0.0) * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        masks = [mask(gen.choice(60, size=int(gen.integers(0, 8)), replace=False), 0.5, query_index=i)
+                 for i in range(n_masks)]
+        assert discard_boundary_masks(masks, center, radius, positions, margin) == \
+            reference_discard_boundary_masks(masks, center, radius, positions, margin)
 
 
 class TestScoreNms:

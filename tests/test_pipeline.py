@@ -2,6 +2,7 @@
 
 import json
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -75,6 +76,21 @@ class TestDeterminism:
         r4 = run_pipeline(forest, PipelineConfig(seed=9), corruption=corr, threads=4)
         assert np.array_equal(r1.merge.instance, r4.merge.instance)
         assert json.dumps(r1.report, sort_keys=True) == json.dumps(r4.report, sort_keys=True)
+
+    def test_bounded_map_keeps_few_calls_ahead_of_its_consumer(self):
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for i in range(50):
+                pulled += 1
+                yield i
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for i, out in enumerate(pipeline._bounded_map(pool, lambda x: x * x, items(), 8)):
+                assert out == i * i
+                assert pulled - (i + 1) < 8  # submitted and not yet yielded, besides this one
+        assert pulled == 50
 
     def test_block_order_irrelevant_to_merge(self, forest, rng):
         config = PipelineConfig(seed=2)

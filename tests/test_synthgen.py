@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from forestseg.core import GROUND, LEAF, WOOD, PointCloud
 from forestseg.errors import ConfigError, MissingLabels, PlacementFailed
-from forestseg.synthgen import MAX_SCENE_POINTS, CorruptionParams, ForestParams, generate_forest, oracle_predictor
+from forestseg.synthgen import (
+    MAX_SCENE_POINTS,
+    CorruptionParams,
+    ForestParams,
+    _place_centers,
+    generate_forest,
+    oracle_predictor,
+)
 from forestseg.tiling import CylinderBlock, cylinder_crop, tile_cloud
-from synthgen_reference import reference_oracle_predictor
+from synthgen_reference import reference_oracle_predictor, reference_place_centers
 
 
 def full_scene_block(cloud, block_id=0):
@@ -56,6 +63,23 @@ class TestGenerateForest:
     def test_infeasible_spacing_fails(self):
         with pytest.raises(PlacementFailed):
             generate_forest(ForestParams(n_trees=50, plot_size=2.0, min_spacing=3.0, seed=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_trees=st.integers(1, 12), plot_size=st.floats(0.5, 20.0), min_spacing=st.floats(0.0, 12.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_placement_matches_loop_reference(self, n_trees, plot_size, min_spacing, seed):
+        # Large spacings on small plots are infeasible; both must then fail alike.
+        params = ForestParams(n_trees=n_trees, plot_size=plot_size, min_spacing=min_spacing, seed=seed)
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = reference_place_centers(params, ref)
+        except PlacementFailed as exc:
+            with pytest.raises(PlacementFailed) as failed:
+                _place_centers(params, fast)
+            assert str(failed.value) == str(exc)
+        else:
+            assert np.array_equal(_place_centers(params, fast), expected)
+        assert fast.bit_generator.state == ref.bit_generator.state
 
     def test_point_count_capped(self):
         # 12,500 trees of up to 800 points reach the cap exactly; one more point is past it.
@@ -207,3 +231,16 @@ class TestOraclePredictorMatchesSetReference:
                 oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id], tree_sizes=tree_sizes),
                 reference_oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
             )
+
+    def test_block_over_ten_thousand_points_with_full_noise(self):
+        # numpy's choice without replacement takes Floyd's algorithm for small draws and shuffles
+        # the tail of the whole range once the pool exceeds 10,000 and the draw 1/50 of it. A
+        # 23,000-point block with noise fractions up to 1 draws both ways.
+        cloud = generate_forest(ForestParams(n_trees=30, plot_size=20.0, seed=4))
+        block = full_scene_block(cloud, block_id=5)
+        assert block.n > 10_000
+        corruption = CorruptionParams(split_prob=0.5, point_noise=1.0)
+        assert_same_masks(
+            oracle_predictor(block, cloud, corruption, seed=[0, 5]),
+            reference_oracle_predictor(block, cloud, corruption, seed=[0, 5]),
+        )

@@ -137,6 +137,32 @@ class TestSlidingWindow:
             covered[block.point_indices] = True
         assert covered.all()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        xy=st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)), min_size=1, max_size=60),
+        radius=st.floats(0.1, 20.0),
+        stride=st.floats(2.0, 10.0),
+        on_circle=st.lists(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]), max_size=3),
+    )
+    def test_tile_cloud_matches_crop_reference(self, xy, radius, stride, on_circle):
+        # Offsets of one radius from the bounds minimum, the first grid center, probe the inclusive boundary.
+        lo = np.min(xy, axis=0)
+        cloud = _cloud_at(xy + [(lo[0] + radius * a, lo[1] + radius * b) for a, b in on_circle])
+        centers = sliding_window_centers(cloud.positions[:, :2].min(axis=0), cloud.positions[:, :2].max(axis=0),
+                                         stride)
+        expected = []
+        for block_id, center in enumerate(centers):
+            try:
+                expected.append(reference_cylinder_crop(cloud, center, radius, block_id=block_id))
+            except EmptyBlock:
+                continue
+        blocks = tile_cloud(cloud, radius, stride)
+        assert [b.block_id for b in blocks] == [e.block_id for e in expected]
+        for block, ref in zip(blocks, expected):
+            assert block.point_indices.dtype == np.int64
+            assert np.array_equal(block.point_indices, ref.point_indices)
+            assert np.array_equal(block.center_xy, ref.center_xy) and block.radius == ref.radius
+
     def test_block_ids_are_grid_indices(self, rng):
         cloud = _cloud_at(rng.uniform(0.0, 8.0, size=(200, 2)))
         blocks = tile_cloud(cloud, radius=16.0, stride=4.0)
