@@ -27,6 +27,9 @@ WOOD = 1
 LEAF = 2
 SEMANTIC_NAMES = {GROUND: "ground", WOOD: "wood", LEAF: "leaf"}
 N_CLASSES = len(SEMANTIC_NAMES)
+# The domain each label column must keep, as its error message states it.
+_LABEL_RULES = {"instance": "instance ids must be >= 0",
+                "semantic": "semantic classes must be in {0 (ground), 1 (wood), 2 (leaf)}"}
 
 
 def _as_float_positions(positions) -> npt.NDArray[np.float64]:
@@ -63,11 +66,11 @@ class PointCloud:
         if self.semantic is not None:
             self.semantic = _as_labels(self.semantic, "semantic", n)
             if self.semantic.size and not np.all(np.isin(self.semantic, (GROUND, WOOD, LEAF))):
-                raise InvalidLabel("semantic classes must be in {0 (ground), 1 (wood), 2 (leaf)}")
+                raise InvalidLabel(_LABEL_RULES["semantic"])
         if self.instance is not None:
             self.instance = _as_labels(self.instance, "instance", n)
             if self.instance.size and self.instance.min() < 0:
-                raise InvalidLabel("instance ids must be >= 0")
+                raise InvalidLabel(_LABEL_RULES["instance"])
         if self.semantic is not None and self.instance is not None:
             on_tree = self.instance >= 1
             if np.any(on_tree & (self.semantic == GROUND)):

@@ -1,9 +1,13 @@
 """Readers and writers: ASCII PLY and TSV point clouds, label tables, and
 per-block mask files.
 
-Every point table goes through one row parser and one row formatter; the
-formats differ only in their header and separator. Floats are written with
-``repr`` so a read-back reproduces every value bit-exactly. The parser
+Every point table goes through one row parser. Clouds are written by one row
+formatter, the formats differing only in their header and separator; floats
+are written with ``repr`` so a read-back reproduces every value bit-exactly.
+Label tables hold only integers, and one vectorized kernel formats them: each
+column's digits fill a right-aligned byte matrix, so no value becomes a
+Python string. Read back, a label table's values are checked as a cloud's
+labels are: instance ids >= 0, semantic classes 0, 1 or 2. The parser
 converts a whole table in one vectorized ``np.loadtxt`` pass; only when that
 pass rejects the rows does a loop parse them one by one, so parse failures
 still raise :class:`ParseError` naming the file and the offending line.
@@ -26,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .core import PointCloud
-from .errors import ParseError, ShapeMismatch
+from .core import _LABEL_RULES, N_CLASSES, PointCloud, _as_labels
+from .errors import InvalidLabel, ParseError, ShapeMismatch
 from .merging import BlockPrediction, InstanceMask
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
@@ -121,6 +125,46 @@ def _write_rows(path, header: list[str], sep: str, columns: dict[str, npt.NDArra
     """Write the header lines, then the columns as ``sep``-joined rows (``str`` of a float is its ``repr``)."""
     rows = map(sep.join, zip(*(map(str, c.tolist()) for c in columns.values()), strict=True))
     Path(path).write_text("\n".join([*header, *rows]) + "\n")
+
+
+def _int_rows(columns: Sequence[npt.NDArray[np.int64]]) -> bytes:
+    """The rows of ``columns`` (1-D int64 arrays of one length) as ASCII text:
+    each value as ``str`` spells it, tab-separated, every row ended by a newline.
+
+    Each column takes a right-aligned slot in one uint8 matrix, as wide as its
+    widest value, filled one digit place per floor division by ten. Signs,
+    tabs and newlines are placed by index, and one boolean compress drops the
+    slots' left padding.
+    """
+    n = len(columns[0])
+    laid_out = []
+    for values in columns:
+        negative = values < 0
+        # uint64 magnitudes: two's-complement negation is exact for every int64, -2**63 included.
+        magnitude = values.astype(np.uint64)
+        np.negative(magnitude, out=magnitude, where=negative)
+        laid_out.append((magnitude, negative, len(str(magnitude.max())) if n else 1, bool(negative.any())))
+    table = np.empty((n, sum(n_digits + signed + 1 for *_, n_digits, signed in laid_out)), dtype=np.uint8)
+    keep = np.ones(table.shape, dtype=bool)
+    end = 0
+    for i, (rest, negative, n_digits, signed) in enumerate(laid_out):
+        lead, end = end + signed, end + signed + n_digits  # the column's digit places are lead..end-1
+        for place in range(end - 1, lead - 1, -1):
+            quotient = rest // 10
+            np.subtract(rest, quotient * 10, out=table[:, place], casting="unsafe")
+            table[:, place] += ord("0")
+            if place < end - 1:
+                np.not_equal(rest, 0, out=keep[:, place])  # a zero left of the leading digit is padding
+            rest = quotient
+        if signed:
+            keep[:, lead - 1] = False
+            rows = np.flatnonzero(negative)
+            sign = lead - 1 + np.argmax(keep[rows, lead:end], axis=1)  # just left of each leading digit
+            table[rows, sign] = ord("-")
+            keep[rows, sign] = True
+        table[:, end] = ord("\n" if i == len(laid_out) - 1 else "\t")
+        end += 1
+    return table[keep].tobytes()
 
 
 def _cloud_columns(cloud: PointCloud) -> dict[str, npt.NDArray]:
@@ -278,12 +322,18 @@ def write_cloud(path, cloud: PointCloud) -> None:
 
 
 def write_labels_tsv(path, instance, semantic=None) -> None:
-    """Write final per-point labels: point_id, instance, and optional semantic."""
+    """Write final per-point labels: point_id, instance, and optional semantic.
+
+    ``instance`` must be 1-D and ``semantic`` of its length, or
+    :class:`ShapeMismatch` is raised before anything is written.
+    """
     instance = np.asarray(instance, dtype=np.int64)
-    columns = {"point_id": np.arange(len(instance)), "instance": instance}
+    if instance.ndim != 1:
+        raise ShapeMismatch(f"instance must be 1-D, got shape {instance.shape}")
+    columns = {"point_id": np.arange(len(instance), dtype=np.int64), "instance": instance}
     if semantic is not None:
-        columns["semantic"] = np.asarray(semantic, dtype=np.int64)
-    _write_rows(path, ["\t".join(columns)], "\t", columns)
+        columns["semantic"] = _as_labels(semantic, "semantic", len(instance))
+    Path(path).write_bytes(("\t".join(columns) + "\n").encode() + _int_rows(list(columns.values())))
 
 
 def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] | None]:
@@ -335,6 +385,14 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     if "semantic" in header:
         fields["semantic"] = (2, int)
     values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t", accept=each_id_once)
+    # A cloud's label domains. There is no tree/ground cross-check: a noisy mask may give a ground point a tree id.
+    invalid = {"instance": values["instance"] < 0}
+    if "semantic" in values:
+        invalid["semantic"] = (values["semantic"] < 0) | (values["semantic"] >= N_CLASSES)
+    rows = np.flatnonzero(np.any(list(invalid.values()), axis=0))
+    if len(rows):
+        name = next(name for name, bad in invalid.items() if bad[rows[0]])
+        raise InvalidLabel(f"{path}: line {linenos[rows[0] + 1]}: {_LABEL_RULES[name]}, got {values[name][rows[0]]}")
     # The ids are a permutation of 0..n-1; scattering row numbers by id inverts it.
     order = np.empty(n, dtype=np.int64)
     order[values["point_id"]] = np.arange(n)

@@ -47,10 +47,10 @@ class InstanceMask:
 
     def __post_init__(self) -> None:
         ids = np.array(self.point_ids, dtype=np.int64).reshape(-1)
-        if not np.all(ids[1:] > ids[:-1]):
+        if not (ids[1:] > ids[:-1]).all():
             ids = np.unique(ids)
         self.point_ids = ids
-        if not np.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
+        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ShapeMismatch(f"mask score must be in [0, 1], got {self.score}")
 
     @property
@@ -263,10 +263,20 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
 
 
 class SemanticVotes:
-    """Per-point semantic vote counts, added one block at a time."""
+    """Per-point semantic vote counts, added one block at a time.
+
+    Counts are int32, half the memory and traffic of int64. A count never
+    exceeds the number of votes added, and past 2**31 - 1 of those the counts
+    widen to int64 first, so none overflows. In the pipeline a block votes
+    once per point it holds, so a point's count is bounded by the grid's
+    ``tiling.MAX_GRID_CELLS`` cells. The increment has the counts' dtype:
+    ``np.add.at`` takes its fast path only when the two match; with a Python
+    ``1`` it ran over 20 times slower on int32 counts (numpy 2.4).
+    """
 
     def __init__(self, n_points: int) -> None:
-        self.counts = np.zeros((n_points, N_CLASSES), dtype=np.int64)
+        self.counts = np.zeros((n_points, N_CLASSES), dtype=np.int32)
+        self._added = 0
 
     def add(self, point_ids: npt.ArrayLike, classes: npt.ArrayLike) -> None:
         """Count one block's votes: ``classes[i]`` for point ``point_ids[i]``."""
@@ -279,8 +289,11 @@ class SemanticVotes:
             raise ShapeMismatch(f"semantic votes reference points outside 0..{n_points - 1}")
         if len(classes) and (classes.min() < 0 or classes.max() >= N_CLASSES):
             raise InvalidLabel("semantic votes name an invalid class")
+        self._added += len(pids)
+        if self._added > np.iinfo(self.counts.dtype).max:
+            self.counts = self.counts.astype(np.int64)
         # numpy's add.at is several times faster over one flat index than over an index pair.
-        np.add.at(self.counts.reshape(-1), pids * N_CLASSES + classes, 1)
+        np.add.at(self.counts.reshape(-1), pids * N_CLASSES + classes, self.counts.dtype.type(1))
 
     def majority(self) -> npt.NDArray[np.int64]:
         """Majority class per point, ties toward the lowest class index.

@@ -219,7 +219,11 @@ def oracle_predictor(
     Per block, one stable argsort groups the points by tree, and the runs
     of that order name the trees present; the tree sizes are ``tree_sizes``
     (``np.bincount(cloud.instance)``, computed here when not given, so a
-    caller predicting many blocks passes it once). A noisy mask draws its
+    caller predicting many blocks passes it once). The drop coins come from
+    one draw of as many uniforms as there are trees, the stream of one draw
+    per tree. A mask holding only its tree's points, untouched by point
+    noise, is scored from its construction: its intersection with the tree
+    is the whole mask. A noisy mask draws its
     added points from the pool of the block's points outside the mask, in
     ascending order, so the random draws are those of a sorted set
     difference. The pool is never built: the draw picks ranks into it, and
@@ -244,9 +248,8 @@ def oracle_predictor(
     local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, starts, np.r_[starts[1:], len(tree_of)])}
     if tree_sizes is None:
         tree_sizes = np.bincount(cloud.instance)
-    ordered = pts if np.all(pts[1:] > pts[:-1]) else np.unique(pts)
 
-    survivors = [int(uid) for uid in present if rng.random() >= corruption.drop_prob]
+    survivors = [int(uid) for uid, coin in zip(present, rng.random(len(present))) if coin >= corruption.drop_prob]
 
     centroids: dict[int, np.ndarray] = {}
     if corruption.merge_prob > 0:
@@ -274,11 +277,15 @@ def oracle_predictor(
         else:
             emitted.append((source, members))
 
+    if corruption.point_noise > 0:
+        ordered = pts if (pts[1:] > pts[:-1]).all() else np.unique(pts)
     result = []
     for query_index, (source, members) in enumerate(emitted):
+        untouched = len(source) == 1
         if corruption.point_noise > 0 and len(members):
             n_swap = int(rng.uniform(0.0, corruption.point_noise) * len(members))
             if n_swap:
+                untouched = False
                 keep = np.ones(len(members), dtype=bool)
                 keep[rng.choice(len(members), size=n_swap, replace=False)] = False
                 kept = members[keep]
@@ -294,11 +301,14 @@ def oracle_predictor(
                     added = ordered[rank + np.searchsorted(pool_before, rank, side="right")]
                 # kept and added are disjoint, so sorting their concatenation is their union.
                 members = np.sort(np.concatenate([kept, added]))
-        score = 0.0
-        for uid in source:
-            inter = int(np.count_nonzero(cloud.instance[members] == uid))
-            if inter:
-                score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
+        if untouched:  # every member is the tree's, so the IoU is len / size
+            score = len(members) / int(tree_sizes[source[0]])
+        else:
+            score = 0.0
+            for uid in source:
+                inter = int(np.count_nonzero(cloud.instance[members] == uid))
+                if inter:
+                    score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
         if corruption.score_noise > 0:
             score = float(np.clip(score + rng.normal(0.0, corruption.score_noise), 0.0, 1.0))
         result.append(

@@ -21,6 +21,11 @@ from .errors import ConfigError, EmptyBlock, EmptyInput
 # Tolerance when counting grid steps, so exact-multiple spans do not gain a
 # spurious extra row from floating-point noise.
 _GRID_EPS = 1e-9
+# The most cells a sliding-window grid may have: a square of about 4 km at the
+# default 4 m stride, where a 10 M-point scene of default density needs about
+# 32,000. A larger grid is rejected before it is built. It also bounds the
+# votes a point gets in the pipeline, one per block.
+MAX_GRID_CELLS = 1_000_000
 
 
 @dataclass(eq=False)
@@ -83,10 +88,9 @@ def cylinder_crop(cloud: PointCloud, center_xy, radius: float, block_id: int = 0
     return CylinderBlock(center_xy=center, radius=float(radius), point_indices=indices, block_id=block_id)
 
 
-def _axis_steps(lo: float, hi: float, stride: float) -> npt.NDArray[np.float64]:
-    span = hi - lo
-    n = int(np.ceil(span / stride - _GRID_EPS)) + 1 if span > 0 else 1
-    return lo + stride * np.arange(n)
+def _axis_count(span: float, stride: float) -> float:
+    """The number of grid centers along an axis, as a float: infinite when ``span / stride`` overflows."""
+    return float(np.ceil(span / stride - _GRID_EPS)) + 1 if span > 0 else 1.0
 
 
 def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.float64]:
@@ -95,6 +99,9 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
     The first center sits at the bounds minimum and the last center of each
     axis is >= the bounds maximum. Centers are returned in row-major order
     (x slow, y fast), which also defines block ids.
+
+    Raises:
+        ConfigError: the grid would have more than ``MAX_GRID_CELLS`` cells.
     """
     if not (stride > 0 and math.isfinite(stride * stride)):
         raise ConfigError(f"stride must be positive with a finite square, got {stride}")
@@ -102,8 +109,13 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
     hi = np.asarray(max_xy, dtype=np.float64).reshape(2)
     if np.any(hi < lo):
         raise ConfigError(f"bounds min {tuple(lo)} exceeds max {tuple(hi)}")
-    xs = _axis_steps(lo[0], hi[0], stride)
-    ys = _axis_steps(lo[1], hi[1], stride)
+    span_x, span_y = (float(h) - float(l) for l, h in zip(lo, hi))  # Python floats overflow to inf silently
+    nx, ny = _axis_count(span_x, stride), _axis_count(span_y, stride)
+    if nx * ny > MAX_GRID_CELLS:
+        raise ConfigError(f"a {span_x:g} x {span_y:g} m extent at stride {stride:g} needs "
+                          f"{nx * ny:,.0f} block cells, more than the {MAX_GRID_CELLS:,} allowed")
+    xs = lo[0] + stride * np.arange(int(nx))
+    ys = lo[1] + stride * np.arange(int(ny))
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
     return grid.reshape(-1, 2)
 

@@ -3,8 +3,11 @@
 Row-by-row readers for the vectorized table parser: these convert one token
 at a time with Python's ``float`` and ``int`` and order label-table rows with
 ``argsort``; header parsing is shared with ``forestseg.io``. The fast readers
-must return bit-identical arrays or raise the same :class:`ParseError`
-message.
+must return bit-identical arrays or raise the same :class:`ParseError` or
+:class:`InvalidLabel` message.
+
+The label-table writer that joins ``str`` of each value, for the integer
+kernel of ``write_labels_tsv``: both must give the same bytes.
 
 The indented block-file writer, the layout ``write_block_file`` used before
 it switched to compact JSON: files it writes must still read back to the same
@@ -21,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from forestseg.core import PointCloud
-from forestseg.errors import ParseError
+from forestseg.core import _LABEL_RULES, N_CLASSES, PointCloud
+from forestseg.errors import InvalidLabel, ParseError
 from forestseg.io import (_CLOUD_TYPES, _FLOAT_PLY_TYPES, _INT_PLY_TYPES, _check_unique, _is_number, _table_lines,
                           _tsv_columns)
 from forestseg.merging import BlockPrediction
@@ -179,9 +182,30 @@ def reference_read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[
     if "semantic" in header:
         fields["semantic"] = (2, int)
     values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
+    for row, lineno in enumerate(linenos[1:]):
+        if values["instance"][row] < 0:
+            raise InvalidLabel(f"{path}: line {lineno}: {_LABEL_RULES['instance']}, got {values['instance'][row]}")
+        if "semantic" in values and not 0 <= values["semantic"][row] < N_CLASSES:
+            raise InvalidLabel(f"{path}: line {lineno}: {_LABEL_RULES['semantic']}, got {values['semantic'][row]}")
     # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
     order = np.argsort(values["point_id"])
     return values["instance"][order], values["semantic"][order] if "semantic" in values else None
+
+
+def reference_int_rows(columns: Sequence[npt.NDArray[np.int64]]) -> bytes:
+    """The rows of ``columns`` as text: each value's ``str``, tab-joined, each row ended by a newline."""
+    rows = map("\t".join, zip(*(map(str, c.tolist()) for c in columns), strict=True))
+    return "".join(row + "\n" for row in rows).encode()
+
+
+def reference_write_labels_tsv(path, instance, semantic=None) -> None:
+    """Write per-point labels as tab-joined rows of each value's ``str``."""
+    instance = np.asarray(instance, dtype=np.int64)
+    columns = {"point_id": np.arange(len(instance)), "instance": instance}
+    if semantic is not None:
+        columns["semantic"] = np.asarray(semantic, dtype=np.int64)
+    rows = map("\t".join, zip(*(map(str, c.tolist()) for c in columns.values()), strict=True))
+    Path(path).write_text("\n".join(["\t".join(columns), *rows]) + "\n")
 
 
 def reference_write_block_file(path, prediction: BlockPrediction) -> None:

@@ -213,6 +213,25 @@ class TestPipeline:
         assert result.exit_code == 3, result.output
         assert f"{name} must" in result.output
 
+    def test_oversized_grid_exits_3_before_it_is_built(self, runner, tmp_path):
+        # Each grid below would need over 10^8 cells; it is rejected before numpy is asked for it.
+        small = tmp_path / "small.ply"
+        io.write_ply(small, generate_forest(ForestParams(n_trees=3, plot_size=6.0, seed=1)))
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        io.write_block_file(blocks / "block_00000.json", BlockPrediction(block_id=0, masks=[]))
+        params = tmp_path / "wide.txt"
+        params.write_text("n_trees = 3\nplot_size = 100000\nground_density = 0\n")
+        wide = tmp_path / "wide.ply"
+        assert runner.invoke(main, ["synth", "--params", str(params), "--out", str(wide)]).exit_code == 0
+        for flags in (["--input", str(small), "--stride", "0.0005"],
+                      ["--input", str(small), "--stride", "0.0005", "--predictor", str(blocks)],
+                      ["--input", str(wide)]):
+            result = runner.invoke(main, ["pipeline", *flags, "--out-report", str(tmp_path / "r.json")])
+            assert result.exit_code == 3, (flags, result.output)
+            assert "block cells, more than the 1,000,000 allowed" in result.output
+            assert not (tmp_path / "r.json").exists()
+
     def test_bad_thread_count_exits_3_for_both_predictors(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         blocks = tmp_path / "blocks"
@@ -469,6 +488,20 @@ class TestEvaluateCommand:
         result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
         assert result.exit_code == 2
         assert "pred.tsv: line 45001: duplicate point_id 17" in result.output
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0\t1\t1\n1\t-3\t0\n2\t0\t0\n", "line 3: instance ids must be >= 0, got -3"),
+        ("0\t1\t7\n1\t0\t0\n2\t0\t0\n", "line 2: semantic classes must be in"),
+    ])
+    @pytest.mark.parametrize("bad_side", ["--pred", "--gt"])
+    def test_invalid_label_values_exit_2(self, runner, tmp_path, rows, message, bad_side):
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        io.write_labels_tsv(good, [1, 0, 0], [1, 0, 0])
+        bad.write_text("point_id\tinstance\tsemantic\n" + rows)
+        files = {"--pred": good, "--gt": good, bad_side: bad}
+        result = runner.invoke(main, ["evaluate", "--pred", str(files["--pred"]), "--gt", str(files["--gt"])])
+        assert result.exit_code == 2, result.output
+        assert f"bad.tsv: {message}" in result.output
 
     def test_bad_iou_checked_before_lengths(self, runner, tmp_path):
         pred = tmp_path / "pred.tsv"

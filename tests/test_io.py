@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from forestseg import io
 from forestseg.core import PointCloud
-from forestseg.errors import ForestSegError, ParseError
+from forestseg.errors import ForestSegError, InvalidLabel, ParseError, ShapeMismatch
 from forestseg.merging import BlockPrediction, InstanceMask
-from io_reference import (reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
-                          reference_write_block_file)
+from io_reference import (reference_int_rows, reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
+                          reference_write_block_file, reference_write_labels_tsv)
 
 
 def assert_clouds_equal(a: PointCloud, b: PointCloud):
@@ -305,6 +305,67 @@ class TestLabelsTsv:
         assert path.read_text() == "point_id\tinstance\tsemantic\n0\t0\t0\n1\t4\t1\n2\t4\t2\n"
         io.write_labels_tsv(path, [0, 4, 4])
         assert path.read_text() == "point_id\tinstance\n0\t0\n1\t4\n2\t4\n"
+        io.write_labels_tsv(path, np.empty(0, dtype=np.int64), [])
+        assert path.read_text() == "point_id\tinstance\tsemantic\n"
+
+    @pytest.mark.parametrize("instance, semantic, message", [
+        ([1, 2, 3], [0, 1], r"semantic must have shape \(3,\), got \(2,\)"),
+        ([1, 2, 3], [[0, 1, 2]], r"semantic must have shape \(3,\), got \(1, 3\)"),
+        ([[1, 2], [3, 4]], None, r"instance must be 1-D, got shape \(2, 2\)"),
+        (5, None, r"instance must be 1-D, got shape \(\)"),
+    ])
+    def test_malformed_columns_rejected_before_writing(self, tmp_path, instance, semantic, message):
+        path = tmp_path / "labels.tsv"
+        with pytest.raises(ShapeMismatch, match=message):
+            io.write_labels_tsv(path, instance, semantic)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("point_id\tinstance", "0\t1\n1\t-3\n2\t0\n", "line 3: instance ids must be >= 0, got -3"),
+        ("point_id\tinstance\tsemantic", "0\t1\t7\n1\t0\t0\n2\t0\t0\n",
+         re.escape("line 2: semantic classes must be in {0 (ground), 1 (wood), 2 (leaf)}, got 7")),
+        ("point_id\tinstance\tsemantic", "0\t1\t1\n1\t0\t-1\n", "line 3: semantic classes must be in .*, got -1"),
+        # The first bad line is named, whichever of its columns is bad.
+        ("point_id\tinstance\tsemantic", "2\t1\t3\n1\t-1\t0\n0\t-2\t9\n", "line 2: semantic .*, got 3"),
+        ("point_id\tinstance\tsemantic", "2\t-1\t3\n1\t1\t1\n0\t1\t1\n", "line 2: instance .*, got -1"),
+    ])
+    def test_invalid_label_values_rejected(self, tmp_path, header, rows, message):
+        path = tmp_path / "labels.tsv"
+        path.write_text(header + "\n" + rows)
+        with pytest.raises(InvalidLabel, match="labels.tsv: " + message):
+            io.read_labels_tsv(path)
+
+    def test_tree_id_on_a_ground_class_is_accepted(self, tmp_path):
+        # A noisy mask can give a ground point a tree id, so pipeline label tables hold such points.
+        path = tmp_path / "labels.tsv"
+        io.write_labels_tsv(path, [3, 0], [0, 2])
+        inst, sem = io.read_labels_tsv(path)
+        assert inst.tolist() == [3, 0] and sem.tolist() == [0, 2]
+
+
+# Any int64, with the extremes, values near them and one-digit values drawn often.
+INT64S = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-12, 12),
+                   st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 10**18, -(10**18)]))
+
+
+class TestIntegerKernel:
+    """``write_labels_tsv``'s integer kernel writes the bytes of the ``str`` join it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_columns=st.integers(1, 3), n_rows=st.integers(0, 50))
+    def test_matches_str_join(self, data, n_columns, n_rows):
+        columns = [np.array(data.draw(st.lists(INT64S, min_size=n_rows, max_size=n_rows)), dtype=np.int64)
+                   for _ in range(n_columns)]
+        assert io._int_rows(columns) == reference_int_rows(columns)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(instance=st.lists(INT64S, max_size=50), semantic=st.none() | st.integers(0, 2), data=st.data())
+    def test_label_table_matches_reference_writer(self, tmp_path, instance, semantic, data):
+        if semantic is not None:
+            semantic = data.draw(st.lists(INT64S, min_size=len(instance), max_size=len(instance)))
+        io.write_labels_tsv(tmp_path / "fast.tsv", instance, semantic)
+        reference_write_labels_tsv(tmp_path / "reference.tsv", instance, semantic)
+        assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
 
 
 def block_outcome(prediction: BlockPrediction):

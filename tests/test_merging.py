@@ -28,6 +28,28 @@ def mask(point_ids, score, block_id=0, query_index=0):
                         block_id=block_id, query_index=query_index)
 
 
+class TestInstanceMask:
+    def test_ids_sorted_unique_and_flat(self):
+        m = mask([[5, 1], [3, 1]], 0.5)
+        assert m.point_ids.dtype == np.int64
+        assert m.point_ids.tolist() == [1, 3, 5]
+
+    def test_ids_are_a_copy(self):
+        ids = np.array([1, 2, 3])
+        m = mask(ids, 0.5)
+        ids[0] = 9
+        assert m.point_ids.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("score", [0.0, 1.0, np.float64(0.5), 1])
+    def test_score_in_unit_interval_accepted(self, score):
+        assert mask([0], score).score == score
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"), -0.1, 1.1, np.float64("nan")])
+    def test_score_outside_unit_interval_rejected(self, score):
+        with pytest.raises(ShapeMismatch, match="mask score must be in"):
+            mask([0], score)
+
+
 def random_masks(rng, count, universe=200, max_size=40):
     masks = []
     for i in range(count):
@@ -433,6 +455,23 @@ class TestSemanticVote:
     def test_out_of_range_point_rejected(self, point_id):
         with pytest.raises(ShapeMismatch):
             vote([(0, 1), (point_id, 1)], 2)
+
+    def test_counts_are_int32(self):
+        votes = merging.SemanticVotes(2)
+        votes.add(np.array([0, 1, 1]), np.array([2, 0, 0]))
+        assert votes.counts.dtype == np.int32
+        assert votes.counts.tolist() == [[0, 0, 1], [2, 0, 0]]
+
+    def test_counts_widen_before_they_could_overflow(self):
+        top = np.iinfo(np.int32).max
+        votes = merging.SemanticVotes(2)
+        votes.add(np.array([0, 1]), np.array([1, 0]))
+        votes.counts[0, 1] = top - 1
+        votes._added = top - 1  # as if top - 1 votes had been added
+        votes.add(np.array([0, 0]), np.array([1, 1]))
+        assert votes.counts.dtype == np.int64
+        assert votes.counts[0, 1] == top + 1
+        assert votes.majority().tolist() == [1, 0]
 
 
 class TestMergeConfig:

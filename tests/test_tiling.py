@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forestseg import tiling
 from forestseg.core import PointCloud
 from forestseg.errors import ConfigError, EmptyBlock
-from forestseg.tiling import cylinder_crop, sliding_window_centers, tile_cloud
+from forestseg.tiling import MAX_GRID_CELLS, cylinder_crop, sliding_window_centers, tile_cloud
 from synthgen_reference import reference_cylinder_crop
 
 
@@ -114,6 +115,30 @@ class TestSlidingWindow:
         centers = sliding_window_centers((0.0, 0.0), (9.0, 7.0), 4.0)
         assert centers[:, 0].max() >= 9.0
         assert centers[:, 1].max() >= 7.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+           steps=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+           fraction=st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-12]),
+           stride=st.floats(0.01, 50.0))
+    def test_counted_cells_match_the_grid(self, lo, steps, fraction, stride):
+        # Spans at and near whole multiples of the stride, where float noise could add a row.
+        hi = tuple(a + (k + fraction) * stride for a, k in zip(lo, steps))
+        counted = tiling._axis_count(hi[0] - lo[0], stride) * tiling._axis_count(hi[1] - lo[1], stride)
+        assert counted <= MAX_GRID_CELLS
+        assert counted == len(sliding_window_centers(lo, hi, stride))
+
+    @pytest.mark.parametrize("hi, stride", [((1e5, 1e5), 4.0), ((6.0, 6.0), 0.0005), ((4000.0, 4004.0), 4.0),
+                                            ((1.0, 1.0), 1e-300), ((1e308, 0.0), 1.0)])
+    def test_oversized_grid_rejected_before_it_is_built(self, hi, stride):
+        with pytest.raises(ConfigError, match=r"m extent at stride .* needs .* block cells, more than the 1,000,000"):
+            sliding_window_centers((-hi[0], 0.0), hi, stride)
+
+    def test_grid_at_the_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(tiling, "MAX_GRID_CELLS", 20)
+        assert len(sliding_window_centers((0.0, 0.0), (16.0, 12.0), 4.0)) == 20
+        with pytest.raises(ConfigError, match="needs 25 block cells, more than the 20 allowed"):
+            sliding_window_centers((0.0, 0.0), (16.0, 16.0), 4.0)
 
     def test_row_major_order(self):
         centers = sliding_window_centers((0.0, 0.0), (4.0, 4.0), 4.0)
