@@ -192,7 +192,8 @@ def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
     files = sorted(block_dir.glob("*.json"))
     if not files:
         raise ParseError(f"{block_dir}: no block JSON files found")
-    return map(io.read_block_file, files)
+    # A generator, not ``map``: a StopIteration escaping the reader must fail the run, not end it.
+    return (io.read_block_file(path) for path in files)
 
 
 @main.command("select-queries")

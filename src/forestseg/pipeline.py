@@ -1,11 +1,12 @@
 """End-to-end orchestration: tile, predict per block, merge, vote, evaluate.
 
-Each block is merged as soon as it is predicted or read, then dropped: its
-masks pass boundary discard and the score filter, and its semantic votes are
-counted. Only the surviving masks and one vote count per point and class wait
-for NMS. NMS ranks masks by a total order, and each block's random stream is
-seeded from (master seed, block id), so results are byte-identical for any
-worker count or block order.
+Blocks are cropped one at a time as the merge pulls them. Each block is
+merged as soon as it is predicted or read, then dropped: its masks pass
+boundary discard and the score filter, and its semantic votes are counted.
+Only the surviving masks, one id array per distinct point set, and one vote
+count per point and class wait for NMS. NMS ranks masks by a total order,
+and each block's random stream is seeded from (master seed, block id), so
+results are byte-identical for any worker count or block order.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import PointCloud
 from .errors import ConfigError, EmptyInput, InvalidLabel, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockPrediction,
+    IdSetIndex,
     InstanceMask,
     SemanticVotes,
     discard_boundary_masks,
@@ -33,7 +35,7 @@ from .merging import (
 )
 from .metrics import EvalReport, evaluate_labels
 from .synthgen import CorruptionParams, oracle_predictor
-from .tiling import CylinderBlock, sliding_window_centers, tile_cloud
+from .tiling import sliding_window_centers, tile_cloud
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,11 @@ def merge_block_predictions(
     Each prediction is checked, boundary-discarded, score-filtered and voted
     as it arrives, then dropped before the next one is pulled, so a generator
     of predictions is merged in the memory of one block, the surviving masks
-    and one vote count per point and class. NMS, point resolution and the
-    semantic majority follow once the iterable is exhausted. Arrival order is
-    irrelevant to the result.
+    and one vote count per point and class. Surviving masks with equal point
+    sets are given one shared, read-only id array, so the masks cost memory
+    per distinct point set. NMS, point resolution and the semantic majority
+    follow once the iterable is exhausted. Arrival order is irrelevant to the
+    result.
 
     Block ids must be distinct and index the sliding-window grid of the
     positions' xy extent at ``config.stride``. A block's footprint, against
@@ -174,13 +178,20 @@ def merge_block_predictions(
     seen: set[int] = set()
     votes: SemanticVotes | None = None
     after_filter: list[InstanceMask] = []
+    id_sets = IdSetIndex()
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
         masks = _checked_masks(prediction, seen, len(centers), n_points, config.stride)
         # Indexed only once checked: numpy would wrap a negative id to a cell at the grid's end.
         inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
                                         config.boundary_margin)
-        after_filter.extend(score_filter(inside, config.score_threshold))
+        for mask in score_filter(inside, config.score_threshold):
+            held = id_sets.intern(mask.point_ids)
+            if held is None:
+                mask.point_ids.flags.writeable = False
+            else:
+                mask.point_ids = held  # the copy's own array goes with its block
+            after_filter.append(mask)
         n_predicted += len(masks)
         n_after_boundary += len(inside)
         if prediction.semantic is not None:
@@ -221,14 +232,6 @@ def make_oracle_predictor(cloud: PointCloud, corruption: CorruptionParams, maste
     return predict
 
 
-def _released(blocks: list[CylinderBlock]) -> Iterator[CylinderBlock]:
-    """Hand out the blocks in order, removing each from the list, so that the
-    list keeps no block alive after its prediction is merged."""
-    blocks.reverse()
-    while blocks:
-        yield blocks.pop()
-
-
 def run_pipeline(
     cloud: PointCloud,
     config: PipelineConfig = PipelineConfig(),
@@ -241,12 +244,13 @@ def run_pipeline(
     Predictions from any other model enter through
     :func:`run_pipeline_from_blocks`.
     """
-    blocks = _released(tile_cloud(cloud, config.radius, config.stride))
+    blocks = tile_cloud(cloud, config.radius, config.stride)
     predictor = make_oracle_predictor(cloud, corruption, config.seed)
 
     workers = effective_threads(threads)
     if workers == 1:
-        return run_pipeline_from_blocks(map(predictor, blocks), cloud, config)
+        # A generator, not ``map``: a StopIteration escaping the predictor must fail the run, not end it.
+        return run_pipeline_from_blocks((predictor(block) for block in blocks), cloud, config)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return run_pipeline_from_blocks(_bounded_map(pool, predictor, blocks, 2 * workers), cloud, config)
 

@@ -4,13 +4,15 @@ Cylinders avoid cutting trees vertically; blocks are addressed by a
 deterministic row-major grid index. ``cylinder_crop`` and ``tile_cloud``
 share one crop kernel, which copies the x and y columns and allocates its
 scratch buffers once, so a tiling of many blocks allocates only each block's
-point ids.
+point ids. ``tile_cloud`` crops lazily: its blocks are built one at a time as
+the tiling is iterated, so only the blocks a caller still holds stay alive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -46,6 +48,12 @@ class CylinderBlock:
         return len(self.point_indices)
 
 
+def _check_radius(radius: float) -> None:
+    # Written so that NaN fails too; the crop squares the radius.
+    if not (radius > 0 and math.isfinite(radius * radius)):
+        raise ConfigError(f"radius must be positive with a finite square, got {radius}")
+
+
 def _cropper(positions: npt.NDArray[np.float64], radius: float):
     """A function from a center to the ascending ids of the points within
     horizontal distance ``radius`` of it (boundary inclusive).
@@ -53,9 +61,7 @@ def _cropper(positions: npt.NDArray[np.float64], radius: float):
     The x and y columns are copied and the scratch buffers allocated here,
     once; each crop computes the squared distances into them in place.
     """
-    # Written so that NaN fails too; the crop squares the radius.
-    if not (radius > 0 and math.isfinite(radius * radius)):
-        raise ConfigError(f"radius must be positive with a finite square, got {radius}")
+    _check_radius(radius)
     x = np.ascontiguousarray(positions[:, 0])
     y = np.ascontiguousarray(positions[:, 1])
     dx, dy = np.empty_like(x), np.empty_like(y)
@@ -120,20 +126,40 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
     return grid.reshape(-1, 2)
 
 
-def tile_cloud(cloud: PointCloud, radius: float, stride: float) -> list[CylinderBlock]:
+class Tiling:
+    """The nonempty blocks of a sliding-window grid over a cloud, in block id order.
+
+    Blocks are cropped only as the tiling is iterated. Each iteration builds
+    its own crop kernel, so iterations never share buffers and the tiling can
+    be iterated again; ``len()`` runs one crop pass to count the blocks.
+    """
+
+    def __init__(self, positions: npt.NDArray[np.float64], centers: npt.NDArray[np.float64], radius: float) -> None:
+        self._positions = positions
+        self._centers = centers
+        self._radius = float(radius)
+
+    def __iter__(self) -> Iterator[CylinderBlock]:
+        crop = _cropper(self._positions, self._radius)
+        for block_id, center in enumerate(self._centers):
+            indices = crop(center)
+            if len(indices):
+                yield CylinderBlock(center_xy=center, radius=self._radius, point_indices=indices, block_id=block_id)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def tile_cloud(cloud: PointCloud, radius: float, stride: float) -> Tiling:
     """Tile a cloud with cylinders on the sliding-window grid of its xy extent.
 
     Block ids are the row-major grid indices; empty cells are skipped but
-    keep their id reserved so ids stay stable across configurations.
+    keep their id reserved so ids stay stable across configurations. The
+    grid and the radius are checked here; the blocks are cropped as the
+    returned tiling is iterated.
     """
     if cloud.n == 0:
         raise EmptyInput("cannot tile an empty point cloud")
     centers = sliding_window_centers(cloud.positions[:, :2].min(axis=0), cloud.positions[:, :2].max(axis=0), stride)
-    crop = _cropper(cloud.positions, radius)
-    blocks = []
-    for block_id, center in enumerate(centers):
-        indices = crop(center)
-        if len(indices):
-            blocks.append(CylinderBlock(center_xy=center, radius=float(radius), point_indices=indices,
-                                        block_id=block_id))
-    return blocks
+    _check_radius(radius)
+    return Tiling(cloud.positions, centers, radius)

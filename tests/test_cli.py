@@ -366,6 +366,23 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert "two masks with query index 0" in result.output
 
+    def test_stop_iteration_from_the_block_reader_fails_the_run(self, runner, tmp_path, forest_files, monkeypatch):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        assert runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)]).exit_code == 0
+        read, calls = io.read_block_file, []
+
+        def faulty_read(path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise StopIteration
+            return read(path)
+
+        monkeypatch.setattr(io, "read_block_file", faulty_read)
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, RuntimeError) and "StopIteration" in str(result.exception)
+
     def test_out_of_range_score_names_file_and_mask(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         blocks = tmp_path / "blocks"

@@ -273,6 +273,14 @@ class TestIndexKernelsMatchPairwiseReference:
         if threshold > 0:
             assert sum(m.size == 0 for m in expected) == sum(m.size == 0 for m in masks)
 
+    @pytest.mark.parametrize("threshold", [1e-9, 0.3, 1.0])
+    def test_score_nms_with_colliding_keys(self, rng, monkeypatch, threshold):
+        masks = random_masks(rng, 120, universe=300, max_size=40)
+        masks += [mask(m.point_ids, m.score, m.block_id, 120 + i) for i, m in enumerate(masks[:30])]
+        expected = score_nms(masks, threshold)
+        monkeypatch.setattr(merging, "_ids_key", lambda data: 0)
+        assert score_nms(masks, threshold) == expected == reference_score_nms(masks, threshold)
+
     def test_score_nms_queries_each_distinct_mask_once(self, monkeypatch):
         calls = []
         intersections = merging._PointIndex.intersections
@@ -315,6 +323,20 @@ class TestIndexKernelsMatchPairwiseReference:
         masks = [mask([0], 0.5), mask([1], 0.9, query_index=1), mask([], 0.7, query_index=2)]
         assert score_nms(masks, 0.0) == [masks[1]]
         assert score_nms([], 0.0) == []
+
+
+class TestIdSetIndex:
+    @pytest.mark.parametrize("key", [merging._ids_key, lambda data: 0])
+    def test_interns_one_array_per_distinct_set(self, monkeypatch, key):
+        monkeypatch.setattr(merging, "_ids_key", key)
+        index = merging.IdSetIndex()
+        a, b, empty = np.array([1, 2, 3]), np.array([1, 2, 4]), np.array([], dtype=np.int64)
+        assert index.intern(a) is None and index.intern(b) is None and index.intern(empty) is None
+        assert index.intern(a.copy()) is a
+        assert index.intern(b.copy()) is b
+        assert index.intern(np.array([], dtype=np.int64)) is empty
+        assert index.intern(a) is a
+        assert index.intern(np.array([1, 2])) is None
 
 
 class TestResolvePoints:

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: identity, determinism, external predictors."""
 
 import json
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestseg import io, pipeline
+from forestseg import io, merging, pipeline
 from forestseg.core import N_CLASSES, PointCloud
 from forestseg.errors import ConfigError, ForestSegError, InvalidLabel, ShapeMismatch, UnknownBlock
 from forestseg.merging import BlockPrediction, InstanceMask
@@ -393,21 +394,82 @@ class TestStreamingMerge:
         assert pulls == 2
 
     def test_run_pipeline_frees_each_block_once_predicted(self, forest, monkeypatch):
-        tiled = []
-        tile, oracle = pipeline.tile_cloud, pipeline.oracle_predictor
-
-        def recording_tile(*args):
-            blocks = tile(*args)
-            tiled.extend(weakref.ref(block) for block in blocks)
-            return blocks
+        received = []
+        oracle = pipeline.oracle_predictor
 
         def checking_oracle(block, *args, **kwargs):
-            index = next(i for i, ref in enumerate(tiled) if ref() is block)
-            assert all(ref() is None for ref in tiled[:index]), "a predicted block is still referenced"
+            assert all(ref() is None for ref in received), "a predicted block is still referenced"
+            received.append(weakref.ref(block))
             return oracle(block, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "tile_cloud", recording_tile)
         monkeypatch.setattr(pipeline, "oracle_predictor", checking_oracle)
         result = run_pipeline(forest, PipelineConfig(), threads=1)
-        assert result.merge.n_blocks == len(tiled)
-        assert all(ref() is None for ref in tiled)
+        assert result.merge.n_blocks == len(received) > 1
+        assert all(ref() is None for ref in received)
+
+    def test_run_pipeline_peaks_below_its_eager_tile_list(self):
+        # numpy reports its buffers to tracemalloc, so both sides are exact byte counts.
+        cloud = generate_forest(ForestParams(n_trees=30, seed=0))
+        config = PipelineConfig()
+        tile_list_bytes = sum(block.point_indices.nbytes for block in tile_cloud(cloud, config.radius, config.stride))
+        tracemalloc.start()
+        try:
+            run_pipeline(cloud, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tile_list_bytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stop_iteration_from_the_predictor_fails_the_run(self, forest, monkeypatch, threads):
+        oracle, calls = pipeline.oracle_predictor, []
+
+        def faulty_oracle(block, *args, **kwargs):
+            calls.append(block.block_id)
+            if len(calls) == 5:
+                raise StopIteration
+            return oracle(block, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "oracle_predictor", faulty_oracle)
+        with pytest.raises(RuntimeError, match="StopIteration"):
+            run_pipeline(forest, PipelineConfig(), threads=threads)
+
+
+class TestSharedMaskIds:
+    @staticmethod
+    def _merge(cloud, corruption=CorruptionParams()):
+        config = PipelineConfig()
+        predict = make_oracle_predictor(cloud, corruption, config.seed)
+        return merge_block_predictions((predict(b) for b in tile_cloud(cloud, config.radius, config.stride)),
+                                       cloud.positions, config)
+
+    @staticmethod
+    def _arrays_by_set(masks):
+        arrays: dict[bytes, list] = {}
+        for mask in masks:
+            arrays.setdefault(mask.point_ids.tobytes(), []).append(mask.point_ids)
+        return arrays
+
+    @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
+    def test_equal_sets_share_one_read_only_array(self, forest, corruption):
+        masks = self._merge(forest, corruption).masks_after_filter
+        arrays = self._arrays_by_set(masks)
+        if corruption == CorruptionParams():
+            assert len(arrays) < len(masks)  # clean trees arrive as exact copies; noisy masks may all differ
+        for group in arrays.values():
+            assert all(ids is group[0] for ids in group)
+            assert not group[0].flags.writeable
+        firsts = [group[0] for group in arrays.values()]
+        assert len({id(ids) for ids in firsts}) == len(firsts)
+
+    def test_colliding_keys_keep_sets_apart(self, forest, monkeypatch):
+        expected = self._merge(forest)
+        monkeypatch.setattr(merging, "_ids_key", lambda data: 0)
+        outcome = self._merge(forest)
+        assert [m.point_ids.tolist() for m in outcome.masks_after_filter] == \
+            [m.point_ids.tolist() for m in expected.masks_after_filter]
+        assert np.array_equal(outcome.instance, expected.instance)
+        arrays = self._arrays_by_set(outcome.masks_after_filter)
+        assert len(arrays) == len(self._arrays_by_set(expected.masks_after_filter)) > 1
+        for group in arrays.values():
+            assert all(ids is group[0] for ids in group)

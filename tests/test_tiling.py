@@ -188,6 +188,23 @@ class TestSlidingWindow:
             assert np.array_equal(block.point_indices, ref.point_indices)
             assert np.array_equal(block.center_xy, ref.center_xy) and block.radius == ref.radius
 
+    def test_tiling_length_counts_its_blocks(self, rng):
+        # Two clusters leave empty cells between them, which the tiling skips.
+        cloud = _cloud_at(np.r_[rng.uniform(0.0, 3.0, size=(100, 2)), rng.uniform(20.0, 23.0, size=(100, 2))])
+        tiling = tile_cloud(cloud, radius=4.0, stride=4.0)
+        blocks = list(tiling)
+        assert len(tiling) == len(blocks)
+        assert 0 < len(blocks) < len(sliding_window_centers((0.0, 0.0), (23.0, 23.0), 4.0))
+
+    def test_tiling_iterates_again_with_equal_blocks(self, rng):
+        cloud = _cloud_at(rng.uniform(0.0, 10.0, size=(400, 2)))
+        tiling = tile_cloud(cloud, radius=4.0, stride=4.0)
+        first, second = list(tiling), list(tiling)
+        assert [b.block_id for b in first] == [b.block_id for b in second]
+        for a, b in zip(first, second):
+            assert np.array_equal(a.point_indices, b.point_indices)
+            assert a.point_indices is not b.point_indices
+
     def test_block_ids_are_grid_indices(self, rng):
         cloud = _cloud_at(rng.uniform(0.0, 8.0, size=(200, 2)))
         blocks = tile_cloud(cloud, radius=16.0, stride=4.0)
