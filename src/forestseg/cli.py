@@ -150,7 +150,8 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
 @click.option("--out-report", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--dump-blocks", type=_OutputDir(file_okay=False), default=None,
               help="Also write each block's predictions as JSON into this directory.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Accepted and checked (>= 1), but blocks are predicted in the calling thread.")
 @_field_options(CorruptionParams, PipelineConfig)
 @_handle_errors
 def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads, **options) -> None:

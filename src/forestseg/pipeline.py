@@ -4,18 +4,17 @@ Blocks are cropped one at a time as the merge pulls them. Each block is
 merged as soon as it is predicted or read, then dropped: its masks pass
 boundary discard and the score filter, and its semantic votes are counted.
 Only the surviving masks, one id array per distinct point set, and one vote
-count per point and class wait for NMS. NMS ranks masks by a total order,
-and each block's random stream is seeded from (master seed, block id), so
-results are byte-identical for any worker count or block order.
+count per point and class wait for NMS. Every block is predicted in the
+calling thread. NMS ranks masks by a total order, and each block's random
+stream is seeded from (master seed, block id), so results are byte-identical
+for any block order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -117,10 +116,10 @@ class PipelineResult:
 
 
 def effective_threads(requested: int) -> int:
-    """The worker count to run with: ``requested``, which must be >= 1."""
+    """The worker count a run uses: 1, whatever ``requested`` (which must be >= 1) says."""
     if requested < 1:
         raise ConfigError("thread count must be >= 1")
-    return requested
+    return 1
 
 
 def _checked_masks(
@@ -145,6 +144,17 @@ def _checked_masks(
     return masks
 
 
+def _check_distinct_votes(point_ids: npt.ArrayLike) -> None:
+    """Reject a block voting twice for a point, which would outvote the other
+    blocks covering it. Strictly ascending ids, as tiled blocks carry, need no sort."""
+    ids = np.asarray(point_ids).reshape(-1)
+    if not np.all(ids[1:] > ids[:-1]):
+        ids = np.sort(ids)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeated):
+            raise ShapeMismatch(f"semantic votes name point {repeated[0]} more than once")
+
+
 def merge_block_predictions(
     predictions: Iterable[BlockPrediction],
     positions: npt.NDArray[np.float64],
@@ -166,9 +176,9 @@ def merge_block_predictions(
     which boundary discard measures its masks, is the cylinder of
     ``config.radius`` around the grid center its id names, so predictions
     must come from blocks tiled with the same radius and stride. Every mask
-    must carry the block id of the prediction holding it, and no two masks of
-    a block may share a query index. The first fault to arrive is the one
-    raised.
+    must carry the block id of the prediction holding it, no two masks of a
+    block may share a query index, and a block's semantic votes may name each
+    point at most once. The first fault to arrive is the one raised.
     """
     n_points = len(positions)
     if n_points == 0:
@@ -199,6 +209,7 @@ def merge_block_predictions(
                 votes = SemanticVotes(n_points)
             try:
                 votes.add(*prediction.semantic)
+                _check_distinct_votes(prediction.semantic[0])
             except (ShapeMismatch, InvalidLabel) as exc:
                 raise type(exc)(f"block {prediction.block_id}: {exc}") from None
         del prediction, masks, inside  # free this block's arrays before the next one is pulled
@@ -241,31 +252,15 @@ def run_pipeline(
     """Tile the cloud, predict every block with the ground-truth oracle under
     the given corruption, then merge, evaluate and report.
 
-    Predictions from any other model enter through
+    Every block is predicted in the calling thread; ``threads`` must be >= 1
+    and has no other effect. Predictions from any other model enter through
     :func:`run_pipeline_from_blocks`.
     """
+    effective_threads(threads)
     blocks = tile_cloud(cloud, config.radius, config.stride)
     predictor = make_oracle_predictor(cloud, corruption, config.seed)
-
-    workers = effective_threads(threads)
-    if workers == 1:
-        # A generator, not ``map``: a StopIteration escaping the predictor must fail the run, not end it.
-        return run_pipeline_from_blocks((predictor(block) for block in blocks), cloud, config)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return run_pipeline_from_blocks(_bounded_map(pool, predictor, blocks, 2 * workers), cloud, config)
-
-
-def _bounded_map(pool: ThreadPoolExecutor, fn, items: Iterable, ahead: int) -> Iterator:
-    """``fn`` over ``items`` on the pool, yielded in order, with at most
-    ``ahead`` calls submitted and not yet yielded, so finished results never
-    pile up ahead of their consumer."""
-    pending: deque[Future] = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    # A generator, not ``map``: a StopIteration escaping the predictor must fail the run, not end it.
+    return run_pipeline_from_blocks((predictor(block) for block in blocks), cloud, config)
 
 
 def run_pipeline_from_blocks(

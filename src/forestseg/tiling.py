@@ -32,15 +32,12 @@ MAX_GRID_CELLS = 1_000_000
 
 @dataclass(eq=False)
 class CylinderBlock:
-    """A vertical cylinder crop: member point indices into the parent cloud."""
+    """A vertical cylinder crop around grid cell ``block_id``: member point indices into the parent cloud."""
 
-    center_xy: npt.NDArray[np.float64]
-    radius: float
     point_indices: npt.NDArray[np.int64]
     block_id: int
 
     def __post_init__(self) -> None:
-        self.center_xy = np.asarray(self.center_xy, dtype=np.float64).reshape(2)
         self.point_indices = np.asarray(self.point_indices, dtype=np.int64)
 
     @property
@@ -91,7 +88,7 @@ def cylinder_crop(cloud: PointCloud, center_xy, radius: float, block_id: int = 0
     indices = crop(center)
     if len(indices) == 0:
         raise EmptyBlock(f"no points within {radius} m of center {tuple(center)}")
-    return CylinderBlock(center_xy=center, radius=float(radius), point_indices=indices, block_id=block_id)
+    return CylinderBlock(point_indices=indices, block_id=block_id)
 
 
 def _axis_count(span: float, stride: float) -> float:
@@ -144,7 +141,7 @@ class Tiling:
         for block_id, center in enumerate(self._centers):
             indices = crop(center)
             if len(indices):
-                yield CylinderBlock(center_xy=center, radius=self._radius, point_indices=indices, block_id=block_id)
+                yield CylinderBlock(point_indices=indices, block_id=block_id)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

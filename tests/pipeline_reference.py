@@ -19,11 +19,11 @@ from forestseg.errors import ShapeMismatch, UnknownBlock
 from forestseg.merging import (
     BlockPrediction,
     InstanceMask,
+    SemanticVotes,
     discard_boundary_masks,
     resolve_points,
     score_filter,
     score_nms,
-    semantic_vote_arrays,
 )
 from forestseg.pipeline import PipelineConfig
 from forestseg.tiling import sliding_window_centers
@@ -75,8 +75,9 @@ def reference_merge_block_predictions(
     semantic vote. Input order is irrelevant; masks are canonically sorted
     first, so no two may share a ``(block_id, query_index)`` key. Every mask
     must carry the block id of the prediction holding it, since boundary
-    discard measures it against that block's footprint. Block ids must index
-    the grid, as :func:`reference_check_block_ids` checks.
+    discard measures it against that block's footprint. A block's semantic
+    votes may name each point once. Block ids must index the grid, as
+    :func:`reference_check_block_ids` checks.
     """
     n_points = len(positions)
     xy = positions[:, :2]
@@ -108,11 +109,13 @@ def reference_merge_block_predictions(
     semantic = None
     voted = [p for p in sorted(predictions, key=lambda p: p.block_id) if p.semantic is not None]
     if voted:
-        semantic = semantic_vote_arrays(
-            [p.semantic[0] for p in voted],
-            [p.semantic[1] for p in voted],
-            n_points,
-        )
+        votes = SemanticVotes(n_points)
+        for p in voted:
+            votes.add(*p.semantic)
+        for p in voted:
+            if len(np.unique(p.semantic[0])) < len(p.semantic[0]):
+                raise ShapeMismatch(f"block {p.block_id}: semantic votes name a point more than once")
+        semantic = votes.majority()
     return ReferenceMergeOutcome(
         masks_predicted=masks,
         masks_after_boundary=after_boundary,

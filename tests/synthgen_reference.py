@@ -43,7 +43,7 @@ def reference_cylinder_crop(cloud, center_xy, radius, block_id=0):
     indices = np.flatnonzero(inside)
     if len(indices) == 0:
         raise EmptyBlock(f"no points within {radius} m of center {tuple(center)}")
-    return CylinderBlock(center_xy=center, radius=float(radius), point_indices=indices, block_id=block_id)
+    return CylinderBlock(point_indices=indices, block_id=block_id)
 
 
 def reference_oracle_predictor(block, cloud, corruption=CorruptionParams(), seed=0):

@@ -420,6 +420,22 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert "block 0: per-block point_ids and classes lengths differ" in result.output
 
+    def test_votes_repeating_a_point_exit_2(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        flags = ["--input", str(ply), "--radius", "8", "--stride", "4"]
+        assert runner.invoke(main, ["pipeline", *flags, "--dump-blocks", str(blocks)]).exit_code == 0
+        # Block 6 covers point 0; ten ground votes for it would outvote the wood votes of every other block.
+        path = blocks / "block_00006.json"
+        block = json.loads(path.read_text())
+        assert 0 in block["semantic"]["point_ids"]
+        block["semantic"]["point_ids"] += [0] * 10
+        block["semantic"]["classes"] += [0] * 10
+        path.write_text(json.dumps(block))
+        result = runner.invoke(main, ["pipeline", *flags, "--predictor", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert "block 6: semantic votes name point 0 more than once" in result.output
+
     def test_labelled_cloud_without_trees_writes_labels_and_report(self, runner, tmp_path, forest_files):
         cloud, _ = forest_files
         ground = tmp_path / "g.ply"

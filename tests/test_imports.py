@@ -33,6 +33,13 @@ def test_merge_path_process_loads_no_training_code():
     assert not loaded & {"forestseg.losses", "forestseg.isa_select"}
 
 
+def test_merge_path_process_loads_no_thread_pool():
+    # Every block is predicted in the calling thread, so the merge path needs no executor.
+    loaded = _loaded_modules("forestseg.pipeline, forestseg.io, forestseg.synthgen")
+    assert "forestseg.pipeline" in loaded
+    assert "concurrent.futures" not in loaded
+
+
 def _package_imports(module: str) -> set[str]:
     """Sibling ``forestseg`` modules that ``module``'s source imports directly."""
     tree = ast.parse((Path(forestseg.__file__).parent / f"{module}.py").read_text())

@@ -3,7 +3,6 @@
 import json
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestseg import io, merging, pipeline
-from forestseg.core import N_CLASSES, PointCloud
+from forestseg.core import GROUND, N_CLASSES, WOOD, PointCloud
 from forestseg.errors import ConfigError, ForestSegError, InvalidLabel, ShapeMismatch, UnknownBlock
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import (
@@ -73,25 +72,10 @@ class TestDeterminism:
 
     def test_worker_counts_agree(self, forest):
         corr = CorruptionParams(split_prob=0.5, point_noise=0.3, score_noise=0.1)
-        r1 = run_pipeline(forest, PipelineConfig(seed=9), corruption=corr, threads=1)
-        r4 = run_pipeline(forest, PipelineConfig(seed=9), corruption=corr, threads=4)
-        assert np.array_equal(r1.merge.instance, r4.merge.instance)
-        assert json.dumps(r1.report, sort_keys=True) == json.dumps(r4.report, sort_keys=True)
-
-    def test_bounded_map_keeps_few_calls_ahead_of_its_consumer(self):
-        pulled = 0
-
-        def items():
-            nonlocal pulled
-            for i in range(50):
-                pulled += 1
-                yield i
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for i, out in enumerate(pipeline._bounded_map(pool, lambda x: x * x, items(), 8)):
-                assert out == i * i
-                assert pulled - (i + 1) < 8  # submitted and not yet yielded, besides this one
-        assert pulled == 50
+        results = [run_pipeline(forest, PipelineConfig(seed=9), corruption=corr, threads=k) for k in (1, 2, 4)]
+        for other in results[1:]:
+            assert np.array_equal(results[0].merge.instance, other.merge.instance)
+            assert json.dumps(results[0].report, sort_keys=True) == json.dumps(other.report, sort_keys=True)
 
     def test_block_order_irrelevant_to_merge(self, forest, rng):
         config = PipelineConfig(seed=2)
@@ -106,9 +90,11 @@ class TestDeterminism:
             assert np.array_equal(outcome.semantic, reference.semantic)
 
     def test_thread_env_cap(self, monkeypatch):
-        # The environment no longer caps the worker count; --threads is the only setting.
+        # Every block is predicted in the calling thread, whatever the request or the environment.
         monkeypatch.setenv("FORESTSEG_THREADS", "2")
-        assert effective_threads(8) == 8
+        assert effective_threads(8) == 1
+        with pytest.raises(ConfigError, match="thread count"):
+            effective_threads(0)
 
 
 class TestExternalPredictorInterface:
@@ -221,16 +207,36 @@ class TestStageAccounting:
         ("length", ShapeMismatch, "block 2: per-block point_ids and classes lengths differ"),
         ("class", InvalidLabel, "block 2: semantic votes name an invalid class"),
         ("point", ShapeMismatch, r"block 2: semantic votes reference points outside 0\.\.11"),
+        ("repeat", ShapeMismatch, "block 2: semantic votes name point 3 more than once"),
+        ("sorted_repeat", ShapeMismatch, "block 2: semantic votes name point 3 more than once"),
     ])
     def test_vote_error_names_its_block(self, fault, error, message):
         positions = np.c_[np.arange(12.0), np.zeros(12), np.zeros(12)]
         pids, classes = np.arange(12), np.zeros(12, dtype=np.int64)
         bad = {"length": (pids, classes[:-1]), "class": (pids, np.r_[classes[:-1], N_CLASSES]),
-               "point": (np.r_[pids[:-1], 12], classes)}[fault]
+               "point": (np.r_[pids[:-1], 12], classes), "repeat": (np.r_[pids, 3], np.r_[classes, 1]),
+               "sorted_repeat": (np.sort(np.r_[pids, 3]), np.r_[classes, 1])}[fault]
         predictions = [BlockPrediction(block_id=b, masks=[], semantic=bad if b == 2 else (pids, classes))
                        for b in range(3)]
         with pytest.raises(error, match=message):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
+
+    def test_one_block_cannot_outvote_the_others_by_repeating_a_point(self):
+        cloud = generate_forest(ForestParams(n_trees=6, plot_size=10.0, ground_density=6.0, min_spacing=1.2, seed=5))
+        config = PipelineConfig(radius=8.0, stride=4.0)
+        predict = make_oracle_predictor(cloud, CorruptionParams(), config.seed)
+        predictions = [predict(b) for b in tile_cloud(cloud, config.radius, config.stride)]
+        covering = [p for p in predictions if 0 in p.semantic[0]]
+        assert cloud.semantic[0] == WOOD and len(covering) > 1
+        pids, classes = covering[0].semantic
+        repeats = len(covering)
+        covering[0].semantic = (np.r_[pids, [0] * repeats], np.r_[classes, [GROUND] * repeats])
+        # Counted, the repeats would turn point 0 to ground.
+        counted = merging.semantic_vote_arrays([p.semantic[0] for p in predictions],
+                                               [p.semantic[1] for p in predictions], cloud.n)
+        assert counted[0] == GROUND
+        with pytest.raises(ShapeMismatch, match=f"block {covering[0].block_id}: semantic votes name point 0 more than once"):
+            merge_block_predictions(predictions, cloud.positions, config)
 
     def test_labelled_cloud_without_trees_is_not_evaluated(self, forest):
         ground = PointCloud(positions=forest.positions, semantic=np.zeros(forest.n, dtype=np.int64),
@@ -242,7 +248,7 @@ class TestStageAccounting:
         assert result.report["masks"]["predicted"] == 0
 
 FAULTS = ["repeated_block", "off_grid", "foreign_mask", "point_out_of_range", "repeated_query",
-          "vote_shape", "vote_point", "vote_class"]
+          "vote_shape", "vote_point", "vote_class", "vote_repeat"]
 
 
 @st.composite
@@ -311,8 +317,13 @@ def merge_cases(draw):
                 classes = np.r_[classes, 0]
             elif fault == "vote_point":
                 pids, classes = np.r_[pids, n_points], np.r_[classes, 0]
-            else:
+            elif fault == "vote_class":
                 pids, classes = np.r_[pids, 0], np.r_[classes, N_CLASSES]
+            else:
+                if not len(pids):
+                    pids, classes = np.array([0]), np.array([0])
+                order = draw(st.permutations(range(len(pids) + 1)))
+                pids, classes = np.r_[pids, pids[-1]][order], np.r_[classes, 0][order]
             victim.semantic = (pids, classes)
     return positions, config, draw(st.permutations(predictions))
 

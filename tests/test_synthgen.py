@@ -213,8 +213,7 @@ class TestOraclePredictorMatchesSetReference:
     @given(corruption=corruptions, seed=st.integers(0, 2**32 - 1), keep=st.floats(0.01, 1.0))
     def test_hand_built_block_with_unsorted_indices(self, small_forest, corruption, seed, keep):
         order = np.random.default_rng(seed).permutation(small_forest.n)
-        block = CylinderBlock(center_xy=(0.0, 0.0), radius=1.0,
-                              point_indices=order[: max(1, int(keep * small_forest.n))], block_id=7)
+        block = CylinderBlock(point_indices=order[: max(1, int(keep * small_forest.n))], block_id=7)
         assert_same_masks(
             oracle_predictor(block, small_forest, corruption, seed=seed),
             reference_oracle_predictor(block, small_forest, corruption, seed=seed),
