@@ -10,7 +10,10 @@ Python string. Read back, a label table's values are checked as a cloud's
 labels are: instance ids >= 0, semantic classes 0, 1 or 2. The parser
 converts a whole table in one vectorized ``np.loadtxt`` pass; only when that
 pass rejects the rows does a loop parse them one by one, so parse failures
-still raise :class:`ParseError` naming the file and the offending line.
+still raise :class:`ParseError` naming the file and the offending line. A
+label table's ids are checked after the parse: a bad token anywhere comes
+before an id outside 0..n-1 or repeated, and that before a label outside its
+domain. Text is read as UTF-8, an undecodable byte kept as a lone surrogate.
 
 Block files are written as compact JSON: one line, keys sorted, no spaces, so
 Python's C encoder writes them. The reader accepts any JSON whitespace, so
@@ -43,21 +46,18 @@ _CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance":
 
 
 def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
-                fields: dict[str, tuple[int, Callable]], sep: str | None,
-                accept: Callable[[dict[str, npt.NDArray]], bool] = lambda values: True) -> dict[str, npt.NDArray]:
+                fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
     """Parse rows of ``width`` ``sep``-separated values, found on file lines
     ``linenos``, into one array per field.
 
     ``fields`` maps a name to its column index and converter (``float`` ones
     fill float64 arrays, the rest int64). :func:`_load_rows` parses all rows
-    at once; its arrays stand if ``accept`` passes them. Otherwise the row
-    loop parses the rows again: it raises the :class:`ParseError` naming the
-    line, or returns spellings only Python's converters read, such as ``1_0``.
+    at once. Where it declines, the row loop parses them: it raises the
+    :class:`ParseError` naming the line, or returns spellings only Python's
+    converters read, such as ``1_0``.
     """
     values = _load_rows(lines, width, fields, sep)
-    if values is None or not accept(values):
-        values = _parse_row_by_row(path, lines, linenos, width, fields, sep)
-    return values
+    return values if values is not None else _parse_row_by_row(path, lines, linenos, width, fields, sep)
 
 
 def _load_rows(lines: Sequence[str], width: int, fields: dict[str, tuple[int, Callable]],
@@ -175,34 +175,42 @@ def _cloud_columns(cloud: PointCloud) -> dict[str, npt.NDArray]:
     return columns
 
 
+def _read_text(path: Path) -> str:
+    """The file's text as UTF-8, an undecodable byte kept as a lone surrogate; an unreadable file is a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def _table_lines(path: Path) -> tuple[list[str], list[int]]:
     """The non-blank lines of a TSV table, and their file line numbers."""
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     linenos = [lineno for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     if not linenos:
         raise ParseError(f"{path}: empty file")
     return [lines[lineno - 1] for lineno in linenos], linenos
 
 
-def read_ply(path) -> PointCloud:
-    """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
+def _ply_header(path: Path, lines: Sequence[str]) -> tuple[list[str], int, int]:
+    """The vertex property names, vertex count and ``end_header`` line number of
+    a PLY header with one ``format ascii 1.0`` and one ``element vertex`` line."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError(f"{path}: line 1: expected 'ply' magic, got {lines[0]!r}" if lines
                          else f"{path}: empty file")
-
+    keywords: set[str] = set()
     n_vertices = None
     properties: list[str] = []
-    data_start = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if line.startswith("comment") or not line:
             continue
         if line == "end_header":
-            data_start = lineno
             break
         tokens = line.split()
+        if tokens[0] in keywords and tokens[0] != "property":
+            raise ParseError(f"{path}: line {lineno}: a second {tokens[0]} line {line!r}")
+        keywords.add(tokens[0])
         if tokens[0] == "format":
             if tokens[1:] != ["ascii", "1.0"]:
                 raise ParseError(f"{path}: line {lineno}: only 'format ascii 1.0' is supported, got {line!r}")
@@ -229,15 +237,23 @@ def read_ply(path) -> PointCloud:
             properties.append(pname)
         else:
             raise ParseError(f"{path}: line {lineno}: unexpected header line {line!r}")
-
-    if data_start is None:
+    else:
         raise ParseError(f"{path}: missing end_header")
+    if "format" not in keywords:
+        raise ParseError(f"{path}: line {lineno}: header has no 'format ascii 1.0' line")
     if n_vertices is None:
         raise ParseError(f"{path}: header declares no vertex element")
     for req in ("x", "y", "z"):
         if req not in properties:
             raise ParseError(f"{path}: header lacks required property {req!r}")
+    return properties, n_vertices, lineno
 
+
+def read_ply(path) -> PointCloud:
+    """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
+    path = Path(path)
+    lines = _read_text(path).splitlines()
+    properties, n_vertices, data_start = _ply_header(path, lines)
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
@@ -361,30 +377,21 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     for name in header[2:]:
         if name != "semantic":
             raise ParseError(f"{path}: line {linenos[0]}: unknown column {name!r}")
-    n = len(lines) - 1
-    seen = np.zeros(n, dtype=bool)
-
-    def point_id(token: str) -> int:
-        pid = int(token)
-        if not 0 <= pid < n:
-            raise ValueError(f"point_id {pid} outside 0..{n - 1}")
-        if seen[pid]:
-            raise ValueError(f"duplicate point_id {pid}")
-        seen[pid] = True
-        return pid
-
-    def each_id_once(values: dict[str, npt.NDArray]) -> bool:
-        ids = values["point_id"]
-        if not np.all((ids >= 0) & (ids < n)):
-            return False
-        hit = np.zeros(n, dtype=bool)
-        hit[ids] = True
-        return bool(hit.all())  # n ids cover 0..n-1 only if none repeats
-
-    fields = {"point_id": (0, point_id), "instance": (1, int)}
+    fields = {"point_id": (0, int), "instance": (1, int)}
     if "semantic" in header:
         fields["semantic"] = (2, int)
-    values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t", accept=each_id_once)
+    values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
+    # Sorted, the ids must read 0..n-1. A stable sort puts each repeat after its id's first row.
+    ids = values["point_id"]
+    n = len(ids)
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(n)):
+        outside = (ids < 0) | (ids >= n)
+        repeat = np.zeros(n, dtype=bool)
+        repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        row = int(np.argmax(outside | repeat))
+        fault = f"point_id {ids[row]} outside 0..{n - 1}" if outside[row] else f"duplicate point_id {ids[row]}"
+        raise ParseError(f"{path}: line {linenos[row + 1]}: {fault}")
     # A cloud's label domains. There is no tree/ground cross-check: a noisy mask may give a ground point a tree id.
     invalid = {"instance": values["instance"] < 0}
     if "semantic" in values:
@@ -393,9 +400,6 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     if len(rows):
         name = next(name for name, bad in invalid.items() if bad[rows[0]])
         raise InvalidLabel(f"{path}: line {linenos[rows[0] + 1]}: {_LABEL_RULES[name]}, got {values[name][rows[0]]}")
-    # The ids are a permutation of 0..n-1; scattering row numbers by id inverts it.
-    order = np.empty(n, dtype=np.int64)
-    order[values["point_id"]] = np.arange(n)
     return values["instance"][order], values["semantic"][order] if "semantic" in values else None
 
 
@@ -428,7 +432,7 @@ def read_block_file(path) -> BlockPrediction:
     ``center`` and ``radius`` older dumps wrote, are ignored.
     """
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

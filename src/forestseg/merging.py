@@ -298,13 +298,12 @@ def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: flo
 class SemanticVotes:
     """Per-point semantic vote counts, added one block at a time.
 
-    Counts are int32, half the memory and traffic of int64. A count never
-    exceeds the number of votes added, and past 2**31 - 1 of those the counts
-    widen to int64 first, so none overflows. In the pipeline a block votes
-    once per point it holds, so a point's count is bounded by the grid's
-    ``tiling.MAX_GRID_CELLS`` cells. The increment has the counts' dtype:
-    ``np.add.at`` takes its fast path only when the two match; with a Python
-    ``1`` it ran over 20 times slower on int32 counts (numpy 2.4).
+    A block votes at most once per point, so it cannot outvote the others, and
+    a count is at most the number of blocks (in the pipeline, at most
+    ``tiling.MAX_GRID_CELLS``). Counts are int32 and widen to int64 before
+    2**31 - 1 votes could have been added. The increment has the counts'
+    dtype: ``np.add.at`` takes its fast path only when the two match; with a
+    Python ``1`` it ran over 20 times slower on int32 counts (numpy 2.4).
     """
 
     def __init__(self, n_points: int) -> None:
@@ -312,20 +311,27 @@ class SemanticVotes:
         self._added = 0
 
     def add(self, point_ids: npt.ArrayLike, classes: npt.ArrayLike) -> None:
-        """Count one block's votes: ``classes[i]`` for point ``point_ids[i]``."""
+        """Count one block's votes, ``classes[i]`` for point ``point_ids[i]``, if
+        both are 1-D of one length, with valid points and classes and no id repeated."""
         n_points = len(self.counts)
         pids = np.asarray(point_ids, dtype=np.int64)
         classes = np.asarray(classes, dtype=np.int64)
-        if pids.shape != classes.shape:
+        if pids.ndim != 1 or classes.ndim != 1:
+            raise ShapeMismatch(f"per-block point_ids and classes must be 1-D, got {pids.shape} and {classes.shape}")
+        if len(pids) != len(classes):
             raise ShapeMismatch("per-block point_ids and classes lengths differ")
         if len(pids) and (pids.min() < 0 or pids.max() >= n_points):
             raise ShapeMismatch(f"semantic votes reference points outside 0..{n_points - 1}")
         if len(classes) and (classes.min() < 0 or classes.max() >= N_CLASSES):
             raise InvalidLabel("semantic votes name an invalid class")
+        if not np.all(pids[1:] > pids[:-1]):  # strictly ascending ids, as tiled blocks carry, need no sort
+            ordered = np.sort(pids)
+            if (repeated := ordered[1:] == ordered[:-1]).any():
+                raise ShapeMismatch(f"semantic votes name point {ordered[1:][repeated][0]} more than once")
         self._added += len(pids)
         if self._added > np.iinfo(self.counts.dtype).max:
             self.counts = self.counts.astype(np.int64)
-        # numpy's add.at is several times faster over one flat index than over an index pair.
+        # add.at over one flat index: several times faster than over an index pair, and faster than a fancy ``+=``.
         np.add.at(self.counts.reshape(-1), pids * N_CLASSES + classes, self.counts.dtype.type(1))
 
     def majority(self) -> npt.NDArray[np.int64]:
@@ -346,8 +352,9 @@ def semantic_vote_arrays(
 ) -> npt.NDArray[np.int64]:
     """Majority semantic class per point from per-block (point_ids, classes) votes.
 
-    Ties resolve toward the lowest class index. Every point must receive at
-    least one vote.
+    Each block's votes are added as :meth:`SemanticVotes.add` adds them, so a
+    block may name each point at most once. Ties resolve toward the lowest
+    class index. Every point must receive at least one vote.
     """
     votes = SemanticVotes(n_points)
     for pids, classes in zip(point_ids_per_block, classes_per_block):

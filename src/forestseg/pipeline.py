@@ -144,17 +144,6 @@ def _checked_masks(
     return masks
 
 
-def _check_distinct_votes(point_ids: npt.ArrayLike) -> None:
-    """Reject a block voting twice for a point, which would outvote the other
-    blocks covering it. Strictly ascending ids, as tiled blocks carry, need no sort."""
-    ids = np.asarray(point_ids).reshape(-1)
-    if not np.all(ids[1:] > ids[:-1]):
-        ids = np.sort(ids)
-        repeated = ids[1:][ids[1:] == ids[:-1]]
-        if len(repeated):
-            raise ShapeMismatch(f"semantic votes name point {repeated[0]} more than once")
-
-
 def merge_block_predictions(
     predictions: Iterable[BlockPrediction],
     positions: npt.NDArray[np.float64],
@@ -209,7 +198,6 @@ def merge_block_predictions(
                 votes = SemanticVotes(n_points)
             try:
                 votes.add(*prediction.semantic)
-                _check_distinct_votes(prediction.semantic[0])
             except (ShapeMismatch, InvalidLabel) as exc:
                 raise type(exc)(f"block {prediction.block_id}: {exc}") from None
         del prediction, masks, inside  # free this block's arrays before the next one is pulled

@@ -1,10 +1,12 @@
 """Reference implementations for ``forestseg.io``.
 
 Row-by-row readers for the vectorized table parser: these convert one token
-at a time with Python's ``float`` and ``int`` and order label-table rows with
-``argsort``; header parsing is shared with ``forestseg.io``. The fast readers
-must return bit-identical arrays or raise the same :class:`ParseError` or
-:class:`InvalidLabel` message.
+at a time with Python's ``float`` and ``int``, check label-table ids and
+values one row at a time, and order label-table rows with ``argsort``. They
+read text and parse PLY headers and TSV header rows with ``forestseg.io``'s
+own functions (``_read_text``, ``_ply_header``, ``_tsv_columns``). The fast
+readers must return bit-identical arrays or raise the same
+:class:`ParseError` or :class:`InvalidLabel` message.
 
 The label-table writer that joins ``str`` of each value, for the integer
 kernel of ``write_labels_tsv``: both must give the same bytes.
@@ -26,8 +28,7 @@ import numpy.typing as npt
 
 from forestseg.core import _LABEL_RULES, N_CLASSES, PointCloud
 from forestseg.errors import InvalidLabel, ParseError
-from forestseg.io import (_CLOUD_TYPES, _FLOAT_PLY_TYPES, _INT_PLY_TYPES, _check_unique, _is_number, _table_lines,
-                          _tsv_columns)
+from forestseg.io import _CLOUD_TYPES, _check_unique, _is_number, _ply_header, _read_text, _table_lines, _tsv_columns
 from forestseg.merging import BlockPrediction
 
 
@@ -69,57 +70,8 @@ def _parse_cloud(path: Path, lines: Sequence[str], linenos: Sequence[int], colum
 def reference_read_ply(path) -> PointCloud:
     """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise ParseError(f"{path}: line 1: expected 'ply' magic, got {lines[0]!r}" if lines
-                         else f"{path}: empty file")
-
-    n_vertices = None
-    properties: list[str] = []
-    data_start = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if line.startswith("comment") or not line:
-            continue
-        if line == "end_header":
-            data_start = lineno
-            break
-        tokens = line.split()
-        if tokens[0] == "format":
-            if tokens[1:] != ["ascii", "1.0"]:
-                raise ParseError(f"{path}: line {lineno}: only 'format ascii 1.0' is supported, got {line!r}")
-        elif tokens[0] == "element":
-            if tokens[1:2] != ["vertex"]:
-                raise ParseError(f"{path}: line {lineno}: unsupported element {' '.join(tokens[1:2])!r}")
-            try:
-                n_vertices = int(tokens[2])
-                if n_vertices < 0:
-                    raise ValueError
-            except (IndexError, ValueError):
-                raise ParseError(f"{path}: line {lineno}: bad vertex count in {line!r}") from None
-        elif tokens[0] == "property":
-            if n_vertices is None:
-                raise ParseError(f"{path}: line {lineno}: property outside vertex element")
-            if len(tokens) != 3:
-                raise ParseError(f"{path}: line {lineno}: malformed property {line!r}")
-            ptype, pname = tokens[1], tokens[2]
-            if pname in ("x", "y", "z") and ptype not in _FLOAT_PLY_TYPES:
-                raise ParseError(f"{path}: line {lineno}: {pname} must be a float type, got {ptype!r}")
-            if pname in ("semantic", "instance") and ptype not in _INT_PLY_TYPES:
-                raise ParseError(f"{path}: line {lineno}: {pname} must be an integer type, got {ptype!r}")
-            _check_unique(path, lineno, [*properties, pname])
-            properties.append(pname)
-        else:
-            raise ParseError(f"{path}: line {lineno}: unexpected header line {line!r}")
-
-    if data_start is None:
-        raise ParseError(f"{path}: missing end_header")
-    if n_vertices is None:
-        raise ParseError(f"{path}: header declares no vertex element")
-    for req in ("x", "y", "z"):
-        if req not in properties:
-            raise ParseError(f"{path}: header lacks required property {req!r}")
-
+    lines = _read_text(path).splitlines()
+    properties, n_vertices, data_start = _ply_header(path, lines)
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
@@ -166,22 +118,18 @@ def reference_read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[
     for name in header[2:]:
         if name != "semantic":
             raise ParseError(f"{path}: line {linenos[0]}: unknown column {name!r}")
-    n = len(lines) - 1
-    seen = np.zeros(n, dtype=bool)
-
-    def point_id(token: str) -> int:
-        pid = int(token)
-        if not 0 <= pid < n:
-            raise ValueError(f"point_id {pid} outside 0..{n - 1}")
-        if seen[pid]:
-            raise ValueError(f"duplicate point_id {pid}")
-        seen[pid] = True
-        return pid
-
-    fields = {"point_id": (0, point_id), "instance": (1, int)}
+    fields = {"point_id": (0, int), "instance": (1, int)}
     if "semantic" in header:
         fields["semantic"] = (2, int)
     values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
+    n = len(lines) - 1
+    seen = np.zeros(n, dtype=bool)
+    for pid, lineno in zip(values["point_id"].tolist(), linenos[1:]):
+        if not 0 <= pid < n:
+            raise ParseError(f"{path}: line {lineno}: point_id {pid} outside 0..{n - 1}")
+        if seen[pid]:
+            raise ParseError(f"{path}: line {lineno}: duplicate point_id {pid}")
+        seen[pid] = True
     for row, lineno in enumerate(linenos[1:]):
         if values["instance"][row] < 0:
             raise InvalidLabel(f"{path}: line {lineno}: {_LABEL_RULES['instance']}, got {values['instance'][row]}")

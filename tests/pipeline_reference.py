@@ -112,9 +112,6 @@ def reference_merge_block_predictions(
         votes = SemanticVotes(n_points)
         for p in voted:
             votes.add(*p.semantic)
-        for p in voted:
-            if len(np.unique(p.semantic[0])) < len(p.semantic[0]):
-                raise ShapeMismatch(f"block {p.block_id}: semantic votes name a point more than once")
         semantic = votes.majority()
     return ReferenceMergeOutcome(
         masks_predicted=masks,

@@ -600,3 +600,60 @@ class TestGradcheckCommand:
         assert set(payload["losses"]) == {"bce", "dice", "score", "binary", "sem", "disc"}
         for entry in payload["losses"].values():
             assert entry["pass"] is True
+
+
+class TestUnreadableTextInputs:
+    """Every text input is read as UTF-8 through one helper: a byte that does
+    not decode is reported by the parser on its line, and a path that cannot
+    be read as a file is a ParseError naming it. Both exit 2."""
+
+    @staticmethod
+    def assert_parse_error(result, message):
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and message in result.output
+
+    def test_binary_ply(self, runner, tmp_path):
+        body = np.array([0.5, -1.0, 2.0]).tobytes()
+        with pytest.raises(UnicodeDecodeError):
+            body.decode()
+        ply = tmp_path / "binary.ply"
+        ply.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty double x\n"
+                        b"property double y\nproperty double z\nend_header\n" + body)
+        result = runner.invoke(main, ["pipeline", "--input", str(ply)])
+        self.assert_parse_error(result, "binary.ply: line 2: only 'format ascii 1.0' is supported")
+
+    def test_tsv_cloud(self, runner, tmp_path):
+        tsv = tmp_path / "latin.tsv"
+        tsv.write_bytes(b"x\ty\tz\n0\t0\t0\n1\t\xe9\t1\n")
+        result = runner.invoke(main, ["pipeline", "--input", str(tsv)])
+        self.assert_parse_error(result, "latin.tsv: line 3: could not convert string to float")
+
+    def test_label_table(self, runner, tmp_path):
+        pred, gt = tmp_path / "pred.tsv", tmp_path / "gt.tsv"
+        io.write_labels_tsv(gt, np.array([1, 1, 2]))
+        pred.write_bytes(b"point_id\tinstance\n0\t1\n1\t\xff\n2\t2\n")
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
+        self.assert_parse_error(result, "pred.tsv: line 3: invalid literal for int")
+
+    def test_block_file(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        flags = ["--input", str(ply), "--radius", "8", "--stride", "4"]
+        assert runner.invoke(main, ["pipeline", *flags, "--dump-blocks", str(blocks)]).exit_code == 0
+        path = blocks / "block_00000.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        result = runner.invoke(main, ["pipeline", *flags, "--predictor", str(blocks)])
+        self.assert_parse_error(result, "block_00000.json: line 1: Expecting value")
+
+    def test_synth_params(self, runner, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_bytes(b"# r\xe9glages\nn_trees = 4\nplot_size = 1\xb70\n")
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
+        self.assert_parse_error(result, "params.txt: line 3: bad value")
+
+    def test_directory_named_as_a_block_file(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        (blocks / "block_00000.json").mkdir(parents=True)
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        self.assert_parse_error(result, "block_00000.json: cannot read: ")

@@ -128,6 +128,45 @@ class TestPly:
         with pytest.raises(ParseError, match="twice.ply: line 7: repeated column name 'z'"):
             io.read_ply(path)
 
+    @pytest.mark.parametrize("lines, message", [
+        (["element vertex 2", "property double x", "element vertex 1"], "line 5: a second element line"),
+        (["element vertex 1", "property double x", "element face 0"], "line 5: a second element line"),
+        (["format ascii 1.0", "element vertex 1", "property double x"], "line 3: a second format line"),
+    ])
+    def test_second_element_or_format_line_rejected(self, tmp_path, lines, message):
+        path = tmp_path / "twice.ply"
+        path.write_text("\n".join(["ply", "format ascii 1.0", *lines, "property double y", "property double z",
+                                   "end_header", "0 0 0", "1 1 1"]) + "\n")
+        with pytest.raises(ParseError, match=f"twice.ply: {message}"):
+            io.read_ply(path)
+        with pytest.raises(ParseError, match=f"twice.ply: {message}"):
+            reference_read_ply(path)
+
+    def test_missing_format_line_names_end_of_header(self, tmp_path):
+        path = tmp_path / "bare.ply"
+        path.write_text("ply\nelement vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
+                        "end_header\n0 0 0\n")
+        with pytest.raises(ParseError, match="bare.ply: line 6: header has no 'format ascii 1.0' line"):
+            io.read_ply(path)
+
+    def test_binary_body_reports_the_format_line(self, tmp_path):
+        body = np.array([0.5, -1.0, 2.0]).tobytes()
+        with pytest.raises(UnicodeDecodeError):
+            body.decode()
+        path = tmp_path / "binary.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty double x\n"
+                         b"property double y\nproperty double z\nend_header\n" + body)
+        with pytest.raises(ParseError, match="binary.ply: line 2: only 'format ascii 1.0' is supported"):
+            io.read_ply(path)
+
+    def test_undecodable_byte_in_data_names_line(self, tmp_path):
+        path = tmp_path / "latin.ply"
+        path.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty double y\n"
+                         b"property double z\nend_header\n0 0 0\n1 \xe9 1\n")
+        with pytest.raises(ParseError, match="latin.ply: line 9: "):
+            io.read_ply(path)
+        assert outcome(io.read_ply, path) == outcome(reference_read_ply, path)
+
     def test_missing_coordinate_property(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text(
@@ -266,6 +305,22 @@ class TestLabelsTsv:
         path.write_text("point_id\tinstance\n0\t1\n2\t2\n")
         with pytest.raises(ParseError, match="line 3: point_id 2 outside 0..1"):
             io.read_labels_tsv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        # A bad token anywhere comes before an id fault, even on an earlier line.
+        ("0\t1\n0\t1\n2\tx\n", "line 4: invalid literal for int"),
+        ("5\t1\n1\t1\n2\t1\t0\n", "line 4: expected 2 values, got 3"),
+        # Then the first id fault, before a label value outside its domain on an earlier line.
+        ("0\t-1\n1\t1\n1\t1\n", "line 4: duplicate point_id 1"),
+        ("0\t-1\n1\t1\n3\t1\n", r"line 4: point_id 3 outside 0\.\.2"),
+        ("1\t1\n1\t1\n7\t1\n", "line 3: duplicate point_id 1"),
+    ])
+    def test_fault_precedence(self, tmp_path, rows, message):
+        path = tmp_path / "labels.tsv"
+        path.write_text("point_id\tinstance\n" + rows)
+        with pytest.raises(ParseError, match="labels.tsv: " + message):
+            io.read_labels_tsv(path)
+        assert outcome(io.read_labels_tsv, path) == outcome(reference_read_labels_tsv, path)
 
     def test_repeated_column_rejected(self, tmp_path):
         path = tmp_path / "twice.tsv"

@@ -428,10 +428,24 @@ class TestOverlapMergeBaseline:
             overlap_merge_baseline(copies, threshold)
 
 
+def spread(pairs):
+    """(point_ids, classes) arrays per block for (point_id, class) pairs: the
+    k-th vote for a point goes to block k, so no block names a point twice."""
+    blocks: list[tuple[list, list]] = []
+    counted: dict[int, int] = {}
+    for pid, cls in pairs:
+        k = counted[pid] = counted.get(pid, -1) + 1
+        if k == len(blocks):
+            blocks.append(([], []))
+        blocks[k][0].append(pid)
+        blocks[k][1].append(cls)
+    return ([np.array(pids, dtype=np.int64) for pids, _ in blocks],
+            [np.array(classes, dtype=np.int64) for _, classes in blocks])
+
+
 def vote(pairs, n_points):
-    """semantic_vote_arrays over (point_id, class) pairs given as one block."""
-    pids, classes = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return semantic_vote_arrays([pids], [classes], n_points)
+    """semantic_vote_arrays over (point_id, class) pairs, spread over blocks."""
+    return semantic_vote_arrays(*spread(pairs), n_points)
 
 
 class TestSemanticVote:
@@ -447,12 +461,9 @@ class TestSemanticVote:
         n = 50
         votes = [(int(rng.integers(0, n)), int(rng.integers(0, 3))) for _ in range(600)]
         votes += [(p, 0) for p in range(n)]  # make sure everyone is voted
-        blocks = [votes[i:i + 97] for i in range(0, len(votes), 97)]
-        out = semantic_vote_arrays(
-            [np.array([p for p, _ in b]) for b in blocks],
-            [np.array([c for _, c in b]) for b in blocks],
-            n,
-        )
+        point_ids, classes = spread(votes)
+        assert len(point_ids) > 1
+        out = semantic_vote_arrays(point_ids, classes, n)
         for p in range(n):
             tallies = [0, 0, 0]
             for pid, cls in votes:
@@ -468,6 +479,18 @@ class TestSemanticVote:
         with pytest.raises(ShapeMismatch):
             semantic_vote_arrays([np.array([0, 1])], [np.array([1])], 2)
 
+    @pytest.mark.parametrize("point_ids, classes", [
+        ([[0, 1]], [1, 1]),
+        ([0, 1], [[1, 1]]),
+        ([[0], [1]], [[1], [1]]),  # equal shapes, but not 1-D
+        (0, 1),
+    ])
+    def test_votes_not_1d_rejected(self, point_ids, classes):
+        votes = merging.SemanticVotes(2)
+        with pytest.raises(ShapeMismatch, match="point_ids and classes must be 1-D"):
+            votes.add(np.array(point_ids), np.array(classes))
+        assert not votes.counts.any()
+
     @pytest.mark.parametrize("cls", [-1, 3])
     def test_invalid_class_rejected(self, cls):
         with pytest.raises(InvalidLabel):
@@ -478,9 +501,20 @@ class TestSemanticVote:
         with pytest.raises(ShapeMismatch):
             vote([(0, 1), (point_id, 1)], 2)
 
+    @pytest.mark.parametrize("point_ids", [[1, 0, 1], [0, 1, 1]])
+    def test_repeated_point_rejected_and_not_counted(self, point_ids):
+        votes = merging.SemanticVotes(2)
+        votes.add(np.array([0, 1]), np.array([1, 1]))
+        with pytest.raises(ShapeMismatch, match="semantic votes name point 1 more than once"):
+            votes.add(np.array(point_ids), np.array([2, 2, 2]))
+        assert votes.counts.tolist() == [[0, 1, 0], [0, 1, 0]]
+        with pytest.raises(ShapeMismatch, match="semantic votes name point 1 more than once"):
+            semantic_vote_arrays([np.array([0, 1]), np.array(point_ids)], [np.array([1, 1]), np.array([2, 2, 2])], 2)
+
     def test_counts_are_int32(self):
         votes = merging.SemanticVotes(2)
-        votes.add(np.array([0, 1, 1]), np.array([2, 0, 0]))
+        votes.add(np.array([0, 1]), np.array([2, 0]))
+        votes.add(np.array([1]), np.array([0]))
         assert votes.counts.dtype == np.int32
         assert votes.counts.tolist() == [[0, 0, 1], [2, 0, 0]]
 
@@ -490,7 +524,9 @@ class TestSemanticVote:
         votes.add(np.array([0, 1]), np.array([1, 0]))
         votes.counts[0, 1] = top - 1
         votes._added = top - 1  # as if top - 1 votes had been added
-        votes.add(np.array([0, 0]), np.array([1, 1]))
+        votes.add(np.array([0]), np.array([1]))
+        assert votes.counts.dtype == np.int32 and votes.counts[0, 1] == top
+        votes.add(np.array([0]), np.array([1]))
         assert votes.counts.dtype == np.int64
         assert votes.counts[0, 1] == top + 1
         assert votes.majority().tolist() == [1, 0]

@@ -231,10 +231,10 @@ class TestStageAccounting:
         pids, classes = covering[0].semantic
         repeats = len(covering)
         covering[0].semantic = (np.r_[pids, [0] * repeats], np.r_[classes, [GROUND] * repeats])
-        # Counted, the repeats would turn point 0 to ground.
-        counted = merging.semantic_vote_arrays([p.semantic[0] for p in predictions],
-                                               [p.semantic[1] for p in predictions], cloud.n)
-        assert counted[0] == GROUND
+        # Counted, the repeats would turn point 0 to ground; the vote count refuses them.
+        with pytest.raises(ShapeMismatch, match="semantic votes name point 0 more than once"):
+            merging.semantic_vote_arrays([p.semantic[0] for p in predictions],
+                                         [p.semantic[1] for p in predictions], cloud.n)
         with pytest.raises(ShapeMismatch, match=f"block {covering[0].block_id}: semantic votes name point 0 more than once"):
             merge_block_predictions(predictions, cloud.positions, config)
 
