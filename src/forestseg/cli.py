@@ -83,7 +83,7 @@ def _parse_forest_params(path: str, seed_override: int | None) -> ForestParams:
             keys[f.name] = (f.name, None, type(f.default))
     kwargs: dict = {}
     key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(io._read_text(Path(path)).splitlines(), start=1):
+    for lineno, raw in enumerate(io._read_lines(Path(path)), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -183,9 +183,16 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The file's lines. ``read_text`` turns every line end into "\\n", and only that splits a line, not the form
+    feeds and other separators ``str.splitlines`` breaks at; a final "\\n" ends a line and starts none."""
+    text = _read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def _table_lines(path: Path) -> tuple[list[str], list[int]]:
     """The non-blank lines of a TSV table, and their file line numbers."""
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     linenos = [lineno for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     if not linenos:
         raise ParseError(f"{path}: empty file")
@@ -252,7 +259,7 @@ def _ply_header(path: Path, lines: Sequence[str]) -> tuple[list[str], int, int]:
 def read_ply(path) -> PointCloud:
     """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     properties, n_vertices, data_start = _ply_header(path, lines)
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:

@@ -11,6 +11,7 @@ Summations run in ascending index order for bitwise reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,8 @@ def discriminative_loss(
         raise ShapeMismatch(f"embeddings must be 2-D, got shape {f.shape}")
     if len(f) != len(ids):
         raise ShapeMismatch("embeddings and instance_ids lengths differ")
-    if delta_v <= 0 or delta_d <= 0:
-        raise ConfigError("hinge margins must be positive")
+    if not all(math.isfinite(margin) and margin > 0 for margin in (delta_v, delta_d)):
+        raise ConfigError(f"hinge margins must be finite and > 0, got delta_v={delta_v}, delta_d={delta_d}")
     unique_ids = np.unique(ids[ids >= 1])
     c = len(unique_ids)
     if c == 0:
@@ -409,6 +410,9 @@ def run_gradient_checks(trials: int = 100, seed: int = 0, h: float = 1e-5, tol: 
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    for name, value in (("h", h), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 

@@ -9,12 +9,13 @@ and point resolution rank the surviving masks by a total order (score
 descending, then block id, then query index), so no stage depends on the
 order in which blocks were produced.
 
-NMS and the overlap baseline never compare masks pairwise. Both keep a
-point→mask index of ``(point, mask id)`` entries sorted by point; a query
-gathers the entries of a mask's points with ``searchsorted`` ranges and
-counts them per mask with ``bincount``, so pairs that share no point are
-never visited. A candidate costs O(|mask| log E) plus the entries it hits,
-where E is the number of entries in the index.
+NMS never compares masks pairwise. It keeps a point→mask index of
+``(point, mask id)`` entries sorted by point, holding only the masks it has
+kept; a query gathers the entries of a candidate's points with
+``searchsorted`` ranges and counts them per kept mask with ``bincount``, so
+pairs that share no point are never visited. A candidate costs
+O(|mask| log E) plus the entries it hits, where E is the number of entries
+in the index.
 
 NMS also skips, without a query, every nonempty mask whose point set equals
 that of an earlier-ranked mask. The result is unchanged: a copy of a kept
@@ -246,53 +247,6 @@ def resolve_points(kept_masks: Sequence[InstanceMask], n_points: int) -> npt.NDA
         free = ids[out[ids] == 0]
         out[free] = rank
     return out
-
-
-def overlap_merge_baseline(masks: Sequence[InstanceMask], overlap_threshold: float) -> list[InstanceMask]:
-    """Rule-based baseline: merge masks whose overlap ratio reaches a threshold.
-
-    Two masks are connected when ``|A & B| / min(|A|, |B|) >= threshold``;
-    connected components merge into point-set unions scored by their best
-    member. Thresholds above 1 never merge anything, which is useful as a
-    no-op control.
-    """
-    if not overlap_threshold > 0:
-        raise ConfigError(f"overlap threshold must be positive, got {overlap_threshold}")
-    masks = list(masks)
-    sizes = np.array([m.size for m in masks], dtype=np.int64)
-    parent = list(range(len(masks)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    index = _PointIndex()
-    for j, mask in enumerate(masks):
-        ids, inter = index.intersections(mask.point_ids)
-        for i in ids[inter / np.minimum(sizes[ids], mask.size) >= overlap_threshold]:
-            parent[find(int(i))] = find(j)
-        index.add(mask.point_ids, j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(masks)):
-        groups.setdefault(find(i), []).append(i)
-
-    merged = []
-    for group in groups.values():
-        group_masks = [masks[i] for i in group]
-        best = min(group_masks, key=InstanceMask.sort_key)
-        merged.append(
-            InstanceMask(
-                point_ids=np.unique(np.concatenate([m.point_ids for m in group_masks])),
-                score=max(m.score for m in group_masks),
-                block_id=best.block_id,
-                query_index=best.query_index,
-            )
-        )
-    merged.sort(key=lambda m: (m.block_id, m.query_index))
-    return merged
 
 
 class SemanticVotes:

@@ -4,7 +4,7 @@ Row-by-row readers for the vectorized table parser: these convert one token
 at a time with Python's ``float`` and ``int``, check label-table ids and
 values one row at a time, and order label-table rows with ``argsort``. They
 read text and parse PLY headers and TSV header rows with ``forestseg.io``'s
-own functions (``_read_text``, ``_ply_header``, ``_tsv_columns``). The fast
+own functions (``_read_lines``, ``_ply_header``, ``_tsv_columns``). The fast
 readers must return bit-identical arrays or raise the same
 :class:`ParseError` or :class:`InvalidLabel` message.
 
@@ -28,7 +28,7 @@ import numpy.typing as npt
 
 from forestseg.core import _LABEL_RULES, N_CLASSES, PointCloud
 from forestseg.errors import InvalidLabel, ParseError
-from forestseg.io import _CLOUD_TYPES, _check_unique, _is_number, _ply_header, _read_text, _table_lines, _tsv_columns
+from forestseg.io import _CLOUD_TYPES, _check_unique, _is_number, _ply_header, _read_lines, _table_lines, _tsv_columns
 from forestseg.merging import BlockPrediction
 
 
@@ -70,7 +70,7 @@ def _parse_cloud(path: Path, lines: Sequence[str], linenos: Sequence[int], colum
 def reference_read_ply(path) -> PointCloud:
     """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     properties, n_vertices, data_start = _ply_header(path, lines)
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:

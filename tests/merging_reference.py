@@ -1,8 +1,8 @@
-"""Reference kernels for the merges in ``forestseg.merging``.
+"""Reference kernels for the merge stages in ``forestseg.merging``.
 
-NMS and the overlap baseline compare every pair of masks with
-``np.intersect1d``, O(K²) in the number of masks; boundary discard measures
-one mask at a time. The fast kernels must return exactly what these return.
+NMS compares each candidate with every kept mask through ``np.intersect1d``,
+O(K²) in the number of masks; boundary discard measures one mask at a time.
+The fast kernels must return exactly what these return.
 """
 
 import numpy as np
@@ -27,45 +27,6 @@ def reference_score_nms(masks, iou_threshold):
         if all(_mask_iou(mask, other) < iou_threshold for other in kept):
             kept.append(mask)
     return kept
-
-
-def reference_overlap_merge_baseline(masks, overlap_threshold):
-    if overlap_threshold <= 0:
-        raise ConfigError(f"overlap threshold must be positive, got {overlap_threshold}")
-    masks = list(masks)
-    parent = list(range(len(masks)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            inter = len(np.intersect1d(masks[i].point_ids, masks[j].point_ids, assume_unique=True))
-            smaller = min(masks[i].size, masks[j].size)
-            if smaller and inter / smaller >= overlap_threshold:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(len(masks)):
-        groups.setdefault(find(i), []).append(i)
-
-    merged = []
-    for group in groups.values():
-        group_masks = [masks[i] for i in group]
-        best = min(group_masks, key=InstanceMask.sort_key)
-        merged.append(
-            InstanceMask(
-                point_ids=np.unique(np.concatenate([m.point_ids for m in group_masks])),
-                score=max(m.score for m in group_masks),
-                block_id=best.block_id,
-                query_index=best.query_index,
-            )
-        )
-    merged.sort(key=lambda m: (m.block_id, m.query_index))
-    return merged
 
 
 def reference_discard_boundary_masks(masks, center_xy, radius, positions, margin):

@@ -63,6 +63,19 @@ class TestSynth:
         assert result.exit_code == 2
         assert "n_bushes" in result.output
 
+    # Every character ``str.splitlines`` breaks a line at besides "\n" and "\r".
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_separator_in_comment_stays_in_its_line(self, runner, tmp_path, separator, forest_files):
+        params, out = tmp_path / "params.txt", tmp_path / "plot.ply"
+        params.write_bytes(PARAMS_TEXT.replace("desk-scale ", f"desk-scale{separator}").encode())
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert np.array_equal(io.read_ply(out).positions, forest_files[0].positions)
+        params.write_bytes(f"# scanned{separator}by unit 2\nn_trees = 4\nplot_size = wide\n".encode())
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "params.txt: line 3: bad value" in result.output
+
     def test_repeated_key_exits_2_and_names_both_lines(self, runner, tmp_path):
         params = tmp_path / "params.txt"
         params.write_text("n_trees = 4\nplot_size = 10.0\nn_trees = 6\n")

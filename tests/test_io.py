@@ -27,6 +27,11 @@ def assert_clouds_equal(a: PointCloud, b: PointCloud):
         assert np.array_equal(a.instance, b.instance)
 
 
+# Every character ``str.splitlines`` breaks a line at besides "\n" and "\r". Only those two end a line in a
+# text input, so each of these stays inside its line.
+LINE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 # Floats that need every digit of their repr, a signed zero and exponents.
 THREE_POINTS = [[0.1, -2.5, 1e-07], [12345.678901234567, 3.0, -0.0], [1e16, 2.220446049250313e-16, 7.0]]
 
@@ -167,6 +172,17 @@ class TestPly:
             io.read_ply(path)
         assert outcome(io.read_ply, path) == outcome(reference_read_ply, path)
 
+    @pytest.mark.parametrize("separator", LINE_SEPARATORS)
+    def test_separator_in_comment_stays_in_its_line(self, tmp_path, separator):
+        path = tmp_path / "comment.ply"
+        header = (f"ply\nformat ascii 1.0\ncomment scanned{separator}by unit 2\nelement vertex 2\n"
+                  "property double x\nproperty double y\nproperty double z\nend_header\n")
+        path.write_bytes((header + "0 0 0\n1 1 1\n").encode())
+        assert io.read_ply(path).positions.tolist() == [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+        path.write_bytes((header + "0 0 0\n1 1\n").encode())
+        with pytest.raises(ParseError, match="comment.ply: line 10: expected 3 values, got 2"):
+            io.read_ply(path)
+
     def test_missing_coordinate_property(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text(
@@ -236,6 +252,13 @@ class TestTsv:
             io.read_tsv(path)
         path.write_text("\n\nx\ty\tz\tcolor\n0\t0\t0\t1\n")
         with pytest.raises(ParseError, match="gaps.tsv: line 3: unknown column 'color'"):
+            io.read_tsv(path)
+
+    @pytest.mark.parametrize("separator", LINE_SEPARATORS)
+    def test_separator_stays_in_its_line(self, tmp_path, separator):
+        path = tmp_path / "gaps.tsv"
+        path.write_bytes(f"x\ty\tz\n0\t0\t0\n{separator}\n1\t1\t1\n0\toops\t0\n".encode())
+        with pytest.raises(ParseError, match="gaps.tsv: line 5: could not convert string to float: 'oops'"):
             io.read_tsv(path)
 
     def test_repeated_column_rejected(self, tmp_path):

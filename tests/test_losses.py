@@ -215,6 +215,14 @@ class TestDiscriminativeLoss:
         with pytest.raises(NoInstances):
             discriminative_loss(rng.normal(size=(4, 5)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("name, value", [
+        ("delta_v", float("nan")), ("delta_d", float("nan")), ("delta_v", float("inf")), ("delta_d", float("inf")),
+        ("delta_v", 0.0), ("delta_d", -1.0),
+    ])
+    def test_margin_not_finite_and_positive_rejected(self, rng, name, value):
+        with pytest.raises(ConfigError, match=f"hinge margins must be finite and > 0, got .*{name}={value}"):
+            discriminative_loss(rng.normal(size=(6, 5)), np.repeat([1, 2], 3), **{name: value})
+
 
 class TestBinaryTreeLoss:
     def test_half_probabilities_give_ln2(self, rng):
@@ -345,3 +353,11 @@ class TestLossProperties:
     def test_gradient_check_suite_passes(self):
         report = run_gradient_checks(trials=10, seed=7)
         assert report["all_pass"], report
+
+    @pytest.mark.parametrize("name, value", [
+        ("h", 0.0), ("h", -1e-5), ("h", float("nan")), ("h", float("inf")),
+        ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
+    ])
+    def test_step_or_tolerance_not_finite_and_positive_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and > 0, got {value}$"):
+            run_gradient_checks(trials=1, **{name: value})

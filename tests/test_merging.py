@@ -10,7 +10,6 @@ from forestseg.errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
 from forestseg.merging import (
     InstanceMask,
     discard_boundary_masks,
-    overlap_merge_baseline,
     resolve_points,
     score_filter,
     score_nms,
@@ -18,7 +17,6 @@ from forestseg.merging import (
 )
 from merging_reference import (
     reference_discard_boundary_masks,
-    reference_overlap_merge_baseline,
     reference_score_nms,
 )
 
@@ -91,10 +89,6 @@ def duplicate_heavy_mask_lists(draw, universe=30):
         for i, points in enumerate(point_sets)
     ]
     return masks, draw(st.permutations(masks))
-
-
-def merged_view(masks):
-    return [(m.block_id, m.query_index, m.score, m.point_ids.tolist()) for m in masks]
 
 
 class TestInstanceMask:
@@ -298,31 +292,71 @@ class TestIndexKernelsMatchPairwiseReference:
         assert score_nms(masks, 0.3) == reference_score_nms(masks, 0.3)
         assert len(calls) <= 3
 
-    @settings(deadline=None)
-    @given(data=mask_lists(), threshold=st.sampled_from([0.4, 1.0, 1.01]))
-    def test_overlap_merge_baseline(self, data, threshold):
-        for masks in data:
-            assert merged_view(overlap_merge_baseline(masks, threshold)) == merged_view(
-                reference_overlap_merge_baseline(masks, threshold)
-            )
-
     @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 0.5, 1.0])
     def test_score_nms_on_many_overlapping_masks(self, rng, threshold):
         masks = random_masks(rng, 300, universe=400, max_size=60)
         masks += [mask(m.point_ids, m.score, m.block_id, 300 + i) for i, m in enumerate(masks[:40])]
         assert score_nms(masks, threshold) == reference_score_nms(masks, threshold)
 
-    @pytest.mark.parametrize("threshold", [0.4, 1.0, 1.01])
-    def test_overlap_merge_baseline_on_many_overlapping_masks(self, rng, threshold):
-        masks = random_masks(rng, 200, universe=2000, max_size=60)
-        assert merged_view(overlap_merge_baseline(masks, threshold)) == merged_view(
-            reference_overlap_merge_baseline(masks, threshold)
-        )
-
     def test_zero_threshold_keeps_only_the_top_ranked_mask(self):
         masks = [mask([0], 0.5), mask([1], 0.9, query_index=1), mask([], 0.7, query_index=2)]
         assert score_nms(masks, 0.0) == [masks[1]]
         assert score_nms([], 0.0) == []
+
+
+def brute_force_intersections(indexed, query):
+    """Ids of the masks in ``indexed``, a list of point sets, sharing a point with ``query``, and how many each shares."""
+    shared = [(mask_id, len(points & query)) for mask_id, points in enumerate(indexed)]
+    return [mask_id for mask_id, n in shared if n], [n for _, n in shared if n]
+
+
+# Mask sizes one below, at and above 0, the run ratio and 9 times it: runs a ratio apart form, so an add carries
+# across several of them.
+INDEX_SIZES = sorted({max(k * merging._RUN_RATIO + d, 0) for k in (0, 1, 9) for d in (-1, 0, 1)})
+
+
+@st.composite
+def index_operations(draw, universe=160):
+    """Steps on a ``_PointIndex``: ``(True, points)`` adds a mask, ``(False, points)`` queries."""
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        size, seed = draw(st.sampled_from(INDEX_SIZES)), draw(st.integers(0, 2**32 - 1))
+        points = set(np.random.default_rng(seed).choice(universe, size=size, replace=False).tolist())
+        steps.append((draw(st.booleans()), points))
+    return steps
+
+
+class TestPointIndex:
+    """``_PointIndex.intersections`` against a set count over every mask added so far."""
+
+    @staticmethod
+    def _run(steps):
+        index, indexed = merging._PointIndex(), []
+        for is_add, points in steps:
+            ids = np.array(sorted(points), dtype=np.int64)
+            if is_add:
+                index.add(ids, len(indexed))
+                indexed.append(points)
+            else:
+                hit, shared = index.intersections(ids)
+                assert (hit.tolist(), shared.tolist()) == brute_force_intersections(indexed, points)
+        for points in [set(), *indexed]:
+            hit, shared = index.intersections(np.array(sorted(points), dtype=np.int64))
+            assert (hit.tolist(), shared.tolist()) == brute_force_intersections(indexed, points)
+        return index
+
+    @settings(deadline=None)
+    @given(steps=index_operations())
+    def test_matches_set_count(self, steps):
+        self._run(steps)
+
+    def test_add_carries_across_several_runs(self):
+        ratio = merging._RUN_RATIO
+        sizes = [ratio * (ratio + 1) + 1, ratio + 1, 1]  # each run more than ``ratio`` times the next newer one
+        steps = [(True, set(range(i, i + n))) for i, n in enumerate(sizes)]
+        assert len(self._run(steps)._runs) == 3
+        # Two more points absorb the newest run, and each merged run then absorbs the next older one.
+        assert len(self._run(steps + [(True, {0, 1})])._runs) == 1
 
 
 class TestIdSetIndex:
@@ -366,66 +400,6 @@ class TestResolvePoints:
         for m in masks:
             claimed |= set(m.point_ids.tolist())
         assert set(np.flatnonzero(out > 0).tolist()) == claimed
-
-
-class TestOverlapMergeBaseline:
-    def test_merges_on_sufficient_overlap(self):
-        a = mask([0, 1, 2, 3, 4], 0.9)
-        b = mask([2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0.7, query_index=1)
-        merged = overlap_merge_baseline([a, b], 0.5)  # shared 3 of min 5 = 0.6
-        assert len(merged) == 1
-        assert merged[0].score == 0.9
-        assert set(merged[0].point_ids.tolist()) == set(range(12))
-
-    def test_small_overlap_not_merged(self):
-        a = mask(list(range(10)), 0.9)
-        b = mask([9] + list(range(20, 29)), 0.7, query_index=1)  # 1 of min 10 = 0.1
-        assert len(overlap_merge_baseline([a, b], 0.5)) == 2
-
-    def test_matches_connected_components_oracle(self, rng):
-        masks = random_masks(rng, 30, universe=120)
-        merged = overlap_merge_baseline(masks, 0.4)
-        # BFS oracle over the overlap graph
-        adj = {i: set() for i in range(len(masks))}
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                si = set(masks[i].point_ids.tolist())
-                sj = set(masks[j].point_ids.tolist())
-                if len(si & sj) / min(len(si), len(sj)) >= 0.4:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        seen, components = set(), []
-        for i in range(len(masks)):
-            if i in seen:
-                continue
-            queue, comp = [i], set()
-            while queue:
-                node = queue.pop()
-                if node in comp:
-                    continue
-                comp.add(node)
-                queue.extend(adj[node] - comp)
-            seen |= comp
-            components.append(comp)
-        expected = sorted(
-            (
-                (tuple(sorted(set().union(*(set(masks[i].point_ids.tolist()) for i in comp)))),
-                 max(masks[i].score for i in comp))
-                for comp in components
-            )
-        )
-        got = sorted((tuple(m.point_ids.tolist()), m.score) for m in merged)
-        assert got == expected
-
-    def test_threshold_above_one_never_merges(self, rng):
-        masks = random_masks(rng, 15)
-        assert len(overlap_merge_baseline(masks, 1.01)) == 15
-
-    @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan")])
-    def test_threshold_not_positive_rejected(self, threshold):
-        copies = [mask([0, 1, 2], 0.9), mask([0, 1, 2], 0.8, query_index=1)]
-        with pytest.raises(ConfigError, match="overlap threshold must be positive"):
-            overlap_merge_baseline(copies, threshold)
 
 
 def spread(pairs):
