@@ -83,29 +83,30 @@ def _parse_forest_params(path: str, seed_override: int | None) -> ForestParams:
             keys[f.name] = (f.name, None, type(f.default))
     kwargs: dict = {}
     key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(io._read_lines(Path(path)), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in keys:
-            raise ParseError(f"{path}: line {lineno}: unknown parameter {key!r}")
-        if key in key_lines:
-            raise ParseError(f"{path}: line {lineno}: parameter {key!r} already set on line {key_lines[key]}")
-        key_lines[key] = lineno
-        name, index, kind = keys[key]
-        try:
-            parsed = kind(value)
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad value {value!r} for {key}") from None
-        if index is None:
-            kwargs[name] = parsed
-        else:
-            bounds = list(kwargs.get(name, getattr(ForestParams, name)))
-            bounds[index] = parsed
-            kwargs[name] = tuple(bounds)
+    with io._open_text(Path(path)) as text:
+        for lineno, raw in enumerate((line.removesuffix("\n") for line in text), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in keys:
+                raise ParseError(f"{path}: line {lineno}: unknown parameter {key!r}")
+            if key in key_lines:
+                raise ParseError(f"{path}: line {lineno}: parameter {key!r} already set on line {key_lines[key]}")
+            key_lines[key] = lineno
+            name, index, kind = keys[key]
+            try:
+                parsed = kind(value)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad value {value!r} for {key}") from None
+            if index is None:
+                kwargs[name] = parsed
+            else:
+                bounds = list(kwargs.get(name, getattr(ForestParams, name)))
+                bounds[index] = parsed
+                kwargs[name] = tuple(bounds)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return ForestParams(**kwargs)

@@ -7,13 +7,13 @@ are written with ``repr`` so a read-back reproduces every value bit-exactly.
 Label tables hold only integers, and one vectorized kernel formats them: each
 column's digits fill a right-aligned byte matrix, so no value becomes a
 Python string. Read back, a label table's values are checked as a cloud's
-labels are: instance ids >= 0, semantic classes 0, 1 or 2. The parser
-converts a whole table in one vectorized ``np.loadtxt`` pass; only when that
-pass rejects the rows does a loop parse them one by one, so parse failures
-still raise :class:`ParseError` naming the file and the offending line. A
-label table's ids are checked after the parse: a bad token anywhere comes
-before an id outside 0..n-1 or repeated, and that before a label outside its
-domain. Text is read as UTF-8, an undecodable byte kept as a lone surrogate.
+labels are: instance ids >= 0, semantic classes 0, 1 or 2. A reader opens
+its file once as UTF-8 text (an undecodable byte kept as a lone surrogate) and
+streams its rows into one ``np.loadtxt`` pass, holding no whole text or line
+list. Where that pass may differ from the row loop, the file is read again as
+lines for the loop, whose :class:`ParseError` names the file and line. A label
+table's ids are checked after the parse: a bad token anywhere comes before an
+id outside 0..n-1 or repeated, and that before a label outside its domain.
 
 Block files are written as compact JSON: one line, keys sorted, no spaces, so
 Python's C encoder writes them. The reader accepts any JSON whitespace, so
@@ -25,10 +25,12 @@ from the block id, so the ``center`` and ``radius`` of older dumps are ignored.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import warnings
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import numpy.typing as npt
@@ -41,32 +43,26 @@ _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic v
 _FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
 _INT_PLY_TYPES = {"char", "uchar", "int8", "uint8", "short", "ushort", "int16", "uint16",
                   "int", "uint", "int32", "uint32", "int64", "uint64"}
+_WRITE_CHUNK_ROWS = 16384  # rows a cloud writer formats at a time, not the whole file
 # Cloud columns in their positional order, with the converter of each.
 _CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance": int}
 
 
-def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
-                fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
-    """Parse rows of ``width`` ``sep``-separated values, found on file lines
-    ``linenos``, into one array per field.
+def _load_rows(lines: Iterable[str], width: int, fields: dict[str, tuple[int, Callable]],
+               sep: str | None) -> dict[str, npt.NDArray] | None:
+    """Parse ``lines``, each a row of ``width`` ``sep``-separated values, in one
+    ``np.loadtxt`` pass as they stream in, into one array per field (views of
+    one table); or None where the result may differ from :func:`_parse_row_by_row`'s.
 
     ``fields`` maps a name to its column index and converter (``float`` ones
-    fill float64 arrays, the rest int64). :func:`_load_rows` parses all rows
-    at once. Where it declines, the row loop parses them: it raises the
-    :class:`ParseError` naming the line, or returns spellings only Python's
-    converters read, such as ``1_0``.
+    fill float64 arrays, the rest int64). Where this declines, the file is read
+    again as lines for the row loop: it raises the :class:`ParseError` naming
+    the line, or returns spellings only Python's converters read, such as ``1_0``.
     """
-    values = _load_rows(lines, width, fields, sep)
-    return values if values is not None else _parse_row_by_row(path, lines, linenos, width, fields, sep)
-
-
-def _load_rows(lines: Sequence[str], width: int, fields: dict[str, tuple[int, Callable]],
-               sep: str | None) -> dict[str, npt.NDArray] | None:
-    """:func:`_parse_rows` in one ``np.loadtxt`` pass, or None where it may differ from the row loop."""
-    # numpy's integer parser passes any code point to C's isdigit: a non-ASCII
-    # one may read as a digit (U+667CD as 419741) or crash the process.
-    if not all(map(str.isascii, lines)):
-        return None
+    # numpy's integer parser passes any code point to C's isdigit: a non-ASCII one may read as a digit
+    # (U+667CD as 419741) or crash the process. filter drops such a line, and the row count below misses it.
+    n_lines = itertools.count()  # zip takes a line before a count: once the lines run out, next() is their number
+    ascii_lines = filter(str.isascii, (line for line, _ in zip(lines, n_lines)))
     # Columns no field names are read as strings, so loadtxt still checks every row's width.
     dtype = [(f"_{i}", "U1") for i in range(width)]
     for name, (i, convert) in fields.items():
@@ -75,20 +71,19 @@ def _load_rows(lines: Sequence[str], width: int, fields: dict[str, tuple[int, Ca
         # numpy 1.x parses "1.0" into an int column with only a DeprecationWarning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=dtype, delimiter=sep, comments=None, ndmin=1)
+            table = np.loadtxt(ascii_lines, dtype=dtype, delimiter=sep, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    if len(table) != len(lines):  # loadtxt skips blank lines, which the row loop rejects
+    if len(table) != next(n_lines):  # a line dropped, or a blank one loadtxt skipped, which the row loop rejects
         return None
-    return {name: np.ascontiguousarray(table[name]) for name in fields}
+    return {name: table[name] for name in fields}
 
 
 def _parse_row_by_row(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
                       fields: dict[str, tuple[int, Callable]], sep: str | None) -> dict[str, npt.NDArray]:
-    """:func:`_parse_rows` one row at a time: the converters run in ``fields``
-    order on each row. A wrong value count, or a value a converter rejects or
-    its array cannot hold, raises :class:`ParseError` naming the line.
-    """
+    """:func:`_load_rows` one row at a time, rows ``lines`` found on file lines ``linenos``: the converters run in
+    ``fields`` order on each row. A wrong value count, or a value a converter rejects or its array cannot hold,
+    raises :class:`ParseError` naming the line."""
     out = {name: np.empty(len(lines), dtype=np.float64 if convert is float else np.int64)
            for name, (_, convert) in fields.items()}
     targets = [(out[name], i, convert) for name, (i, convert) in fields.items()]
@@ -111,20 +106,25 @@ def _check_unique(path: Path, lineno: int, names: list[str]) -> None:
             raise ParseError(f"{path}: line {lineno}: repeated column name {name!r}")
 
 
-def _parse_cloud(path: Path, lines: Sequence[str], linenos: Sequence[int], columns: list[str],
-                 sep: str | None) -> PointCloud:
-    """Parse point rows whose columns are named ``columns`` (names are unique)."""
-    col = {name: i for i, name in enumerate(columns)}
-    fields = {name: (col[name], convert) for name, convert in _CLOUD_TYPES.items() if name in col}
-    values = _parse_rows(path, lines, linenos, len(columns), fields, sep)
-    return PointCloud(positions=np.column_stack([values["x"], values["y"], values["z"]]),
-                      semantic=values.get("semantic"), instance=values.get("instance"))
+def _cloud_fields(columns: list[str]) -> dict[str, tuple[int, Callable]]:
+    """The parse fields of a cloud whose columns are named ``columns`` (names are unique)."""
+    return {name: (columns.index(name), convert) for name, convert in _CLOUD_TYPES.items() if name in columns}
+
+
+def _cloud(values: dict[str, npt.NDArray]) -> PointCloud:
+    positions = np.column_stack([values["x"], values["y"], values["z"]])
+    labels = {name: values[name].copy() for name in ("semantic", "instance") if name in values}
+    values.clear()  # copied out, the parse's table is freed before the cloud's checks
+    return PointCloud(positions=positions, **labels)
 
 
 def _write_rows(path, header: list[str], sep: str, columns: dict[str, npt.NDArray]) -> None:
     """Write the header lines, then the columns as ``sep``-joined rows (``str`` of a float is its ``repr``)."""
-    rows = map(sep.join, zip(*(map(str, c.tolist()) for c in columns.values()), strict=True))
-    Path(path).write_text("\n".join([*header, *rows]) + "\n")
+    with open(path, "w") as f:
+        f.write("\n".join(header) + "\n")
+        for start in range(0, len(columns["x"]), _WRITE_CHUNK_ROWS):
+            chunk = (map(str, c[start:start + _WRITE_CHUNK_ROWS].tolist()) for c in columns.values())
+            f.write("\n".join(map(sep.join, zip(*chunk, strict=True))) + "\n")
 
 
 def _int_rows(columns: Sequence[npt.NDArray[np.int64]]) -> bytes:
@@ -175,23 +175,26 @@ def _cloud_columns(cloud: PointCloud) -> dict[str, npt.NDArray]:
     return columns
 
 
-def _read_text(path: Path) -> str:
-    """The file's text as UTF-8, an undecodable byte kept as a lone surrogate; an unreadable file is a ParseError."""
+@contextlib.contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """The file open as UTF-8 text, an undecodable byte kept as a lone surrogate; an unreadable file is a ParseError.
+    Each line end ("\\r\\n", "\\r" or "\\n") reads as "\\n", and only that ends a line, not a form feed."""
     try:
-        return path.read_text(encoding="utf-8", errors="surrogateescape")
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            yield f
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _read_lines(path: Path) -> list[str]:
-    """The file's lines. ``read_text`` turns every line end into "\\n", and only that splits a line, not the form
-    feeds and other separators ``str.splitlines`` breaks at; a final "\\n" ends a line and starts none."""
-    text = _read_text(path)
+    """The file's lines, without their line ends; a final "\\n" ends a line and starts none."""
+    with _open_text(path) as f:
+        text = f.read()
     return text.removesuffix("\n").split("\n") if text else []
 
 
 def _table_lines(path: Path) -> tuple[list[str], list[int]]:
-    """The non-blank lines of a TSV table, and their file line numbers."""
+    """The non-blank lines of a TSV table, and their file line numbers: read again, for an error's line number."""
     lines = _read_lines(path)
     linenos = [lineno for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     if not linenos:
@@ -199,16 +202,17 @@ def _table_lines(path: Path) -> tuple[list[str], list[int]]:
     return [lines[lineno - 1] for lineno in linenos], linenos
 
 
-def _ply_header(path: Path, lines: Sequence[str]) -> tuple[list[str], int, int]:
-    """The vertex property names, vertex count and ``end_header`` line number of
-    a PLY header with one ``format ascii 1.0`` and one ``element vertex`` line."""
-    if not lines or lines[0].strip() != "ply":
-        raise ParseError(f"{path}: line 1: expected 'ply' magic, got {lines[0]!r}" if lines
+def _ply_header(path: Path, lines: Iterator[str]) -> tuple[list[str], int, int]:
+    """The vertex property names, vertex count and ``end_header`` line number of a PLY header with one
+    ``format ascii 1.0`` and one ``element vertex`` line, taking the file's ``lines`` up to ``end_header``."""
+    first = next(lines, None)
+    if first is None or first.strip() != "ply":
+        raise ParseError(f"{path}: line 1: expected 'ply' magic, got {first!r}" if first is not None
                          else f"{path}: empty file")
     keywords: set[str] = set()
     n_vertices = None
     properties: list[str] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
         if line.startswith("comment") or not line:
             continue
@@ -259,14 +263,19 @@ def _ply_header(path: Path, lines: Sequence[str]) -> tuple[list[str], int, int]:
 def read_ply(path) -> PointCloud:
     """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
     path = Path(path)
-    lines = _read_lines(path)
-    properties, n_vertices, data_start = _ply_header(path, lines)
-    data_lines = lines[data_start:]
-    if len(data_lines) < n_vertices:
-        raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
-    cloud = _parse_cloud(path, data_lines[:n_vertices], range(data_start + 1, data_start + 1 + n_vertices),
-                         properties, None)
-    for lineno, raw in enumerate(data_lines[n_vertices:], start=data_start + 1 + n_vertices):
+    with _open_text(path) as f:
+        properties, n_vertices, data_start = _ply_header(path, (line.removesuffix("\n") for line in f))
+        fields = _cloud_fields(properties)
+        values = _load_rows(itertools.islice(f, n_vertices), len(properties), fields, None)
+        if values is not None and len(values["x"]) == n_vertices and not any(map(str.strip, f)):
+            return _cloud(values)
+    # Otherwise the row loop, on the file read again as lines, names the faulty line.
+    lines = _read_lines(path)[data_start:]
+    if len(lines) < n_vertices:
+        raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(lines)} data lines follow")
+    cloud = _cloud(_parse_row_by_row(path, lines[:n_vertices], range(data_start + 1, data_start + 1 + n_vertices),
+                                     len(properties), fields, None))
+    for lineno, raw in enumerate(lines[n_vertices:], start=data_start + 1 + n_vertices):
         if raw.strip():
             raise ParseError(f"{path}: line {lineno}: data beyond the {n_vertices} declared vertices")
     return cloud
@@ -287,7 +296,32 @@ def read_tsv(path) -> PointCloud:
     above.
     """
     path = Path(path)
-    return _parse_cloud(path, *_tsv_columns(path, *_table_lines(path)), "\t")
+    with _open_text(path) as f:
+        return _tsv_cloud(path, f, *_first_line(path, f))
+
+
+def _first_line(path: Path, f: TextIO) -> tuple[str, int]:
+    """A TSV table's first non-blank line, without its "\\n", and its line number; ``f`` is read through it."""
+    for lineno, line in enumerate(f, start=1):
+        if line.strip():
+            return line.removesuffix("\n"), lineno
+    raise ParseError(f"{path}: empty file")
+
+
+def _table_rows(path: Path, rows: Iterable[str], skip: int, width: int, fields: dict) -> dict[str, npt.NDArray]:
+    """Parse ``rows``, a TSV table's lines after its first ``skip`` non-blank ones, blank lines skipped."""
+    values = _load_rows(filter(str.strip, rows), width, fields, "\t")
+    if values is None:  # the row loop, on the file read again as lines, names the faulty line
+        lines, linenos = _table_lines(path)
+        values = _parse_row_by_row(path, lines[skip:], linenos[skip:], width, fields, "\t")
+    return values
+
+
+def _tsv_cloud(path: Path, f: TextIO, first: str, lineno: int) -> PointCloud:
+    """The cloud of a TSV table whose first non-blank line ``first``, file line ``lineno``, ``f`` is read through."""
+    columns, header = _tsv_columns(path, first, lineno)
+    rows = f if header else itertools.chain([first], f)
+    return _cloud(_table_rows(path, rows, int(header), len(columns), _cloud_fields(columns)))
 
 
 def _is_number(token: str) -> bool:
@@ -298,27 +332,27 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _tsv_columns(path: Path, lines: list[str], linenos: list[int]) -> tuple[list[str], list[int], list[str]]:
-    """A TSV cloud's data lines with their file line numbers, and its column names.
+def _tsv_columns(path: Path, first: str, first_lineno: int) -> tuple[list[str], bool]:
+    """A TSV cloud's column names, and whether its first non-blank line ``first`` is a header.
 
     The first line is a header when none of its tokens reads as a number;
     otherwise it is data, and the columns are x y z [semantic] [instance] by
     position, so a bad value there is reported as a bad value.
     """
-    first, first_lineno = lines[0].split("\t"), linenos[0]
-    if not any(map(_is_number, first)):
-        columns = [tok.strip() for tok in first]
+    tokens = first.split("\t")
+    header = not any(map(_is_number, tokens))
+    if header:
+        columns = [tok.strip() for tok in tokens]
         for name in columns:
             if name not in _CLOUD_TYPES:
                 raise ParseError(f"{path}: line {first_lineno}: unknown column {name!r}")
         _check_unique(path, first_lineno, columns)
-        lines, linenos = lines[1:], linenos[1:]
     else:
-        columns = list(_CLOUD_TYPES)[: len(first)]
+        columns = list(_CLOUD_TYPES)[: len(tokens)]
     for req in ("x", "y", "z"):
         if req not in columns:
             raise ParseError(f"{path}: line {first_lineno}: missing required column {req!r}")
-    return lines, linenos, columns
+    return columns, header
 
 
 def write_tsv(path, cloud: PointCloud) -> None:
@@ -366,39 +400,37 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     when the file carries none.
     """
     path = Path(path)
-    if path.suffix.lower() == ".ply":
-        cloud = read_ply(path)
-    else:
-        lines, linenos = _table_lines(path)
-        header = [tok.strip() for tok in lines[0].split("\t")]
-        is_cloud = "x" in header or any(map(_is_number, header))  # a first row holding a number is data, as in read_tsv
-        cloud = _parse_cloud(path, *_tsv_columns(path, lines, linenos), "\t") if is_cloud else None
+    cloud = read_ply(path) if path.suffix.lower() == ".ply" else None
+    if cloud is None:
+        with _open_text(path) as f:
+            first, first_lineno = _first_line(path, f)
+            header = [tok.strip() for tok in first.split("\t")]
+            if "x" in header or any(map(_is_number, header)):  # a first row holding a number is data, as in read_tsv
+                cloud = _tsv_cloud(path, f, first, first_lineno)
+            else:
+                if header[:2] != ["point_id", "instance"]:
+                    raise ParseError(f"{path}: line {first_lineno}: expected columns starting "
+                                     f"'point_id\\tinstance', got {first!r}")
+                _check_unique(path, first_lineno, header)
+                for name in header[2:]:
+                    if name != "semantic":
+                        raise ParseError(f"{path}: line {first_lineno}: unknown column {name!r}")
+                fields = {name: (i, int) for i, name in enumerate(header)}  # point_id, instance [, semantic]
+                values = _table_rows(path, f, 1, len(header), fields)
     if cloud is not None:
         if cloud.instance is None:
             raise ParseError(f"{path}: no instance labels present")
         return cloud.instance, cloud.semantic
-    if header[:2] != ["point_id", "instance"]:
-        raise ParseError(f"{path}: line {linenos[0]}: expected columns starting 'point_id\\tinstance', "
-                         f"got {lines[0]!r}")
-    _check_unique(path, linenos[0], header)
-    for name in header[2:]:
-        if name != "semantic":
-            raise ParseError(f"{path}: line {linenos[0]}: unknown column {name!r}")
-    fields = {"point_id": (0, int), "instance": (1, int)}
-    if "semantic" in header:
-        fields["semantic"] = (2, int)
-    values = _parse_rows(path, lines[1:], linenos[1:], len(header), fields, "\t")
-    # Sorted, the ids must read 0..n-1. A stable sort puts each repeat after its id's first row.
+    # The ids must be 0..n-1, each once.
     ids = values["point_id"]
     n = len(ids)
-    order = np.argsort(ids, kind="stable")
-    if not np.array_equal(ids[order], np.arange(n)):
+    if n and not (ids.min() >= 0 and ids.max() < n and np.bincount(ids, minlength=n).all()):
         outside = (ids < 0) | (ids >= n)
-        repeat = np.zeros(n, dtype=bool)
-        repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(ids, return_index=True)[1]] = False  # each id's first row is no repeat
         row = int(np.argmax(outside | repeat))
         fault = f"point_id {ids[row]} outside 0..{n - 1}" if outside[row] else f"duplicate point_id {ids[row]}"
-        raise ParseError(f"{path}: line {linenos[row + 1]}: {fault}")
+        raise ParseError(f"{path}: line {_table_lines(path)[1][row + 1]}: {fault}")
     # A cloud's label domains. There is no tree/ground cross-check: a noisy mask may give a ground point a tree id.
     invalid = {"instance": values["instance"] < 0}
     if "semantic" in values:
@@ -406,8 +438,12 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     rows = np.flatnonzero(np.any(list(invalid.values()), axis=0))
     if len(rows):
         name = next(name for name, bad in invalid.items() if bad[rows[0]])
-        raise InvalidLabel(f"{path}: line {linenos[rows[0] + 1]}: {_LABEL_RULES[name]}, got {values[name][rows[0]]}")
-    return values["instance"][order], values["semantic"][order] if "semantic" in values else None
+        lineno = _table_lines(path)[1][rows[0] + 1]
+        raise InvalidLabel(f"{path}: line {lineno}: {_LABEL_RULES[name]}, got {values[name][rows[0]]}")
+    by_id = {name: np.empty(n, dtype=np.int64) for name in ("instance", "semantic") if name in values}
+    for name, column in by_id.items():
+        column[ids] = values[name]  # the ids are a permutation: this orders the rows by point id
+    return by_id["instance"], by_id.get("semantic")
 
 
 def write_block_file(path, prediction: BlockPrediction) -> None:
@@ -439,7 +475,8 @@ def read_block_file(path) -> BlockPrediction:
     ``center`` and ``radius`` older dumps wrote, are ignored.
     """
     path = Path(path)
-    text = _read_text(path)
+    with _open_text(path) as f:
+        text = f.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

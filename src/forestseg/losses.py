@@ -346,7 +346,9 @@ def compose_losses(
 
 
 def finite_difference_gradient(fn, x, h: float = 1e-5) -> npt.NDArray[np.float64]:
-    """Central finite differences of a scalar function, coordinate by coordinate."""
+    """Central finite differences of a scalar function, coordinate by coordinate, at a step ``h`` > 0."""
+    if not (h > 0 and math.isfinite(2.0 * h)):
+        raise ConfigError(f"h must be > 0 with 2*h finite, got {h}")
     x = np.ascontiguousarray(x, dtype=np.float64).copy()
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
@@ -410,9 +412,8 @@ def run_gradient_checks(trials: int = 100, seed: int = 0, h: float = 1e-5, tol: 
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    for name, value in (("h", h), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 

@@ -71,7 +71,7 @@ def reference_read_ply(path) -> PointCloud:
     """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
     path = Path(path)
     lines = _read_lines(path)
-    properties, n_vertices, data_start = _ply_header(path, lines)
+    properties, n_vertices, data_start = _ply_header(path, iter(lines))
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
@@ -90,8 +90,10 @@ def reference_read_tsv(path) -> PointCloud:
     the order above.
     """
     path = Path(path)
-    lines, linenos, columns = _tsv_columns(path, *_table_lines(path))
-    return _parse_cloud(path, lines, linenos, columns, "\t")
+    lines, linenos = _table_lines(path)
+    columns, header = _tsv_columns(path, lines[0], linenos[0])
+    skip = int(header)
+    return _parse_cloud(path, lines[skip:], linenos[skip:], columns, "\t")
 
 
 def reference_read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] | None]:

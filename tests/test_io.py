@@ -1,6 +1,8 @@
 """Round-trip fidelity of the PLY/TSV/JSON readers and writers."""
 
+import builtins
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from forestseg import io
 from forestseg.core import PointCloud
 from forestseg.errors import ForestSegError, InvalidLabel, ParseError, ShapeMismatch
 from forestseg.merging import BlockPrediction, InstanceMask
+from forestseg.synthgen import ForestParams, generate_forest
 from io_reference import (reference_int_rows, reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
                           reference_write_block_file, reference_write_labels_tsv)
 
@@ -299,16 +302,16 @@ class TestLabelsTsv:
         io.write_tsv(path, cloud)
         if not header:
             path.write_text(path.read_text().split("\n", 1)[1])
-        reads = []
-        read_text = type(path).read_text
+        opens = []
+        real_open = builtins.open
 
-        def counted(self, *args, **kwargs):
-            reads.append(self)
-            return read_text(self, *args, **kwargs)
+        def counted(file, *args, **kwargs):
+            opens.append(file)
+            return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(type(path), "read_text", counted)
+        monkeypatch.setattr(builtins, "open", counted)
         inst, _ = io.read_labels_tsv(path)
-        assert reads == [path]
+        assert opens == [path]
         assert np.array_equal(inst, cloud.instance)
 
     def test_reads_labels_from_ply(self, cloud, tmp_path):
@@ -784,8 +787,19 @@ def damaged(draw, rows, ids=None):
     return rows
 
 
+def with_line_ends(draw, lines):
+    """The lines as text, each ended by "\\n", "\\r\\n" or a lone "\\r"."""
+    return "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for line in lines)
+
+
+# Header comments with any text but a line end, non-ASCII and line separators included.
+COMMENTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=6)
+
+
 @st.composite
 def ply_files(draw):
+    """A PLY whose rows are damaged as ``damaged`` does, or whose header declares
+    more or fewer rows than follow; blank lines may follow the rows."""
     labels = draw(st.sampled_from([[], ["instance"], ["semantic", "instance"]]))
     columns = ["x", "y", "z", *labels]
     for name in draw(st.lists(st.sampled_from(["red", "nx", "intensity"]), max_size=2, unique=True)):
@@ -800,10 +814,12 @@ def ply_files(draw):
     rows = draw(damaged(rows))
     pads = st.sampled_from(["", " ", "\t", " \t  "])
     lines = [draw(pads) + draw(st.sampled_from([" ", "\t", "  \t"])).join(row) + draw(pads) for row in rows]
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\x0c"]), max_size=2))
+    n = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1, 2])))
     types = {"x": "double", "y": "float", "z": "double", "semantic": "uchar", "instance": "int64"}
-    header = ["ply", "format ascii 1.0", f"element vertex {n}"]
+    header = ["ply", "format ascii 1.0", f"comment {draw(COMMENTS)}", f"element vertex {n}"]
     header += [f"property {types.get(name, 'int')} {name}" for name in columns] + ["end_header"]
-    return "\n".join(header + lines) + "\n"
+    return with_line_ends(draw, header + lines)
 
 
 def space_padded(draw, rows):
@@ -824,7 +840,7 @@ def cloud_tsv_files(draw):
         rows.append([values.get(name) or draw(FLOAT_TOKENS) for name in columns])
     rows = draw(damaged(rows))
     lines = space_padded(draw, rows)
-    return "\n".join((["\t".join(columns)] if headed else []) + lines) + "\n"
+    return with_line_ends(draw, (["\t".join(columns)] if headed else []) + lines)
 
 
 @st.composite
@@ -834,7 +850,7 @@ def label_table_files(draw):
     ids = draw(st.permutations(range(n)))
     rows = [[str(pid)] + [draw(INT64_TOKENS) for _ in columns[1:]] for pid in ids]
     rows = draw(damaged(rows, ids=0))
-    return "\n".join(["\t".join(columns)] + space_padded(draw, rows)) + "\n"
+    return with_line_ends(draw, ["\t".join(columns)] + space_padded(draw, rows))
 
 
 def outcome(read, path):
@@ -849,25 +865,64 @@ def outcome(read, path):
 
 
 class TestMatchesRowByRowReference:
-    """Every table gives the row-by-row readers' arrays bit for bit, or their error message."""
+    """Every table gives the row-by-row readers' arrays bit for bit, or their error message, whatever its line ends."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=ply_files())
     def test_ply(self, tmp_path, text):
         path = tmp_path / "cloud.ply"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         assert outcome(io.read_ply, path) == outcome(reference_read_ply, path)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=cloud_tsv_files())
     def test_cloud_tsv(self, tmp_path, text):
         path = tmp_path / "cloud.tsv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         assert outcome(io.read_tsv, path) == outcome(reference_read_tsv, path)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=label_table_files())
     def test_label_table(self, tmp_path, text):
         path = tmp_path / "labels.tsv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         assert outcome(io.read_labels_tsv, path) == outcome(reference_read_labels_tsv, path)
+
+
+def traced_peak(read, path):
+    """What ``read(path)`` returns, and the most memory it held traced at once beyond what was held before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = read(path)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestReadMemory:
+    """A reader streams its rows from the open file into the parse: it never holds the file's text or a list of
+    its lines, so its peak stays within 3x the arrays it returns (it was 6x for a cloud, 10x for a label table)."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return generate_forest(ForestParams(n_trees=30, plot_size=20.0, seed=0))  # 21,772 points
+
+    @pytest.mark.parametrize("suffix", [".ply", ".tsv"])
+    def test_read_cloud(self, scene, tmp_path, suffix):
+        path = tmp_path / f"scene{suffix}"
+        io.write_cloud(path, scene)
+        cloud, peak = traced_peak(io.read_cloud, path)
+        assert_clouds_equal(cloud, scene)
+        assert peak <= 3 * (cloud.positions.nbytes + cloud.semantic.nbytes + cloud.instance.nbytes)
+
+    def test_read_labels_tsv(self, scene, tmp_path):
+        path = tmp_path / "labels.tsv"
+        io.write_labels_tsv(path, scene.instance, scene.semantic)
+        (instance, semantic), peak = traced_peak(io.read_labels_tsv, path)
+        assert np.array_equal(instance, scene.instance) and np.array_equal(semantic, scene.semantic)
+        assert peak <= 3 * (instance.nbytes + semantic.nbytes)

@@ -2,6 +2,7 @@
 differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,5 +360,12 @@ class TestLossProperties:
         ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
     ])
     def test_step_or_tolerance_not_finite_and_positive_rejected(self, name, value):
-        with pytest.raises(ConfigError, match=f"^{name} must be finite and > 0, got {value}$"):
+        rule = {"h": r"h must be > 0 with 2\*h finite", "tol": "tol must be finite and > 0"}[name]
+        with pytest.raises(ConfigError, match=f"^{rule}, got {value}$"):
             run_gradient_checks(trials=1, **{name: value})
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf"), 1e308])
+    def test_finite_difference_step_rejected(self, h):
+        # At 1e308 the step is finite but 2*h overflows: the quotient would be zero, not a gradient.
+        with pytest.raises(ConfigError, match=rf"^h must be > 0 with 2\*h finite, got {re.escape(str(h))}$"):
+            finite_difference_gradient(lambda x: bce_mask_loss(x, np.ones(3))[0], np.zeros(3), h)
