@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -18,7 +19,7 @@ import click
 
 from . import io
 from .core import voxelize, voxel_labels_from_points
-from .errors import ConfigError, ForestSegError, MissingLabels, ParseError
+from .errors import ConfigError, ForestSegError, InputDataError, MissingLabels, ParseError
 from .isa_select import DELTA_D, oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats
 from .losses import run_gradient_checks
 from .merging import BlockPrediction
@@ -43,7 +44,7 @@ class _OutputFile(click.Path):
 
     def convert(self, value, param, ctx):
         parent = Path(super().convert(value, param, ctx)).parent
-        if not parent.is_dir():
+        if not os.path.isdir(parent):  # False, not an OSError, for a path the OS refuses, such as a name too long
             self.fail(f"{click.format_filename(parent)!r} is not an existing directory.", param, ctx)
         return value
 
@@ -54,7 +55,7 @@ class _OutputDir(click.Path):
 
     def convert(self, value, param, ctx):
         path = Path(super().convert(value, param, ctx))
-        ancestor = next(p for p in (path, *path.parents) if p.exists())
+        ancestor = next(p for p in (path, *path.parents) if os.path.exists(p))  # as isdir, False on an OSError
         if not ancestor.is_dir():
             self.fail(f"{click.format_filename(ancestor)!r} is not a directory.", param, ctx)
         return value
@@ -163,9 +164,14 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
     if predictor != "oracle" and (corruption != CorruptionParams() or dump_blocks):
         flags = ", ".join(f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(CorruptionParams))
         raise ConfigError(f"{flags} and --dump-blocks apply only to the oracle predictor")
-    if dump_blocks and any(Path(dump_blocks).glob("*.json")):
-        # A replay reads every *.json there, so files of an earlier dump would join this one's.
-        raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block JSON files")
+    if dump_blocks:
+        try:
+            Path(dump_blocks).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputDataError(f"{dump_blocks}: cannot create directory: {exc.strerror or exc}") from None
+        if any(Path(dump_blocks).glob("*.json")):
+            # A replay reads every *.json there, so files of an earlier dump would join this one's.
+            raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block JSON files")
     cloud = io.read_cloud(input_path)
     if predictor == "oracle":
         result = run_pipeline(cloud, config, corruption=corruption, threads=threads)
@@ -173,11 +179,9 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
             from .pipeline import make_oracle_predictor
             from .tiling import tile_cloud
 
-            out_dir = Path(dump_blocks)
-            out_dir.mkdir(parents=True, exist_ok=True)
             predict = make_oracle_predictor(cloud, corruption, config.seed)
             for block in tile_cloud(cloud, config.radius, config.stride):
-                io.write_block_file(out_dir / f"block_{block.block_id:05d}.json", predict(block))
+                io.write_block_file(Path(dump_blocks) / f"block_{block.block_id:05d}.json", predict(block))
     else:
         block_dir = Path(predictor)
         if not block_dir.is_dir():

@@ -52,10 +52,6 @@ class InvalidLabel(InputDataError):
     """A semantic class or instance id is outside its valid domain."""
 
 
-class EmptyBlock(InputDataError):
-    """A cylinder crop contains no points; callers may skip the block."""
-
-
 class NoTreeVoxels(InputDataError):
     """Tree-probability filtering left no candidate voxels."""
 

@@ -30,20 +30,20 @@ import itertools
 import json
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import numpy.typing as npt
 
 from .core import _LABEL_RULES, N_CLASSES, PointCloud, _as_labels
-from .errors import InvalidLabel, ParseError, ShapeMismatch
+from .errors import InputDataError, InvalidLabel, ParseError, ShapeMismatch
 from .merging import BlockPrediction, InstanceMask
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
 _FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
 _INT_PLY_TYPES = {"char", "uchar", "int8", "uint8", "short", "ushort", "int16", "uint16",
                   "int", "uint", "int32", "uint32", "int64", "uint64"}
-_WRITE_CHUNK_ROWS = 16384  # rows a cloud writer formats at a time, not the whole file
+_WRITE_CHUNK_ROWS = 16384  # rows a table writer formats at a time, not the whole file
 # Cloud columns in their positional order, with the converter of each.
 _CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance": int}
 
@@ -120,7 +120,7 @@ def _cloud(values: dict[str, npt.NDArray]) -> PointCloud:
 
 def _write_rows(path, header: list[str], sep: str, columns: dict[str, npt.NDArray]) -> None:
     """Write the header lines, then the columns as ``sep``-joined rows (``str`` of a float is its ``repr``)."""
-    with open(path, "w") as f:
+    with _open_output(path, "w") as f:
         f.write("\n".join(header) + "\n")
         for start in range(0, len(columns["x"]), _WRITE_CHUNK_ROWS):
             chunk = (map(str, c[start:start + _WRITE_CHUNK_ROWS].tolist()) for c in columns.values())
@@ -184,6 +184,17 @@ def _open_text(path: Path) -> Iterator[TextIO]:
             yield f
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _open_output(path, mode: str) -> Iterator[IO]:
+    """The file open for writing in ``mode``; an error the OS raises on opening or writing it, such as a name too
+    long, is an InputDataError naming it."""
+    try:
+        with open(path, mode) as f:
+            yield f
+    except OSError as exc:
+        raise InputDataError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -390,7 +401,10 @@ def write_labels_tsv(path, instance, semantic=None) -> None:
     columns = {"point_id": np.arange(len(instance), dtype=np.int64), "instance": instance}
     if semantic is not None:
         columns["semantic"] = _as_labels(semantic, "semantic", len(instance))
-    Path(path).write_bytes(("\t".join(columns) + "\n").encode() + _int_rows(list(columns.values())))
+    with _open_output(path, "wb") as f:
+        f.write(("\t".join(columns) + "\n").encode())
+        for start in range(0, len(instance), _WRITE_CHUNK_ROWS):
+            f.write(_int_rows([c[start:start + _WRITE_CHUNK_ROWS] for c in columns.values()]))
 
 
 def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] | None]:
@@ -460,7 +474,8 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     if prediction.semantic is not None:
         payload["semantic"] = {key: np.asarray(values, dtype=np.int64).tolist()
                                for key, values in zip(_SEMANTIC_KEYS, prediction.semantic)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    with _open_output(path, "w") as f:
+        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_block_file(path) -> BlockPrediction:
@@ -523,4 +538,5 @@ def read_block_file(path) -> BlockPrediction:
 
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, fixed indentation."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _open_output(path, "w") as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -140,8 +140,8 @@ def filter_tree_voxels(field: EmbeddingField, threshold: float) -> npt.NDArray[n
     return candidates
 
 
-def fps(points, k: int, start_index: int = 0) -> npt.NDArray[np.int64]:
-    """Greedy farthest-point sampling, returning indices in selection order.
+def fps(points, k: int) -> npt.NDArray[np.int64]:
+    """Greedy farthest-point sampling from point 0, returning indices in selection order.
 
     Each pick maximizes the minimum Euclidean distance to the already-selected
     set; ties break toward the lowest index. Requesting more points than exist
@@ -153,12 +153,12 @@ def fps(points, k: int, start_index: int = 0) -> npt.NDArray[np.int64]:
     n = len(pts)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not 0 <= start_index < n:
-        raise ConfigError(f"start_index {start_index} out of range for {n} points")
+    if n == 0:
+        raise ConfigError("cannot sample from an empty point set")
     k = min(k, n)
     selected = np.empty(k, dtype=np.int64)
     min_dist = np.full(n, np.inf)
-    nxt = start_index
+    nxt = 0
     for i in range(k):
         selected[i] = nxt
         # Squared distances preserve the max-min ordering exactly.

@@ -6,12 +6,16 @@ from below at ``EPS`` so saturated-correct predictions evaluate to exactly the
 tiny true value instead of a clamp-induced floor; gradients account for the
 clamp so they stay the true derivatives of the computed function.
 
+The hyperparameters are fixed, as in the paper: the discriminative margins
+``DELTA_V`` = 0.5 and ``DELTA_D`` = 1.5, and ``DECODER_LAYERS`` = 6. The
+gradient checks take central differences at a step of 1e-5 and pass a loss
+whose relative error stays below 1e-4.
+
 Summations run in ascending index order for bitwise reproducibility.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,8 @@ SCORE_WEIGHT = 0.5
 SEMANTIC_WEIGHT = 0.2
 REG_WEIGHT = 0.001
 DECODER_LAYERS = 6
+_FD_STEP = 1e-5  # the central-difference step of the gradient checks
+_GRAD_TOL = 1e-4  # the largest relative gradient error a check passes
 
 
 def _sigmoid(z: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -148,17 +154,12 @@ def semantic_ce_loss(class_logits, gt_class) -> tuple[float, npt.NDArray[np.floa
     return loss, grad / n
 
 
-def discriminative_loss(
-    embeddings,
-    instance_ids,
-    delta_v: float = DELTA_V,
-    delta_d: float = DELTA_D,
-) -> tuple[float, float, float, float, npt.NDArray[np.float64]]:
+def discriminative_loss(embeddings, instance_ids) -> tuple[float, float, float, float, npt.NDArray[np.float64]]:
     """Pull/push embedding loss with L1 norms and squared hinges.
 
-    The pull term penalizes voxels farther than ``delta_v`` from their
+    The pull term penalizes voxels farther than ``DELTA_V`` (0.5) from their
     instance mean; the push term penalizes instance means closer than
-    ``2 * delta_d`` to each other (over ordered pairs); the regularizer is
+    ``2 * DELTA_D`` (3.0) to each other (over ordered pairs); the regularizer is
     the mean L1 norm of the means, weighted by 0.001 in the total. Voxels
     with instance id < 1 are ignored and receive zero gradient. A single
     instance leaves the push term 0 (empty pair set).
@@ -171,8 +172,6 @@ def discriminative_loss(
         raise ShapeMismatch(f"embeddings must be 2-D, got shape {f.shape}")
     if len(f) != len(ids):
         raise ShapeMismatch("embeddings and instance_ids lengths differ")
-    if not all(math.isfinite(margin) and margin > 0 for margin in (delta_v, delta_d)):
-        raise ConfigError(f"hinge margins must be finite and > 0, got delta_v={delta_v}, delta_d={delta_d}")
     unique_ids = np.unique(ids[ids >= 1])
     c = len(unique_ids)
     if c == 0:
@@ -186,7 +185,7 @@ def discriminative_loss(
     for ci, idx in enumerate(members):
         r = f[idx] - mus[ci]
         a = np.abs(r).sum(axis=1)
-        hinge = np.maximum(a - delta_v, 0.0)
+        hinge = np.maximum(a - DELTA_V, 0.0)
         n_c = len(idx)
         l_var += float(np.sum(hinge**2)) / n_c
         weighted_sign = hinge[:, None] * np.sign(r)
@@ -199,7 +198,7 @@ def discriminative_loss(
         for c1 in range(c):
             for c2 in range(c1 + 1, c):
                 d = float(np.abs(mus[c1] - mus[c2]).sum())
-                g = 2.0 * delta_d - d
+                g = 2.0 * DELTA_D - d
                 if g > 0.0:
                     l_dist += 2.0 * g**2  # both ordered pairs
                     pull = (-4.0 / (c * (c - 1))) * g * np.sign(mus[c1] - mus[c2])
@@ -275,17 +274,13 @@ class LossBreakdown:
     total: float
     final: float
 
-    @property
-    def disc(self) -> float:
-        return self.disc_var + self.disc_dist + REG_WEIGHT * self.disc_reg
 
-
-def _per_layer(value, name: str, layers: int) -> npt.NDArray[np.float64]:
+def _per_layer(value, name: str) -> npt.NDArray[np.float64]:
     arr = np.asarray(value, dtype=np.float64).reshape(-1)
     if arr.size == 1:
-        arr = np.full(layers, arr[0])
-    elif arr.size != layers:
-        raise ShapeMismatch(f"{name} must be a scalar or one value per layer ({layers}), got {arr.size}")
+        arr = np.full(DECODER_LAYERS, arr[0])
+    elif arr.size != DECODER_LAYERS:
+        raise ShapeMismatch(f"{name} must be a scalar or one value per layer ({DECODER_LAYERS}), got {arr.size}")
     return arr
 
 
@@ -298,19 +293,16 @@ def compose_losses(
     disc_var: float,
     disc_dist: float,
     disc_reg: float,
-    layers: int = DECODER_LAYERS,
 ) -> LossBreakdown:
     """Combine components into the instance, layer-summed, and final losses.
 
     ``bce``, ``dice``, ``score``, and ``sem`` may be scalars (identical
-    across decoder layers) or per-layer sequences. Per layer,
-    ``instance = bce + dice + 0.5 * score``; the layer total sums
+    across the ``DECODER_LAYERS`` (6) decoder layers) or per-layer sequences.
+    Per layer, ``instance = bce + dice + 0.5 * score``; the layer total sums
     ``instance + 0.2 * sem`` over all layers; the final loss adds the binary
     head loss and the discriminative loss (with its 0.001 regularizer).
     """
-    if layers < 1:
-        raise ConfigError(f"layers must be >= 1, got {layers}")
-    per_layer = {name: _per_layer(v, name, layers) for name, v in
+    per_layer = {name: _per_layer(v, name) for name, v in
                  (("bce", bce), ("dice", dice), ("score", score), ("sem", sem))}
     components = dict(per_layer)
     components.update(binary=binary, disc_var=disc_var, disc_dist=disc_dist, disc_reg=disc_reg)
@@ -323,7 +315,7 @@ def compose_losses(
 
     means = {name: float(np.mean(v)) for name, v in per_layer.items()}
     instance = means["bce"] + means["dice"] + SCORE_WEIGHT * means["score"]
-    total = layers * (instance + SEMANTIC_WEIGHT * means["sem"])
+    total = DECODER_LAYERS * (instance + SEMANTIC_WEIGHT * means["sem"])
     disc = float(disc_var) + float(disc_dist) + REG_WEIGHT * float(disc_reg)
     final = total + float(binary) + disc
     return LossBreakdown(
@@ -345,22 +337,20 @@ def compose_losses(
 # Finite-difference verification, shared by the test suite and `gradcheck`.
 
 
-def finite_difference_gradient(fn, x, h: float = 1e-5) -> npt.NDArray[np.float64]:
-    """Central finite differences of a scalar function, coordinate by coordinate, at a step ``h`` > 0."""
-    if not (h > 0 and math.isfinite(2.0 * h)):
-        raise ConfigError(f"h must be > 0 with 2*h finite, got {h}")
+def finite_difference_gradient(fn, x) -> npt.NDArray[np.float64]:
+    """Central finite differences of a scalar function, coordinate by coordinate, at a step of 1e-5."""
     x = np.ascontiguousarray(x, dtype=np.float64).copy()
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
     xf = x.reshape(-1)
     for i in range(xf.size):
         orig = xf[i]
-        xf[i] = orig + h
+        xf[i] = orig + _FD_STEP
         hi = fn(x)
-        xf[i] = orig - h
+        xf[i] = orig - _FD_STEP
         lo = fn(x)
         xf[i] = orig
-        flat[i] = (hi - lo) / (2.0 * h)
+        flat[i] = (hi - lo) / (2.0 * _FD_STEP)
     return grad
 
 
@@ -371,7 +361,7 @@ def _relative_error(analytic, numeric) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def _disc_sample(rng, delta_v: float, delta_d: float, kink_margin: float = 1e-3):
+def _disc_sample(rng, kink_margin: float = 1e-3):
     # Redraw until every hinge slack and every L1 kink clears the margin,
     # since central differences are meaningless at subgradient points.
     for _ in range(200):
@@ -388,32 +378,30 @@ def _disc_sample(rng, delta_v: float, delta_d: float, kink_margin: float = 1e-3)
             if np.any(np.abs(r) < kink_margin) or np.any(np.abs(mu) < kink_margin):
                 ok = False
                 break
-            if np.any(np.abs(np.abs(r).sum(axis=1) - delta_v) < kink_margin):
+            if np.any(np.abs(np.abs(r).sum(axis=1) - DELTA_V) < kink_margin):
                 ok = False
                 break
         if ok:
             for i in range(n_inst):
                 for j in range(i + 1, n_inst):
                     d = np.abs(mus[i] - mus[j])
-                    if np.any(d < kink_margin) or abs(d.sum() - 2 * delta_d) < kink_margin:
+                    if np.any(d < kink_margin) or abs(d.sum() - 2 * DELTA_D) < kink_margin:
                         ok = False
         if ok:
             return f, ids
     raise RuntimeError("could not draw a kink-free discriminative sample")
 
 
-def run_gradient_checks(trials: int = 100, seed: int = 0, h: float = 1e-5, tol: float = 1e-4) -> dict:
-    """Check every analytic gradient against central differences.
+def run_gradient_checks(trials: int = 100, seed: int = 0) -> dict:
+    """Check every analytic gradient against central differences at a step of 1e-5.
 
     Returns a report dict with one entry per loss: the worst relative error
-    over all trials and whether it stayed below ``tol``.
+    over all trials and whether it stayed below 1e-4.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 
@@ -425,19 +413,19 @@ def run_gradient_checks(trials: int = 100, seed: int = 0, h: float = 1e-5, tol: 
         n = int(rng.integers(20, 200))
         y = rng.integers(0, 2, size=n).astype(np.float64)
         z = rng.normal(0.0, 2.0, size=n)
-        record("bce", bce_mask_loss(z, y)[1], finite_difference_gradient(lambda x: bce_mask_loss(x, y)[0], z, h))
-        record("dice", dice_loss(z, y)[1], finite_difference_gradient(lambda x: dice_loss(x, y)[0], z, h))
+        record("bce", bce_mask_loss(z, y)[1], finite_difference_gradient(lambda x: bce_mask_loss(x, y)[0], z))
+        record("dice", dice_loss(z, y)[1], finite_difference_gradient(lambda x: dice_loss(x, y)[0], z))
 
         m = int(rng.integers(5, 50))
         s_hat = rng.uniform(0.0, 1.0, size=m)
         s = rng.uniform(0.0, 1.0, size=m)
-        record("score", score_loss(s_hat, s)[1], finite_difference_gradient(lambda x: score_loss(x, s)[0], s_hat, h))
+        record("score", score_loss(s_hat, s)[1], finite_difference_gradient(lambda x: score_loss(x, s)[0], s_hat))
 
         p = rng.uniform(0.05, 0.95, size=n)
         record(
             "binary",
             binary_tree_loss(p, y)[1],
-            finite_difference_gradient(lambda x: binary_tree_loss(x, y)[0], p, h),
+            finite_difference_gradient(lambda x: binary_tree_loss(x, y)[0], p),
         )
 
         logits3 = rng.normal(0.0, 2.0, size=(n, N_CLASSES))
@@ -445,20 +433,20 @@ def run_gradient_checks(trials: int = 100, seed: int = 0, h: float = 1e-5, tol: 
         record(
             "sem",
             semantic_ce_loss(logits3, cls)[1],
-            finite_difference_gradient(lambda x: semantic_ce_loss(x, cls)[0], logits3, h),
+            finite_difference_gradient(lambda x: semantic_ce_loss(x, cls)[0], logits3),
         )
 
-        f, ids = _disc_sample(rng, DELTA_V, DELTA_D)
+        f, ids = _disc_sample(rng)
         record(
             "disc",
             discriminative_loss(f, ids)[4],
-            finite_difference_gradient(lambda x: discriminative_loss(x, ids)[3], f, h),
+            finite_difference_gradient(lambda x: discriminative_loss(x, ids)[3], f),
         )
 
     return {
         "trials": trials,
-        "h": h,
-        "tolerance": tol,
-        "losses": {name: {"max_rel_err": err, "pass": err < tol} for name, err in sorted(worst.items())},
-        "all_pass": all(err < tol for err in worst.values()),
+        "h": _FD_STEP,
+        "tolerance": _GRAD_TOL,
+        "losses": {name: {"max_rel_err": err, "pass": err < _GRAD_TOL} for name, err in sorted(worst.items())},
+        "all_pass": all(err < _GRAD_TOL for err in worst.values()),
     }

@@ -1,11 +1,9 @@
 """Cylindrical cropping and sliding-window tiling over large scenes.
 
 Cylinders avoid cutting trees vertically; blocks are addressed by a
-deterministic row-major grid index. ``cylinder_crop`` and ``tile_cloud``
-share one crop kernel, which copies the x and y columns and allocates its
-scratch buffers once, so a tiling of many blocks allocates only each block's
-point ids. ``tile_cloud`` crops lazily: its blocks are built one at a time as
-the tiling is iterated, so only the blocks a caller still holds stay alive.
+deterministic row-major grid index. ``tile_cloud`` crops lazily: its blocks
+are built one at a time as the tiling is iterated, so only the blocks a caller
+still holds stay alive.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud
-from .errors import ConfigError, EmptyBlock, EmptyInput
+from .errors import ConfigError, EmptyInput
 
 # Tolerance when counting grid steps, so exact-multiple spans do not gain a
 # spurious extra row from floating-point noise.
@@ -43,52 +41,6 @@ class CylinderBlock:
     @property
     def n(self) -> int:
         return len(self.point_indices)
-
-
-def _check_radius(radius: float) -> None:
-    # Written so that NaN fails too; the crop squares the radius.
-    if not (radius > 0 and math.isfinite(radius * radius)):
-        raise ConfigError(f"radius must be positive with a finite square, got {radius}")
-
-
-def _cropper(positions: npt.NDArray[np.float64], radius: float):
-    """A function from a center to the ascending ids of the points within
-    horizontal distance ``radius`` of it (boundary inclusive).
-
-    The x and y columns are copied and the scratch buffers allocated here,
-    once; each crop computes the squared distances into them in place.
-    """
-    _check_radius(radius)
-    x = np.ascontiguousarray(positions[:, 0])
-    y = np.ascontiguousarray(positions[:, 1])
-    dx, dy = np.empty_like(x), np.empty_like(y)
-    inside = np.empty(len(x), dtype=bool)
-    radius_sq = radius**2
-
-    def crop(center: npt.NDArray[np.float64]) -> npt.NDArray[np.int64]:
-        np.subtract(x, center[0], out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract(y, center[1], out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.less_equal(dx, radius_sq, out=inside)
-        return np.flatnonzero(inside)
-
-    return crop
-
-
-def cylinder_crop(cloud: PointCloud, center_xy, radius: float, block_id: int = 0) -> CylinderBlock:
-    """Select the points with horizontal distance <= radius (boundary inclusive).
-
-    Raises:
-        EmptyBlock: no point falls inside; callers may skip such blocks.
-    """
-    crop = _cropper(cloud.positions, radius)
-    center = np.asarray(center_xy, dtype=np.float64).reshape(2)
-    indices = crop(center)
-    if len(indices) == 0:
-        raise EmptyBlock(f"no points within {radius} m of center {tuple(center)}")
-    return CylinderBlock(point_indices=indices, block_id=block_id)
 
 
 def _axis_count(span: float, stride: float) -> float:
@@ -126,20 +78,36 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
 class Tiling:
     """The nonempty blocks of a sliding-window grid over a cloud, in block id order.
 
-    Blocks are cropped only as the tiling is iterated. Each iteration builds
-    its own crop kernel, so iterations never share buffers and the tiling can
-    be iterated again; ``len()`` runs one crop pass to count the blocks.
+    A block holds the points within horizontal distance ``radius`` of its
+    center, boundary inclusive. Blocks are cropped only as the tiling is
+    iterated. Each iteration copies the x and y columns and allocates its own
+    scratch buffers, so a tiling of many blocks allocates only each block's
+    point ids, iterations never share buffers, and the tiling can be
+    iterated again; ``len()`` runs one crop pass to count the blocks.
     """
 
     def __init__(self, positions: npt.NDArray[np.float64], centers: npt.NDArray[np.float64], radius: float) -> None:
+        # Written so that NaN fails too; the crop squares the radius.
+        if not (radius > 0 and math.isfinite(radius * radius)):
+            raise ConfigError(f"radius must be positive with a finite square, got {radius}")
         self._positions = positions
         self._centers = centers
         self._radius = float(radius)
 
     def __iter__(self) -> Iterator[CylinderBlock]:
-        crop = _cropper(self._positions, self._radius)
+        x = np.ascontiguousarray(self._positions[:, 0])
+        y = np.ascontiguousarray(self._positions[:, 1])
+        dx, dy = np.empty_like(x), np.empty_like(y)
+        inside = np.empty(len(x), dtype=bool)
+        radius_sq = self._radius**2
         for block_id, center in enumerate(self._centers):
-            indices = crop(center)
+            np.subtract(x, center[0], out=dx)
+            np.multiply(dx, dx, out=dx)
+            np.subtract(y, center[1], out=dy)
+            np.multiply(dy, dy, out=dy)
+            np.add(dx, dy, out=dx)
+            np.less_equal(dx, radius_sq, out=inside)
+            indices = np.flatnonzero(inside)
             if len(indices):
                 yield CylinderBlock(point_indices=indices, block_id=block_id)
 
@@ -158,5 +126,4 @@ def tile_cloud(cloud: PointCloud, radius: float, stride: float) -> Tiling:
     if cloud.n == 0:
         raise EmptyInput("cannot tile an empty point cloud")
     centers = sliding_window_centers(cloud.positions[:, :2].min(axis=0), cloud.positions[:, :2].max(axis=0), stride)
-    _check_radius(radius)
     return Tiling(cloud.positions, centers, radius)

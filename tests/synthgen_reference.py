@@ -1,6 +1,6 @@
 """Set-operation reference for ``forestseg.synthgen.oracle_predictor``, and
 loop references for tree placement in ``forestseg.synthgen.generate_forest``
-and for ``forestseg.tiling.cylinder_crop``.
+and for the crop of each ``forestseg.tiling.tile_cloud`` block.
 
 The oracle here draws each noisy mask's pool with ``np.setdiff1d`` over the
 whole block, joins members with ``np.union1d``, finds each tree's points with
@@ -11,7 +11,7 @@ same random stream.
 
 import numpy as np
 
-from forestseg.errors import ConfigError, EmptyBlock, MissingLabels, PlacementFailed
+from forestseg.errors import ConfigError, MissingLabels, PlacementFailed
 from forestseg.merging import InstanceMask
 from forestseg.synthgen import CorruptionParams, _overlap_split
 from forestseg.tiling import CylinderBlock
@@ -35,6 +35,7 @@ def reference_place_centers(params, rng):
 
 
 def reference_cylinder_crop(cloud, center_xy, radius, block_id=0):
+    """The block of the points within horizontal distance ``radius`` of the center, or None when there are none."""
     if radius <= 0:
         raise ConfigError(f"radius must be positive, got {radius}")
     center = np.asarray(center_xy, dtype=np.float64).reshape(2)
@@ -42,7 +43,7 @@ def reference_cylinder_crop(cloud, center_xy, radius, block_id=0):
     inside = (delta[:, 0] ** 2 + delta[:, 1] ** 2) <= radius**2
     indices = np.flatnonzero(inside)
     if len(indices) == 0:
-        raise EmptyBlock(f"no points within {radius} m of center {tuple(center)}")
+        return None
     return CylinderBlock(point_indices=indices, block_id=block_id)
 
 

@@ -33,7 +33,7 @@ from forestseg.pipeline import (
     run_pipeline,
 )
 from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
-from forestseg.tiling import cylinder_crop, sliding_window_centers, tile_cloud
+from forestseg.tiling import sliding_window_centers, tile_cloud
 
 from test_metrics import exhaustive_max_tp, iou_table
 
@@ -66,16 +66,17 @@ def _multiscale_params(seed: int) -> ForestParams:
 def test_criterion_1_loss_formula_fidelity():
     with _criterion(1, "loss formula fidelity"):
         start = time.time()
-        report = run_gradient_checks(trials=100, seed=0, h=1e-5, tol=1e-4)
+        report = run_gradient_checks(trials=100, seed=0)
         assert report["all_pass"], report
+        assert (report["h"], report["tolerance"]) == (1e-5, 1e-4)
         for entry in report["losses"].values():
             assert entry["max_rel_err"] < 1e-4
 
         loss, _ = bce_mask_loss(np.zeros(64), np.r_[np.ones(32), np.zeros(32)])
         assert abs(loss - math.log(2)) <= 1e-9
 
-        assert compose_losses(1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, layers=1).instance == 5.0
-        bd = compose_losses(0.0, 5.0, 0.0, 10.0, 1.0, 2.0, 0.0, 0.0, layers=6)
+        assert compose_losses(1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0).instance == 5.0
+        bd = compose_losses(0.0, 5.0, 0.0, 10.0, 1.0, 2.0, 0.0, 0.0)
         assert bd.total == 42.0
         assert bd.final == 45.0
 
@@ -101,7 +102,7 @@ def test_criterion_2_discriminative_margin_law():
             sub = np.asarray(ids) == c
             f[sub] += means[c - 1] - f[sub].mean(axis=0)
             assert np.abs(f[sub] - f[sub].mean(axis=0)).sum(axis=1).max() <= 0.5 + 1e-12
-        l_var, l_dist, _, _, _ = discriminative_loss(f, np.asarray(ids), delta_v=0.5, delta_d=1.5)
+        l_var, l_dist, _, _, _ = discriminative_loss(f, np.asarray(ids))
         assert l_var == 0.0
         assert l_dist == 0.0
 
@@ -267,15 +268,7 @@ def test_criterion_9_voxelization_and_tiling_oracles():
             brute = {tuple(np.floor(p / resolution).astype(int)) for p in positions}
             assert vox.m == len(brute)
 
-            center = rng.uniform(0.0, span, size=2)
             radius = float(rng.uniform(1.0, span))
-            block = cylinder_crop(cloud, center, radius)
-            expected = sorted(
-                i for i in range(n)
-                if np.hypot(positions[i, 0] - center[0], positions[i, 1] - center[1]) <= radius
-            )
-            assert block.point_indices.tolist() == expected
-
             stride = float(rng.uniform(0.5, 4.0))
             centers = sliding_window_centers(positions[:, :2].min(axis=0), positions[:, :2].max(axis=0), stride)
             dist = np.hypot(
@@ -283,6 +276,11 @@ def test_criterion_9_voxelization_and_tiling_oracles():
                 positions[:, None, 1] - centers[None, :, 1],
             )
             assert np.all(dist.min(axis=1) <= stride + 1e-9)  # radius >= stride covers all
+
+            # Every block against brute force: its points are exactly those within radius of its center.
+            expected = [(block_id, np.flatnonzero(d <= radius).tolist()) for block_id, d in enumerate(dist.T)]
+            blocks = [(b.block_id, b.point_indices.tolist()) for b in tile_cloud(cloud, radius, stride)]
+            assert blocks == [(block_id, ids) for block_id, ids in expected if ids]
 
 
 def test_criterion_10_score_threshold_ablation_shape():

@@ -587,11 +587,7 @@ def test_unusable_values_exit_3(runner, tmp_path, forest_files, command, flags, 
 ])
 def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, forest_files, command, inputs, flags):
     _, ply = forest_files
-    params = tmp_path / "params.txt"
-    params.write_text(PARAMS_TEXT)
-    args = [command]
-    for flag in inputs:
-        args += [flag, str(params if flag == "--params" else ply)]
+    args = _command_args(command, inputs, tmp_path, ply)
     for flag in flags:
         # Rejected before any work is done, as a directory given here already is.
         for parent in (tmp_path / "missing", ply):
@@ -604,6 +600,37 @@ def test_output_in_missing_directory_is_a_usage_error(runner, tmp_path, forest_f
     assert not (tmp_path / "missing").exists()
 
 
+def _command_args(command, inputs, tmp_path, ply):
+    """``command`` with each input flag given the params file (``--params``) or the cloud."""
+    params = tmp_path / "params.txt"
+    params.write_text(PARAMS_TEXT)
+    args = [command]
+    for flag in inputs:
+        args += [flag, str(params if flag == "--params" else ply)]
+    return args
+
+
+@pytest.mark.parametrize("command, inputs, flag", [
+    ("synth", ["--params"], "--out"),
+    ("pipeline", ["--input"], "--out-labels"),
+    ("pipeline", ["--input"], "--out-report"),
+    ("pipeline", ["--input"], "--dump-blocks"),
+    ("select-queries", ["--input"], "--out"),
+    ("evaluate", ["--pred", "--gt"], "--out"),
+    ("gradcheck", [], "--out"),
+])
+def test_output_name_the_os_refuses_exits_2(runner, tmp_path, forest_files, command, inputs, flag):
+    # A 300-byte name passes the up-front path checks, but no common file system takes a name over 255 bytes.
+    # Unlike permission bits, that holds for root too.
+    args = _command_args(command, inputs, tmp_path, forest_files[1])
+    if command == "gradcheck":
+        args += ["--trials", "1"]
+    out = tmp_path / ("a" * 296 + ".tsv")
+    result = runner.invoke(main, [*args, flag, str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {out}: cannot ") and "File name too long" in result.output
+
+
 class TestGradcheckCommand:
     def test_all_losses_pass(self, runner):
         result = runner.invoke(main, ["gradcheck", "--trials", "5"])
@@ -611,6 +638,7 @@ class TestGradcheckCommand:
         payload = json.loads(result.output)
         assert payload["all_pass"] is True
         assert set(payload["losses"]) == {"bce", "dice", "score", "binary", "sem", "disc"}
+        assert (payload["h"], payload["tolerance"]) == (1e-05, 0.0001)
         for entry in payload["losses"].values():
             assert entry["pass"] is True
 

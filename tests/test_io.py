@@ -926,3 +926,16 @@ class TestReadMemory:
         (instance, semantic), peak = traced_peak(io.read_labels_tsv, path)
         assert np.array_equal(instance, scene.instance) and np.array_equal(semantic, scene.semantic)
         assert peak <= 3 * (instance.nbytes + semantic.nbytes)
+
+
+def test_label_table_is_written_a_chunk_at_a_time(tmp_path, rng):
+    # 100,000 rows span seven chunks: one wide and one negative id make chunks of different widths.
+    instance = rng.integers(0, 200, size=100_000)
+    instance[[50_000, 70_000]] = [10**12, -5]
+    semantic = rng.integers(0, 3, size=100_000)
+    path = tmp_path / "labels.tsv"
+    _, peak = traced_peak(lambda p: io.write_labels_tsv(p, instance, semantic), path)
+    reference_write_labels_tsv(tmp_path / "reference.tsv", instance, semantic)
+    assert path.read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+    # Formatting the whole table at once peaked at 10.7 MiB here, seven times its label arrays; by chunks, 2.4.
+    assert peak <= 2 * (instance.nbytes + semantic.nbytes)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from forestseg.core import WOOD, PointCloud, VoxelLabels, voxel_labels_from_points, voxelize
-from forestseg.errors import CodebookExhausted, NoTreeVoxels, ShapeMismatch
+from forestseg.errors import CodebookExhausted, ConfigError, NoTreeVoxels, ShapeMismatch
 from forestseg.isa_select import (
     LATTICE_EXTENT,
     EmbeddingField,
@@ -85,13 +85,17 @@ class TestFilterTreeVoxels:
 
 
 class TestFps:
-    def test_k_one_returns_start(self, rng):
+    def test_k_one_returns_point_zero(self, rng):
         pts = rng.normal(size=(30, 5))
-        assert fps(pts, 1, start_index=7).tolist() == [7]
+        assert fps(pts, 1).tolist() == [0]
+
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(ConfigError, match="cannot sample from an empty point set"):
+            fps(np.empty((0, 5)), 3)
 
     def test_unit_square_diagonal(self):
         corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        assert fps(corners, 2, start_index=0).tolist() == [0, 3]
+        assert fps(corners, 2).tolist() == [0, 3]
 
     def test_truncates_when_k_exceeds_count(self, rng):
         pts = rng.normal(size=(6, 3))
@@ -100,8 +104,8 @@ class TestFps:
 
     def test_each_pick_matches_greedy_oracle(self, rng):
         pts = rng.normal(size=(100, 5))
-        sel = fps(pts, 10, start_index=4)
-        chosen = [4]
+        sel = fps(pts, 10)
+        chosen = [0]
         for step in range(1, 10):
             # recompute min distance to the chosen set for every point
             best_idx, best_val = None, -1.0
@@ -116,11 +120,10 @@ class TestFps:
 
     def test_permutation_stability_of_selected_set(self, rng):
         pts = rng.normal(size=(40, 5))
-        sel = fps(pts, 8, start_index=0)
-        perm = rng.permutation(40)
-        # start from the same physical point in the permuted array
-        new_start = int(np.flatnonzero(perm == 0)[0])
-        sel_perm = fps(pts[perm], 8, start_index=new_start)
+        sel = fps(pts, 8)
+        # point 0 stays first, so both runs start from the same physical point
+        perm = np.r_[0, 1 + rng.permutation(39)]
+        sel_perm = fps(pts[perm], 8)
         original_set = {tuple(pts[i]) for i in sel}
         permuted_set = {tuple(pts[perm][i]) for i in sel_perm}
         assert original_set == permuted_set
@@ -168,7 +171,7 @@ class TestSelectQueries:
         vox = voxelize(small_forest, 0.2)
         sel = select_queries_fps_euclidean(vox, 20)
         assert sel.voxel_indices[0] == 0
-        assert np.array_equal(sel.voxel_indices, fps(vox.voxel_centers(), 20, start_index=0))
+        assert np.array_equal(sel.voxel_indices, fps(vox.voxel_centers(), 20))
 
     def test_fps_euclidean_baseline_runs_over_all_voxels(self, small_forest):
         vox = voxelize(small_forest, 0.2)

@@ -2,14 +2,12 @@
 differences."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 
 from forestseg.core import VoxelLabels
 from forestseg.errors import (
-    ConfigError,
     InvalidLabel,
     InvalidLoss,
     NoInstances,
@@ -31,7 +29,6 @@ from forestseg.losses import (
     semantic_ce_loss,
 )
 
-FD_H = 1e-5
 FD_TOL = 1e-5
 
 
@@ -58,7 +55,7 @@ class TestBceMaskLoss:
             y = rng.integers(0, 2, size=200).astype(float)
             z = rng.normal(0, 2, size=200)
             _, grad = bce_mask_loss(z, y)
-            fd = finite_difference_gradient(lambda x: bce_mask_loss(x, y)[0], z, FD_H)
+            fd = finite_difference_gradient(lambda x: bce_mask_loss(x, y)[0], z)
             assert rel_err(grad, fd) < FD_TOL
 
     def test_shape_mismatch(self):
@@ -84,7 +81,7 @@ class TestDiceLoss:
             y = rng.integers(0, 2, size=80).astype(float)
             z = rng.normal(0, 2, size=80)
             _, grad = dice_loss(z, y)
-            fd = finite_difference_gradient(lambda x: dice_loss(x, y)[0], z, FD_H)
+            fd = finite_difference_gradient(lambda x: dice_loss(x, y)[0], z)
             assert rel_err(grad, fd) < FD_TOL
 
 
@@ -141,7 +138,7 @@ class TestScoreLoss:
         loss, grad = score_loss(s_hat, s)
         assert loss == pytest.approx(np.mean((s_hat - s) ** 2), abs=1e-15)
         assert np.allclose(grad, 2 * (s_hat - s) / 50, atol=1e-15)
-        fd = finite_difference_gradient(lambda x: score_loss(x, s)[0], s_hat, FD_H)
+        fd = finite_difference_gradient(lambda x: score_loss(x, s)[0], s_hat)
         assert rel_err(grad, fd) < FD_TOL
 
 
@@ -201,9 +198,9 @@ class TestDiscriminativeLoss:
         from forestseg.losses import _disc_sample
 
         for _ in range(10):
-            f, ids = _disc_sample(rng, 0.5, 1.5)
+            f, ids = _disc_sample(rng)
             grad = discriminative_loss(f, ids)[4]
-            fd = finite_difference_gradient(lambda x: discriminative_loss(x, ids)[3], f, FD_H)
+            fd = finite_difference_gradient(lambda x: discriminative_loss(x, ids)[3], f)
             assert rel_err(grad, fd) < 1e-4
 
     def test_background_voxels_excluded(self, rng):
@@ -215,14 +212,6 @@ class TestDiscriminativeLoss:
     def test_no_instances(self, rng):
         with pytest.raises(NoInstances):
             discriminative_loss(rng.normal(size=(4, 5)), np.zeros(4, dtype=int))
-
-    @pytest.mark.parametrize("name, value", [
-        ("delta_v", float("nan")), ("delta_d", float("nan")), ("delta_v", float("inf")), ("delta_d", float("inf")),
-        ("delta_v", 0.0), ("delta_d", -1.0),
-    ])
-    def test_margin_not_finite_and_positive_rejected(self, rng, name, value):
-        with pytest.raises(ConfigError, match=f"hinge margins must be finite and > 0, got .*{name}={value}"):
-            discriminative_loss(rng.normal(size=(6, 5)), np.repeat([1, 2], 3), **{name: value})
 
 
 class TestBinaryTreeLoss:
@@ -241,7 +230,7 @@ class TestBinaryTreeLoss:
             y = rng.integers(0, 2, size=100).astype(float)
             p = rng.uniform(0.05, 0.95, size=100)
             _, grad = binary_tree_loss(p, y)
-            fd = finite_difference_gradient(lambda x: binary_tree_loss(x, y)[0], p, FD_H)
+            fd = finite_difference_gradient(lambda x: binary_tree_loss(x, y)[0], p)
             assert rel_err(grad, fd) < FD_TOL
 
 
@@ -266,7 +255,7 @@ class TestSemanticCeLoss:
         softmax = exp / exp.sum(axis=1, keepdims=True)
         onehot = np.eye(3)[y]
         assert np.allclose(grad, (softmax - onehot) / 60, atol=1e-12)
-        fd = finite_difference_gradient(lambda x: semantic_ce_loss(x, y)[0], logits, FD_H)
+        fd = finite_difference_gradient(lambda x: semantic_ce_loss(x, y)[0], logits)
         assert rel_err(grad, fd) < FD_TOL
 
     def test_invalid_class(self):
@@ -304,22 +293,24 @@ class TestOneToManyAssociate:
 
 class TestComposeLosses:
     def test_instance_arithmetic(self):
-        bd = compose_losses(1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, layers=1)
+        bd = compose_losses(1.0, 2.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert bd.instance == 5.0
 
     def test_layer_sum_arithmetic(self):
-        bd = compose_losses(0.0, 5.0, 0.0, 10.0, 0.0, 0.0, 0.0, 0.0, layers=6)
+        bd = compose_losses(0.0, 5.0, 0.0, 10.0, 0.0, 0.0, 0.0, 0.0)
         assert bd.instance == 5.0
         assert bd.total == 42.0
 
     def test_final_arithmetic(self):
-        bd = compose_losses(0.0, 5.0, 0.0, 10.0, 1.0, 2.0, 0.0, 0.0, layers=6)
+        bd = compose_losses(0.0, 5.0, 0.0, 10.0, 1.0, 2.0, 0.0, 0.0)
         assert bd.total == 42.0
         assert bd.final == 45.0
 
     def test_per_layer_sequences(self):
-        bd = compose_losses([1, 2, 3], [0, 0, 0], [0, 0, 0], [5, 5, 5], 0, 0, 0, 0, layers=3)
-        assert bd.total == pytest.approx(sum(v + 0.2 * 5 for v in (1, 2, 3)), rel=1e-12)
+        bd = compose_losses([1, 2, 3, 4, 5, 6], [0] * 6, [0] * 6, [5] * 6, 0, 0, 0, 0)
+        assert bd.total == pytest.approx(sum(v + 0.2 * 5 for v in (1, 2, 3, 4, 5, 6)), rel=1e-12)
+        with pytest.raises(ShapeMismatch, match=r"bce must be a scalar or one value per layer \(6\), got 3"):
+            compose_losses([1, 2, 3], 0, 0, 0, 0, 0, 0, 0)
 
     def test_linearity_by_superposition(self, rng):
         parts_a = rng.uniform(0, 2, size=8)
@@ -332,10 +323,6 @@ class TestComposeLosses:
     def test_negative_component_rejected(self):
         with pytest.raises(InvalidLoss):
             compose_losses(-0.1, 0, 0, 0, 0, 0, 0, 0)
-
-    def test_bad_layer_count(self):
-        with pytest.raises(ConfigError):
-            compose_losses(0, 0, 0, 0, 0, 0, 0, 0, layers=0)
 
 
 class TestLossProperties:
@@ -354,18 +341,3 @@ class TestLossProperties:
     def test_gradient_check_suite_passes(self):
         report = run_gradient_checks(trials=10, seed=7)
         assert report["all_pass"], report
-
-    @pytest.mark.parametrize("name, value", [
-        ("h", 0.0), ("h", -1e-5), ("h", float("nan")), ("h", float("inf")),
-        ("tol", 0.0), ("tol", float("nan")), ("tol", float("inf")),
-    ])
-    def test_step_or_tolerance_not_finite_and_positive_rejected(self, name, value):
-        rule = {"h": r"h must be > 0 with 2\*h finite", "tol": "tol must be finite and > 0"}[name]
-        with pytest.raises(ConfigError, match=f"^{rule}, got {value}$"):
-            run_gradient_checks(trials=1, **{name: value})
-
-    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf"), 1e308])
-    def test_finite_difference_step_rejected(self, h):
-        # At 1e308 the step is finite but 2*h overflows: the quotient would be zero, not a gradient.
-        with pytest.raises(ConfigError, match=rf"^h must be > 0 with 2\*h finite, got {re.escape(str(h))}$"):
-            finite_difference_gradient(lambda x: bce_mask_loss(x, np.ones(3))[0], np.zeros(3), h)

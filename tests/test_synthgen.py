@@ -15,13 +15,12 @@ from forestseg.synthgen import (
     generate_forest,
     oracle_predictor,
 )
-from forestseg.tiling import CylinderBlock, cylinder_crop, tile_cloud
+from forestseg.tiling import CylinderBlock, tile_cloud
 from synthgen_reference import reference_oracle_predictor, reference_place_centers
 
 
 def full_scene_block(cloud, block_id=0):
-    center = cloud.positions[:, :2].mean(axis=0)
-    return cylinder_crop(cloud, center, 1000.0, block_id=block_id)
+    return CylinderBlock(point_indices=np.arange(cloud.n), block_id=block_id)
 
 
 class TestGenerateForest:

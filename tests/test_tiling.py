@@ -7,86 +7,14 @@ from hypothesis import strategies as st
 
 from forestseg import tiling
 from forestseg.core import PointCloud
-from forestseg.errors import ConfigError, EmptyBlock
-from forestseg.tiling import MAX_GRID_CELLS, cylinder_crop, sliding_window_centers, tile_cloud
+from forestseg.errors import ConfigError
+from forestseg.tiling import MAX_GRID_CELLS, sliding_window_centers, tile_cloud
 from synthgen_reference import reference_cylinder_crop
 
 
 def _cloud_at(xy_points):
     xy = np.asarray(xy_points, dtype=float)
     return PointCloud(positions=np.c_[xy, np.zeros(len(xy))])
-
-
-class TestCylinderCrop:
-    def test_interior_point_included(self):
-        cloud = _cloud_at([[15.9, 0.0]])
-        block = cylinder_crop(cloud, (0.0, 0.0), 16.0)
-        assert block.n == 1
-
-    def test_exterior_point_excluded(self):
-        cloud = _cloud_at([[16.1, 0.0], [1.0, 1.0]])
-        block = cylinder_crop(cloud, (0.0, 0.0), 16.0)
-        assert np.array_equal(block.point_indices, [1])
-
-    def test_boundary_inclusive(self):
-        cloud = _cloud_at([[16.0, 0.0]])
-        assert cylinder_crop(cloud, (0.0, 0.0), 16.0).n == 1
-
-    def test_membership_matches_brute_force(self, rng):
-        xy = rng.uniform(-20.0, 20.0, size=(5000, 2))
-        cloud = _cloud_at(xy)
-        center = np.array([2.0, -3.0])
-        radius = 9.5
-        block = cylinder_crop(cloud, center, radius)
-        expected = sorted(
-            i for i in range(5000) if np.hypot(xy[i, 0] - center[0], xy[i, 1] - center[1]) <= radius
-        )
-        assert block.point_indices.tolist() == expected
-
-    def test_monotone_in_radius(self, rng):
-        cloud = _cloud_at(rng.uniform(-10, 10, size=(800, 2)))
-        small = set(cylinder_crop(cloud, (0, 0), 4.0).point_indices.tolist())
-        large = set(cylinder_crop(cloud, (0, 0), 7.0).point_indices.tolist())
-        assert small <= large
-
-    def test_empty_block_raises(self):
-        cloud = _cloud_at([[50.0, 50.0]])
-        with pytest.raises(EmptyBlock):
-            cylinder_crop(cloud, (0.0, 0.0), 1.0)
-
-    def test_bad_radius(self):
-        with pytest.raises(ConfigError):
-            cylinder_crop(_cloud_at([[0, 0]]), (0, 0), 0.0)
-
-    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 1e200])
-    def test_radius_without_finite_square_rejected(self, radius):
-        with pytest.raises(ConfigError, match="radius must be positive with a finite square"):
-            cylinder_crop(_cloud_at([[0, 0]]), (0, 0), radius)
-
-    @settings(deadline=None)
-    @given(
-        center=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
-        radius=st.floats(0.01, 40.0),
-        xy=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), max_size=30),
-        on_circle=st.lists(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8), (-0.8, -0.6)]),
-                           max_size=6),
-    )
-    def test_matches_delta_reference(self, center, radius, xy, on_circle):
-        # Offsets of exactly one radius along an axis, and 3-4-5 offsets that land
-        # on the circle up to rounding, probe the inclusive boundary.
-        xy = xy + [(center[0] + radius * a, center[1] + radius * b) for a, b in on_circle]
-        if not xy:
-            return
-        cloud = _cloud_at(xy)
-        try:
-            expected = reference_cylinder_crop(cloud, center, radius, block_id=3).point_indices
-        except EmptyBlock:
-            with pytest.raises(EmptyBlock):
-                cylinder_crop(cloud, center, radius, block_id=3)
-            return
-        block = cylinder_crop(cloud, center, radius, block_id=3)
-        assert block.point_indices.dtype == np.int64
-        assert np.array_equal(block.point_indices, expected)
 
 
 class TestSlidingWindow:
@@ -101,10 +29,24 @@ class TestSlidingWindow:
         with pytest.raises(ConfigError, match="stride must be positive with a finite square"):
             sliding_window_centers((0.0, 0.0), (16.0, 16.0), stride)
 
-    @pytest.mark.parametrize("radius, stride", [(float("nan"), 4.0), (4.0, float("inf"))])
-    def test_tile_cloud_rejects_unusable_radius_or_stride(self, radius, stride):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("radius, stride, name", [
+        (0.0, 4.0, "radius"), (-1.0, 4.0, "radius"), (float("nan"), 4.0, "radius"), (float("inf"), 4.0, "radius"),
+        (1e200, 4.0, "radius"), (4.0, float("inf"), "stride"),
+    ])
+    def test_tile_cloud_rejects_unusable_radius_or_stride(self, radius, stride, name):
+        with pytest.raises(ConfigError, match=f"{name} must be positive with a finite square"):
             tile_cloud(_cloud_at([[0.0, 0.0], [10.0, 10.0]]), radius, stride)
+
+    def test_crop_is_boundary_inclusive(self):
+        # The first center is the bounds minimum (0, 0); the others are 100 m from it, far from every point.
+        blocks = list(tile_cloud(_cloud_at([[0.0, 0.0], [16.0, 0.0], [16.1, 0.0], [0.0, 16.0]]), 16.0, 100.0))
+        assert [(b.block_id, b.point_indices.tolist()) for b in blocks] == [(0, [0, 1, 3])]
+
+    def test_blocks_grow_with_radius(self, rng):
+        cloud = _cloud_at(rng.uniform(-10, 10, size=(800, 2)))
+        small, large = tile_cloud(cloud, 4.0, 4.0), tile_cloud(cloud, 7.0, 4.0)
+        larger = {b.block_id: set(b.point_indices.tolist()) for b in large}
+        assert all(set(b.point_indices.tolist()) <= larger[b.block_id] for b in small)
 
     def test_degenerate_bounds(self):
         centers = sliding_window_centers((3.0, 5.0), (3.0, 5.0), 4.0)
@@ -175,12 +117,9 @@ class TestSlidingWindow:
         cloud = _cloud_at(xy + [(lo[0] + radius * a, lo[1] + radius * b) for a, b in on_circle])
         centers = sliding_window_centers(cloud.positions[:, :2].min(axis=0), cloud.positions[:, :2].max(axis=0),
                                          stride)
-        expected = []
-        for block_id, center in enumerate(centers):
-            try:
-                expected.append(reference_cylinder_crop(cloud, center, radius, block_id=block_id))
-            except EmptyBlock:
-                continue
+        expected = [reference_cylinder_crop(cloud, center, radius, block_id=block_id)
+                    for block_id, center in enumerate(centers)]
+        expected = [block for block in expected if block is not None]
         blocks = tile_cloud(cloud, radius, stride)
         assert [b.block_id for b in blocks] == [e.block_id for e in expected]
         for block, ref in zip(blocks, expected):
