@@ -93,6 +93,11 @@ class TestFps:
         with pytest.raises(ConfigError, match="cannot sample from an empty point set"):
             fps(np.empty((0, 5)), 3)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, rng, k):
+        with pytest.raises(ConfigError, match=f"k must be >= 1, got {k}"):
+            fps(rng.normal(size=(5, 5)), k)
+
     def test_unit_square_diagonal(self):
         corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         assert fps(corners, 2).tolist() == [0, 3]

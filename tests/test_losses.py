@@ -213,6 +213,20 @@ class TestDiscriminativeLoss:
         with pytest.raises(NoInstances):
             discriminative_loss(rng.normal(size=(4, 5)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("offset, l_var", [(0.25, 0.0), (0.5, 0.0), (0.75, 0.0625)])
+    def test_pull_hinge_starts_at_delta_v(self, offset, l_var):
+        # Two voxels at L1 distance `offset` from their mean, the origin: the pull term is (offset - 0.5)^2 past 0.5.
+        f = np.zeros((2, 5))
+        f[:, 0] = [offset, -offset]
+        assert discriminative_loss(f, [1, 1])[0] == l_var
+
+    @pytest.mark.parametrize("gap, l_dist", [(2.0, 1.0), (3.0, 0.0), (4.0, 0.0)])
+    def test_push_hinge_ends_at_twice_delta_d(self, gap, l_dist):
+        # Two one-voxel instances whose means are `gap` apart in L1: the push term is (3 - gap)^2 below 3.
+        f = np.zeros((2, 5))
+        f[:, 0] = [gap / 2, -gap / 2]
+        assert discriminative_loss(f, [1, 2])[1] == l_dist
+
 
 class TestBinaryTreeLoss:
     def test_half_probabilities_give_ln2(self, rng):
@@ -324,6 +338,13 @@ class TestComposeLosses:
         with pytest.raises(InvalidLoss):
             compose_losses(-0.1, 0, 0, 0, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("position, name", enumerate(["bce", "dice", "score", "sem"]))
+    def test_bad_layer_count(self, position, name):
+        parts = [0.0] * 8
+        parts[position] = [0.0] * 5
+        with pytest.raises(ShapeMismatch, match=rf"^{name} must be a scalar or one value per layer \(6\), got 5$"):
+            compose_losses(*parts)
+
 
 class TestLossProperties:
     def test_non_negative_and_permutation_invariant(self, rng):
@@ -341,3 +362,8 @@ class TestLossProperties:
     def test_gradient_check_suite_passes(self):
         report = run_gradient_checks(trials=10, seed=7)
         assert report["all_pass"], report
+
+    def test_finite_difference_step_is_1e_5(self):
+        # At 0 the central difference of x^3 is ((h^3) - (-h^3)) / (2h) = h^2, not the derivative 0.
+        fd = finite_difference_gradient(lambda x: float(np.sum(x**3)), np.zeros(4))
+        assert fd == pytest.approx(np.full(4, 1e-10), rel=1e-9)

@@ -8,13 +8,88 @@ from hypothesis import strategies as st
 from forestseg import tiling
 from forestseg.core import PointCloud
 from forestseg.errors import ConfigError
-from forestseg.tiling import MAX_GRID_CELLS, sliding_window_centers, tile_cloud
+from forestseg.tiling import MAX_GRID_CELLS, Tiling, sliding_window_centers, tile_cloud
 from synthgen_reference import reference_cylinder_crop
 
 
 def _cloud_at(xy_points):
     xy = np.asarray(xy_points, dtype=float)
     return PointCloud(positions=np.c_[xy, np.zeros(len(xy))])
+
+
+def _crop(cloud, center, radius):
+    """The blocks of a one-center tiling: a list of at most one block."""
+    return list(Tiling(cloud.positions, np.asarray([center], dtype=float), radius))
+
+
+class TestCylinderCrop:
+    def test_interior_point_included(self):
+        [block] = _crop(_cloud_at([[15.9, 0.0]]), (0.0, 0.0), 16.0)
+        assert block.n == 1
+
+    def test_exterior_point_excluded(self):
+        [block] = _crop(_cloud_at([[16.1, 0.0], [1.0, 1.0]]), (0.0, 0.0), 16.0)
+        assert np.array_equal(block.point_indices, [1])
+
+    def test_boundary_inclusive(self):
+        # The first center is the bounds minimum (0, 0); the others are 100 m from it, far from every point.
+        blocks = list(tile_cloud(_cloud_at([[0.0, 0.0], [16.0, 0.0], [16.1, 0.0], [0.0, 16.0]]), 16.0, 100.0))
+        assert [(b.block_id, b.point_indices.tolist()) for b in blocks] == [(0, [0, 1, 3])]
+
+    def test_membership_matches_brute_force(self, rng):
+        xy = rng.uniform(-20.0, 20.0, size=(5000, 2))
+        center = np.array([2.0, -3.0])
+        radius = 9.5
+        [block] = _crop(_cloud_at(xy), center, radius)
+        expected = sorted(
+            i for i in range(5000) if np.hypot(xy[i, 0] - center[0], xy[i, 1] - center[1]) <= radius
+        )
+        assert block.point_indices.tolist() == expected
+
+    def test_monotone_in_radius(self, rng):
+        cloud = _cloud_at(rng.uniform(-10, 10, size=(800, 2)))
+        small, large = tile_cloud(cloud, 4.0, 4.0), tile_cloud(cloud, 7.0, 4.0)
+        larger = {b.block_id: set(b.point_indices.tolist()) for b in large}
+        assert all(set(b.point_indices.tolist()) <= larger[b.block_id] for b in small)
+
+    def test_empty_crop_yields_no_block(self):
+        tiling = Tiling(_cloud_at([[50.0, 50.0]]).positions, np.array([[0.0, 0.0], [50.0, 50.0]]), 1.0)
+        assert [b.block_id for b in tiling] == [1]
+        assert len(tiling) == 1
+
+    def test_bad_radius(self):
+        with pytest.raises(ConfigError):
+            Tiling(_cloud_at([[0, 0]]).positions, np.zeros((1, 2)), 0.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 1e200])
+    def test_radius_without_finite_square_rejected(self, radius):
+        # Rejected when the tiling is made, before any block is cropped.
+        with pytest.raises(ConfigError, match="radius must be positive with a finite square"):
+            Tiling(_cloud_at([[0, 0]]).positions, np.zeros((1, 2)), radius)
+
+    @settings(deadline=None)
+    @given(
+        center=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+        radius=st.floats(0.01, 40.0),
+        xy=st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), max_size=30),
+        on_circle=st.lists(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8), (-0.8, -0.6)]),
+                           max_size=6),
+    )
+    def test_matches_delta_reference(self, center, radius, xy, on_circle):
+        # A center anywhere, not only on a grid over the points. Offsets of exactly one radius along
+        # an axis, and 3-4-5 offsets that land on the circle up to rounding, probe the inclusive boundary.
+        xy = xy + [(center[0] + radius * a, center[1] + radius * b) for a, b in on_circle]
+        if not xy:
+            return
+        cloud = _cloud_at(xy)
+        expected = reference_cylinder_crop(cloud, center, radius, block_id=0)
+        blocks = _crop(cloud, center, radius)
+        if expected is None:
+            assert blocks == []
+            return
+        [block] = blocks
+        assert block.point_indices.dtype == np.int64
+        assert np.array_equal(block.point_indices, expected.point_indices)
 
 
 class TestSlidingWindow:
@@ -36,17 +111,6 @@ class TestSlidingWindow:
     def test_tile_cloud_rejects_unusable_radius_or_stride(self, radius, stride, name):
         with pytest.raises(ConfigError, match=f"{name} must be positive with a finite square"):
             tile_cloud(_cloud_at([[0.0, 0.0], [10.0, 10.0]]), radius, stride)
-
-    def test_crop_is_boundary_inclusive(self):
-        # The first center is the bounds minimum (0, 0); the others are 100 m from it, far from every point.
-        blocks = list(tile_cloud(_cloud_at([[0.0, 0.0], [16.0, 0.0], [16.1, 0.0], [0.0, 16.0]]), 16.0, 100.0))
-        assert [(b.block_id, b.point_indices.tolist()) for b in blocks] == [(0, [0, 1, 3])]
-
-    def test_blocks_grow_with_radius(self, rng):
-        cloud = _cloud_at(rng.uniform(-10, 10, size=(800, 2)))
-        small, large = tile_cloud(cloud, 4.0, 4.0), tile_cloud(cloud, 7.0, 4.0)
-        larger = {b.block_id: set(b.point_indices.tolist()) for b in large}
-        assert all(set(b.point_indices.tolist()) <= larger[b.block_id] for b in small)
 
     def test_degenerate_bounds(self):
         centers = sliding_window_centers((3.0, 5.0), (3.0, 5.0), 4.0)
