@@ -20,7 +20,7 @@ import click
 from . import io
 from .core import voxelize, voxel_labels_from_points
 from .errors import ConfigError, ForestSegError, InputDataError, MissingLabels, ParseError
-from .isa_select import DELTA_D, oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats
+from .isa_select import oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats
 from .losses import run_gradient_checks
 from .merging import BlockPrediction
 from .metrics import evaluate_labels
@@ -39,6 +39,16 @@ def _handle_errors(fn):
     return wrapper
 
 
+def _fail_if_refused(path_type: click.Path, value, param, ctx) -> None:
+    """A usage error if the OS refuses to look ``value`` up, as it does a name too long; a path not made yet passes."""
+    try:
+        os.stat(value)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        path_type.fail(f"{click.format_filename(value)!r}: {exc.strerror}.", param, ctx)
+
+
 class _OutputFile(click.Path):
     """A file path to write inside a directory that exists, so a bad path is a usage error (exit 2) before any work."""
 
@@ -46,6 +56,7 @@ class _OutputFile(click.Path):
         parent = Path(super().convert(value, param, ctx)).parent
         if not os.path.isdir(parent):  # False, not an OSError, for a path the OS refuses, such as a name too long
             self.fail(f"{click.format_filename(parent)!r} is not an existing directory.", param, ctx)
+        _fail_if_refused(self, value, param, ctx)
         return value
 
 
@@ -58,6 +69,7 @@ class _OutputDir(click.Path):
         ancestor = next(p for p in (path, *path.parents) if os.path.exists(p))  # as isdir, False on an OSError
         if not ancestor.is_dir():
             self.fail(f"{click.format_filename(ancestor)!r} is not a directory.", param, ctx)
+        _fail_if_refused(self, value, param, ctx)
         return value
 
 
@@ -210,18 +222,17 @@ def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 @click.option("--resolution", type=float, default=0.2, show_default=True)
 @click.option("--noise-sigma", type=float, default=0.05, show_default=True)
-@click.option("--separation", type=float, default=2 * DELTA_D, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=_OutputFile(dir_okay=False), default=None)
 @_handle_errors
-def select_queries(input_path, method, k, threshold, resolution, noise_sigma, separation, seed, out) -> None:
+def select_queries(input_path, method, k, threshold, resolution, noise_sigma, seed, out) -> None:
     """Select query voxels and report coverage statistics as JSON."""
     cloud = io.read_cloud(input_path)
     if not cloud.has_labels:
         raise MissingLabels(f"{input_path}: query selection statistics need GT labels")
     vox = voxelize(cloud, resolution)
     gt = voxel_labels_from_points(vox, cloud)
-    field = oracle_embeddings(vox, gt, noise_sigma=noise_sigma, separation=separation, seed=seed)
+    field = oracle_embeddings(vox, gt, noise_sigma=noise_sigma, seed=seed)
     if method == "isa":
         selection = select_queries_isa(field, k, threshold=threshold)
     else:

@@ -50,16 +50,12 @@ class EmbeddingField:
         if self.tree_prob.size and (self.tree_prob.min() < 0 or self.tree_prob.max() > 1):
             raise InvalidGeometry("tree probabilities must lie in [0, 1]")
 
-    @property
-    def m(self) -> int:
-        return len(self.embeddings)
-
 
 def _lattice_codes(count: int) -> npt.NDArray[np.float64]:
     """First ``count`` nonnegative integer 5-vectors ordered by (L1 norm, lex).
 
-    Distinct vectors differ by L1 distance >= 1, so scaling by a separation
-    yields codes at least that far apart.
+    Distinct vectors differ by L1 distance >= 1, so scaling by 2 * DELTA_D
+    yields codes at least the push margin apart.
     """
     if count > LATTICE_EXTENT**EMBEDDING_DIM:
         raise CodebookExhausted(f"{count} codes requested but lattice extent {LATTICE_EXTENT} "
@@ -79,18 +75,15 @@ def oracle_embeddings(
     vox: SparseVoxelization,
     gt: VoxelLabels,
     noise_sigma: float = 0.0,
-    separation: float = 2 * DELTA_D,
     seed: int = 0,
 ) -> EmbeddingField:
     """Per-voxel embeddings clustered by instance, plus binary tree probability.
 
     Every instance receives a fixed 5-D code with pairwise L1 distance at
-    least ``separation``; background voxels sit at the origin code. Gaussian
-    noise of the given sigma is added per voxel, and tree probabilities are
-    exact 0/1 indicators.
+    least the push margin ``2 * DELTA_D``; background voxels sit at the
+    origin code. Gaussian noise of the given sigma is added per voxel, and
+    tree probabilities are exact 0/1 indicators.
     """
-    if not (separation > 0 and math.isfinite(separation)):
-        raise ConfigError(f"separation must be finite and positive, got {separation}")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if seed < 0:
@@ -99,7 +92,7 @@ def oracle_embeddings(
         raise ConfigError(f"labels cover {gt.m} voxels but the grid has {vox.m}")
     rng = np.random.default_rng(seed)
     present = np.unique(gt.instance[gt.instance >= 1])
-    codes = _lattice_codes(len(present) + 1) * separation
+    codes = _lattice_codes(len(present) + 1) * (2 * DELTA_D)
     table = np.zeros((int(gt.instance.max(initial=0)) + 1, EMBEDDING_DIM))
     table[0] = codes[0]
     for i, uid in enumerate(present):

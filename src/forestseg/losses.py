@@ -61,17 +61,21 @@ def _check_pair(a, b, name_a: str, name_b: str):
     return a, b
 
 
-def bce_mask_loss(logits, gt_mask) -> tuple[float, npt.NDArray[np.float64]]:
-    """Mean binary cross-entropy over voxels, on raw mask logits."""
-    z, y = _check_pair(logits, gt_mask, "logits", "gt_mask")
-    n = len(z)
-    p = _sigmoid(z)
+def _bce(p, y, dp) -> tuple[float, npt.NDArray[np.float64]]:
+    """Mean BCE of probabilities ``p`` against ``y``, and its gradient by the
+    loss's input, where ``dp`` is the derivative of ``p`` by that input."""
     u = np.maximum(p, EPS)
     v = np.maximum(1.0 - p, EPS)
     loss = float(-np.mean(y * np.log(u) + (1.0 - y) * np.log(v)))
-    dp = p * (1.0 - p)
-    grad = (-(y * np.where(p > EPS, dp / u, 0.0)) + (1.0 - y) * np.where(1.0 - p > EPS, dp / v, 0.0)) / n
+    grad = (-(y * np.where(p > EPS, dp / u, 0.0)) + (1.0 - y) * np.where(1.0 - p > EPS, dp / v, 0.0)) / len(p)
     return loss, grad
+
+
+def bce_mask_loss(logits, gt_mask) -> tuple[float, npt.NDArray[np.float64]]:
+    """Mean binary cross-entropy over voxels, on raw mask logits."""
+    z, y = _check_pair(logits, gt_mask, "logits", "gt_mask")
+    p = _sigmoid(z)
+    return _bce(p, y, p * (1.0 - p))
 
 
 def dice_loss(logits, gt_mask) -> tuple[float, npt.NDArray[np.float64]]:
@@ -124,12 +128,7 @@ def score_loss(pred_scores, targets) -> tuple[float, npt.NDArray[np.float64]]:
 def binary_tree_loss(tree_prob, gt_binary) -> tuple[float, npt.NDArray[np.float64]]:
     """Mean BCE separating tree from non-tree voxels, on probabilities."""
     p, y = _check_pair(tree_prob, gt_binary, "tree_prob", "gt_binary")
-    n = len(p)
-    u = np.maximum(p, EPS)
-    v = np.maximum(1.0 - p, EPS)
-    loss = float(-np.mean(y * np.log(u) + (1.0 - y) * np.log(v)))
-    grad = (-(y * np.where(p > EPS, 1.0 / u, 0.0)) + (1.0 - y) * np.where(1.0 - p > EPS, 1.0 / v, 0.0)) / n
-    return loss, grad
+    return _bce(p, y, 1.0)
 
 
 def semantic_ce_loss(class_logits, gt_class) -> tuple[float, npt.NDArray[np.float64]]:
@@ -225,10 +224,6 @@ class Association:
     query_positions: npt.NDArray[np.int64]
     instance_ids: npt.NDArray[np.int64]
     dropped_positions: npt.NDArray[np.int64]
-
-    @property
-    def k(self) -> int:
-        return len(self.query_positions)
 
 
 def one_to_many_associate(

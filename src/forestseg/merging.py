@@ -17,13 +17,13 @@ pairs that share no point are never visited. A candidate costs
 O(|mask| log E) plus the entries it hits, where E is the number of entries
 in the index.
 
-NMS also skips, without a query, every nonempty mask whose point set equals
-that of an earlier-ranked mask. The result is unchanged: a copy of a kept
-mask has IoU 1 with it, and a copy of a suppressed mask meets the same kept
-masks, because the kept set only grows. Empty masks are never skipped, since
-several of them all survive NMS. Equal point sets are found with an
-``IdSetIndex``, which the merge also uses to give every surviving copy of a
-point set one shared, read-only id array.
+NMS also skips, without a query, every nonempty mask that shares its id
+array with an earlier-ranked mask, as the merge gives every surviving copy
+of a point set one shared, read-only array. The result is unchanged: a copy
+of a kept mask has IoU 1 with it, and a copy of a suppressed mask meets the
+same kept masks, because the kept set only grows. Empty masks are never
+skipped, since several of them all survive NMS. Copies that do not share an
+array are each queried, with the same result.
 """
 
 from __future__ import annotations
@@ -122,40 +122,6 @@ class _PointIndex:
         return ids, counts[ids]
 
 
-def _ids_key(data: bytes) -> int:
-    """The index key of a point-id array's bytes."""
-    return hash(data)
-
-
-class IdSetIndex:
-    """Distinct int64 point-id sets, each held as the first array seen with it.
-
-    Arrays are keyed by the hash of their bytes, and a key match is confirmed
-    by comparing the bytes of both arrays, so the index holds a reference per
-    set, never a bytes copy of it. For int64 arrays, equal bytes mean equal
-    ids, and comparing bytes is several times faster than ``np.array_equal``.
-    """
-
-    def __init__(self) -> None:
-        self._by_key: dict[int, list[npt.NDArray[np.int64]]] = {}
-        # The ``id()`` of each held array, stable because the index keeps the array alive. Masks
-        # that already share a held array, as the merge's survivors do in NMS, skip the hash.
-        self._held: set[int] = set()
-
-    def intern(self, ids: npt.NDArray[np.int64]) -> npt.NDArray[np.int64] | None:
-        """The held array equal to ``ids``, or None after holding ``ids`` itself."""
-        if id(ids) in self._held:
-            return ids
-        data = ids.tobytes()
-        held = self._by_key.setdefault(_ids_key(data), [])
-        for other in held:
-            if other.tobytes() == data:
-                return other
-        held.append(ids)
-        self._held.add(id(ids))
-        return None
-
-
 def score_filter(masks: Sequence[InstanceMask], threshold: float) -> list[InstanceMask]:
     """Keep masks with score >= threshold; order preserved."""
     if not 0.0 <= threshold <= 1.0:
@@ -222,10 +188,11 @@ def score_nms(masks: Iterable[InstanceMask], iou_threshold: float) -> list[Insta
     index = _PointIndex()
     kept: list[InstanceMask] = []
     kept_sizes = np.empty(len(ranked), dtype=np.int64)
-    seen = IdSetIndex()
+    seen: set[int] = set()  # the ``id()`` of each array met so far, stable because ``ranked`` holds them all
     for mask in ranked:
-        if mask.size and seen.intern(mask.point_ids) is not None:
+        if mask.size and id(mask.point_ids) in seen:
             continue  # an earlier-ranked copy was kept or suppressed; this one goes the same way
+        seen.add(id(mask.point_ids))
         ids, inter = index.intersections(mask.point_ids)
         if np.any(inter / (mask.size + kept_sizes[ids] - inter) >= iou_threshold):
             continue

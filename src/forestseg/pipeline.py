@@ -3,11 +3,12 @@
 Blocks are cropped one at a time as the merge pulls them. Each block is
 merged as soon as it is predicted or read, then dropped: its masks pass
 boundary discard and the score filter, and its semantic votes are counted.
-Only the surviving masks, one id array per distinct point set, and one vote
-count per point and class wait for NMS. Every block is predicted in the
-calling thread. NMS ranks masks by a total order, and each block's random
-stream is seeded from (master seed, block id), so results are byte-identical
-for any block order.
+Only the surviving masks, one shared id array per distinct point set, and one
+vote count per point and class wait for NMS, which skips a mask sharing an
+earlier-ranked mask's array. Every block is predicted in the calling thread.
+NMS ranks masks by a total order, and each block's random stream is seeded
+from (master seed, block id), so results are byte-identical for any block
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import PointCloud
 from .errors import ConfigError, EmptyInput, InvalidLabel, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockPrediction,
-    IdSetIndex,
     InstanceMask,
     SemanticVotes,
     discard_boundary_masks,
@@ -122,6 +122,34 @@ def effective_threads(requested: int) -> int:
     return 1
 
 
+def _ids_key(data: bytes) -> int:
+    """The index key of a point-id array's bytes."""
+    return hash(data)
+
+
+class _IdSetIndex:
+    """Distinct int64 point-id sets, each held as the first array seen with it.
+
+    Arrays are keyed by the hash of their bytes, and a key match is confirmed
+    by comparing the bytes of both arrays, so the index holds a reference per
+    set, never a bytes copy of it. For int64 arrays, equal bytes mean equal
+    ids, and comparing bytes is several times faster than ``np.array_equal``.
+    """
+
+    def __init__(self) -> None:
+        self._by_key: dict[int, list[npt.NDArray[np.int64]]] = {}
+
+    def intern(self, ids: npt.NDArray[np.int64]) -> npt.NDArray[np.int64] | None:
+        """The held array equal to ``ids``, or None after holding ``ids`` itself."""
+        data = ids.tobytes()
+        held = self._by_key.setdefault(_ids_key(data), [])
+        for other in held:
+            if other.tobytes() == data:
+                return other
+        held.append(ids)
+        return None
+
+
 def _checked_masks(
     prediction: BlockPrediction, seen: set[int], n_grid: int, n_points: int, stride: float
 ) -> list[InstanceMask]:
@@ -177,7 +205,7 @@ def merge_block_predictions(
     seen: set[int] = set()
     votes: SemanticVotes | None = None
     after_filter: list[InstanceMask] = []
-    id_sets = IdSetIndex()
+    id_sets = _IdSetIndex()
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
         masks = _checked_masks(prediction, seen, len(centers), n_points, config.stride)

@@ -68,8 +68,8 @@ class ForestParams:
         if not ground_points <= MAX_SCENE_POINTS - tree_points:
             raise ConfigError(f"ground_density must keep the scene within {MAX_SCENE_POINTS:,} points, got up to "
                               f"{tree_points:,} tree points and {ground_points:,.0f} ground points")
-        if not self.min_spacing >= 0:
-            raise ConfigError(f"min_spacing must be >= 0, got {self.min_spacing}")
+        if not (math.isfinite(self.min_spacing) and self.min_spacing >= 0):
+            raise ConfigError(f"min_spacing must be finite and >= 0, got {self.min_spacing}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

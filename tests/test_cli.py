@@ -129,6 +129,10 @@ class TestSynth:
         ("ground_density = inf", "ground_density"),
         ("ground_density = nan", "ground_density"),
         ("min_spacing = nan", "min_spacing"),
+        ("min_spacing = inf", "min_spacing"),
+        pytest.param("n_trees = 1\nmin_spacing = inf", "min_spacing", id="one-tree-min_spacing=inf"),
+        ("n_trees = 0", "n_trees"),
+        ("understory_fraction = 1.5", "understory_fraction"),
         ("seed = -1", "seed"),
         pytest.param("points_per_tree_max = 1" + "0" * 400, "points_per_tree_range", id="points_per_tree_max=1e400"),
         pytest.param("ground_density = 1e300\nplot_size = 1e10", "ground_density", id="ground_point_count=inf"),
@@ -139,6 +143,27 @@ class TestSynth:
         result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
         assert result.exit_code == 3, result.output
         assert f"{name} must" in result.output
+
+    def test_line_without_equals_exits_2_and_names_line(self, runner, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text("# trees\nn_trees 4\n")
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(tmp_path / "o.ply")])
+        assert result.exit_code == 2, result.output
+        assert "params.txt: line 2: expected 'key = value', got 'n_trees 4'" in result.output
+        assert not (tmp_path / "o.ply").exists()
+
+    def test_seed_flag_overrides_params_file(self, runner, tmp_path):
+        flagged, inline = tmp_path / "flagged.tsv", tmp_path / "inline.tsv"
+        params = tmp_path / "params.txt"
+        params.write_text(PARAMS_TEXT)
+        result = runner.invoke(main, ["synth", "--params", str(params), "--out", str(flagged), "--seed", "7"])
+        assert result.exit_code == 0, result.output
+        params.write_text(PARAMS_TEXT.replace("seed = 5", "seed = 7"))
+        assert runner.invoke(main, ["synth", "--params", str(params), "--out", str(inline)]).exit_code == 0
+        assert flagged.read_bytes() == inline.read_bytes()
+        params.write_text(PARAMS_TEXT)
+        assert runner.invoke(main, ["synth", "--params", str(params), "--out", str(inline)]).exit_code == 0
+        assert flagged.read_bytes() != inline.read_bytes()
 
 
 class TestPipeline:
@@ -218,6 +243,8 @@ class TestPipeline:
         (["--radius", "1e308"], "radius"),
         (["--score-noise", "nan"], "score_noise"),
         (["--score-noise", "inf"], "score_noise"),
+        (["--split-prob", "1.5"], "split_prob"),
+        (["--split-prob", "nan"], "split_prob"),
         (["--seed", "-1"], "seed"),
     ])
     def test_nan_infinite_and_negative_values_exit_3(self, runner, forest_files, flags, name):
@@ -259,6 +286,19 @@ class TestPipeline:
         for flag in ("--resolution", "--k-queries", "--binary-threshold"):
             result = runner.invoke(main, ["pipeline", "--input", str(ply), flag, "1"])
             assert result.exit_code == 2 and "No such option" in result.output, flag
+
+    def test_predictor_neither_oracle_nor_directory_exits_2(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(tmp_path / "none")])
+        assert result.exit_code == 2, result.output
+        assert f"error: predictor must be 'oracle' or a directory, got {str(tmp_path / 'none')!r}" in result.output
+
+    def test_unsupported_input_extension_exits_2(self, runner, tmp_path):
+        las = tmp_path / "x.las"
+        las.write_text("0 0 0\n")
+        result = runner.invoke(main, ["pipeline", "--input", str(las)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {las}: unsupported extension '.las', expected .ply or .tsv" in result.output
 
     def test_external_predictor_from_dumped_blocks(self, runner, tmp_path, forest_files):
         cloud, ply = forest_files
@@ -501,6 +541,11 @@ class TestSelectQueries:
         result = runner.invoke(main, ["select-queries", "--input", str(ply)])
         assert result.exit_code == 2
 
+    def test_separation_flag_is_unknown(self, runner, forest_files):
+        # The oracle codes are always spaced by the push margin 2 * DELTA_D.
+        result = runner.invoke(main, ["select-queries", "--input", str(forest_files[1]), "--separation", "3.0"])
+        assert result.exit_code == 2 and "No such option" in result.output
+
 
 class TestEvaluateCommand:
     def test_identical_labels_score_one(self, runner, tmp_path, forest_files):
@@ -515,6 +560,14 @@ class TestEvaluateCommand:
         assert payload["instance"]["f1"] == 1.0
         assert payload["semantic"]["miou"] == 1.0
         assert payload["instance"]["completeness"] == 1.0
+
+    def test_gt_cloud_without_instance_exits_2(self, runner, tmp_path, rng):
+        pred, gt = tmp_path / "pred.tsv", tmp_path / "bare.ply"
+        io.write_labels_tsv(pred, np.array([1, 1, 0]))
+        io.write_ply(gt, PointCloud(positions=rng.normal(size=(3, 3))))
+        result = runner.invoke(main, ["evaluate", "--pred", str(pred), "--gt", str(gt)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {gt}: no instance labels present" in result.output
 
     def test_length_mismatch_exits_2(self, runner, tmp_path):
         pred = tmp_path / "pred.tsv"
@@ -563,12 +616,12 @@ class TestEvaluateCommand:
     ("evaluate", ["--iou", "1.5"], "IoU threshold"),
     ("select-queries", ["--noise-sigma", "-1"], "noise_sigma"),
     ("select-queries", ["--noise-sigma", "nan"], "noise_sigma"),
-    ("select-queries", ["--separation", "nan"], "separation"),
-    ("select-queries", ["--separation", "inf"], "separation"),
+    ("select-queries", ["--threshold", "1.5"], "threshold"),
     ("select-queries", ["--seed", "-1"], "seed"),
     ("gradcheck", ["--trials", "0"], "trials"),
     ("gradcheck", ["--seed", "-1"], "seed"),
     ("select-queries", ["--resolution", "1e-300"], "resolution"),
+    ("select-queries", ["--resolution", "0"], "resolution"),
 ])
 def test_unusable_values_exit_3(runner, tmp_path, forest_files, command, flags, name):
     _, ply = forest_files
@@ -619,16 +672,17 @@ def _command_args(command, inputs, tmp_path, ply):
     ("evaluate", ["--pred", "--gt"], "--out"),
     ("gradcheck", [], "--out"),
 ])
-def test_output_name_the_os_refuses_exits_2(runner, tmp_path, forest_files, command, inputs, flag):
-    # A 300-byte name passes the up-front path checks, but no common file system takes a name over 255 bytes.
-    # Unlike permission bits, that holds for root too.
+def test_output_name_the_os_refuses_exits_2(runner, tmp_path, forest_files, monkeypatch, command, inputs, flag):
+    # No common file system takes a name over 255 bytes; unlike permission bits, that holds for root too.
+    # The option type rejects the 300-byte name, so the command body never runs and no file is made.
     args = _command_args(command, inputs, tmp_path, forest_files[1])
-    if command == "gradcheck":
-        args += ["--trials", "1"]
+    monkeypatch.setattr(main.commands[command], "callback", lambda **_: pytest.fail("the command body ran"))
+    before = sorted(tmp_path.iterdir())
     out = tmp_path / ("a" * 296 + ".tsv")
     result = runner.invoke(main, [*args, flag, str(out)])
     assert result.exit_code == 2, result.output
-    assert result.output.startswith(f"error: {out}: cannot ") and "File name too long" in result.output
+    assert f"Invalid value for '{flag}'" in result.output and "File name too long" in result.output
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestGradcheckCommand:

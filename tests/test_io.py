@@ -150,6 +150,25 @@ class TestPly:
         with pytest.raises(ParseError, match=f"twice.ply: {message}"):
             reference_read_ply(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("", "empty file"),
+        ("ply\nformat ascii 1.0\nproperty double x\n", "line 3: property outside vertex element"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double\n",
+         "line 4: malformed property 'property double'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty int x\n", "line 4: x must be a float type, got 'int'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
+         "property float instance\n", "line 7: instance must be an integer type, got 'float'"),
+        ("ply\nformat ascii 1.0\nobj_info scanner 2\n", "line 3: unexpected header line 'obj_info scanner 2'"),
+        ("ply\nformat ascii 1.0\nelement vertex 0\nproperty double x\n", "missing end_header"),
+        ("ply\nformat ascii 1.0\nend_header\n", "header declares no vertex element"),
+    ], ids=["empty", "property-first", "malformed-property", "int-x", "float-instance", "unknown-keyword",
+            "no-end-header", "no-vertex-element"])
+    def test_header_fault_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(header)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.read_ply(path)
+
     def test_missing_format_line_names_end_of_header(self, tmp_path):
         path = tmp_path / "bare.ply"
         path.write_text("ply\nelement vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
@@ -268,6 +287,12 @@ class TestTsv:
         path = tmp_path / "twice.tsv"
         path.write_text("x\ty\tz\tz\n0\t0\t0\t1\n")
         with pytest.raises(ParseError, match="twice.tsv: line 1: repeated column name 'z'"):
+            io.read_tsv(path)
+
+    def test_blank_lines_only_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "blank.tsv"
+        path.write_text("\n  \n\t\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: empty file')}$"):
             io.read_tsv(path)
 
 

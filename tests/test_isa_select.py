@@ -31,7 +31,7 @@ class TestOracleEmbeddings:
     def test_margin_law_exact_zeros(self, small_forest):
         vox = voxelize(small_forest, 0.2)
         gt = voxel_labels_from_points(vox, small_forest)
-        field = oracle_embeddings(vox, gt, noise_sigma=0.0, separation=3.0)
+        field = oracle_embeddings(vox, gt, noise_sigma=0.0)
         tree = gt.instance >= 1
         l_var, l_dist, _, _, _ = discriminative_loss(field.embeddings[tree], gt.instance[tree])
         assert l_var == 0.0

@@ -125,6 +125,11 @@ class TestScoreFilter:
         kept = score_filter(masks, 0.6)
         assert kept == [m for m in masks if m.score >= 0.6]
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigError, match=r"score threshold must be in \[0, 1\]"):
+            score_filter([mask([0], 0.5)], threshold)
+
 
 class TestDiscardBoundaryMasks:
     def _setup(self, farthest):
@@ -216,6 +221,11 @@ class TestScoreNms:
         masks = [mask([0, 1], 0.9), mask([2, 3], 0.5, query_index=1), mask([4], 0.1, query_index=2)]
         assert len(score_nms(masks, 0.3)) == 3
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ConfigError, match=r"NMS IoU threshold must be in \[0, 1\]"):
+            score_nms([mask([0], 0.5)], threshold)
+
     def test_matches_quadratic_greedy_oracle(self, rng):
         masks = random_masks(rng, 50)
         kept = score_nms(masks, 0.25)
@@ -267,15 +277,7 @@ class TestIndexKernelsMatchPairwiseReference:
         if threshold > 0:
             assert sum(m.size == 0 for m in expected) == sum(m.size == 0 for m in masks)
 
-    @pytest.mark.parametrize("threshold", [1e-9, 0.3, 1.0])
-    def test_score_nms_with_colliding_keys(self, rng, monkeypatch, threshold):
-        masks = random_masks(rng, 120, universe=300, max_size=40)
-        masks += [mask(m.point_ids, m.score, m.block_id, 120 + i) for i, m in enumerate(masks[:30])]
-        expected = score_nms(masks, threshold)
-        monkeypatch.setattr(merging, "_ids_key", lambda data: 0)
-        assert score_nms(masks, threshold) == expected == reference_score_nms(masks, threshold)
-
-    def test_score_nms_queries_each_distinct_mask_once(self, monkeypatch):
+    def test_score_nms_queries_each_shared_array_once(self, monkeypatch):
         calls = []
         intersections = merging._PointIndex.intersections
 
@@ -289,8 +291,15 @@ class TestIndexKernelsMatchPairwiseReference:
             mask(ids, 0.5 + 0.01 * (copy % 7), block_id=copy, query_index=q)
             for copy in range(50) for q, ids in enumerate(distinct)
         ]
-        assert score_nms(masks, 0.3) == reference_score_nms(masks, 0.3)
-        assert len(calls) <= 3
+        expected = reference_score_nms(masks, 0.3)
+        # Copies with arrays of their own are each queried, with the same result.
+        assert score_nms(masks, 0.3) == expected
+        assert len(calls) == len(masks)
+        calls.clear()
+        for m in masks:
+            m.point_ids = distinct[m.query_index]  # one array per point set, as the merge hands out
+        assert score_nms(masks, 0.3) == expected
+        assert len(calls) == len(distinct)
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 0.5, 1.0])
     def test_score_nms_on_many_overlapping_masks(self, rng, threshold):
@@ -357,20 +366,6 @@ class TestPointIndex:
         assert len(self._run(steps)._runs) == 3
         # Two more points absorb the newest run, and each merged run then absorbs the next older one.
         assert len(self._run(steps + [(True, {0, 1})])._runs) == 1
-
-
-class TestIdSetIndex:
-    @pytest.mark.parametrize("key", [merging._ids_key, lambda data: 0])
-    def test_interns_one_array_per_distinct_set(self, monkeypatch, key):
-        monkeypatch.setattr(merging, "_ids_key", key)
-        index = merging.IdSetIndex()
-        a, b, empty = np.array([1, 2, 3]), np.array([1, 2, 4]), np.array([], dtype=np.int64)
-        assert index.intern(a) is None and index.intern(b) is None and index.intern(empty) is None
-        assert index.intern(a.copy()) is a
-        assert index.intern(b.copy()) is b
-        assert index.intern(np.array([], dtype=np.int64)) is empty
-        assert index.intern(a) is a
-        assert index.intern(np.array([1, 2])) is None
 
 
 class TestResolvePoints:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from forestseg import io, merging, pipeline
 from forestseg.core import GROUND, N_CLASSES, WOOD, PointCloud
-from forestseg.errors import ConfigError, ForestSegError, InvalidLabel, ShapeMismatch, UnknownBlock
+from forestseg.errors import ConfigError, EmptyInput, ForestSegError, InvalidLabel, ShapeMismatch, UnknownBlock
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import (
     PipelineConfig,
@@ -153,6 +153,10 @@ class TestStageAccounting:
         with pytest.raises(ConfigError):  # points midway between grid centers lie in no block
             PipelineConfig(radius=2.0, stride=8.0)
         PipelineConfig(radius=2.0, stride=2.8)
+
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(EmptyInput, match="cannot merge predictions over an empty point cloud"):
+            merge_block_predictions([BlockPrediction(block_id=0, masks=[])], np.empty((0, 3)), PipelineConfig())
 
     def test_out_of_range_mask_points_rejected(self, forest):
         from forestseg.errors import ShapeMismatch
@@ -475,7 +479,7 @@ class TestSharedMaskIds:
 
     def test_colliding_keys_keep_sets_apart(self, forest, monkeypatch):
         expected = self._merge(forest)
-        monkeypatch.setattr(merging, "_ids_key", lambda data: 0)
+        monkeypatch.setattr(pipeline, "_ids_key", lambda data: 0)
         outcome = self._merge(forest)
         assert [m.point_ids.tolist() for m in outcome.masks_after_filter] == \
             [m.point_ids.tolist() for m in expected.masks_after_filter]
@@ -484,3 +488,32 @@ class TestSharedMaskIds:
         assert len(arrays) == len(self._arrays_by_set(expected.masks_after_filter)) > 1
         for group in arrays.values():
             assert all(ids is group[0] for ids in group)
+
+    @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
+    def test_nms_queries_each_shared_array_once(self, forest, monkeypatch, corruption):
+        queried = []
+        intersections = merging._PointIndex.intersections
+
+        def counted(index, point_ids):
+            queried.append(point_ids)
+            return intersections(index, point_ids)
+
+        monkeypatch.setattr(merging._PointIndex, "intersections", counted)
+        masks = self._merge(forest, corruption).masks_after_filter
+        nonempty = [ids for ids in queried if len(ids)]
+        assert len({id(ids) for ids in nonempty}) == len(nonempty)
+        assert len(nonempty) == len(self._arrays_by_set(m for m in masks if m.size))
+
+
+class TestIdSetIndex:
+    @pytest.mark.parametrize("key", [pipeline._ids_key, lambda data: 0])
+    def test_interns_one_array_per_distinct_set(self, monkeypatch, key):
+        monkeypatch.setattr(pipeline, "_ids_key", key)
+        index = pipeline._IdSetIndex()
+        a, b, empty = np.array([1, 2, 3]), np.array([1, 2, 4]), np.array([], dtype=np.int64)
+        assert index.intern(a) is None and index.intern(b) is None and index.intern(empty) is None
+        assert index.intern(a.copy()) is a
+        assert index.intern(b.copy()) is b
+        assert index.intern(np.array([], dtype=np.int64)) is empty
+        assert index.intern(a) is a
+        assert index.intern(np.array([1, 2])) is None

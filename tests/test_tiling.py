@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from forestseg import tiling
 from forestseg.core import PointCloud
-from forestseg.errors import ConfigError
+from forestseg.errors import ConfigError, EmptyInput
 from forestseg.tiling import MAX_GRID_CELLS, Tiling, sliding_window_centers, tile_cloud
 from synthgen_reference import reference_cylinder_crop
 
@@ -111,6 +111,10 @@ class TestSlidingWindow:
     def test_tile_cloud_rejects_unusable_radius_or_stride(self, radius, stride, name):
         with pytest.raises(ConfigError, match=f"{name} must be positive with a finite square"):
             tile_cloud(_cloud_at([[0.0, 0.0], [10.0, 10.0]]), radius, stride)
+
+    def test_tile_cloud_rejects_an_empty_cloud(self):
+        with pytest.raises(EmptyInput, match="cannot tile an empty point cloud"):
+            tile_cloud(PointCloud(positions=np.empty((0, 3))), 16.0, 4.0)
 
     def test_degenerate_bounds(self):
         centers = sliding_window_centers((3.0, 5.0), (3.0, 5.0), 4.0)
