@@ -216,7 +216,7 @@ def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
 
 @main.command("select-queries")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True,
-              help="Labeled cloud used to build the oracle embedding field.")
+              help="Labeled cloud to voxelize, select from and score the selection against.")
 @click.option("--method", type=click.Choice(["isa", "fps"]), default="isa", show_default=True)
 @click.option("--k", type=int, default=300, show_default=True)
 @click.option("--threshold", type=float, default=0.5, show_default=True)
@@ -227,13 +227,17 @@ def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
 @_handle_errors
 def select_queries(input_path, method, k, threshold, resolution, noise_sigma, seed, out) -> None:
     """Select query voxels and report coverage statistics as JSON."""
+    ctx = click.get_current_context()
+    isa_only = [p for p in ctx.command.params if p.name in ("threshold", "noise_sigma", "seed")]
+    if method == "fps" and any(ctx.params[p.name] != p.default for p in isa_only):
+        raise ConfigError("--threshold, --noise-sigma and --seed apply only to --method isa")
     cloud = io.read_cloud(input_path)
     if not cloud.has_labels:
         raise MissingLabels(f"{input_path}: query selection statistics need GT labels")
     vox = voxelize(cloud, resolution)
     gt = voxel_labels_from_points(vox, cloud)
-    field = oracle_embeddings(vox, gt, noise_sigma=noise_sigma, seed=seed)
     if method == "isa":
+        field = oracle_embeddings(vox, gt, noise_sigma=noise_sigma, seed=seed)
         selection = select_queries_isa(field, k, threshold=threshold)
     else:
         selection = select_queries_fps_euclidean(vox, k)

@@ -17,13 +17,8 @@ pairs that share no point are never visited. A candidate costs
 O(|mask| log E) plus the entries it hits, where E is the number of entries
 in the index.
 
-NMS also skips, without a query, every nonempty mask that shares its id
-array with an earlier-ranked mask, as the merge gives every surviving copy
-of a point set one shared, read-only array. The result is unchanged: a copy
-of a kept mask has IoU 1 with it, and a copy of a suppressed mask meets the
-same kept masks, because the kept set only grows. Empty masks are never
-skipped, since several of them all survive NMS. Copies that do not share an
-array are each queried, with the same result.
+Copies of one point set are the merge's concern alone: it hands NMS the
+best-ranked mask of each distinct set, and NMS queries every mask it is given.
 """
 
 from __future__ import annotations
@@ -188,11 +183,7 @@ def score_nms(masks: Iterable[InstanceMask], iou_threshold: float) -> list[Insta
     index = _PointIndex()
     kept: list[InstanceMask] = []
     kept_sizes = np.empty(len(ranked), dtype=np.int64)
-    seen: set[int] = set()  # the ``id()`` of each array met so far, stable because ``ranked`` holds them all
     for mask in ranked:
-        if mask.size and id(mask.point_ids) in seen:
-            continue  # an earlier-ranked copy was kept or suppressed; this one goes the same way
-        seen.add(id(mask.point_ids))
         ids, inter = index.intersections(mask.point_ids)
         if np.any(inter / (mask.size + kept_sizes[ids] - inter) >= iou_threshold):
             continue
@@ -220,9 +211,9 @@ class SemanticVotes:
     """Per-point semantic vote counts, added one block at a time.
 
     A block votes at most once per point, so it cannot outvote the others, and
-    a count is at most the number of blocks (in the pipeline, at most
-    ``tiling.MAX_GRID_CELLS``). Counts are int32 and widen to int64 before
-    2**31 - 1 votes could have been added. The increment has the counts'
+    a count is at most the number of blocks added (in the pipeline, at most
+    ``tiling.MAX_GRID_CELLS``). Counts are int32 and widen to int64 once more
+    than 2**31 - 1 blocks have been added. The increment has the counts'
     dtype: ``np.add.at`` takes its fast path only when the two match; with a
     Python ``1`` it ran over 20 times slower on int32 counts (numpy 2.4).
     """
@@ -249,7 +240,7 @@ class SemanticVotes:
             ordered = np.sort(pids)
             if (repeated := ordered[1:] == ordered[:-1]).any():
                 raise ShapeMismatch(f"semantic votes name point {ordered[1:][repeated][0]} more than once")
-        self._added += len(pids)
+        self._added += 1
         if self._added > np.iinfo(self.counts.dtype).max:
             self.counts = self.counts.astype(np.int64)
         # add.at over one flat index: several times faster than over an index pair, and faster than a fancy ``+=``.

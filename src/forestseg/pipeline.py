@@ -4,11 +4,11 @@ Blocks are cropped one at a time as the merge pulls them. Each block is
 merged as soon as it is predicted or read, then dropped: its masks pass
 boundary discard and the score filter, and its semantic votes are counted.
 Only the surviving masks, one shared id array per distinct point set, and one
-vote count per point and class wait for NMS, which skips a mask sharing an
-earlier-ranked mask's array. Every block is predicted in the calling thread.
-NMS ranks masks by a total order, and each block's random stream is seeded
-from (master seed, block id), so results are byte-identical for any block
-order.
+vote count per point and class wait. Copies are the merge's alone: NMS gets
+every empty mask and the best-ranked mask of each nonempty point set. Every
+block is predicted in the calling thread. NMS ranks masks by a total order,
+and each block's random stream is seeded from (master seed, block id), so
+results are byte-identical for any block order.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class PipelineConfig:
 
 @dataclass(eq=False)
 class MergeOutcome:
-    """The per-point labeling, the masks that reached NMS (sorted by block id,
-    then query index) and those it kept, the size of the sliding-window grid,
-    and how many blocks and masks the earlier stages saw."""
+    """The per-point labeling, the score-filtered masks (by block id, then
+    query index; NMS saw one per nonempty point set) and those it kept, the
+    grid size, and how many blocks and masks the earlier stages saw."""
 
     n_grid: int
     n_blocks: int
@@ -127,27 +127,35 @@ def _ids_key(data: bytes) -> int:
     return hash(data)
 
 
-class _IdSetIndex:
-    """Distinct int64 point-id sets, each held as the first array seen with it.
+class _MaskSets:
+    """The masks NMS needs: every empty mask, and the best-ranked mask (by
+    ``InstanceMask.sort_key``) of each distinct nonempty point set.
 
-    Arrays are keyed by the hash of their bytes, and a key match is confirmed
-    by comparing the bytes of both arrays, so the index holds a reference per
-    set, never a bytes copy of it. For int64 arrays, equal bytes mean equal
-    ids, and comparing bytes is several times faster than ``np.array_equal``.
+    Any other copy has IoU 1 with its set's best, so NMS would suppress it.
+    Every copy is given the set's first-seen array, made read-only, so masks
+    cost memory per distinct set. A set is keyed by the hash of its bytes and
+    confirmed by a byte comparison, exact for int64 ids and several times
+    faster than ``np.array_equal``; no bytes copy of a set is held.
     """
 
     def __init__(self) -> None:
-        self._by_key: dict[int, list[npt.NDArray[np.int64]]] = {}
+        self.for_nms: list[InstanceMask] = []
+        self._by_key: dict[int, list[int]] = {}  # positions in ``for_nms`` of the sets with each key
 
-    def intern(self, ids: npt.NDArray[np.int64]) -> npt.NDArray[np.int64] | None:
-        """The held array equal to ``ids``, or None after holding ``ids`` itself."""
-        data = ids.tobytes()
-        held = self._by_key.setdefault(_ids_key(data), [])
-        for other in held:
-            if other.tobytes() == data:
-                return other
-        held.append(ids)
-        return None
+    def add(self, mask: InstanceMask) -> None:
+        if mask.size:
+            data = mask.point_ids.tobytes()
+            held = self._by_key.setdefault(_ids_key(data), [])
+            for i in held:
+                best = self.for_nms[i]
+                if best.point_ids.tobytes() == data:
+                    mask.point_ids = best.point_ids  # the copy's own array goes with its block
+                    if mask.sort_key() < best.sort_key():
+                        self.for_nms[i] = mask
+                    return
+            held.append(len(self.for_nms))
+            mask.point_ids.flags.writeable = False
+        self.for_nms.append(mask)
 
 
 def _checked_masks(
@@ -183,10 +191,10 @@ def merge_block_predictions(
     as it arrives, then dropped before the next one is pulled, so a generator
     of predictions is merged in the memory of one block, the surviving masks
     and one vote count per point and class. Surviving masks with equal point
-    sets are given one shared, read-only id array, so the masks cost memory
-    per distinct point set. NMS, point resolution and the semantic majority
-    follow once the iterable is exhausted. Arrival order is irrelevant to the
-    result.
+    sets share one read-only id array, so they cost memory per distinct set,
+    and only the best-ranked of them reaches NMS. NMS, point resolution and
+    the semantic majority follow once the iterable is exhausted. Arrival
+    order is irrelevant to the result.
 
     Block ids must be distinct and index the sliding-window grid of the
     positions' xy extent at ``config.stride``. A block's footprint, against
@@ -205,7 +213,7 @@ def merge_block_predictions(
     seen: set[int] = set()
     votes: SemanticVotes | None = None
     after_filter: list[InstanceMask] = []
-    id_sets = _IdSetIndex()
+    mask_sets = _MaskSets()
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
         masks = _checked_masks(prediction, seen, len(centers), n_points, config.stride)
@@ -213,11 +221,7 @@ def merge_block_predictions(
         inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
                                         config.boundary_margin)
         for mask in score_filter(inside, config.score_threshold):
-            held = id_sets.intern(mask.point_ids)
-            if held is None:
-                mask.point_ids.flags.writeable = False
-            else:
-                mask.point_ids = held  # the copy's own array goes with its block
+            mask_sets.add(mask)
             after_filter.append(mask)
         n_predicted += len(masks)
         n_after_boundary += len(inside)
@@ -231,7 +235,7 @@ def merge_block_predictions(
         del prediction, masks, inside  # free this block's arrays before the next one is pulled
 
     after_filter.sort(key=lambda m: (m.block_id, m.query_index))
-    kept = score_nms(after_filter, config.nms_iou)
+    kept = score_nms(mask_sets.for_nms, config.nms_iou)
     return MergeOutcome(
         n_grid=len(centers),
         n_blocks=len(seen),

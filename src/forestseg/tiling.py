@@ -63,7 +63,7 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
     lo = np.asarray(min_xy, dtype=np.float64).reshape(2)
     hi = np.asarray(max_xy, dtype=np.float64).reshape(2)
     if np.any(hi < lo):
-        raise ConfigError(f"bounds min {tuple(lo)} exceeds max {tuple(hi)}")
+        raise ConfigError(f"bounds min {tuple(lo.tolist())} exceeds max {tuple(hi.tolist())}")
     span_x, span_y = (float(h) - float(l) for l, h in zip(lo, hi))  # Python floats overflow to inf silently
     nx, ny = _axis_count(span_x, stride), _axis_count(span_y, stride)
     if nx * ny > MAX_GRID_CELLS:

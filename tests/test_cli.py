@@ -1,13 +1,15 @@
 """CLI behavior: commands, exit codes, determinism of emitted files."""
 
 import dataclasses
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from forestseg import io
+from forestseg import cli, io
 from forestseg.cli import main
 from forestseg.core import PointCloud
 from forestseg.merging import BlockPrediction, InstanceMask
@@ -362,6 +364,16 @@ class TestPipeline:
             assert "already holds block JSON files" in result.output
         assert sorted(blocks.glob("*.json")) == dumped
 
+    def test_dump_blocks_directory_that_cannot_be_made_exits_2(self, runner, tmp_path, forest_files, monkeypatch):
+        def refused(self, *args, **kwargs):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(Path, "mkdir", refused)
+        blocks = tmp_path / "blocks"
+        result = runner.invoke(main, ["pipeline", "--input", str(forest_files[1]), "--dump-blocks", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {blocks}: cannot create directory: Permission denied" in result.output
+
     def test_dump_blocks_through_a_file_is_a_usage_error(self, runner, tmp_path, forest_files):
         _, ply = forest_files
         report = tmp_path / "report.json"
@@ -540,6 +552,20 @@ class TestSelectQueries:
         io.write_ply(ply, PointCloud(positions=rng.normal(size=(30, 3))))
         result = runner.invoke(main, ["select-queries", "--input", str(ply)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags", [["--threshold", "0.9"], ["--noise-sigma", "0.1"], ["--seed", "1"]])
+    def test_isa_only_flags_exit_3_with_fps(self, runner, forest_files, flags):
+        result = runner.invoke(main, ["select-queries", "--input", str(forest_files[1]), "--method", "fps", *flags])
+        assert result.exit_code == 3, result.output
+        assert "--threshold, --noise-sigma and --seed apply only to --method isa" in result.output
+
+    def test_fps_builds_no_embedding_field(self, runner, forest_files, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_embeddings", lambda *args, **kwargs: pytest.fail("built an embedding field"))
+        # A flag given its default value changes nothing, so it is accepted.
+        result = runner.invoke(main, ["select-queries", "--input", str(forest_files[1]), "--method", "fps",
+                                      "--k", "20", "--threshold", "0.5"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["k_selected"] == 20
 
     def test_separation_flag_is_unknown(self, runner, forest_files):
         # The oracle codes are always spaced by the push margin 2 * DELTA_D.

@@ -1,6 +1,7 @@
 """Round-trip fidelity of the PLY/TSV/JSON readers and writers."""
 
 import builtins
+import errno
 import re
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from forestseg import io
 from forestseg.core import PointCloud
-from forestseg.errors import ForestSegError, InvalidLabel, ParseError, ShapeMismatch
+from forestseg.errors import ForestSegError, InputDataError, InvalidLabel, ParseError, ShapeMismatch
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.synthgen import ForestParams, generate_forest
 from io_reference import (reference_int_rows, reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
@@ -964,3 +965,40 @@ def test_label_table_is_written_a_chunk_at_a_time(tmp_path, rng):
     assert path.read_bytes() == (tmp_path / "reference.tsv").read_bytes()
     # Formatting the whole table at once peaked at 10.7 MiB here, seven times its label arrays; by chunks, 2.4.
     assert peak <= 2 * (instance.nbytes + semantic.nbytes)
+
+
+_SMALL_CLOUD = PointCloud(positions=np.eye(3), semantic=[1, 1, 0], instance=[1, 1, 0])
+
+
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda path: io.write_ply(path, _SMALL_CLOUD), id="write_ply"),
+    pytest.param(lambda path: io.write_tsv(path, _SMALL_CLOUD), id="write_tsv"),
+    pytest.param(lambda path: io.write_labels_tsv(path, [1, 0, 2]), id="write_labels_tsv"),
+    pytest.param(lambda path: io.write_block_file(path, BlockPrediction(3, [InstanceMask([0, 1], 0.5, 3, 0)])),
+                 id="write_block_file"),
+    pytest.param(lambda path: io.write_json(path, {"a": 1}), id="write_json"),
+])
+def test_write_failing_after_the_file_opened_is_an_input_error(tmp_path, monkeypatch, write):
+    real_open = builtins.open
+
+    class FullDisk:
+        """An opened file whose every write fails, as on a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(builtins, "open", lambda *args, **kwargs: FullDisk(real_open(*args, **kwargs)))
+    path = tmp_path / "out"
+    message = f"^{re.escape(str(path))}: cannot write: No space left on device$"
+    with pytest.raises(InputDataError, match=message) as caught:
+        write(path)
+    assert caught.value.exit_code == 2

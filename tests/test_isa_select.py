@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from forestseg.core import WOOD, PointCloud, VoxelLabels, voxel_labels_from_points, voxelize
-from forestseg.errors import CodebookExhausted, ConfigError, NoTreeVoxels, ShapeMismatch
+from forestseg.errors import CodebookExhausted, ConfigError, InvalidGeometry, NoTreeVoxels, ShapeMismatch
 from forestseg.isa_select import (
     LATTICE_EXTENT,
     EmbeddingField,
+    QuerySelection,
     filter_tree_voxels,
     fps,
     oracle_embeddings,
@@ -221,3 +222,22 @@ class TestSelectionStats:
         field = oracle_embeddings(vox, gt, noise_sigma=0.0)
         sel = select_queries_isa(field, 100)
         assert selection_stats(sel, gt).tree_voxel_ratio == 1.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: EmbeddingField(np.zeros((3, 5)), np.zeros(2)), ShapeMismatch,
+                 "tree_prob length must match the embedding count", id="tree-prob-length"),
+    pytest.param(lambda: EmbeddingField(np.full((1, 5), np.nan), np.zeros(1)), InvalidGeometry,
+                 "embeddings contain NaN or Inf", id="nan-embedding"),
+    pytest.param(lambda: EmbeddingField(np.zeros((2, 5)), np.array([0.0, 1.5])), InvalidGeometry,
+                 r"tree probabilities must lie in \[0, 1\]", id="tree-prob-range"),
+    pytest.param(lambda: oracle_embeddings(voxelize(PointCloud(positions=np.eye(3)), 0.5), VoxelLabels([0], [0])),
+                 ConfigError, "labels cover 1 voxels but the grid has 3", id="labels-of-another-grid"),
+    pytest.param(lambda: fps(np.zeros(3), 1), ShapeMismatch, r"points must be 2-D, got shape \(3,\)",
+                 id="fps-points-1d"),
+    pytest.param(lambda: selection_stats(QuerySelection([2], "isa", 1), VoxelLabels([0, 0], [0, 0])), ShapeMismatch,
+                 "selection references voxels beyond the label arrays", id="selection-beyond-labels"),
+])
+def test_rejections_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

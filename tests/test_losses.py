@@ -8,6 +8,7 @@ import pytest
 
 from forestseg.core import VoxelLabels
 from forestseg.errors import (
+    ConfigError,
     InvalidLabel,
     InvalidLoss,
     NoInstances,
@@ -367,3 +368,30 @@ class TestLossProperties:
         # At 0 the central difference of x^3 is ((h^3) - (-h^3)) / (2h) = h^2, not the derivative 0.
         fd = finite_difference_gradient(lambda x: float(np.sum(x**3)), np.zeros(4))
         assert fd == pytest.approx(np.full(4, 1e-10), rel=1e-9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: score_loss([], []), ShapeMismatch, "pred_scores must not be empty", id="empty-pair"),
+    pytest.param(lambda: score_target([1, 0, 1], [[1, 0]]), ShapeMismatch,
+                 "all masks must share one voxel universe", id="score-target-universe"),
+    pytest.param(lambda: score_loss([np.nan], [0.5]), ShapeMismatch, "scores must be finite", id="nan-score"),
+    pytest.param(lambda: semantic_ce_loss(np.zeros((2, 2)), [0, 1]), ShapeMismatch,
+                 r"class_logits must have shape \(M, 3\), got \(2, 2\)", id="logit-columns"),
+    pytest.param(lambda: semantic_ce_loss(np.zeros((2, 3)), [0]), ShapeMismatch,
+                 "class_logits and gt_class lengths differ", id="logit-rows"),
+    pytest.param(lambda: semantic_ce_loss(np.zeros((0, 3)), []), ShapeMismatch, "gt_class must not be empty",
+                 id="empty-gt-class"),
+    pytest.param(lambda: discriminative_loss(np.zeros(3), [1, 1, 1]), ShapeMismatch,
+                 r"embeddings must be 2-D, got shape \(3,\)", id="embeddings-1d"),
+    pytest.param(lambda: discriminative_loss(np.zeros((3, 5)), [1, 1]), ShapeMismatch,
+                 "embeddings and instance_ids lengths differ", id="embedding-rows"),
+    pytest.param(lambda: one_to_many_associate(QuerySelection([0], "isa", 1), VoxelLabels([1], [1]), "ignore"),
+                 ConfigError, "on_unassociated must be 'raise' or 'drop', got 'ignore'", id="on-unassociated"),
+    pytest.param(lambda: one_to_many_associate(QuerySelection([1], "isa", 1), VoxelLabels([1], [1])), ShapeMismatch,
+                 "selection references voxels beyond the label arrays", id="selection-beyond-labels"),
+    pytest.param(lambda: compose_losses(np.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), InvalidLoss,
+                 "loss component bce is not finite", id="nan-component"),
+])
+def test_rejections_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

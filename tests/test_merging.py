@@ -277,29 +277,20 @@ class TestIndexKernelsMatchPairwiseReference:
         if threshold > 0:
             assert sum(m.size == 0 for m in expected) == sum(m.size == 0 for m in masks)
 
-    def test_score_nms_queries_each_shared_array_once(self, monkeypatch):
-        calls = []
-        intersections = merging._PointIndex.intersections
+    @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 1.0])
+    def test_score_nms_ignores_whether_copies_share_an_array(self, threshold):
+        distinct = [np.arange(0, 40), np.arange(30, 70), np.arange(100, 120), np.array([], dtype=np.int64)]
 
-        def counted(index, point_ids):
-            calls.append(len(point_ids))
-            return intersections(index, point_ids)
+        def copies():
+            return [mask(ids, 0.5 + 0.01 * (copy % 7), block_id=copy, query_index=q)
+                    for copy in range(20) for q, ids in enumerate(distinct)]
 
-        monkeypatch.setattr(merging._PointIndex, "intersections", counted)
-        distinct = [np.arange(0, 40), np.arange(30, 70), np.arange(100, 120)]
-        masks = [
-            mask(ids, 0.5 + 0.01 * (copy % 7), block_id=copy, query_index=q)
-            for copy in range(50) for q, ids in enumerate(distinct)
-        ]
-        expected = reference_score_nms(masks, 0.3)
-        # Copies with arrays of their own are each queried, with the same result.
-        assert score_nms(masks, 0.3) == expected
-        assert len(calls) == len(masks)
-        calls.clear()
-        for m in masks:
-            m.point_ids = distinct[m.query_index]  # one array per point set, as the merge hands out
-        assert score_nms(masks, 0.3) == expected
-        assert len(calls) == len(distinct)
+        own, shared = copies(), copies()
+        for m in shared:
+            m.point_ids = distinct[m.query_index]
+        expected = [(m.block_id, m.query_index) for m in reference_score_nms(own, threshold)]
+        for masks in (own, shared):
+            assert [(m.block_id, m.query_index) for m in score_nms(masks, threshold)] == expected
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 0.5, 1.0])
     def test_score_nms_on_many_overlapping_masks(self, rng, threshold):
@@ -489,16 +480,17 @@ class TestSemanticVote:
 
     def test_counts_widen_before_they_could_overflow(self):
         top = np.iinfo(np.int32).max
-        votes = merging.SemanticVotes(2)
+        votes = merging.SemanticVotes(3)
         votes.add(np.array([0, 1]), np.array([1, 0]))
         votes.counts[0, 1] = top - 1
-        votes._added = top - 1  # as if top - 1 votes had been added
-        votes.add(np.array([0]), np.array([1]))
+        votes._added = top - 1  # as if top - 1 blocks had voted
+        # A block adds at most one vote per count, so a block of many points does not widen the counts.
+        votes.add(np.array([0, 1, 2]), np.array([1, 0, 2]))
         assert votes.counts.dtype == np.int32 and votes.counts[0, 1] == top
         votes.add(np.array([0]), np.array([1]))
         assert votes.counts.dtype == np.int64
         assert votes.counts[0, 1] == top + 1
-        assert votes.majority().tolist() == [1, 0]
+        assert votes.majority().tolist() == [1, 0, 2]
 
 
 class TestMergeConfig:

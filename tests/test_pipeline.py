@@ -504,16 +504,50 @@ class TestSharedMaskIds:
         assert len({id(ids) for ids in nonempty}) == len(nonempty)
         assert len(nonempty) == len(self._arrays_by_set(m for m in masks if m.size))
 
+    @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
+    def test_nms_gets_every_empty_mask_and_each_sets_best_ranked_mask(self, forest, monkeypatch, corruption):
+        given, score_nms = [], pipeline.score_nms
 
-class TestIdSetIndex:
+        def recorded(masks, iou_threshold):
+            given.extend(masks)
+            return score_nms(given, iou_threshold)
+
+        monkeypatch.setattr(pipeline, "score_nms", recorded)
+        masks = self._merge(forest, corruption).masks_after_filter
+        best = {}
+        for mask in sorted((m for m in masks if m.size), key=InstanceMask.sort_key):
+            best.setdefault(mask.point_ids.tobytes(), mask)
+        expected = [m for m in masks if not m.size] + list(best.values())
+        assert len(given) == len(expected) and {id(m) for m in given} == {id(m) for m in expected}
+
+
+class TestMaskSets:
+    @staticmethod
+    def _add_all(*masks):
+        sets = pipeline._MaskSets()
+        for m in masks:
+            sets.add(m)
+        return sets
+
     @pytest.mark.parametrize("key", [pipeline._ids_key, lambda data: 0])
-    def test_interns_one_array_per_distinct_set(self, monkeypatch, key):
+    def test_copies_share_the_first_array_and_only_the_best_ranked_reaches_nms(self, monkeypatch, key):
+        monkeypatch.setattr(pipeline, "_ids_key", key)  # a constant key makes every set collide
+        a = InstanceMask(np.array([1, 2, 3]), 0.5, block_id=0, query_index=0)
+        b = InstanceMask(np.array([1, 2, 4]), 0.5, block_id=0, query_index=1)
+        a_higher = InstanceMask(np.array([1, 2, 3]), 0.6, block_id=3, query_index=0)
+        b_lower = InstanceMask(np.array([1, 2, 4]), 0.4, block_id=2, query_index=0)
+        subset = InstanceMask(np.array([1, 2]), 0.5, block_id=4, query_index=0)
+        a_best = InstanceMask(np.array([1, 2, 3]), 0.9, block_id=5, query_index=0)
+        sets = self._add_all(a, b, a_higher, b_lower, subset, a_best)
+        assert a_higher.point_ids is a.point_ids and a_best.point_ids is a.point_ids
+        assert b_lower.point_ids is b.point_ids and b.point_ids is not a.point_ids
+        assert not any(m.point_ids.flags.writeable for m in (a, b, subset))
+        assert {id(m) for m in sets.for_nms} == {id(a_best), id(b), id(subset)}
+
+    @pytest.mark.parametrize("key", [pipeline._ids_key, lambda data: 0])
+    def test_every_empty_mask_reaches_nms(self, monkeypatch, key):
         monkeypatch.setattr(pipeline, "_ids_key", key)
-        index = pipeline._IdSetIndex()
-        a, b, empty = np.array([1, 2, 3]), np.array([1, 2, 4]), np.array([], dtype=np.int64)
-        assert index.intern(a) is None and index.intern(b) is None and index.intern(empty) is None
-        assert index.intern(a.copy()) is a
-        assert index.intern(b.copy()) is b
-        assert index.intern(np.array([], dtype=np.int64)) is empty
-        assert index.intern(a) is a
-        assert index.intern(np.array([1, 2])) is None
+        empties = [InstanceMask(np.array([], dtype=np.int64), 0.5, block_id=b, query_index=0) for b in range(3)]
+        full = InstanceMask(np.array([7]), 0.5, block_id=0, query_index=1)
+        sets = self._add_all(empties[0], full, empties[1], empties[2])
+        assert {id(m) for m in sets.for_nms} == {id(m) for m in (*empties, full)}

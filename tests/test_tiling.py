@@ -218,3 +218,11 @@ class TestSlidingWindow:
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
 
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: sliding_window_centers((1.0, 2.0), (0.0, 3.0), 1.0), ConfigError,
+                 r"bounds min \(1\.0, 2\.0\) exceeds max \(0\.0, 3\.0\)", id="inverted-bounds"),
+])
+def test_rejections_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
