@@ -1,17 +1,26 @@
-"""Readers and writers: ASCII PLY and TSV point clouds, label tables, and
-per-block mask files.
+"""Readers and writers: PLY and TSV point clouds, label tables, and per-block
+mask files.
 
-Every point table goes through one row parser. Clouds are written by one row
-formatter, the formats differing only in their header and separator; floats
-are written with ``repr`` so a read-back reproduces every value bit-exactly.
-Label tables hold only integers, and one vectorized kernel formats them: each
-column's digits fill a right-aligned byte matrix, so no value becomes a
-Python string. Read back, a label table's values are checked as a cloud's
-labels are: instance ids >= 0, semantic classes 0, 1 or 2. A reader opens
-its file once as UTF-8 text (an undecodable byte kept as a lone surrogate) and
-streams its rows into one ``np.loadtxt`` pass, holding no whole text or line
-list. Where that pass may differ from the row loop, the file is read again as
-lines for the loop, whose :class:`ParseError` names the file and line. A label
+A PLY is read in any of the three encodings of the PLY format (Turk, *The PLY
+Polygon File Format*, 1994): ``ascii``, ``binary_little_endian`` and
+``binary_big_endian``, and written as binary little-endian. One function
+parses the header, whatever the encoding, and one table maps each property type
+to its numpy type, for the header's checks and a binary row's layout alike. A
+binary body is mapped read-only, one structured row per vertex; the cloud's
+columns are copied out of the map, so no text is parsed and the file is not
+held in memory. A text body goes through the row parser below.
+
+Every text point table goes through one row parser. A TSV cloud is written by
+one row formatter; floats are written with ``repr`` so a read-back reproduces
+every value bit-exactly, as a binary PLY's float64 columns do. Label tables
+hold only integers, and one vectorized kernel formats them: each column's
+digits fill a right-aligned byte matrix, so no value becomes a Python string.
+Read back, a label table's values are checked as a cloud's labels are:
+instance ids >= 0, semantic classes 0, 1 or 2. A text reader opens its file
+once as UTF-8 text (an undecodable byte kept as a lone surrogate) and streams
+its rows into one ``np.loadtxt`` pass, holding no whole text or line list.
+Where that pass may differ from the row loop, the file is read again as lines
+for the loop, whose :class:`ParseError` names the file and line. A label
 table's ids are checked after the parse: a bad token anywhere comes before an
 id outside 0..n-1 or repeated, and that before a label outside its domain.
 
@@ -28,9 +37,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import os
 import warnings
+from io import TextIOWrapper
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import IO, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import numpy.typing as npt
@@ -40,9 +51,12 @@ from .errors import InputDataError, InvalidLabel, ParseError, ShapeMismatch
 from .merging import BlockPrediction, InstanceMask
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
-_FLOAT_PLY_TYPES = {"float", "float32", "double", "float64"}
-_INT_PLY_TYPES = {"char", "uchar", "int8", "uint8", "short", "ushort", "int16", "uint16",
-                  "int", "uint", "int32", "uint32", "int64", "uint64"}
+# PLY property types, the format's names and their sized aliases, as numpy type codes without a byte order.
+_PLY_TYPES = {"char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1", "short": "i2", "int16": "i2",
+              "ushort": "u2", "uint16": "u2", "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
+              "int64": "i8", "uint64": "u8", "float": "f4", "float32": "f4", "double": "f8", "float64": "f8"}
+# A PLY's encoding -> the byte order of its binary rows; None for text rows.
+_PLY_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian": ">"}
 _WRITE_CHUNK_ROWS = 16384  # rows a table writer formats at a time, not the whole file
 # Cloud columns in their positional order, with the converter of each.
 _CLOUD_TYPES = {"x": float, "y": float, "z": float, "semantic": int, "instance": int}
@@ -112,9 +126,12 @@ def _cloud_fields(columns: list[str]) -> dict[str, tuple[int, Callable]]:
 
 
 def _cloud(values: dict[str, npt.NDArray]) -> PointCloud:
-    positions = np.column_stack([values["x"], values["y"], values["z"]])
-    labels = {name: values[name].copy() for name in ("semantic", "instance") if name in values}
-    values.clear()  # copied out, the parse's table is freed before the cloud's checks
+    """The cloud of parsed or mapped columns, copied out as float64 positions and int64 labels."""
+    positions = np.empty((len(values["x"]), 3))
+    for i, name in enumerate("xyz"):
+        positions[:, i] = values[name]
+    labels = {name: values[name].astype(np.int64) for name in ("semantic", "instance") if name in values}
+    values.clear()  # copied out, the parse's table or the file's map is freed before the cloud's checks
     return PointCloud(positions=positions, **labels)
 
 
@@ -176,14 +193,26 @@ def _cloud_columns(cloud: PointCloud) -> dict[str, npt.NDArray]:
 
 
 @contextlib.contextmanager
-def _open_text(path: Path) -> Iterator[TextIO]:
-    """The file open as UTF-8 text, an undecodable byte kept as a lone surrogate; an unreadable file is a ParseError.
-    Each line end ("\\r\\n", "\\r" or "\\n") reads as "\\n", and only that ends a line, not a form feed."""
+def _open_input(path: Path) -> Iterator[BinaryIO]:
+    """The file open for reading bytes; an unreadable file is a ParseError."""
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        with open(path, "rb") as f:
             yield f
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def _text(f: BinaryIO, newline: str | None = None) -> TextIO:
+    """``f`` read as UTF-8 text, an undecodable byte kept as a lone surrogate. Each line end ("\\r\\n", "\\r" or
+    "\\n") reads as "\\n", or as itself with ``newline=""``, and only that ends a line, not a form feed."""
+    return TextIOWrapper(f, encoding="utf-8", errors="surrogateescape", newline=newline)
+
+
+@contextlib.contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """The file open as :func:`_text`; an unreadable file is a ParseError."""
+    with _open_input(path) as f:
+        yield _text(f)
 
 
 @contextlib.contextmanager
@@ -213,79 +242,186 @@ def _table_lines(path: Path) -> tuple[list[str], list[int]]:
     return [lines[lineno - 1] for lineno in linenos], linenos
 
 
-def _ply_header(path: Path, lines: Iterator[str]) -> tuple[list[str], int, int]:
-    """The vertex property names, vertex count and ``end_header`` line number of a PLY header with one
-    ``format ascii 1.0`` and one ``element vertex`` line, taking the file's ``lines`` up to ``end_header``."""
+class _PlyHeader(NamedTuple):
+    properties: dict[str, str]  # vertex property name -> its PLY type, in row order
+    n_vertices: int
+    end: int  # the end_header line's number
+    byte_order: str | None  # "<" or ">" for binary rows, None for text rows
+
+
+def _ply_header(path: Path, lines: Iterator[str]) -> _PlyHeader:
+    """The header of a PLY with one ``format`` line and one ``element vertex`` line, taking the file's ``lines``
+    (without their line ends) up to ``end_header``. Another element may be declared if it holds no rows, as a
+    mesh's ``element face 0``: its property lines are checked and skipped. ``obj_info`` lines are comments."""
     first = next(lines, None)
     if first is None or first.strip() != "ply":
         raise ParseError(f"{path}: line 1: expected 'ply' magic, got {first!r}" if first is not None
                          else f"{path}: empty file")
-    keywords: set[str] = set()
+    encoding = None
     n_vertices = None
-    properties: list[str] = []
+    in_vertex = None  # whether the last element line declared the vertex element; None before the first
+    properties: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
-        if line.startswith("comment") or not line:
+        if line.startswith(("comment", "obj_info")) or not line:
             continue
         if line == "end_header":
             break
         tokens = line.split()
-        if tokens[0] in keywords and tokens[0] != "property":
-            raise ParseError(f"{path}: line {lineno}: a second {tokens[0]} line {line!r}")
-        keywords.add(tokens[0])
         if tokens[0] == "format":
-            if tokens[1:] != ["ascii", "1.0"]:
-                raise ParseError(f"{path}: line {lineno}: only 'format ascii 1.0' is supported, got {line!r}")
+            if encoding is not None:
+                raise ParseError(f"{path}: line {lineno}: a second format line {line!r}")
+            if len(tokens) != 3 or tokens[1] not in _PLY_FORMATS or tokens[2] != "1.0":
+                raise ParseError(f"{path}: line {lineno}: unsupported format {line!r}, expected "
+                                 f"{' or '.join(repr(f'format {name} 1.0') for name in _PLY_FORMATS)}")
+            encoding = tokens[1]
         elif tokens[0] == "element":
-            if tokens[1:2] != ["vertex"]:
-                raise ParseError(f"{path}: line {lineno}: unsupported element {' '.join(tokens[1:2])!r}")
             try:
-                n_vertices = int(tokens[2])
-                if n_vertices < 0:
+                count = int(tokens[2])
+                if count < 0:
                     raise ValueError
             except (IndexError, ValueError):
-                raise ParseError(f"{path}: line {lineno}: bad vertex count in {line!r}") from None
+                raise ParseError(f"{path}: line {lineno}: bad element count in {line!r}") from None
+            in_vertex = tokens[1] == "vertex"
+            if count == 0 and not in_vertex:
+                continue
+            if n_vertices is not None:
+                raise ParseError(f"{path}: line {lineno}: a second element line {line!r}")
+            if not in_vertex:
+                raise ParseError(f"{path}: line {lineno}: unsupported element {tokens[1]!r}")
+            n_vertices = count
         elif tokens[0] == "property":
-            if n_vertices is None:
+            if in_vertex is None:
                 raise ParseError(f"{path}: line {lineno}: property outside vertex element")
-            if len(tokens) != 3:
+            # "property TYPE NAME"; a list ("property list COUNT_TYPE TYPE NAME") only in an element without rows
+            if not (len(tokens) == 3 or (not in_vertex and len(tokens) == 5 and tokens[1] == "list")):
                 raise ParseError(f"{path}: line {lineno}: malformed property {line!r}")
+            for ptype in tokens[-3:-1] if len(tokens) == 5 else tokens[1:2]:
+                if ptype not in _PLY_TYPES:
+                    raise ParseError(f"{path}: line {lineno}: unknown property type {ptype!r}")
+            if not in_vertex:
+                continue
             ptype, pname = tokens[1], tokens[2]
-            if pname in ("x", "y", "z") and ptype not in _FLOAT_PLY_TYPES:
+            if pname in ("x", "y", "z") and _PLY_TYPES[ptype][0] != "f":
                 raise ParseError(f"{path}: line {lineno}: {pname} must be a float type, got {ptype!r}")
-            if pname in ("semantic", "instance") and ptype not in _INT_PLY_TYPES:
+            if pname in ("semantic", "instance") and _PLY_TYPES[ptype][0] == "f":
                 raise ParseError(f"{path}: line {lineno}: {pname} must be an integer type, got {ptype!r}")
             _check_unique(path, lineno, [*properties, pname])
-            properties.append(pname)
+            properties[pname] = ptype
         else:
             raise ParseError(f"{path}: line {lineno}: unexpected header line {line!r}")
     else:
         raise ParseError(f"{path}: missing end_header")
-    if "format" not in keywords:
-        raise ParseError(f"{path}: line {lineno}: header has no 'format ascii 1.0' line")
+    if encoding is None:
+        raise ParseError(f"{path}: line {lineno}: header has no 'format' line")
     if n_vertices is None:
         raise ParseError(f"{path}: header declares no vertex element")
     for req in ("x", "y", "z"):
         if req not in properties:
             raise ParseError(f"{path}: header lacks required property {req!r}")
-    return properties, n_vertices, lineno
+    return _PlyHeader(properties, n_vertices, lineno, _PLY_FORMATS[encoding])
+
+
+def _read_ply_header(path: Path, f: BinaryIO) -> tuple[_PlyHeader, int]:
+    """The header of the PLY open as ``f``, and its length in bytes.
+
+    The header is decoded as any text input is, and each line it takes is encoded back to count its bytes: a
+    byte that does not decode is held as a lone surrogate, which encodes to that byte again.
+    """
+    text = _text(f, newline="")  # each line keeps its own line end, so its bytes can be counted
+    length = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal length
+        for line in text:
+            length += len(line.encode("utf-8", "surrogateescape"))
+            yield line.removesuffix("\n").removesuffix("\r")
+
+    try:
+        header = _ply_header(path, lines())
+    finally:
+        text.detach()  # leaves f open
+    return header, length
+
+
+def _check_label_ranges(path: Path, values: dict[str, npt.NDArray], header: _PlyHeader,
+                        row_name: Callable[[int], str]) -> None:
+    """Reject a label outside both its declared PLY type's range and int64's, naming its row by ``row_name``.
+
+    No binary column but ``uint64`` holds such a value; a text one may spell any. A column whose dtype holds
+    nothing outside the range is not scanned.
+    """
+    first = None  # (row, name, low, high) of the first label outside its range
+    for name in ("semantic", "instance"):
+        if name in values:
+            declared, held = np.iinfo(_PLY_TYPES[header.properties[name]]), np.iinfo(values[name].dtype)
+            low, high = max(declared.min, -2**63), min(declared.max, 2**63 - 1)
+            if low > held.min or high < held.max:
+                rows = np.flatnonzero((values[name] < low) | (values[name] > high))
+                if rows.size and (first is None or rows[0] < first[0]):
+                    first = int(rows[0]), name, low, high
+    if first is not None:
+        row, name, low, high = first
+        raise ParseError(f"{path}: {row_name(row)}: {name} {values[name][row]} is outside {low}..{high}, "
+                         f"the values {header.properties[name]} labels may take")
+
+
+def _binary_rows(path: Path, f: BinaryIO, header: _PlyHeader, offset: int) -> dict[str, npt.NDArray]:
+    """The cloud's columns of the binary PLY open as ``f``, whose header takes ``offset`` bytes: views of a
+    read-only map of its rows, in the file's types and byte order.
+
+    The rows must fill the rest of the file exactly. Properties the cloud does not hold are left out of the
+    row type as padding. ``np.memmap`` refuses an empty map, so no rows map nothing.
+    """
+    names, formats, offsets, itemsize = [], [], [], 0
+    for name, ptype in header.properties.items():
+        if name in _CLOUD_TYPES:
+            names.append(name)
+            formats.append(header.byte_order + _PLY_TYPES[ptype])
+            offsets.append(itemsize)
+        itemsize += int(_PLY_TYPES[ptype][1:])
+    expected, size = offset + header.n_vertices * itemsize, os.fstat(f.fileno()).st_size
+    if size != expected:
+        raise ParseError(f"{path}: a {offset}-byte header and {header.n_vertices} vertices of {itemsize} bytes "
+                         f"take {expected} bytes, but the file holds {size}")
+    dtype = np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": itemsize})
+    rows = (np.memmap(f, dtype=dtype, mode="r", offset=offset, shape=(header.n_vertices,)) if header.n_vertices
+            else np.empty(0, dtype=dtype))
+    values = {name: rows[name] for name in names}
+    _check_label_ranges(path, values, header, lambda row: f"vertex {row}")
+    return values
 
 
 def read_ply(path) -> PointCloud:
-    """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
+    """Read a PLY with vertex properties x, y, z and optional semantic, instance, in any of the format's
+    encodings: ``ascii``, ``binary_little_endian`` or ``binary_big_endian``.
+
+    A binary file's size must be its header's plus its rows', and a label must fit int64 (vertices counted
+    from 0). A text file's rows are parsed, a label outside its declared type's range rejected, and it may
+    end in blank lines but hold no data beyond the declared vertices. A fault is a :class:`ParseError`
+    naming the file, and a text row's line.
+    """
     path = Path(path)
-    with _open_text(path) as f:
-        properties, n_vertices, data_start = _ply_header(path, (line.removesuffix("\n") for line in f))
-        fields = _cloud_fields(properties)
-        values = _load_rows(itertools.islice(f, n_vertices), len(properties), fields, None)
-        if values is not None and len(values["x"]) == n_vertices and not any(map(str.strip, f)):
+    with _open_input(path) as f:
+        header, offset = _read_ply_header(path, f)
+        if header.byte_order is not None:
+            return _cloud(_binary_rows(path, f, header, offset))
+        f.seek(offset)
+        text = _text(f)
+        fields = _cloud_fields(list(header.properties))
+        width, n_vertices, data_start = len(header.properties), header.n_vertices, header.end
+        values = _load_rows(itertools.islice(text, n_vertices), width, fields, None)
+        if values is not None and len(values["x"]) == n_vertices and not any(map(str.strip, text)):
+            _check_label_ranges(path, values, header, lambda row: f"line {data_start + 1 + row}")
             return _cloud(values)
     # Otherwise the row loop, on the file read again as lines, names the faulty line.
     lines = _read_lines(path)[data_start:]
     if len(lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(lines)} data lines follow")
-    cloud = _cloud(_parse_row_by_row(path, lines[:n_vertices], range(data_start + 1, data_start + 1 + n_vertices),
-                                     len(properties), fields, None))
+    values = _parse_row_by_row(path, lines[:n_vertices], range(data_start + 1, data_start + 1 + n_vertices),
+                               width, fields, None)
+    _check_label_ranges(path, values, header, lambda row: f"line {data_start + 1 + row}")
+    cloud = _cloud(values)
     for lineno, raw in enumerate(lines[n_vertices:], start=data_start + 1 + n_vertices):
         if raw.strip():
             raise ParseError(f"{path}: line {lineno}: data beyond the {n_vertices} declared vertices")
@@ -293,10 +429,24 @@ def read_ply(path) -> PointCloud:
 
 
 def write_ply(path, cloud: PointCloud) -> None:
+    """Write a binary little-endian PLY: ``double`` x, y, z, then ``int`` (int32) semantic and instance where the
+    cloud has them, every row in one write.
+
+    An instance id above int32's range raises :class:`InvalidLabel` before the file is opened.
+    """
     columns = _cloud_columns(cloud)
-    header = ["ply", "format ascii 1.0", f"element vertex {cloud.n}"]
-    header += [f"property {'double' if _CLOUD_TYPES[name] is float else 'int'} {name}" for name in columns]
-    _write_rows(path, header + ["end_header"], " ", columns)
+    if cloud.instance is not None and cloud.n and (top := int(cloud.instance.max())) > np.iinfo(np.int32).max:
+        raise InvalidLabel(f"{path}: instance id {top} does not fit a PLY int column (at most "
+                           f"{np.iinfo(np.int32).max})")
+    types = {name: "double" if _CLOUD_TYPES[name] is float else "int" for name in columns}
+    rows = np.empty(cloud.n, dtype=[(name, "<" + _PLY_TYPES[ptype]) for name, ptype in types.items()])
+    for name, values in columns.items():
+        rows[name] = values
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {cloud.n}",
+              *(f"property {ptype} {name}" for name, ptype in types.items()), "end_header"]
+    with _open_output(path, "wb") as f:
+        f.write(("\n".join(header) + "\n").encode())
+        f.write(rows)
 
 
 def read_tsv(path) -> PointCloud:

@@ -6,7 +6,12 @@ values one row at a time, and order label-table rows with ``argsort``. They
 read text and parse PLY headers and TSV header rows with ``forestseg.io``'s
 own functions (``_read_lines``, ``_ply_header``, ``_tsv_columns``). The fast
 readers must return bit-identical arrays or raise the same
-:class:`ParseError` or :class:`InvalidLabel` message.
+:class:`ParseError` or :class:`InvalidLabel` message. A text PLY's labels are
+checked against their declared types' ranges one row at a time.
+
+The ASCII PLY writer, ``str`` of each value joined by spaces, which
+``write_ply`` was before it wrote binary: the text twin of a binary file, and
+a text PLY to damage on a given line.
 
 The label-table writer that joins ``str`` of each value, for the integer
 kernel of ``write_labels_tsv``: both must give the same bytes.
@@ -28,7 +33,8 @@ import numpy.typing as npt
 
 from forestseg.core import _LABEL_RULES, N_CLASSES, PointCloud
 from forestseg.errors import InvalidLabel, ParseError
-from forestseg.io import _CLOUD_TYPES, _check_unique, _is_number, _ply_header, _read_lines, _table_lines, _tsv_columns
+from forestseg.io import (_CLOUD_TYPES, _PLY_TYPES, _check_unique, _cloud_columns, _is_number, _ply_header,
+                          _read_lines, _table_lines, _tsv_columns)
 from forestseg.merging import BlockPrediction
 
 
@@ -58,11 +64,20 @@ def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width:
 
 
 def _parse_cloud(path: Path, lines: Sequence[str], linenos: Sequence[int], columns: list[str],
-                 sep: str | None) -> PointCloud:
-    """Parse point rows whose columns are named ``columns`` (names are unique)."""
+                 sep: str | None, types: dict[str, str] | None = None) -> PointCloud:
+    """Parse point rows whose columns are named ``columns`` (names are unique). With ``types``, a PLY's column
+    name -> PLY type, a label outside its type's range (and int64's) raises :class:`ParseError` naming its line."""
     col = {name: i for i, name in enumerate(columns)}
     fields = {name: (col[name], convert) for name, convert in _CLOUD_TYPES.items() if name in col}
     values = _parse_rows(path, lines, linenos, len(columns), fields, sep)
+    for row, lineno in enumerate(linenos if types else []):
+        for name in ("semantic", "instance"):
+            if name in values:
+                info = np.iinfo(_PLY_TYPES[types[name]])
+                low, high = max(info.min, -2**63), min(info.max, 2**63 - 1)
+                if not low <= values[name][row] <= high:
+                    raise ParseError(f"{path}: line {lineno}: {name} {values[name][row]} is outside {low}..{high}, "
+                                     f"the values {types[name]} labels may take")
     return PointCloud(positions=np.column_stack([values["x"], values["y"], values["z"]]),
                       semantic=values.get("semantic"), instance=values.get("instance"))
 
@@ -71,12 +86,13 @@ def reference_read_ply(path) -> PointCloud:
     """Read an ASCII PLY with properties x, y, z and optional semantic, instance."""
     path = Path(path)
     lines = _read_lines(path)
-    properties, n_vertices, data_start = _ply_header(path, iter(lines))
+    header = _ply_header(path, iter(lines))
+    n_vertices, data_start = header.n_vertices, header.end
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertices:
         raise ParseError(f"{path}: header declares {n_vertices} vertices but only {len(data_lines)} data lines follow")
     cloud = _parse_cloud(path, data_lines[:n_vertices], range(data_start + 1, data_start + 1 + n_vertices),
-                         properties, None)
+                         list(header.properties), None, header.properties)
     for lineno, raw in enumerate(data_lines[n_vertices:], start=data_start + 1 + n_vertices):
         if raw.strip():
             raise ParseError(f"{path}: line {lineno}: data beyond the {n_vertices} declared vertices")
@@ -140,6 +156,17 @@ def reference_read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[
     # Every id in 0..n-1 appears exactly once, so this sorts the rows by point id.
     order = np.argsort(values["point_id"])
     return values["instance"][order], values["semantic"][order] if "semantic" in values else None
+
+
+def reference_write_ascii_ply(path, cloud: PointCloud) -> None:
+    """Write ``cloud`` as an ASCII PLY: ``double`` x, y, z and ``int`` labels, each value's ``str`` (a float's
+    ``repr``) joined by spaces."""
+    columns = _cloud_columns(cloud)
+    header = ["ply", "format ascii 1.0", f"element vertex {cloud.n}",
+              *(f"property {'double' if _CLOUD_TYPES[name] is float else 'int'} {name}" for name in columns),
+              "end_header"]
+    rows = map(" ".join, zip(*(map(str, c.tolist()) for c in columns.values()), strict=True))
+    Path(path).write_text("".join(line + "\n" for line in [*header, *rows]))
 
 
 def reference_int_rows(columns: Sequence[npt.NDArray[np.int64]]) -> bytes:

@@ -15,6 +15,7 @@ from forestseg.core import PointCloud
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import PipelineConfig
 from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
+from io_reference import reference_write_ascii_ply
 
 PARAMS_TEXT = """\
 # desk-scale test forest
@@ -216,7 +217,7 @@ class TestPipeline:
 
     def test_bad_token_deep_in_ply_exits_2_and_names_line(self, runner, tmp_path, rng):
         ply = tmp_path / "deep.ply"
-        io.write_ply(ply, PointCloud(positions=rng.uniform(0.0, 10.0, size=(40_001, 3))))
+        reference_write_ascii_ply(ply, PointCloud(positions=rng.uniform(0.0, 10.0, size=(40_001, 3))))
         lines = ply.read_text().splitlines()
         end = lines.index("end_header") + 1
         lines[end + 39_999] = "1.0 oops 2.0"  # data row 40,000
@@ -224,6 +225,27 @@ class TestPipeline:
         result = runner.invoke(main, ["pipeline", "--input", str(ply)])
         assert result.exit_code == 2
         assert f"deep.ply: line {end + 40_000}: could not convert string to float: 'oops'" in result.output
+
+    @pytest.mark.parametrize("flags", [[], ["--split-prob", "0.5", "--point-noise", "0.3"]], ids=["clean", "noisy"])
+    def test_text_and_binary_scenes_give_identical_outputs(self, runner, tmp_path, forest_files, flags):
+        cloud, binary = forest_files
+        reference_write_ascii_ply(tmp_path / "text.ply", cloud)
+        io.write_tsv(tmp_path / "text.tsv", cloud)
+        outputs = set()
+        for scene in (binary, tmp_path / "text.ply", tmp_path / "text.tsv"):
+            labels, report = tmp_path / f"{scene.name}.labels.tsv", tmp_path / f"{scene.name}.json"
+            result = runner.invoke(main, ["pipeline", "--input", str(scene), *flags,
+                                          "--out-labels", str(labels), "--out-report", str(report)])
+            assert result.exit_code == 0, result.output
+            outputs.add((labels.read_bytes(), report.read_bytes()))
+        assert len(outputs) == 1
+
+    def test_empty_binary_ply_exits_2(self, runner, tmp_path):
+        ply = tmp_path / "empty.ply"
+        io.write_ply(ply, PointCloud(positions=np.empty((0, 3))))
+        result = runner.invoke(main, ["pipeline", "--input", str(ply)])
+        assert result.exit_code == 2, result.output
+        assert "error: cannot tile an empty point cloud" in result.output
 
     def test_repeated_column_exits_2_and_names_line(self, runner, tmp_path):
         bad = tmp_path / "twice.tsv"
@@ -733,15 +755,16 @@ class TestUnreadableTextInputs:
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ") and message in result.output
 
-    def test_binary_ply(self, runner, tmp_path):
-        body = np.array([0.5, -1.0, 2.0]).tobytes()
+    def test_binary_ply(self, runner, tmp_path, forest_files):
+        # A binary PLY's rows are not text: they need not decode, and rows cut short are a fault of the file's size.
+        _, ply = forest_files
+        data = ply.read_bytes()
         with pytest.raises(UnicodeDecodeError):
-            body.decode()
-        ply = tmp_path / "binary.ply"
-        ply.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty double x\n"
-                        b"property double y\nproperty double z\nend_header\n" + body)
+            data.decode()
+        ply.write_bytes(data[:-1])
         result = runner.invoke(main, ["pipeline", "--input", str(ply)])
-        self.assert_parse_error(result, "binary.ply: line 2: only 'format ascii 1.0' is supported")
+        self.assert_parse_error(result, f"{ply}: a ")
+        assert f"but the file holds {len(data) - 1}\n" in result.output
 
     def test_tsv_cloud(self, runner, tmp_path):
         tsv = tmp_path / "latin.tsv"

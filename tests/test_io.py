@@ -3,6 +3,7 @@
 import builtins
 import errno
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from forestseg.errors import ForestSegError, InputDataError, InvalidLabel, Parse
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.synthgen import ForestParams, generate_forest
 from io_reference import (reference_int_rows, reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
-                          reference_write_block_file, reference_write_labels_tsv)
+                          reference_write_ascii_ply, reference_write_block_file, reference_write_labels_tsv)
 
 
 def assert_clouds_equal(a: PointCloud, b: PointCloud):
@@ -74,10 +75,15 @@ class TestPly:
         with pytest.raises(ParseError, match="line 1"):
             io.read_ply(path)
 
-    def test_binary_format_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["format binary_little_endian 2.0", "format ascii", "format binary 1.0",
+                                      "format ascii 1.0 extra"])
+    def test_unsupported_format_names_line(self, tmp_path, line):
         path = tmp_path / "bad.ply"
-        path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
-        with pytest.raises(ParseError, match="line 2"):
+        path.write_text(f"ply\n{line}\nelement vertex 0\nproperty double x\nproperty double y\n"
+                        "property double z\nend_header\n")
+        with pytest.raises(ParseError, match=f"bad.ply: line 2: unsupported format '{line}', expected "
+                                             "'format ascii 1.0' or 'format binary_little_endian 1.0' or "
+                                             "'format binary_big_endian 1.0'$"):
             io.read_ply(path)
 
     def test_short_data_row_names_line(self, tmp_path):
@@ -90,18 +96,28 @@ class TestPly:
         with pytest.raises(ParseError, match="line 9"):
             io.read_ply(path)
 
-    def test_exact_text(self, tmp_path):
-        header = "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\nproperty double y\nproperty double z\n"
+    def test_exact_bytes(self, tmp_path):
+        header = (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                  b"property double x\nproperty double y\nproperty double z\n")
         path = tmp_path / "three.ply"
-        io.write_ply(path, PointCloud(positions=THREE_POINTS, semantic=[0, 1, 2], instance=[0, 4, 4]))
-        assert path.read_text() == (
-            header + "property int semantic\nproperty int instance\nend_header\n"
-            "0.1 -2.5 1e-07 0 0\n12345.678901234567 3.0 -0.0 1 4\n1e+16 2.220446049250313e-16 7.0 2 4\n"
-        )
+        io.write_ply(path, PointCloud(positions=THREE_POINTS, semantic=[0, 1, 2], instance=[0, 4, 2**31 - 1]))
+        rows = [struct.pack("<3d2i", *xyz, semantic, instance)
+                for xyz, semantic, instance in zip(THREE_POINTS, [0, 1, 2], [0, 4, 2**31 - 1])]
+        labels = b"property int semantic\nproperty int instance\n"
+        assert path.read_bytes() == header + labels + b"end_header\n" + b"".join(rows)
         io.write_ply(path, PointCloud(positions=THREE_POINTS))
-        assert path.read_text() == (
-            header + "end_header\n0.1 -2.5 1e-07\n12345.678901234567 3.0 -0.0\n1e+16 2.220446049250313e-16 7.0\n"
-        )
+        bare_rows = [struct.pack("<3d", *xyz) for xyz in THREE_POINTS]
+        assert path.read_bytes() == header + b"end_header\n" + b"".join(bare_rows)
+
+    def test_instance_beyond_int32_raises_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "wide.ply"
+        cloud = PointCloud(positions=THREE_POINTS, semantic=[0, 1, 1], instance=[0, 2**31, 3])
+        with pytest.raises(InvalidLabel, match=f"^{re.escape(str(path))}: instance id 2147483648 does not fit a PLY "
+                                               "int column \\(at most 2147483647\\)$"):
+            io.write_ply(path, cloud)
+        assert not path.exists()
+        io.write_tsv(tmp_path / "wide.tsv", cloud)  # a TSV spells any int64 id
+        assert io.read_tsv(tmp_path / "wide.tsv").instance.tolist() == [0, 2**31, 3]
 
     @pytest.mark.parametrize("element", ["element vertex -1", "element"])
     def test_bad_element_line_names_line(self, tmp_path, element):
@@ -139,7 +155,8 @@ class TestPly:
 
     @pytest.mark.parametrize("lines, message", [
         (["element vertex 2", "property double x", "element vertex 1"], "line 5: a second element line"),
-        (["element vertex 1", "property double x", "element face 0"], "line 5: a second element line"),
+        (["element vertex 1", "property double x", "element face 2"], "line 5: a second element line"),
+        (["element vertex 1", "property double x", "element vertex 0"], "line 5: a second element line"),
         (["format ascii 1.0", "element vertex 1", "property double x"], "line 3: a second format line"),
     ])
     def test_second_element_or_format_line_rejected(self, tmp_path, lines, message):
@@ -159,10 +176,19 @@ class TestPly:
         ("ply\nformat ascii 1.0\nelement vertex 1\nproperty int x\n", "line 4: x must be a float type, got 'int'"),
         ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
          "property float instance\n", "line 7: instance must be an integer type, got 'float'"),
-        ("ply\nformat ascii 1.0\nobj_info scanner 2\n", "line 3: unexpected header line 'obj_info scanner 2'"),
+        ("ply\nformat ascii 1.0\nelemnt vertex 2\n", "line 3: unexpected header line 'elemnt vertex 2'"),
+        ("ply\nformat ascii 1.0\nelement face 2\n", "line 3: unsupported element 'face'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty real x\n", "line 4: unknown property type 'real'"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty list uchar int x\n",
+         "line 4: malformed property 'property list uchar int x'"),
+        ("ply\nformat ascii 1.0\nelement face 0\nproperty list uchar integer vertex_indices\n",
+         "line 4: unknown property type 'integer'"),
+        ("ply\nformat ascii 1.0\nelement face 0\nproperty list int vertex_indices\n",
+         "line 4: malformed property 'property list int vertex_indices'"),
         ("ply\nformat ascii 1.0\nelement vertex 0\nproperty double x\n", "missing end_header"),
         ("ply\nformat ascii 1.0\nend_header\n", "header declares no vertex element"),
     ], ids=["empty", "property-first", "malformed-property", "int-x", "float-instance", "unknown-keyword",
+            "element-with-rows-first", "unknown-type", "list-in-vertex", "unknown-list-type", "short-list",
             "no-end-header", "no-vertex-element"])
     def test_header_fault_rejected(self, tmp_path, header, message):
         path = tmp_path / "bad.ply"
@@ -174,18 +200,49 @@ class TestPly:
         path = tmp_path / "bare.ply"
         path.write_text("ply\nelement vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
                         "end_header\n0 0 0\n")
-        with pytest.raises(ParseError, match="bare.ply: line 6: header has no 'format ascii 1.0' line"):
+        with pytest.raises(ParseError, match="bare.ply: line 6: header has no 'format' line"):
             io.read_ply(path)
 
-    def test_binary_body_reports_the_format_line(self, tmp_path):
+    def test_binary_body_that_does_not_decode_reads(self, tmp_path):
         body = np.array([0.5, -1.0, 2.0]).tobytes()
         with pytest.raises(UnicodeDecodeError):
             body.decode()
         path = tmp_path / "binary.ply"
         path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty double x\n"
                          b"property double y\nproperty double z\nend_header\n" + body)
-        with pytest.raises(ParseError, match="binary.ply: line 2: only 'format ascii 1.0' is supported"):
-            io.read_ply(path)
+        assert io.read_ply(path).positions.tolist() == [[0.5, -1.0, 2.0]]
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary_little_endian", "binary_big_endian"])
+    def test_obj_info_and_elements_without_rows_are_skipped(self, tmp_path, encoding):
+        path = tmp_path / "mesh.ply"
+        order = "<" if encoding == "binary_little_endian" else ">"
+        body = "0 1 2 1 3\n" if encoding == "ascii" else struct.pack(f"{order}3fBi", 0, 1, 2, 1, 3)
+        path.write_bytes(f"ply\nformat {encoding} 1.0\nobj_info scanner X\nelement material 0\n"
+                         "property uchar red\nelement vertex 1\nproperty float x\nproperty float y\n"
+                         "property float z\nproperty uchar semantic\nproperty int instance\nelement face 0\n"
+                         "property list uchar int vertex_indices\nend_header\n".encode()
+                         + (body.encode() if encoding == "ascii" else body))
+        cloud = io.read_ply(path)
+        assert cloud.positions.tolist() == [[0.0, 1.0, 2.0]]
+        assert (cloud.semantic.tolist(), cloud.instance.tolist()) == ([1], [3])
+
+    @pytest.mark.parametrize("ptype, value, line", [
+        ("uchar", "300", "line 9: instance 300 is outside 0..255, the values uchar labels may take"),
+        ("uchar", "-1", "line 9: instance -1 is outside 0..255, the values uchar labels may take"),
+        ("char", "128", "line 9: instance 128 is outside -128..127, the values char labels may take"),
+        ("ushort", "65536", "line 9: instance 65536 is outside 0..65535, the values ushort labels may take"),
+        ("int32", "2147483648",
+         "line 9: instance 2147483648 is outside -2147483648..2147483647, the values int32 labels may take"),
+        ("uint64", "-1",
+         "line 9: instance -1 is outside 0..9223372036854775807, the values uint64 labels may take"),
+    ])
+    def test_text_label_outside_its_declared_type_names_line(self, tmp_path, ptype, value, line):
+        path = tmp_path / "range.ply"
+        path.write_text(f"ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty double y\n"
+                        f"property double z\nproperty {ptype} instance\nend_header\n0 0 0 {value}\n1 1 1 0\n")
+        for read in (io.read_ply, reference_read_ply):
+            with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {line}')}$"):
+                read(path)
 
     def test_undecodable_byte_in_data_names_line(self, tmp_path):
         path = tmp_path / "latin.ply"
@@ -720,7 +777,7 @@ class TestVectorizedParse:
         return calls
 
     def test_well_formed_tables_skip_the_row_loop(self, cloud, tmp_path, row_loop_calls):
-        io.write_ply(tmp_path / "cloud.ply", cloud)
+        reference_write_ascii_ply(tmp_path / "cloud.ply", cloud)
         io.write_tsv(tmp_path / "cloud.tsv", cloud)
         io.write_labels_tsv(tmp_path / "labels.tsv", cloud.instance, cloud.semantic)
         assert_clouds_equal(io.read_ply(tmp_path / "cloud.ply"), cloud)
@@ -777,6 +834,7 @@ FLOAT_TOKENS = st.one_of(
 )
 INT64_TOKENS = st.one_of(st.integers(-5, 5), st.integers(-(2**63), -(2**63) + 3),
                          st.integers(2**63 - 4, 2**63 - 1)).map(str)
+INT_PLY_TYPES = sorted(name for name, code in io._PLY_TYPES.items() if code[0] in "iu")
 # Text without whitespace or line breaks, for PLY properties the reader ignores.
 OTHER_TOKENS = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")), min_size=1, max_size=4)
 
@@ -842,10 +900,47 @@ def ply_files(draw):
     lines = [draw(pads) + draw(st.sampled_from([" ", "\t", "  \t"])).join(row) + draw(pads) for row in rows]
     lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\x0c"]), max_size=2))
     n = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1, 2])))
-    types = {"x": "double", "y": "float", "z": "double", "semantic": "uchar", "instance": "int64"}
+    # A label type narrower than int64 may not hold the instance id drawn: the row names that fault.
+    types = {"x": "double", "y": "float", "z": "double",
+             "semantic": draw(st.sampled_from(INT_PLY_TYPES)), "instance": draw(st.sampled_from(INT_PLY_TYPES))}
     header = ["ply", "format ascii 1.0", f"comment {draw(COMMENTS)}", f"element vertex {n}"]
     header += [f"property {types.get(name, 'int')} {name}" for name in columns] + ["end_header"]
     return with_line_ends(draw, header + lines)
+
+
+@st.composite
+def binary_ply_twins(draw):
+    """A binary PLY's bytes, either byte order, and the text PLY of the same values: float or double
+    coordinates, labels of any integer type or none, properties the reader ignores, zero rows or a few.
+    A uint64 label stays within int64, which the text reader holds it in."""
+    byte_order = draw(st.sampled_from(["<", ">"]))
+    labels = draw(st.sampled_from([[], ["semantic"], ["instance"], ["semantic", "instance"]]))
+    columns = [(name, draw(st.sampled_from(["float", "float32", "double", "float64"]))) for name in "xyz"]
+    columns += [(name, draw(st.sampled_from(INT_PLY_TYPES))) for name in labels]
+    for name in draw(st.lists(st.sampled_from(["red", "nx", "intensity"]), max_size=2, unique=True)):
+        columns.insert(draw(st.integers(0, len(columns))), (name, draw(st.sampled_from(sorted(io._PLY_TYPES)))))
+    types = dict(columns)
+    dtype = np.dtype([(name, byte_order + io._PLY_TYPES[ptype]) for name, ptype in types.items()])
+    rows = np.zeros(draw(st.integers(0, 6)), dtype=dtype)
+    for row in range(len(rows)):
+        for name, ptype in types.items():
+            code = io._PLY_TYPES[ptype]
+            if code[0] == "f":
+                value = draw(st.floats(width=32 if code == "f4" else 64))
+            else:
+                info = np.iinfo(code)
+                labels_like = st.sampled_from([0, 1, 2, 3] + ([-1] if info.min else []))
+                value = draw(st.one_of(labels_like, st.integers(info.min, min(info.max, 2**63 - 1))))
+            rows[name][row] = value
+    header = [f"comment {draw(COMMENTS)}", f"element vertex {len(rows)}",
+              *(f"property {ptype} {name}" for name, ptype in types.items()), "end_header"]
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    encoding = "binary_little_endian" if byte_order == "<" else "binary_big_endian"
+    binary = "".join(f"{line}{line_end}" for line in ["ply", f"format {encoding} 1.0", *header]).encode()
+    binary += rows.tobytes()
+    text_rows = [" ".join(repr(float(row[name])) if io._PLY_TYPES[ptype][0] == "f" else str(int(row[name]))
+                          for name, ptype in types.items()) for row in rows]
+    return binary, with_line_ends(draw, ["ply", "format ascii 1.0", *header, *text_rows])
 
 
 def space_padded(draw, rows):
@@ -915,6 +1010,45 @@ class TestMatchesRowByRowReference:
         assert outcome(io.read_labels_tsv, path) == outcome(reference_read_labels_tsv, path)
 
 
+class TestBinaryPly:
+    """A binary PLY reads as the text PLY of the same values does, and one whose size is not its header's and
+    rows' is rejected naming the file."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(twins=binary_ply_twins())
+    def test_matches_the_text_reader(self, tmp_path, twins):
+        binary, text = twins
+        (tmp_path / "binary.ply").write_bytes(binary)
+        (tmp_path / "text.ply").write_bytes(text.encode())
+        expected = outcome(io.read_ply, tmp_path / "text.ply")
+        if isinstance(expected, tuple):  # the same error, but for the file's name
+            expected = expected[0], expected[1].replace("text.ply", "binary.ply")
+        assert outcome(io.read_ply, tmp_path / "binary.ply") == expected
+
+    @pytest.mark.parametrize("change, size", [(lambda data: data[:-1], -1), (lambda data: data + b"\n", 1),
+                                              (lambda data: data[:-96], -96)],
+                             ids=["one-byte-short", "trailing-newline", "no-rows"])
+    def test_size_not_header_and_rows_rejected(self, tmp_path, change, size):
+        path = tmp_path / "sized.ply"
+        io.write_ply(path, PointCloud(positions=THREE_POINTS, semantic=[0, 1, 2], instance=[0, 4, 4]))
+        header = path.read_bytes().index(b"end_header\n") + len(b"end_header\n")
+        path.write_bytes(change(path.read_bytes()))
+        expected = header + 3 * 32
+        message = (f"{path}: a {header}-byte header and 3 vertices of 32 bytes take {expected} bytes, "
+                   f"but the file holds {expected + size}")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            io.read_ply(path)
+
+    def test_uint64_label_beyond_int64_names_vertex(self, tmp_path):
+        path = tmp_path / "wide.ply"
+        path.write_bytes(b"ply\nformat binary_big_endian 1.0\nelement vertex 3\nproperty double x\n"
+                         b"property double y\nproperty double z\nproperty uint64 instance\nend_header\n"
+                         + b"".join(struct.pack(">3dQ", 0, 0, 0, i) for i in [1, 2**63 - 1, 2**63]))
+        message = "vertex 2: instance 9223372036854775808 is outside 0..9223372036854775807, the values uint64 labels"
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
+            io.read_ply(path)
+
+
 def traced_peak(read, path):
     """What ``read(path)`` returns, and the most memory it held traced at once beyond what was held before."""
     started = not tracemalloc.is_tracing()
@@ -931,20 +1065,23 @@ def traced_peak(read, path):
 
 
 class TestReadMemory:
-    """A reader streams its rows from the open file into the parse: it never holds the file's text or a list of
-    its lines, so its peak stays within 3x the arrays it returns (it was 6x for a cloud, 10x for a label table)."""
+    """A text reader streams its rows from the open file into the parse: it never holds the file's text or a list
+    of its lines, so its peak stays within 3x the arrays it returns (it was 6x for a cloud, 10x for a label table).
+    A binary PLY's rows are mapped, not read into memory: its peak, the cloud and its checks, stays within 1.6x
+    (1.48x measured; reading the rows with ``np.fromfile`` measured 2.28x)."""
 
     @pytest.fixture(scope="class")
     def scene(self):
         return generate_forest(ForestParams(n_trees=30, plot_size=20.0, seed=0))  # 21,772 points
 
-    @pytest.mark.parametrize("suffix", [".ply", ".tsv"])
-    def test_read_cloud(self, scene, tmp_path, suffix):
-        path = tmp_path / f"scene{suffix}"
-        io.write_cloud(path, scene)
+    @pytest.mark.parametrize("write, bound", [(io.write_ply, 1.6), (reference_write_ascii_ply, 3),
+                                              (io.write_tsv, 3)], ids=["binary-ply", "ascii-ply", "tsv"])
+    def test_read_cloud(self, scene, tmp_path, write, bound):
+        path = tmp_path / ("scene.tsv" if write is io.write_tsv else "scene.ply")
+        write(path, scene)
         cloud, peak = traced_peak(io.read_cloud, path)
         assert_clouds_equal(cloud, scene)
-        assert peak <= 3 * (cloud.positions.nbytes + cloud.semantic.nbytes + cloud.instance.nbytes)
+        assert peak <= bound * (cloud.positions.nbytes + cloud.semantic.nbytes + cloud.instance.nbytes)
 
     def test_read_labels_tsv(self, scene, tmp_path):
         path = tmp_path / "labels.tsv"
