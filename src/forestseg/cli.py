@@ -159,11 +159,11 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--predictor", default="oracle", show_default=True,
-              help="'oracle' or a directory of per-block mask JSON files.")
+              help="'oracle' or a directory of per-block mask files (*.npz, *.json).")
 @click.option("--out-labels", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--out-report", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--dump-blocks", type=_OutputDir(file_okay=False), default=None,
-              help="Also write each block's predictions as JSON into this directory.")
+              help="Also write each block's predictions as .npz files into this directory.")
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Accepted and checked (>= 1), but blocks are predicted in the calling thread.")
 @_field_options(CorruptionParams, PipelineConfig)
@@ -181,9 +181,9 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
             Path(dump_blocks).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InputDataError(f"{dump_blocks}: cannot create directory: {exc.strerror or exc}") from None
-        if any(Path(dump_blocks).glob("*.json")):
-            # A replay reads every *.json there, so files of an earlier dump would join this one's.
-            raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block JSON files")
+        if _block_files(Path(dump_blocks)):
+            # A replay reads every block file there, so files of an earlier dump would join this one's.
+            raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block files (*.npz, *.json)")
     cloud = io.read_cloud(input_path)
     if predictor == "oracle":
         result = run_pipeline(cloud, config, corruption=corruption, threads=threads)
@@ -193,7 +193,7 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
 
             predict = make_oracle_predictor(cloud, corruption, config.seed)
             for block in tile_cloud(cloud, config.radius, config.stride):
-                io.write_block_file(Path(dump_blocks) / f"block_{block.block_id:05d}.json", predict(block))
+                io.write_block_file(Path(dump_blocks) / f"block_{block.block_id:05d}.npz", predict(block))
     else:
         block_dir = Path(predictor)
         if not block_dir.is_dir():
@@ -205,11 +205,16 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
     _emit_json(result.report, out_report)
 
 
+def _block_files(block_dir: Path) -> list[Path]:
+    """The directory's ``*.npz`` and ``*.json`` block files, in sorted name order."""
+    return sorted([*block_dir.glob("*.npz"), *block_dir.glob("*.json")])
+
+
 def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
     """The directory's block files in sorted order, each read only when the merge pulls it."""
-    files = sorted(block_dir.glob("*.json"))
+    files = _block_files(block_dir)
     if not files:
-        raise ParseError(f"{block_dir}: no block JSON files found")
+        raise ParseError(f"{block_dir}: no block files (*.npz, *.json) found")
     # A generator, not ``map``: a StopIteration escaping the reader must fail the run, not end it.
     return (io.read_block_file(path) for path in files)
 

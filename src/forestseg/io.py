@@ -24,12 +24,17 @@ for the loop, whose :class:`ParseError` names the file and line. A label
 table's ids are checked after the parse: a bad token anywhere comes before an
 id outside 0..n-1 or repeated, and that before a label outside its domain.
 
-Block files are written as compact JSON: one line, keys sorted, no spaces, so
-Python's C encoder writes them. The reader accepts any JSON whitespace, so
-indented files from older dumps or other writers load too. It converts no
-value: ids must be JSON integers (not booleans) and scores JSON numbers, or
-the file is rejected. A block file holds no footprint: the merge derives it
-from the block id, so the ``center`` and ``radius`` of older dumps are ignored.
+Block files are written as uncompressed ``.npz`` archives, one array per
+field: the masks' ids concatenated into one ``point_ids`` array and cut apart
+again by ``mask_sizes``, so no id becomes text. The reader loads them with
+pickles refused and checks each field's rank and dtype kind before it cuts
+out a mask; integer fields go through the merge's own id check, which
+rejects what an int64 cast would truncate or wrap. JSON block files, as
+older dumps and other writers made them, are still read but no longer
+written. The JSON reader accepts any JSON whitespace and converts no value:
+ids must be JSON integers (not booleans) and scores JSON numbers, or the file
+is rejected. A block file holds no footprint: the merge derives it from the
+block id, so the ``center`` and ``radius`` of older JSON dumps are ignored.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ import itertools
 import json
 import os
 import warnings
+import zipfile
+import zlib
 from io import TextIOWrapper
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -48,9 +55,14 @@ import numpy.typing as npt
 
 from .core import _LABEL_RULES, N_CLASSES, PointCloud, _as_labels
 from .errors import InputDataError, InvalidLabel, ParseError, ShapeMismatch
-from .merging import BlockPrediction, InstanceMask
+from .merging import BlockPrediction, InstanceMask, _int64_ids
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
+# A block file's .npz fields -> each one's rank; the last two, a block's semantic votes, are both there or neither.
+_NPZ_FIELDS = {"block_id": 0, "query_index": 1, "mask_sizes": 1, "score": 1, "point_ids": 1,
+               **{f"semantic_{key}": 1 for key in _SEMANTIC_KEYS}}
+# What np.load and its lazy archive raise for a file that is not a well-formed .npz of plain arrays.
+_NPZ_FAULTS = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile, zlib.error, NotImplementedError)
 # PLY property types, the format's names and their sized aliases, as numpy type codes without a byte order.
 _PLY_TYPES = {"char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1", "short": "i2", "int16": "i2",
               "ushort": "u2", "uint16": "u2", "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
@@ -611,25 +623,109 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
 
 
 def write_block_file(path, prediction: BlockPrediction) -> None:
-    """Write one block's predictions as compact JSON: one line, keys sorted, no spaces.
+    """Write one block's predictions as an uncompressed ``.npz`` archive of the fields in ``_NPZ_FIELDS``.
 
-    Without ``indent``, ``json.dumps`` runs Python's C encoder; indented
-    output would put every point id on its own line through the pure-Python one.
+    The masks' ids are concatenated in mask order into ``point_ids`` and cut
+    apart again by ``mask_sizes``. Every member is stored with the zip
+    format's fixed 1980 timestamp, so one prediction always gives the same
+    bytes.
     """
-    payload: dict = {
-        "block_id": int(prediction.block_id),
-        "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
-                  for m in prediction.masks],
+    masks = prediction.masks
+    fields = {
+        "block_id": np.int64(prediction.block_id),
+        "query_index": np.array([m.query_index for m in masks], dtype=np.int64),
+        "mask_sizes": np.array([m.size for m in masks], dtype=np.int64),
+        "score": np.array([m.score for m in masks], dtype=np.float64),
+        "point_ids": np.concatenate([np.empty(0, dtype=np.int64), *(m.point_ids for m in masks)]),
     }
     if prediction.semantic is not None:
-        payload["semantic"] = {key: np.asarray(values, dtype=np.int64).tolist()
-                               for key, values in zip(_SEMANTIC_KEYS, prediction.semantic)}
-    with _open_output(path, "w") as f:
-        f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        for key, values in zip(_SEMANTIC_KEYS, prediction.semantic):
+            fields[f"semantic_{key}"] = _int64_ids(values, f"semantic {key}")
+    with _open_output(path, "wb") as f:
+        np.savez(f, **fields)
 
 
 def read_block_file(path) -> BlockPrediction:
-    """Read one block's predictions, as :func:`write_block_file` writes them.
+    """Read one block's predictions from a ``.npz`` archive, as :func:`write_block_file` writes them, or from a
+    ``.json`` file; any other extension is a :class:`ParseError`."""
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix == ".npz":
+        return _read_npz_block(path)
+    if suffix == ".json":
+        return _read_json_block(path)
+    raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .npz or .json")
+
+
+def _malformed(path: Path, message: str) -> ParseError:
+    return ParseError(f"{path}: malformed block file: {message}")
+
+
+def _read_npz_block(path: Path) -> BlockPrediction:
+    """A block file's ``.npz`` archive, read with pickles refused.
+
+    Exactly the fields of ``_NPZ_FIELDS`` are allowed, the semantic pair both
+    or neither, each of its rank. Integer fields are taken as
+    ``merging._int64_ids`` takes ids, and a nonempty ``score`` must be
+    floats. ``query_index``, ``mask_sizes`` and ``score`` have one length,
+    and the sizes are >= 0 and sum to the length of ``point_ids``. Any other
+    file, such as a bare ``.npy`` array, a pickle or a cut zip, is a
+    :class:`ParseError`, and so is a mask that ``InstanceMask`` rejects.
+    """
+    with _open_input(path) as f:
+        try:
+            archive = np.load(f, allow_pickle=False)
+            if isinstance(archive, np.ndarray):
+                raise _malformed(path, "a bare .npy array, not an .npz archive")
+            with archive:
+                fields = {name: archive[name] for name in archive.files}
+        except _NPZ_FAULTS as exc:
+            raise _malformed(path, f"not a readable .npz archive: {type(exc).__name__}: {exc}") from None
+    if unknown := sorted(set(fields) - set(_NPZ_FIELDS)):
+        raise _malformed(path, f"unknown field {unknown[0]!r}")
+    missing = [name for name in _NPZ_FIELDS if name not in fields]
+    if missing and missing != [f"semantic_{key}" for key in _SEMANTIC_KEYS]:
+        raise _malformed(path, f"missing field {missing[0]!r}")
+    for name, value in fields.items():
+        if not isinstance(value, np.ndarray):
+            raise _malformed(path, f"{name} is not an .npy array")
+        rank = _NPZ_FIELDS[name]
+        if value.ndim != rank:
+            raise _malformed(path, f"{name} must have rank {rank}, got shape {value.shape}")
+        if name != "score":
+            try:
+                fields[name] = _int64_ids(value, name)
+            except ShapeMismatch as exc:
+                raise _malformed(path, str(exc)) from None
+        elif value.size and value.dtype.kind != "f":
+            raise _malformed(path, f"score must be floats, got dtype {value.dtype}")
+    query_index, sizes, scores, point_ids = (fields[name] for name in ("query_index", "mask_sizes", "score",
+                                                                         "point_ids"))
+    if not len(query_index) == len(sizes) == len(scores):
+        raise _malformed(path, f"query_index, mask_sizes and score lengths differ: "
+                               f"{len(query_index)}, {len(sizes)} and {len(scores)}")
+    if len(sizes) and sizes.min() < 0:
+        raise _malformed(path, f"mask_sizes must be >= 0, got {sizes.min()}")
+    if (total := sum(sizes.tolist())) != len(point_ids):  # a Python sum, which no size can overflow
+        raise _malformed(path, f"mask_sizes sum to {total}, but point_ids holds {len(point_ids)}")
+    ends = np.cumsum(sizes)
+    block_id = int(fields["block_id"])
+    masks = []
+    for qi, (query, score, start, end) in enumerate(zip(query_index.tolist(), scores.tolist(),
+                                                        (ends - sizes).tolist(), ends.tolist())):
+        try:
+            masks.append(InstanceMask(point_ids=point_ids[start:end], score=score, block_id=block_id,
+                                      query_index=query))
+        except ShapeMismatch as exc:  # the mask's own range checks
+            raise _malformed(path, f"masks[{qi}]: {exc}") from None
+    semantic = None
+    if "semantic_point_ids" in fields:
+        semantic = (fields["semantic_point_ids"], fields["semantic_classes"])
+    return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
+
+
+def _read_json_block(path: Path) -> BlockPrediction:
+    """A block file's JSON, as blocks were written before ``.npz``.
 
     Any JSON whitespace reads back, so indented files load too.
     ``query_index`` defaults to a mask's position and ``semantic`` is
@@ -650,7 +746,7 @@ def read_block_file(path) -> BlockPrediction:
     may_hold_booleans = "true" in text or "false" in text
 
     def malformed(message: str) -> ParseError:
-        return ParseError(f"{path}: malformed block file: {message}")
+        return _malformed(path, message)
 
     def integer(value, what: str) -> int:
         if type(value) is not int:  # bool is a subclass of int

@@ -34,6 +34,22 @@ from .core import N_CLASSES
 from .errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
 
 
+def _int64_ids(values: npt.ArrayLike, what: str) -> npt.NDArray[np.int64]:
+    """``values`` as int64, if it holds integers that fit int64; otherwise ShapeMismatch.
+
+    Converting with ``dtype=np.int64`` would truncate fractions and read
+    booleans as 0 and 1, so a nonempty array must have an integer dtype and
+    no uint64 value above 2**63 - 1. An empty array may have any dtype, as
+    ``np.asarray([])`` is float64.
+    """
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ShapeMismatch(f"{what} must be integers, got dtype {array.dtype}")
+    if array.size and array.dtype.kind == "u" and array.max() > np.iinfo(np.int64).max:
+        raise ShapeMismatch(f"{what} must fit int64, got {array.max()}")
+    return array.astype(np.int64, copy=False)
+
+
 @dataclass(eq=False)
 class InstanceMask:
     """One predicted tree: global point indices plus a confidence score."""
@@ -44,7 +60,7 @@ class InstanceMask:
     query_index: int
 
     def __post_init__(self) -> None:
-        ids = np.array(self.point_ids, dtype=np.int64).reshape(-1)
+        ids = np.array(_int64_ids(self.point_ids, "mask point_ids")).reshape(-1)
         if not (ids[1:] > ids[:-1]).all():
             ids = np.unique(ids)
         self.point_ids = ids
@@ -224,10 +240,10 @@ class SemanticVotes:
 
     def add(self, point_ids: npt.ArrayLike, classes: npt.ArrayLike) -> None:
         """Count one block's votes, ``classes[i]`` for point ``point_ids[i]``, if
-        both are 1-D of one length, with valid points and classes and no id repeated."""
+        both are 1-D integer arrays of one length, with valid points and classes and no id repeated."""
         n_points = len(self.counts)
-        pids = np.asarray(point_ids, dtype=np.int64)
-        classes = np.asarray(classes, dtype=np.int64)
+        pids = _int64_ids(point_ids, "per-block point_ids")
+        classes = _int64_ids(classes, "per-block classes")
         if pids.ndim != 1 or classes.ndim != 1:
             raise ShapeMismatch(f"per-block point_ids and classes must be 1-D, got {pids.shape} and {classes.shape}")
         if len(pids) != len(classes):

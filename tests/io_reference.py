@@ -16,9 +16,9 @@ a text PLY to damage on a given line.
 The label-table writer that joins ``str`` of each value, for the integer
 kernel of ``write_labels_tsv``: both must give the same bytes.
 
-The indented block-file writer, the layout ``write_block_file`` used before
-it switched to compact JSON: files it writes must still read back to the same
-prediction.
+The JSON block-file writer, indented or compact, the two layouts
+``write_block_file`` wrote before it wrote ``.npz``: JSON block files are
+still read, and must read back to the same prediction as the ``.npz`` file.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ def reference_write_labels_tsv(path, instance, semantic=None) -> None:
     Path(path).write_text("\n".join(["\t".join(columns), *rows]) + "\n")
 
 
-def reference_write_block_file(path, prediction: BlockPrediction) -> None:
-    """Write one block's predictions as indented JSON, one value per line."""
+def reference_write_block_file(path, prediction: BlockPrediction, indent: int | None = 2) -> None:
+    """Write one block's predictions as JSON with sorted keys: indented, one value per line, or with
+    ``indent=None`` compact, on one line without spaces."""
     payload: dict = {
         "block_id": int(prediction.block_id),
         "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
@@ -195,4 +196,5 @@ def reference_write_block_file(path, prediction: BlockPrediction) -> None:
     if prediction.semantic is not None:
         payload["semantic"] = {"point_ids": np.asarray(prediction.semantic[0], dtype=np.int64).tolist(),
                                "classes": np.asarray(prediction.semantic[1], dtype=np.int64).tolist()}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    separators = (",", ":") if indent is None else None
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=indent, separators=separators) + "\n")

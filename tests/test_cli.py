@@ -15,7 +15,7 @@ from forestseg.core import PointCloud
 from forestseg.merging import BlockPrediction, InstanceMask
 from forestseg.pipeline import PipelineConfig
 from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
-from io_reference import reference_write_ascii_ply
+from io_reference import reference_write_ascii_ply, reference_write_block_file
 
 PARAMS_TEXT = """\
 # desk-scale test forest
@@ -283,7 +283,7 @@ class TestPipeline:
         io.write_ply(small, generate_forest(ForestParams(n_trees=3, plot_size=6.0, seed=1)))
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        io.write_block_file(blocks / "block_00000.json", BlockPrediction(block_id=0, masks=[]))
+        io.write_block_file(blocks / "block_00000.npz", BlockPrediction(block_id=0, masks=[]))
         params = tmp_path / "wide.txt"
         params.write_text("n_trees = 3\nplot_size = 100000\nground_density = 0\n")
         wide = tmp_path / "wide.ply"
@@ -349,17 +349,56 @@ class TestPipeline:
         assert blocks["empty_skipped"] > 0
         assert blocks["grid"] == blocks["processed"] + blocks["empty_skipped"]
 
+    def test_dumped_block_files_are_byte_identical_across_runs(self, runner, tmp_path, forest_files):
+        # Nothing of the run, such as a zip member's timestamp, enters a block file.
+        _, ply = forest_files
+        dumps = [tmp_path / "first", tmp_path / "second"]
+        for blocks in dumps:
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), "--split-prob", "0.5", "--dump-blocks",
+                                          str(blocks)])
+            assert result.exit_code == 0, result.output
+        names = sorted(path.name for path in dumps[0].iterdir())
+        assert names and all(name.endswith(".npz") for name in names)
+        assert sorted(path.name for path in dumps[1].iterdir()) == names
+        for name in names:
+            assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes(), name
+
+    def test_directory_mixing_npz_and_json_blocks_merges_as_one(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+
+        def run(name, *flags):
+            report, labels = tmp_path / f"{name}.json", tmp_path / f"{name}.tsv"
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), *flags, "--out-report", str(report),
+                                          "--out-labels", str(labels)])
+            assert result.exit_code == 0, result.output
+            return report.read_bytes(), labels.read_bytes()
+
+        direct = run("direct", "--split-prob", "0.5", "--point-noise", "0.3", "--dump-blocks", str(blocks))
+        for i, path in enumerate(sorted(blocks.glob("*.npz"))[::2]):  # every other block as JSON, compact or indented
+            reference_write_block_file(path.with_suffix(".json"), io.read_block_file(path), indent=2 if i % 2 else None)
+            path.unlink()
+        assert any(blocks.glob("*.json")) and any(blocks.glob("*.npz"))
+        assert run("mixed", "--predictor", str(blocks)) == direct
+        # One block in both formats arrives twice.
+        npz = sorted(blocks.glob("*.npz"))[0]
+        reference_write_block_file(npz.with_suffix(".json"), io.read_block_file(npz))
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+        assert result.exit_code == 2, result.output
+        assert f"block {io.read_block_file(npz).block_id} arrives twice" in result.output
+
     def test_legacy_footprint_keys_in_block_files_are_ignored(self, runner, tmp_path, forest_files):
-        # Older dumps wrote each block's center and radius; the merge takes
+        # Older JSON dumps wrote each block's center and radius; the merge takes
         # both from the block id and --radius, so even bogus values change nothing.
         _, ply = forest_files
         blocks, legacy = tmp_path / "blocks", tmp_path / "legacy"
         assert runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)]).exit_code == 0
         legacy.mkdir()
-        for path in sorted(blocks.glob("*.json")):
-            payload = json.loads(path.read_text())
-            assert "center" not in payload and "radius" not in payload
-            (legacy / path.name).write_text(json.dumps({**payload, "center": [1e300, "x"], "radius": -1}))
+        for path in sorted(blocks.glob("*.npz")):
+            json_path = legacy / f"{path.stem}.json"
+            reference_write_block_file(json_path, io.read_block_file(path))
+            payload = json.loads(json_path.read_text())
+            json_path.write_text(json.dumps({**payload, "center": [1e300, "x"], "radius": -1}))
         outputs = []
         for directory in (blocks, legacy):
             report, labels = tmp_path / f"{directory.name}.json", tmp_path / f"{directory.name}.tsv"
@@ -375,16 +414,23 @@ class TestPipeline:
         blocks.mkdir()  # an existing empty directory is fine
         dump = ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)]
         assert runner.invoke(main, dump).exit_code == 0
-        dumped = sorted(blocks.glob("*.json"))
-        assert dumped
+        dumped = sorted(blocks.iterdir())
+        assert dumped and all(path.suffix == ".npz" for path in dumped)
         bad = tmp_path / "bad.ply"
         bad.write_text("not a ply\n")
         # Checked before the input is read, so a bad input still exits 3.
         for argv in (dump + ["--radius", "8"], ["pipeline", "--input", str(bad), "--dump-blocks", str(blocks)]):
             result = runner.invoke(main, argv)
             assert result.exit_code == 3, result.output
-            assert "already holds block JSON files" in result.output
-        assert sorted(blocks.glob("*.json")) == dumped
+            assert "already holds block files (*.npz, *.json)" in result.output
+        assert sorted(blocks.iterdir()) == dumped
+        # A JSON block file, which a replay reads too, is refused alike.
+        json_only = tmp_path / "json-only"
+        json_only.mkdir()
+        reference_write_block_file(json_only / "block_00000.json", BlockPrediction(block_id=0, masks=[]))
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(json_only)])
+        assert result.exit_code == 3, result.output
+        assert sorted(json_only.iterdir()) == [json_only / "block_00000.json"]
 
     def test_dump_blocks_directory_that_cannot_be_made_exits_2(self, runner, tmp_path, forest_files, monkeypatch):
         def refused(self, *args, **kwargs):
@@ -409,7 +455,7 @@ class TestPipeline:
         nested = tmp_path / "new" / "deeper"
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(nested)])
         assert result.exit_code == 0, result.output
-        assert any(nested.glob("*.json"))
+        assert any(nested.glob("*.npz"))
 
     def test_oracle_only_flags_rejected_with_block_directory(self, runner, tmp_path, forest_files):
         _, ply = forest_files
@@ -426,7 +472,7 @@ class TestPipeline:
         tree_one = np.flatnonzero(cloud.instance == 1)
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        io.write_block_file(blocks / "block_00000.json", BlockPrediction(
+        io.write_block_file(blocks / "block_00000.npz", BlockPrediction(
             block_id=0, masks=[InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
         ))
         labels_path = tmp_path / "merged.tsv"
@@ -443,12 +489,12 @@ class TestPipeline:
         cloud, ply = forest_files
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        io.write_block_file(blocks / "block_00000.json", BlockPrediction(
+        io.write_block_file(blocks / "block_00000.npz", BlockPrediction(
             block_id=0,
             masks=[InstanceMask(point_ids=np.flatnonzero(cloud.instance == uid), score=0.9, block_id=0, query_index=0)
                    for uid in (1, 2)],
         ))
-        assert [m.query_index for m in io.read_block_file(blocks / "block_00000.json").masks] == [0, 0]
+        assert [m.query_index for m in io.read_block_file(blocks / "block_00000.npz").masks] == [0, 0]
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
         assert "two masks with query index 0" in result.output
@@ -488,7 +534,7 @@ class TestPipeline:
         _, ply = forest_files
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        for name in ("block_00000.json", "block_00001.json"):
+        for name in ("block_00000.npz", "block_00001.npz"):
             io.write_block_file(blocks / name, BlockPrediction(block_id=0, masks=[]))
         (blocks / "block_00002.json").write_text('{"block_id": 2,\n')
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
@@ -513,12 +559,13 @@ class TestPipeline:
         flags = ["--input", str(ply), "--radius", "8", "--stride", "4"]
         assert runner.invoke(main, ["pipeline", *flags, "--dump-blocks", str(blocks)]).exit_code == 0
         # Block 6 covers point 0; ten ground votes for it would outvote the wood votes of every other block.
-        path = blocks / "block_00006.json"
-        block = json.loads(path.read_text())
-        assert 0 in block["semantic"]["point_ids"]
-        block["semantic"]["point_ids"] += [0] * 10
-        block["semantic"]["classes"] += [0] * 10
-        path.write_text(json.dumps(block))
+        path = blocks / "block_00006.npz"
+        with np.load(path) as archive:
+            block = dict(archive)
+        assert 0 in block["semantic_point_ids"]
+        block["semantic_point_ids"] = np.r_[block["semantic_point_ids"], [0] * 10]
+        block["semantic_classes"] = np.r_[block["semantic_classes"], [0] * 10]
+        np.savez(path, **block)
         result = runner.invoke(main, ["pipeline", *flags, "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
         assert "block 6: semantic votes name point 0 more than once" in result.output
@@ -784,7 +831,9 @@ class TestUnreadableTextInputs:
         blocks = tmp_path / "blocks"
         flags = ["--input", str(ply), "--radius", "8", "--stride", "4"]
         assert runner.invoke(main, ["pipeline", *flags, "--dump-blocks", str(blocks)]).exit_code == 0
-        path = blocks / "block_00000.json"
+        path = blocks / "block_00000.json"  # JSON block files are still a text input
+        reference_write_block_file(path, io.read_block_file(blocks / "block_00000.npz"))
+        (blocks / "block_00000.npz").unlink()
         path.write_bytes(b"\xff" + path.read_bytes())
         result = runner.invoke(main, ["pipeline", *flags, "--predictor", str(blocks)])
         self.assert_parse_error(result, "block_00000.json: line 1: Expecting value")
@@ -797,7 +846,8 @@ class TestUnreadableTextInputs:
 
     def test_directory_named_as_a_block_file(self, runner, tmp_path, forest_files):
         _, ply = forest_files
-        blocks = tmp_path / "blocks"
-        (blocks / "block_00000.json").mkdir(parents=True)
-        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
-        self.assert_parse_error(result, "block_00000.json: cannot read: ")
+        for name in ("block_00000.json", "block_00000.npz"):
+            blocks = tmp_path / name.replace(".", "_")
+            (blocks / name).mkdir(parents=True)
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
+            self.assert_parse_error(result, f"{name}: cannot read: ")

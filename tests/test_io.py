@@ -2,9 +2,12 @@
 
 import builtins
 import errno
+import pickle
 import re
 import struct
 import tracemalloc
+import zipfile
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -561,6 +564,93 @@ def block_predictions(draw):
     return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
 
 
+NPZ_FIELDS = ["block_id", "query_index", "mask_sizes", "score", "point_ids", "semantic_point_ids", "semantic_classes"]
+
+
+def npz_fields(path):
+    """Each member of an .npz file: its dtype, shape and values."""
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: (archive[name].dtype.str, archive[name].shape, archive[name].tolist()) for name in archive.files}
+
+
+def npz_bytes(fields: dict) -> bytes:
+    buffer = BytesIO()
+    np.savez(buffer, **fields)
+    return buffer.getvalue()
+
+
+def zip_bytes(members: dict) -> bytes:
+    """A zip of these raw members, as no .npz writer makes it."""
+    buffer = BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+def npy_bytes(value) -> bytes:
+    buffer = BytesIO()
+    np.save(buffer, value)
+    return buffer.getvalue()
+
+
+GOOD_NPZ = {"block_id": np.int64(3), "query_index": np.array([0, 1]), "mask_sizes": np.array([2, 1]),
+            "score": np.array([0.5, 0.75]), "point_ids": np.array([4, 7, 9])}
+
+
+def _with(**fields):
+    return lambda good: npz_bytes({**good, **fields})
+
+
+def _without(*names):
+    return lambda good: npz_bytes({k: v for k, v in good.items() if k not in names})
+
+
+# An .npz block file's faults: each change of a good file, and the start of the message after "malformed block file: ".
+NPZ_FAULTS = [
+    pytest.param(lambda good: b"", "not a readable .npz archive: EOFError", id="empty"),
+    pytest.param(lambda good: npy_bytes(good["point_ids"]), "a bare .npy array, not an .npz archive", id="npy"),
+    pytest.param(lambda good: pickle.dumps(good), "not a readable .npz archive: ValueError: ", id="pickle"),
+    pytest.param(lambda good: npz_bytes(good)[:-30], "not a readable .npz archive: BadZipFile", id="cut-zip"),
+    pytest.param(lambda good: npz_bytes(good)[:200] + npz_bytes(good)[200:].replace(b"<i8", b"<i4", 1),
+                 "not a readable .npz archive: BadZipFile: Bad CRC-32", id="changed-member"),
+    pytest.param(_with(point_ids=np.array([4, 7, None])), "not a readable .npz archive: ValueError: Object arrays cannot "
+                 "be loaded when allow_pickle=False", id="object-array"),
+    pytest.param(lambda good: zip_bytes({**{f"{k}.npy": npy_bytes(v) for k, v in good.items()}, "point_ids.npy": b"7"}),
+                 "point_ids is not an .npy array", id="raw-member"),
+    pytest.param(_with(scores=np.array([0.5, 0.75])), "unknown field 'scores'", id="unknown"),
+    pytest.param(_without("block_id"), "missing field 'block_id'", id="no-block-id"),
+    pytest.param(_without("score"), "missing field 'score'", id="no-score"),
+    pytest.param(_with(semantic_point_ids=np.array([4])), "missing field 'semantic_classes'", id="half-semantic"),
+    pytest.param(_with(semantic_classes=np.array([1])), "missing field 'semantic_point_ids'", id="other-half"),
+    pytest.param(_with(block_id=np.array([3])), "block_id must have rank 0, got shape (1,)", id="block-id-rank"),
+    pytest.param(_with(point_ids=np.array([[4, 7, 9]])), "point_ids must have rank 1, got shape (1, 3)", id="ids-rank"),
+    pytest.param(_with(score=np.float64(0.5)), "score must have rank 1, got shape ()", id="score-rank"),
+    pytest.param(_with(block_id=np.float64(3.0)), "block_id must be integers, got dtype float64", id="block-id-kind"),
+    pytest.param(_with(point_ids=np.array([4.0, 7.0, 9.0])), "point_ids must be integers, got dtype float64",
+                 id="ids-kind"),
+    pytest.param(_with(query_index=np.array([False, True])), "query_index must be integers, got dtype bool",
+                 id="query-kind"),
+    pytest.param(_with(mask_sizes=np.array([2.0, 1.0])), "mask_sizes must be integers, got dtype float64",
+                 id="sizes-kind"),
+    pytest.param(_with(score=np.array([0, 1])), "score must be floats, got dtype int64", id="score-kind"),
+    pytest.param(_with(semantic_point_ids=np.array([4, 7]), semantic_classes=np.array([1.0, 2.0])),
+                 "semantic_classes must be integers, got dtype float64", id="classes-kind"),
+    pytest.param(_with(point_ids=np.array([4, 7, 2**63], dtype=np.uint64)), "point_ids must fit int64, got "
+                 "9223372036854775808", id="ids-beyond-int64"),
+    pytest.param(_with(semantic_point_ids=np.array([2**64 - 1], dtype=np.uint64), semantic_classes=np.array([1])),
+                 "semantic_point_ids must fit int64, got 18446744073709551615", id="votes-beyond-int64"),
+    pytest.param(_with(score=np.array([0.5])), "query_index, mask_sizes and score lengths differ: 2, 2 and 1",
+                 id="lengths"),
+    pytest.param(_with(mask_sizes=np.array([4, -1])), "mask_sizes must be >= 0, got -1", id="negative-size"),
+    pytest.param(_with(mask_sizes=np.array([2, 2])), "mask_sizes sum to 4, but point_ids holds 3", id="sum-over"),
+    pytest.param(_with(mask_sizes=np.array([1, 1])), "mask_sizes sum to 2, but point_ids holds 3", id="sum-under"),
+    pytest.param(_with(mask_sizes=np.array([2**62] * 4 + [3]), query_index=np.arange(5), score=np.full(5, 0.5)),
+                 "mask_sizes sum to 18446744073709551619, but point_ids holds 3", id="sum-beyond-int64"),
+    pytest.param(_with(score=np.array([0.5, 1.5])), "masks[1]: mask score must be in [0, 1], got 1.5", id="score-range"),
+]
+
+
 class TestBlockFiles:
     def test_round_trip(self, tmp_path, rng):
         masks = [
@@ -569,7 +659,7 @@ class TestBlockFiles:
             for q in range(4)
         ]
         semantic = (np.arange(10), rng.integers(0, 3, size=10))
-        path = tmp_path / "block_00003.json"
+        path = tmp_path / "block_00003.npz"
         io.write_block_file(path, BlockPrediction(block_id=3, masks=masks, semantic=semantic))
         loaded = io.read_block_file(path)
         assert loaded.block_id == 3
@@ -581,14 +671,68 @@ class TestBlockFiles:
         assert np.array_equal(loaded.semantic[0], semantic[0])
         assert np.array_equal(loaded.semantic[1], semantic[1])
 
-    def test_exact_text(self, tmp_path):
-        path = tmp_path / "block_00007.json"
-        mask = InstanceMask(point_ids=[2, 1], score=0.75, block_id=7, query_index=3)
-        votes = (np.array([1, 2]), np.array([1, 2]))
-        io.write_block_file(path, BlockPrediction(block_id=7, masks=[mask], semantic=votes))
-        assert path.read_text() == BLOCK_TEXT
+    def test_npz_fields(self, tmp_path):
+        # The layout an external predictor writes: these members, stored uncompressed with the zip format's
+        # fixed timestamp, holding these dtypes and shapes; masks in list order, not by query index.
+        path = tmp_path / "block_00007.npz"
+        masks = [InstanceMask(point_ids=[2, 1], score=0.75, block_id=7, query_index=3),
+                 InstanceMask(point_ids=[], score=0.5, block_id=7, query_index=0),
+                 InstanceMask(point_ids=[5], score=1.0, block_id=7, query_index=8)]
+        votes = (np.array([1, 2], dtype=np.int32), np.array([1, 2]))
+        io.write_block_file(path, BlockPrediction(block_id=7, masks=masks, semantic=votes))
+        with zipfile.ZipFile(path) as archive:
+            assert [(i.filename, i.compress_type, i.date_time) for i in archive.infolist()] == [
+                (f"{name}.npy", zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0)) for name in NPZ_FIELDS]
+        assert npz_fields(path) == {
+            "block_id": ("<i8", (), 7),
+            "query_index": ("<i8", (3,), [3, 0, 8]),
+            "mask_sizes": ("<i8", (3,), [2, 0, 1]),
+            "score": ("<f8", (3,), [0.75, 0.5, 1.0]),
+            "point_ids": ("<i8", (3,), [1, 2, 5]),
+            "semantic_point_ids": ("<i8", (2,), [1, 2]),
+            "semantic_classes": ("<i8", (2,), [1, 2]),
+        }
         io.write_block_file(path, BlockPrediction(block_id=7, masks=[]))
-        assert path.read_text() == '{"block_id":7,"masks":[]}\n'
+        assert npz_fields(path) == {"block_id": ("<i8", (), 7), "query_index": ("<i8", (0,), []),
+                                    "mask_sizes": ("<i8", (0,), []), "score": ("<f8", (0,), []),
+                                    "point_ids": ("<i8", (0,), [])}
+
+    @pytest.mark.parametrize("write", [
+        pytest.param(lambda path, fields: np.savez(path, **fields), id="savez"),
+        pytest.param(lambda path, fields: np.savez_compressed(path, **fields), id="savez_compressed"),
+    ])
+    def test_external_writer_layouts_accepted(self, tmp_path, write):
+        # Python lists, narrower integer and float types, unsorted ids, compression, and empty lists,
+        # which numpy makes float64, all read as the writer's own files do.
+        path = tmp_path / "block.npz"
+        write(path, {"block_id": np.uint8(4), "query_index": np.array([1, 0], dtype=np.int32),
+                     "mask_sizes": [3, 0], "score": np.array([0.5, 1.0], dtype=np.float32),
+                     "point_ids": np.array([9, 2, 5], dtype=np.uint16),
+                     "semantic_point_ids": [2, 5, 9], "semantic_classes": np.array([1, 1, 2], dtype=np.uint8)})
+        expected = BlockPrediction(block_id=4, masks=[InstanceMask([2, 5, 9], 0.5, 4, 1), InstanceMask([], 1.0, 4, 0)],
+                                   semantic=(np.array([2, 5, 9]), np.array([1, 1, 2])))
+        assert block_outcome(io.read_block_file(path)) == block_outcome(expected)
+        write(path, {"block_id": 0, "query_index": [], "mask_sizes": [], "score": [], "point_ids": [],
+                     "semantic_point_ids": [], "semantic_classes": []})
+        empty = BlockPrediction(block_id=0, masks=[], semantic=(np.empty(0, dtype=np.int64),) * 2)
+        assert block_outcome(io.read_block_file(path)) == block_outcome(empty)
+
+    @pytest.mark.parametrize("change, message", NPZ_FAULTS)
+    def test_npz_fault_rejected(self, tmp_path, change, message):
+        path = tmp_path / "fault.npz"
+        path.write_bytes(change(dict(GOOD_NPZ)))
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: malformed block file: {message}")) as caught:
+            io.read_block_file(path)
+        assert caught.value.exit_code == 2
+
+    @pytest.mark.parametrize("name", ["block.txt", "block.npy", "block"])
+    def test_other_extension_rejected(self, tmp_path, name):
+        path = tmp_path / name
+        io.write_block_file(path, BlockPrediction(block_id=0, masks=[]))
+        suffix = path.suffix
+        with pytest.raises(ParseError, match=re.escape(f"{path}: unsupported extension {suffix!r}, expected .npz or "
+                                                       ".json")):
+            io.read_block_file(path)
 
     def test_indented_legacy_text_reads_the_same(self, tmp_path):
         compact, legacy = tmp_path / "compact.json", tmp_path / "legacy.json"
@@ -604,14 +748,17 @@ class TestBlockFiles:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prediction=block_predictions())
     def test_compact_and_indented_files_read_back_identically(self, tmp_path, prediction):
-        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
-        io.write_block_file(compact, prediction)
+        # The .npz file, and the compact and indented JSON that block files were before it, read back the same.
+        npz, compact, indented = tmp_path / "block.npz", tmp_path / "compact.json", tmp_path / "indented.json"
+        io.write_block_file(npz, prediction)
+        reference_write_block_file(compact, prediction, indent=None)
         reference_write_block_file(indented, prediction)
         text = compact.read_text()
         assert text.count("\n") == 1 and text.endswith("\n") and " " not in text
-        read = block_outcome(io.read_block_file(compact))
-        assert read == block_outcome(io.read_block_file(indented))
+        read = block_outcome(io.read_block_file(npz))
         assert read == block_outcome(prediction)
+        assert read == block_outcome(io.read_block_file(compact))
+        assert read == block_outcome(io.read_block_file(indented))
 
     def test_empty_lists_read_as_empty_arrays(self, tmp_path):
         path = tmp_path / "block.json"
@@ -1132,6 +1279,9 @@ def test_write_failing_after_the_file_opened_is_an_input_error(tmp_path, monkeyp
 
         def __exit__(self, *exc):
             self.f.close()
+
+        def __getattr__(self, name):  # ``np.savez`` also calls ``tell``, ``seek`` and ``flush``
+            return getattr(self.f, name)
 
     monkeypatch.setattr(builtins, "open", lambda *args, **kwargs: FullDisk(real_open(*args, **kwargs)))
     path = tmp_path / "out"

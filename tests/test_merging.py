@@ -26,6 +26,19 @@ def mask(point_ids, score, block_id=0, query_index=0):
                         block_id=block_id, query_index=query_index)
 
 
+# Ids an int64 cast would truncate, read as 0 and 1, wrap or parse, each with the start of its rejection.
+NON_INTEGER_IDS = [
+    ([1.9, 3.2], "must be integers, got dtype float64"),
+    (np.array([1.0, 2.0], dtype=np.float32), "must be integers, got dtype float32"),
+    ([True, False], "must be integers, got dtype bool"),
+    (["1", "2"], "must be integers, got dtype <U1"),
+    ([1, 2**64], "must be integers, got dtype "),  # object; numpy 1.x may read these two as float64
+    ([-1, 2**63], "must be integers, got dtype "),
+    ([2**63], "must fit int64, got 9223372036854775808"),
+    (np.array([3, 2**64 - 1], dtype=np.uint64), "must fit int64, got 18446744073709551615"),
+]
+
+
 class TestInstanceMask:
     def test_ids_sorted_unique_and_flat(self):
         m = mask([[5, 1], [3, 1]], 0.5)
@@ -46,6 +59,28 @@ class TestInstanceMask:
     def test_score_outside_unit_interval_rejected(self, score):
         with pytest.raises(ShapeMismatch, match="mask score must be in"):
             mask([0], score)
+
+    def test_unsorted_ids_are_sorted_and_deduplicated(self):
+        assert mask([5, 1, 5, 3], 0.5).point_ids.tolist() == [1, 3, 5]
+        assert mask([1, 3, 3, 5], 0.5).point_ids.tolist() == [1, 3, 5]
+
+    def test_sorted_ids_are_copied_as_int64(self):
+        ids = np.array([1, 4, 9], dtype=np.int32)
+        m = mask(ids, 0.5)
+        assert m.point_ids.dtype == np.int64 and m.point_ids.tolist() == [1, 4, 9]
+        ids64 = np.array([2, 3], dtype=np.int64)
+        m = InstanceMask(point_ids=ids64, score=0.5, block_id=0, query_index=0)
+        ids64[0] = 7
+        assert m.point_ids.tolist() == [2, 3]
+
+    def test_empty_and_scalar_ids(self):
+        assert mask([], 0.5).point_ids.shape == (0,)
+        assert InstanceMask(point_ids=np.int64(4), score=0.5, block_id=0, query_index=0).point_ids.tolist() == [4]
+
+    @pytest.mark.parametrize("point_ids, message", NON_INTEGER_IDS)
+    def test_non_integer_ids_rejected(self, point_ids, message):
+        with pytest.raises(ShapeMismatch, match=f"^mask point_ids {message}"):
+            InstanceMask(point_ids=point_ids, score=0.5, block_id=0, query_index=0)
 
 
 def random_masks(rng, count, universe=200, max_size=40):
@@ -89,25 +124,6 @@ def duplicate_heavy_mask_lists(draw, universe=30):
         for i, points in enumerate(point_sets)
     ]
     return masks, draw(st.permutations(masks))
-
-
-class TestInstanceMask:
-    def test_unsorted_ids_are_sorted_and_deduplicated(self):
-        assert mask([5, 1, 5, 3], 0.5).point_ids.tolist() == [1, 3, 5]
-        assert mask([1, 3, 3, 5], 0.5).point_ids.tolist() == [1, 3, 5]
-
-    def test_sorted_ids_are_copied_as_int64(self):
-        ids = np.array([1, 4, 9], dtype=np.int32)
-        m = mask(ids, 0.5)
-        assert m.point_ids.dtype == np.int64 and m.point_ids.tolist() == [1, 4, 9]
-        ids64 = np.array([2, 3], dtype=np.int64)
-        m = InstanceMask(point_ids=ids64, score=0.5, block_id=0, query_index=0)
-        ids64[0] = 7
-        assert m.point_ids.tolist() == [2, 3]
-
-    def test_empty_and_scalar_ids(self):
-        assert mask([], 0.5).point_ids.shape == (0,)
-        assert InstanceMask(point_ids=np.int64(4), score=0.5, block_id=0, query_index=0).point_ids.tolist() == [4]
 
 
 class TestScoreFilter:
@@ -449,6 +465,27 @@ class TestSemanticVote:
         votes = merging.SemanticVotes(2)
         with pytest.raises(ShapeMismatch, match="point_ids and classes must be 1-D"):
             votes.add(np.array(point_ids), np.array(classes))
+        assert not votes.counts.any()
+
+    @pytest.mark.parametrize("point_ids, message", NON_INTEGER_IDS)
+    def test_non_integer_point_ids_rejected(self, point_ids, message):
+        votes = merging.SemanticVotes(20)
+        with pytest.raises(ShapeMismatch, match=f"^per-block point_ids {message}"):
+            votes.add(point_ids, np.ones(len(point_ids), dtype=np.int64))
+        assert not votes.counts.any()
+
+    @pytest.mark.parametrize("classes, message", [
+        ([1.5, 2.7], "must be integers, got dtype float64"), ([True, False], "must be integers, got dtype bool"),
+    ])
+    def test_non_integer_classes_rejected(self, classes, message):
+        votes = merging.SemanticVotes(2)
+        with pytest.raises(ShapeMismatch, match=f"^per-block classes {message}"):
+            votes.add(np.array([0, 1]), classes)
+        assert not votes.counts.any()
+
+    def test_empty_votes_of_any_dtype_accepted(self):
+        votes = merging.SemanticVotes(2)
+        votes.add([], np.array([], dtype=np.float64))
         assert not votes.counts.any()
 
     @pytest.mark.parametrize("cls", [-1, 3])

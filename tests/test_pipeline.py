@@ -107,9 +107,9 @@ class TestExternalPredictorInterface:
         block_dir = tmp_path / "blocks"
         block_dir.mkdir()
         for block in tile_cloud(forest, config.radius, config.stride):
-            io.write_block_file(block_dir / f"block_{block.block_id:05d}.json", predict(block))
+            io.write_block_file(block_dir / f"block_{block.block_id:05d}.npz", predict(block))
 
-        predictions = [io.read_block_file(path) for path in sorted(block_dir.glob("*.json"))]
+        predictions = [io.read_block_file(path) for path in sorted(block_dir.glob("*.npz"))]
         from_files = run_pipeline_from_blocks(predictions, forest, config)
 
         assert np.array_equal(from_files.merge.instance, direct.merge.instance)
