@@ -25,15 +25,18 @@ table's ids are checked after the parse: a bad token anywhere comes before an
 id outside 0..n-1 or repeated, and that before a label outside its domain.
 
 Block files are written as uncompressed ``.npz`` archives, one array per
-field: the masks' ids concatenated into one ``point_ids`` array and cut apart
-again by ``mask_sizes``, so no id becomes text. The reader loads them with
-pickles refused and checks each field's rank and dtype kind before it cuts
-out a mask; integer fields go through the merge's own id check, which
-rejects what an int64 cast would truncate or wrap. JSON block files, as
-older dumps and other writers made them, are still read but no longer
-written. The JSON reader accepts any JSON whitespace and converts no value:
-ids must be JSON integers (not booleans) and scores JSON numbers, or the file
-is rejected. A block file holds no footprint: the merge derives it from the
+field, from a block's packed masks as they are held: the masks' ids
+concatenated into one ``point_ids`` array and cut apart again by
+``mask_sizes``, so no id becomes text, and each integer field in int32 where
+its values fit. The reader loads them with pickles refused and checks each
+field's rank and dtype kind; integer fields go through the merge's own id
+check, which rejects what an int64 cast would truncate or wrap, and the
+arrays become one :class:`~forestseg.merging.BlockMasks` as they are. JSON
+block files, as older dumps and other writers made them, are still read but
+no longer written. The JSON reader accepts any JSON whitespace and converts
+no value: ids must be JSON integers (not booleans) and scores JSON numbers,
+or the file is rejected. Its masks are checked one by one, so the first
+fault in file order is the one named, and packed once. A block file holds no footprint: the merge derives it from the
 block id, so the ``center`` and ``radius`` of older JSON dumps are ignored.
 """
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import warnings
 import zipfile
@@ -54,8 +58,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import _LABEL_RULES, N_CLASSES, PointCloud, _as_labels
-from .errors import InputDataError, InvalidLabel, ParseError, ShapeMismatch
-from .merging import BlockPrediction, InstanceMask, _int64_ids
+from .errors import ConfigError, InputDataError, InvalidLabel, ParseError, ShapeMismatch
+from .merging import BlockMasks, BlockPrediction, _int64_ids
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
 # A block file's .npz fields -> each one's rank; the last two, a block's semantic votes, are both there or neither.
@@ -338,21 +342,28 @@ def _read_ply_header(path: Path, f: BinaryIO) -> tuple[_PlyHeader, int]:
     """The header of the PLY open as ``f``, and its length in bytes.
 
     The header is decoded as any text input is, and each line it takes is encoded back to count its bytes: a
-    byte that does not decode is held as a lone surrogate, which encodes to that byte again.
+    byte that does not decode is held as a lone surrogate, which encodes to that byte again. A text reader
+    takes "\r\n" as one line end, so in a file whose header lines end in a lone "\r", a binary body starting
+    with byte 0x0A would join ``end_header``'s line end: there, that line ends at its "\r".
     """
     text = _text(f, newline="")  # each line keeps its own line end, so its bytes can be counted
     length = 0
+    ends = ["", ""]  # the line ends of the last two lines taken
 
     def lines() -> Iterator[str]:
         nonlocal length
         for line in text:
             length += len(line.encode("utf-8", "surrogateescape"))
-            yield line.removesuffix("\n").removesuffix("\r")
+            content = line.removesuffix("\n").removesuffix("\r")
+            ends[:] = ends[1], line[len(content):]
+            yield content
 
     try:
         header = _ply_header(path, lines())
     finally:
         text.detach()  # leaves f open
+    if header.byte_order is not None and ends == ["\r", "\r\n"]:
+        length -= 1  # the "\n" is the body's first byte
     return header, length
 
 
@@ -622,25 +633,39 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
     return by_id["instance"], by_id.get("semantic")
 
 
+def _narrowest(values: npt.ArrayLike) -> npt.NDArray:
+    """Integer ``values`` as int32 if every one fits, else as int64."""
+    values = np.asarray(values, dtype=np.int64)
+    int32 = np.iinfo(np.int32)
+    if not values.size or (values.min() >= int32.min and values.max() <= int32.max):
+        return values.astype(np.int32)
+    return values
+
+
 def write_block_file(path, prediction: BlockPrediction) -> None:
     """Write one block's predictions as an uncompressed ``.npz`` archive of the fields in ``_NPZ_FIELDS``.
 
-    The masks' ids are concatenated in mask order into ``point_ids`` and cut
-    apart again by ``mask_sizes``. Every member is stored with the zip
-    format's fixed 1980 timestamp, so one prediction always gives the same
-    bytes.
+    The packed masks are written as they are held: their concatenated ids as
+    ``point_ids``, cut apart again by ``mask_sizes``. Each integer field is
+    stored as int32 when all its values fit, and as int64 otherwise. Every
+    member is stored with the zip format's fixed 1980 timestamp, so one
+    prediction always gives the same bytes. A path whose suffix is not
+    ``.npz`` is a :class:`ConfigError`, raised before the file is opened:
+    :func:`read_block_file` would read it by its suffix.
     """
+    if (suffix := Path(path).suffix.lower()) != ".npz":
+        raise ConfigError(f"{path}: block files are written as .npz, got suffix {suffix!r}")
     masks = prediction.masks
     fields = {
-        "block_id": np.int64(prediction.block_id),
-        "query_index": np.array([m.query_index for m in masks], dtype=np.int64),
-        "mask_sizes": np.array([m.size for m in masks], dtype=np.int64),
-        "score": np.array([m.score for m in masks], dtype=np.float64),
-        "point_ids": np.concatenate([np.empty(0, dtype=np.int64), *(m.point_ids for m in masks)]),
+        "block_id": _narrowest(prediction.block_id),
+        "query_index": _narrowest(masks.query_index),
+        "mask_sizes": _narrowest(masks.mask_sizes),
+        "score": masks.score,
+        "point_ids": _narrowest(masks.point_ids),
     }
     if prediction.semantic is not None:
         for key, values in zip(_SEMANTIC_KEYS, prediction.semantic):
-            fields[f"semantic_{key}"] = _int64_ids(values, f"semantic {key}")
+            fields[f"semantic_{key}"] = _narrowest(_int64_ids(values, f"semantic {key}"))
     with _open_output(path, "wb") as f:
         np.savez(f, **fields)
 
@@ -667,10 +692,12 @@ def _read_npz_block(path: Path) -> BlockPrediction:
     Exactly the fields of ``_NPZ_FIELDS`` are allowed, the semantic pair both
     or neither, each of its rank. Integer fields are taken as
     ``merging._int64_ids`` takes ids, and a nonempty ``score`` must be
-    floats. ``query_index``, ``mask_sizes`` and ``score`` have one length,
-    and the sizes are >= 0 and sum to the length of ``point_ids``. Any other
-    file, such as a bare ``.npy`` array, a pickle or a cut zip, is a
-    :class:`ParseError`, and so is a mask that ``InstanceMask`` rejects.
+    floats. The mask fields become one :class:`BlockMasks` as they are, with
+    no object per mask, so its checks apply: ``query_index``, ``mask_sizes``
+    and ``score`` have one length, and the sizes are >= 0 and sum to the
+    length of ``point_ids``. Any other file, such as a bare ``.npy`` array, a
+    pickle or a cut zip, is a :class:`ParseError`, and so are masks that
+    :class:`BlockMasks` rejects.
     """
     with _open_input(path) as f:
         try:
@@ -699,29 +726,14 @@ def _read_npz_block(path: Path) -> BlockPrediction:
                 raise _malformed(path, str(exc)) from None
         elif value.size and value.dtype.kind != "f":
             raise _malformed(path, f"score must be floats, got dtype {value.dtype}")
-    query_index, sizes, scores, point_ids = (fields[name] for name in ("query_index", "mask_sizes", "score",
-                                                                         "point_ids"))
-    if not len(query_index) == len(sizes) == len(scores):
-        raise _malformed(path, f"query_index, mask_sizes and score lengths differ: "
-                               f"{len(query_index)}, {len(sizes)} and {len(scores)}")
-    if len(sizes) and sizes.min() < 0:
-        raise _malformed(path, f"mask_sizes must be >= 0, got {sizes.min()}")
-    if (total := sum(sizes.tolist())) != len(point_ids):  # a Python sum, which no size can overflow
-        raise _malformed(path, f"mask_sizes sum to {total}, but point_ids holds {len(point_ids)}")
-    ends = np.cumsum(sizes)
-    block_id = int(fields["block_id"])
-    masks = []
-    for qi, (query, score, start, end) in enumerate(zip(query_index.tolist(), scores.tolist(),
-                                                        (ends - sizes).tolist(), ends.tolist())):
-        try:
-            masks.append(InstanceMask(point_ids=point_ids[start:end], score=score, block_id=block_id,
-                                      query_index=query))
-        except ShapeMismatch as exc:  # the mask's own range checks
-            raise _malformed(path, f"masks[{qi}]: {exc}") from None
+    try:
+        masks = BlockMasks(*(fields[name] for name in ("point_ids", "mask_sizes", "score", "query_index")))
+    except ShapeMismatch as exc:  # lengths, sizes and scores, as any packed masks are checked
+        raise _malformed(path, str(exc)) from None
     semantic = None
     if "semantic_point_ids" in fields:
         semantic = (fields["semantic_point_ids"], fields["semantic_classes"])
-    return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
+    return BlockPrediction(block_id=int(fields["block_id"]), masks=masks, semantic=semantic)
 
 
 def _read_json_block(path: Path) -> BlockPrediction:
@@ -730,9 +742,10 @@ def _read_json_block(path: Path) -> BlockPrediction:
     Any JSON whitespace reads back, so indented files load too.
     ``query_index`` defaults to a mask's position and ``semantic`` is
     optional. Values are not converted: ``block_id`` and ``query_index`` must
-    be JSON integers, ``score`` a JSON number, and each id or class list a
-    flat list of integers that fit int64 (booleans count as none of these);
-    otherwise :class:`ParseError` is raised. Other keys, such as the
+    be JSON integers (``query_index`` one that fits int64), ``score`` a JSON
+    number, and each id or class list a flat list of integers that fit int64
+    (booleans count as none of these); otherwise :class:`ParseError` is
+    raised. Other keys, such as the
     ``center`` and ``radius`` older dumps wrote, are ignored.
     """
     path = Path(path)
@@ -760,20 +773,27 @@ def _read_json_block(path: Path) -> BlockPrediction:
             raise malformed(f"{what} must be a flat list of integers that fit int64")
         return array.astype(np.int64, copy=False)
 
-    def mask(m: dict, qi: int, block_id: int) -> InstanceMask:
-        point_ids = integer_array(m["point_ids"], f"masks[{qi}].point_ids")
-        score = m["score"]
-        if type(score) not in (int, float):
-            raise malformed(f"masks[{qi}].score must be a number, got {score!r}")
-        query_index = integer(m.get("query_index", qi), f"masks[{qi}].query_index")
-        try:
-            return InstanceMask(point_ids=point_ids, score=float(score), block_id=block_id, query_index=query_index)
-        except ShapeMismatch as exc:  # the mask's own range checks
-            raise malformed(f"masks[{qi}]: {exc}") from None
+    def packed(entries) -> BlockMasks:
+        """The masks of ``entries``, each checked in turn, so the first fault in file order is the one raised."""
+        ids, scores, queries = [], [], []
+        int64 = np.iinfo(np.int64)
+        for qi, m in enumerate(entries):
+            ids.append(integer_array(m["point_ids"], f"masks[{qi}].point_ids"))
+            score = m["score"]
+            if type(score) not in (int, float):
+                raise malformed(f"masks[{qi}].score must be a number, got {score!r}")
+            query = integer(m.get("query_index", qi), f"masks[{qi}].query_index")
+            if not int64.min <= query <= int64.max:
+                raise malformed(f"masks[{qi}].query_index must fit int64, got {query}")
+            queries.append(query)
+            if not (math.isfinite(score) and 0 <= score <= 1):
+                raise malformed(f"masks[{qi}]: mask score must be in [0, 1], got {float(score)}")
+            scores.append(float(score))
+        return BlockMasks.pack(ids, scores, queries)
 
     try:
         block_id = integer(payload["block_id"], "block_id")
-        masks = [mask(m, qi, block_id) for qi, m in enumerate(payload["masks"])]
+        masks = packed(payload["masks"])
         semantic = None
         if "semantic" in payload:
             semantic = tuple(integer_array(payload["semantic"][key], f"semantic.{key}") for key in _SEMANTIC_KEYS)

@@ -1,14 +1,15 @@
 """End-to-end orchestration: tile, predict per block, merge, vote, evaluate.
 
 Blocks are cropped one at a time as the merge pulls them. Each block is
-merged as soon as it is predicted or read, then dropped: its masks pass
-boundary discard and the score filter, and its semantic votes are counted.
-Only the surviving masks, one shared id array per distinct point set, and one
-vote count per point and class wait. Copies are the merge's alone: NMS gets
-every empty mask and the best-ranked mask of each nonempty point set. Every
-block is predicted in the calling thread. NMS ranks masks by a total order,
-and each block's random stream is seeded from (master seed, block id), so
-results are byte-identical for any block order.
+merged as soon as it is predicted or read, then dropped: its packed masks are
+checked, pass boundary discard and the score filter, and its semantic votes
+are counted. The survivors wait as rows (block id, query index, score, set
+index) over one read-only id array per distinct point set, with one vote
+count per point and class. Copies are the merge's alone: NMS gets every
+empty mask and the best-ranked row of each nonempty point set. Every block is
+predicted in the calling thread. NMS ranks rows by a total order, and each
+block's random stream is seeded from (master seed, block id), so results are
+byte-identical for any block order.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy.typing as npt
 from .core import PointCloud
 from .errors import ConfigError, EmptyInput, InvalidLabel, ShapeMismatch, UnknownBlock
 from .merging import (
+    BlockMasks,
     BlockPrediction,
-    InstanceMask,
+    MaskTable,
     SemanticVotes,
     discard_boundary_masks,
     resolve_points,
@@ -72,16 +74,18 @@ class PipelineConfig:
 
 @dataclass(eq=False)
 class MergeOutcome:
-    """The per-point labeling, the score-filtered masks (by block id, then
-    query index; NMS saw one per nonempty point set) and those it kept, the
-    grid size, and how many blocks and masks the earlier stages saw."""
+    """The per-point labeling, the score-filtered masks as table rows (by
+    block id, then query index; NMS saw one per nonempty point set) and the
+    rows it kept (in rank order), the grid size, and how many blocks and
+    masks the earlier stages saw. Both tables share one read-only id array
+    per distinct point set."""
 
     n_grid: int
     n_blocks: int
     n_predicted: int
     n_after_boundary: int
-    masks_after_filter: list[InstanceMask]
-    masks_kept: list[InstanceMask]
+    masks_after_filter: MaskTable
+    masks_kept: MaskTable
     instance: npt.NDArray[np.int64]
     semantic: npt.NDArray[np.int64] | None
 
@@ -122,62 +126,85 @@ def effective_threads(requested: int) -> int:
     return 1
 
 
-def _ids_key(data: bytes) -> int:
-    """The index key of a point-id array's bytes."""
-    return hash(data)
+def _set_keys(point_ids: npt.NDArray[np.int64], starts: npt.NDArray[np.int64],
+              sizes: npt.NDArray[np.int64]) -> npt.NDArray[np.uint64]:
+    """The index key of each nonempty mask of ``sizes`` ids starting at ``starts`` of ``point_ids``: the
+    wrapping sum of its ids and its last id, each times an odd constant, xor-ed with its size."""
+    key = np.add.reduceat(point_ids, starts).astype(np.uint64)
+    key *= np.uint64(0x9E3779B97F4A7C15)
+    last = point_ids[starts + sizes - 1].astype(np.uint64)
+    last *= np.uint64(0xBF58476D1CE4E5B9)
+    key ^= last
+    key ^= sizes.astype(np.uint64)
+    return key
 
 
-class _MaskSets:
-    """The masks NMS needs: every empty mask, and the best-ranked mask (by
-    ``InstanceMask.sort_key``) of each distinct nonempty point set.
+class _MaskCopies:
+    """The score-filtered masks of every block so far, as rows over one
+    read-only id array per distinct point set.
 
-    Any other copy has IoU 1 with its set's best, so NMS would suppress it.
-    Every copy is given the set's first-seen array, made read-only, so masks
-    cost memory per distinct set. A set is keyed by the hash of its bytes and
-    confirmed by a byte comparison, exact for int64 ids and several times
-    faster than ``np.array_equal``; no bytes copy of a set is held.
+    Set 0 is the empty set, which every empty mask shares. A block's
+    nonempty masks are keyed in one pass over its ids (:func:`_set_keys`),
+    each key is looked up once, and a hit is confirmed by comparing the
+    mask's bytes with the held set's, exact for int64 ids and several times
+    faster than ``np.array_equal``; no bytes copy of a set is held. A mask
+    that matches no held set of its key opens a new set, a read-only copy of
+    its ids, so no block's arrays outlive the block.
     """
 
     def __init__(self) -> None:
-        self.for_nms: list[InstanceMask] = []
-        self._by_key: dict[int, list[int]] = {}  # positions in ``for_nms`` of the sets with each key
+        empty = np.empty(0, dtype=np.int64)
+        empty.flags.writeable = False
+        self.sets: list[npt.NDArray[np.int64]] = [empty]
+        self._by_key: dict[int, list[int]] = {}  # the sets with each key, by index into ``sets``
+        # Per block: block ids, query indices, scores and set indices; a first, empty block fixes their dtypes.
+        self._rows = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), empty)]
 
-    def add(self, mask: InstanceMask) -> None:
-        if mask.size:
-            data = mask.point_ids.tobytes()
-            held = self._by_key.setdefault(_ids_key(data), [])
-            for i in held:
-                best = self.for_nms[i]
-                if best.point_ids.tobytes() == data:
-                    mask.point_ids = best.point_ids  # the copy's own array goes with its block
-                    if mask.sort_key() < best.sort_key():
-                        self.for_nms[i] = mask
-                    return
-            held.append(len(self.for_nms))
-            mask.point_ids.flags.writeable = False
-        self.for_nms.append(mask)
+    def add(self, block_id: int, masks: BlockMasks) -> None:
+        """Hold ``masks``, whose ids are sorted and unique, as rows of block ``block_id``."""
+        sizes, starts = masks.mask_sizes, masks.starts()
+        set_index = np.zeros(len(masks), dtype=np.int64)
+        nonempty = np.flatnonzero(sizes)
+        keys = _set_keys(masks.point_ids, starts[nonempty], sizes[nonempty]).tolist()
+        for row, start, end, key in zip(nonempty.tolist(), starts[nonempty].tolist(),
+                                        (starts + sizes)[nonempty].tolist(), keys):
+            ids = masks.point_ids[start:end]
+            data = ids.tobytes()
+            held = self._by_key.setdefault(key, [])
+            for index in held:
+                if self.sets[index].tobytes() == data:
+                    break
+            else:
+                index = len(self.sets)
+                self.sets.append(ids.copy())
+                self.sets[index].flags.writeable = False
+                held.append(index)
+            set_index[row] = index
+        self._rows.append((np.full(len(masks), block_id, dtype=np.int64), masks.query_index, masks.score,
+                           set_index))
+
+    def table(self) -> MaskTable:
+        """Every row held, in the order the blocks were added."""
+        return MaskTable(*map(np.concatenate, zip(*self._rows)), sets=self.sets)
 
 
-def _checked_masks(
-    prediction: BlockPrediction, seen: set[int], n_grid: int, n_points: int, stride: float
-) -> list[InstanceMask]:
-    """Check one arriving prediction; its masks sorted by query index."""
+def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, n_points: int, stride: float) -> None:
+    """Check one arriving prediction: a new block id on the grid, mask ids in the cloud, distinct query indices."""
     block_id = prediction.block_id
     if not 0 <= block_id < n_grid:
         raise UnknownBlock(f"block id {block_id} is outside the {n_grid}-cell grid at stride {stride}")
     if block_id in seen:
         raise UnknownBlock(f"block {block_id} arrives twice")
     seen.add(block_id)
-    for mask in prediction.masks:
-        if mask.block_id != block_id:
-            raise UnknownBlock(f"prediction for block {block_id} holds a mask of block {mask.block_id}")
-        if mask.size and (mask.point_ids[0] < 0 or mask.point_ids[-1] >= n_points):
-            raise ShapeMismatch(f"mask from block {block_id} references points outside 0..{n_points - 1}")
-    masks = sorted(prediction.masks, key=lambda m: m.query_index)
-    for a, b in zip(masks, masks[1:]):
-        if a.query_index == b.query_index:
-            raise UnknownBlock(f"block {block_id} holds two masks with query index {a.query_index}")
-    return masks
+    masks = prediction.masks
+    ids = masks.point_ids
+    if len(ids) and (ids.min() < 0 or ids.max() >= n_points):
+        raise ShapeMismatch(f"mask from block {block_id} references points outside 0..{n_points - 1}")
+    query = masks.query_index
+    if (query[1:] <= query[:-1]).any():  # strictly ascending indices, as the oracle emits, need no sort
+        ordered = np.sort(query)
+        if (repeated := ordered[1:] == ordered[:-1]).any():
+            raise UnknownBlock(f"block {block_id} holds two masks with query index {ordered[1:][repeated][0]}")
 
 
 def merge_block_predictions(
@@ -190,20 +217,20 @@ def merge_block_predictions(
     Each prediction is checked, boundary-discarded, score-filtered and voted
     as it arrives, then dropped before the next one is pulled, so a generator
     of predictions is merged in the memory of one block, the surviving masks
-    and one vote count per point and class. Surviving masks with equal point
-    sets share one read-only id array, so they cost memory per distinct set,
-    and only the best-ranked of them reaches NMS. NMS, point resolution and
-    the semantic majority follow once the iterable is exhausted. Arrival
-    order is irrelevant to the result.
+    and one vote count per point and class. The survivors are rows over one
+    read-only id array per distinct point set, so copies cost memory per
+    distinct set, and only the best-ranked row of each set reaches NMS. NMS,
+    point resolution and the semantic majority follow once the iterable is
+    exhausted. Arrival order is irrelevant to the result.
 
     Block ids must be distinct and index the sliding-window grid of the
     positions' xy extent at ``config.stride``. A block's footprint, against
     which boundary discard measures its masks, is the cylinder of
     ``config.radius`` around the grid center its id names, so predictions
-    must come from blocks tiled with the same radius and stride. Every mask
-    must carry the block id of the prediction holding it, no two masks of a
-    block may share a query index, and a block's semantic votes may name each
-    point at most once. The first fault to arrive is the one raised.
+    must come from blocks tiled with the same radius and stride. A block's
+    mask ids must be points of the cloud, no two masks of a block may share
+    a query index, and a block's semantic votes may name each point at most
+    once. The first fault to arrive is the one raised.
     """
     n_points = len(positions)
     if n_points == 0:
@@ -212,17 +239,15 @@ def merge_block_predictions(
     centers = sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride)
     seen: set[int] = set()
     votes: SemanticVotes | None = None
-    after_filter: list[InstanceMask] = []
-    mask_sets = _MaskSets()
+    copies = _MaskCopies()
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
-        masks = _checked_masks(prediction, seen, len(centers), n_points, config.stride)
+        _check_prediction(prediction, seen, len(centers), n_points, config.stride)
+        masks = prediction.masks
         # Indexed only once checked: numpy would wrap a negative id to a cell at the grid's end.
         inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
                                         config.boundary_margin)
-        for mask in score_filter(inside, config.score_threshold):
-            mask_sets.add(mask)
-            after_filter.append(mask)
+        copies.add(prediction.block_id, score_filter(inside, config.score_threshold))
         n_predicted += len(masks)
         n_after_boundary += len(inside)
         if prediction.semantic is not None:
@@ -234,14 +259,19 @@ def merge_block_predictions(
                 raise type(exc)(f"block {prediction.block_id}: {exc}") from None
         del prediction, masks, inside  # free this block's arrays before the next one is pulled
 
-    after_filter.sort(key=lambda m: (m.block_id, m.query_index))
-    kept = score_nms(mask_sets.for_nms, config.nms_iou)
+    survivors = copies.table()
+    ranked = survivors.ranked()
+    # NMS gets every empty mask and each nonempty set's first row in rank order; any other copy has IoU 1 with it.
+    for_nms = np.zeros(len(ranked), dtype=bool)
+    for_nms[np.unique(ranked.set_index, return_index=True)[1]] = True
+    for_nms |= ranked.set_index == 0
+    kept = score_nms(ranked.take(np.flatnonzero(for_nms)), config.nms_iou)
     return MergeOutcome(
         n_grid=len(centers),
         n_blocks=len(seen),
         n_predicted=n_predicted,
         n_after_boundary=n_after_boundary,
-        masks_after_filter=after_filter,
+        masks_after_filter=survivors.take(np.lexsort((survivors.query_index, survivors.block_id))),
         masks_kept=kept,
         instance=resolve_points(kept, n_points),
         semantic=None if votes is None else votes.majority(),

@@ -16,7 +16,7 @@ import numpy.typing as npt
 
 from .core import GROUND, LEAF, WOOD, PointCloud
 from .errors import ConfigError, MissingLabels, PlacementFailed
-from .merging import InstanceMask
+from .merging import BlockMasks
 from .tiling import CylinderBlock
 
 # Fraction of a split tree shared by both fragments. Keeping split pairs
@@ -205,8 +205,8 @@ def oracle_predictor(
     corruption: CorruptionParams = CorruptionParams(),
     seed=0,
     tree_sizes: npt.NDArray[np.int64] | None = None,
-) -> list[InstanceMask]:
-    """Emit instance masks for one block, starting from ground truth.
+) -> BlockMasks:
+    """Emit one block's instance masks, packed, starting from ground truth.
 
     Corruption applies drops, then nearest-neighbor merges, then overlapping
     splits, then membership noise. Each mask's score is the IoU between the
@@ -221,9 +221,12 @@ def oracle_predictor(
     (``np.bincount(cloud.instance)``, computed here when not given, so a
     caller predicting many blocks passes it once). The drop coins come from
     one draw of as many uniforms as there are trees, the stream of one draw
-    per tree. A mask holding only its tree's points, untouched by point
-    noise, is scored from its construction: its intersection with the tree
-    is the whole mask. A noisy mask draws its
+    per tree. Without merges, splits or noise the masks are the runs of the
+    surviving trees, packed as the sort left them, each scored
+    ``run length / tree size``: the draws a corrupted block makes after the
+    coins would change none of them. A mask holding only its tree's points,
+    untouched by point noise, is scored from its construction: its
+    intersection with the tree is the whole mask. A noisy mask draws its
     added points from the pool of the block's points outside the mask, in
     ascending order, so the random draws are those of a sorted set
     difference. The pool is never built: the draw picks ranks into it, and
@@ -242,14 +245,21 @@ def oracle_predictor(
     by_tree, tree_of = pts[order], inst[order]
     first = int(np.searchsorted(tree_of, 1))
     if first == len(tree_of):
-        return []
-    starts = np.r_[first, first + 1 + np.flatnonzero(tree_of[first + 1:] != tree_of[first:-1])]
+        return BlockMasks()
+    starts = np.flatnonzero(np.diff(tree_of[first:], prepend=-1)) + first
+    ends = np.append(starts[1:], len(tree_of))
     present = tree_of[starts]
-    local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, starts, np.r_[starts[1:], len(tree_of)])}
     if tree_sizes is None:
         tree_sizes = np.bincount(cloud.instance)
+    survives = rng.random(len(present)) >= corruption.drop_prob
+    if corruption == CorruptionParams(drop_prob=corruption.drop_prob):  # no merge, split or noise
+        runs = ends - starts
+        point_ids = by_tree[first:] if survives.all() else by_tree[first:][np.repeat(survives, runs)]
+        sizes = runs[survives]
+        return BlockMasks(point_ids, sizes, sizes / tree_sizes[present[survives]])
 
-    survivors = [int(uid) for uid, coin in zip(present, rng.random(len(present))) if coin >= corruption.drop_prob]
+    local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, starts, ends)}
+    survivors = present[survives].tolist()
 
     centroids: dict[int, np.ndarray] = {}
     if corruption.merge_prob > 0:
@@ -279,8 +289,8 @@ def oracle_predictor(
 
     if corruption.point_noise > 0:
         ordered = pts if (pts[1:] > pts[:-1]).all() else np.unique(pts)
-    result = []
-    for query_index, (source, members) in enumerate(emitted):
+    masks, scores = [], []
+    for source, members in emitted:
         untouched = len(source) == 1
         if corruption.point_noise > 0 and len(members):
             n_swap = int(rng.uniform(0.0, corruption.point_noise) * len(members))
@@ -311,7 +321,6 @@ def oracle_predictor(
                     score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
         if corruption.score_noise > 0:
             score = float(np.clip(score + rng.normal(0.0, corruption.score_noise), 0.0, 1.0))
-        result.append(
-            InstanceMask(point_ids=members, score=score, block_id=block.block_id, query_index=query_index)
-        )
-    return result
+        masks.append(members)
+        scores.append(score)
+    return BlockMasks.pack(masks, scores)

@@ -36,6 +36,7 @@ from forestseg.errors import InvalidLabel, ParseError
 from forestseg.io import (_CLOUD_TYPES, _PLY_TYPES, _check_unique, _cloud_columns, _is_number, _ply_header,
                           _read_lines, _table_lines, _tsv_columns)
 from forestseg.merging import BlockPrediction
+from merging_reference import mask_ids
 
 
 def _parse_rows(path: Path, lines: Sequence[str], linenos: Sequence[int], width: int,
@@ -188,10 +189,11 @@ def reference_write_labels_tsv(path, instance, semantic=None) -> None:
 def reference_write_block_file(path, prediction: BlockPrediction, indent: int | None = 2) -> None:
     """Write one block's predictions as JSON with sorted keys: indented, one value per line, or with
     ``indent=None`` compact, on one line without spaces."""
+    masks = prediction.masks
     payload: dict = {
         "block_id": int(prediction.block_id),
-        "masks": [{"query_index": int(m.query_index), "score": float(m.score), "point_ids": m.point_ids.tolist()}
-                  for m in prediction.masks],
+        "masks": [{"query_index": int(q), "score": float(score), "point_ids": mask_ids(masks, i).tolist()}
+                  for i, (q, score) in enumerate(zip(masks.query_index, masks.score))],
     }
     if prediction.semantic is not None:
         payload["semantic"] = {"point_ids": np.asarray(prediction.semantic[0], dtype=np.int64).tolist(),

@@ -1,13 +1,13 @@
-"""Batch reference for the streaming merge in ``forestseg.pipeline``.
+"""Batch object reference for the streaming, packed merge in ``forestseg.pipeline``.
 
-``reference_merge_block_predictions`` holds every prediction and every
-stage's mask list at once: it checks all masks, then runs each stage over all
-blocks together. ``reference_check_block_ids`` checks the block ids of the
-whole list up front. Boundary discard, which measures masks against one
-block's footprint (the cylinder of ``config.radius`` around its grid center),
-runs once per block in block-id order. Run one after the
-other, they must return what the streaming merge returns, and raise the same
-error class.
+``reference_merge_block_predictions`` takes every prediction at once, each
+mask an ``InstanceMask`` tagged with its block id, and holds every stage's
+mask list: it checks all masks, then runs each stage over all blocks
+together. ``reference_check_block_ids`` checks the block ids of the whole
+list up front. Boundary discard, which measures masks against one block's
+footprint (the cylinder of ``config.radius`` around its grid center), runs
+once per block in block-id order. Run one after the other, they must return
+what the streaming merge returns, and raise the same error class.
 """
 
 from dataclasses import dataclass
@@ -16,17 +16,25 @@ import numpy as np
 import numpy.typing as npt
 
 from forestseg.errors import ShapeMismatch, UnknownBlock
-from forestseg.merging import (
-    BlockPrediction,
-    InstanceMask,
-    SemanticVotes,
-    discard_boundary_masks,
-    resolve_points,
-    score_filter,
-    score_nms,
-)
+from forestseg.merging import SemanticVotes
 from forestseg.pipeline import PipelineConfig
 from forestseg.tiling import sliding_window_centers
+from merging_reference import (
+    InstanceMask,
+    reference_discard_boundary_masks,
+    reference_resolve_points,
+    reference_score_filter,
+    reference_score_nms,
+)
+
+
+@dataclass(eq=False)
+class ReferencePrediction:
+    """One block's grid id, its masks as objects, and its optional semantic votes."""
+
+    block_id: int
+    masks: list[InstanceMask]
+    semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
 
 
 @dataclass(eq=False)
@@ -50,7 +58,7 @@ class ReferenceMergeOutcome:
 
 
 def reference_check_block_ids(
-    predictions: list[BlockPrediction],
+    predictions: list[ReferencePrediction],
     positions: npt.NDArray[np.float64],
     config: PipelineConfig,
 ) -> None:
@@ -65,7 +73,7 @@ def reference_check_block_ids(
 
 
 def reference_merge_block_predictions(
-    predictions: list[BlockPrediction],
+    predictions: list[ReferencePrediction],
     positions: npt.NDArray[np.float64],
     config: PipelineConfig,
 ) -> ReferenceMergeOutcome:
@@ -100,11 +108,11 @@ def reference_merge_block_predictions(
     after_boundary = []
     for p in sorted(predictions, key=lambda p: p.block_id):
         block_masks = sorted(p.masks, key=lambda m: m.query_index)
-        after_boundary += discard_boundary_masks(block_masks, centers[p.block_id], config.radius, positions,
-                                                 config.boundary_margin)
-    after_filter = score_filter(after_boundary, config.score_threshold)
-    kept = score_nms(after_filter, config.nms_iou)
-    instance = resolve_points(kept, n_points)
+        after_boundary += reference_discard_boundary_masks(block_masks, centers[p.block_id], config.radius,
+                                                           positions, config.boundary_margin)
+    after_filter = reference_score_filter(after_boundary, config.score_threshold)
+    kept = reference_score_nms(after_filter, config.nms_iou)
+    instance = reference_resolve_points(kept, n_points)
 
     semantic = None
     voted = [p for p in sorted(predictions, key=lambda p: p.block_id) if p.semantic is not None]

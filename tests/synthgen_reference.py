@@ -12,7 +12,7 @@ same random stream.
 import numpy as np
 
 from forestseg.errors import ConfigError, MissingLabels, PlacementFailed
-from forestseg.merging import InstanceMask
+from merging_reference import InstanceMask
 from forestseg.synthgen import CorruptionParams, _overlap_split
 from forestseg.tiling import CylinderBlock
 

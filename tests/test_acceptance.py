@@ -147,17 +147,20 @@ def test_criterion_5_duplicate_suppression():
         result = run_pipeline(cloud, config, threads=1)
         gt_ids = np.unique(cloud.instance[cloud.instance >= 1])
 
-        def tree_of(mask):
-            ids = cloud.instance[mask.point_ids]
-            return int(np.bincount(ids[ids >= 1]).argmax())
+        def trees_of(rows):
+            trees = []
+            for i in range(len(rows)):
+                ids = cloud.instance[rows.sets[rows.set_index[i]]]
+                trees.append(int(np.bincount(ids[ids >= 1]).argmax()))
+            return trees
 
         candidates = result.merge.masks_after_filter
-        per_tree_candidates = Counter(tree_of(m) for m in candidates)
+        per_tree_candidates = Counter(trees_of(candidates))
         assert min(per_tree_candidates.values()) >= 2  # overlapping blocks duplicate every tree
 
         kept = result.merge.masks_kept
         assert len(kept) == len(gt_ids)  # exactly one mask per GT tree
-        assert sorted(Counter(tree_of(m) for m in kept)) == sorted(gt_ids.tolist())
+        assert sorted(Counter(trees_of(kept))) == sorted(gt_ids.tolist())
 
 
 def test_criterion_6_corruption_monotonicity_and_nms_recovery():

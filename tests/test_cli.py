@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from forestseg import cli, io
 from forestseg.cli import main
 from forestseg.core import PointCloud
-from forestseg.merging import BlockPrediction, InstanceMask
+from forestseg.merging import BlockMasks, BlockPrediction
 from forestseg.pipeline import PipelineConfig
 from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
 from io_reference import reference_write_ascii_ply, reference_write_block_file
@@ -283,7 +283,7 @@ class TestPipeline:
         io.write_ply(small, generate_forest(ForestParams(n_trees=3, plot_size=6.0, seed=1)))
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        io.write_block_file(blocks / "block_00000.npz", BlockPrediction(block_id=0, masks=[]))
+        io.write_block_file(blocks / "block_00000.npz", BlockPrediction(block_id=0))
         params = tmp_path / "wide.txt"
         params.write_text("n_trees = 3\nplot_size = 100000\nground_density = 0\n")
         wide = tmp_path / "wide.ply"
@@ -427,7 +427,7 @@ class TestPipeline:
         # A JSON block file, which a replay reads too, is refused alike.
         json_only = tmp_path / "json-only"
         json_only.mkdir()
-        reference_write_block_file(json_only / "block_00000.json", BlockPrediction(block_id=0, masks=[]))
+        reference_write_block_file(json_only / "block_00000.json", BlockPrediction(block_id=0))
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(json_only)])
         assert result.exit_code == 3, result.output
         assert sorted(json_only.iterdir()) == [json_only / "block_00000.json"]
@@ -473,7 +473,7 @@ class TestPipeline:
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         io.write_block_file(blocks / "block_00000.npz", BlockPrediction(
-            block_id=0, masks=[InstanceMask(point_ids=tree_one, score=0.9, block_id=0, query_index=0)],
+            block_id=0, masks=BlockMasks.pack([tree_one], [0.9]),
         ))
         labels_path = tmp_path / "merged.tsv"
         result = runner.invoke(main, [
@@ -491,10 +491,9 @@ class TestPipeline:
         blocks.mkdir()
         io.write_block_file(blocks / "block_00000.npz", BlockPrediction(
             block_id=0,
-            masks=[InstanceMask(point_ids=np.flatnonzero(cloud.instance == uid), score=0.9, block_id=0, query_index=0)
-                   for uid in (1, 2)],
+            masks=BlockMasks.pack([np.flatnonzero(cloud.instance == uid) for uid in (1, 2)], [0.9, 0.9], [0, 0]),
         ))
-        assert [m.query_index for m in io.read_block_file(blocks / "block_00000.npz").masks] == [0, 0]
+        assert io.read_block_file(blocks / "block_00000.npz").masks.query_index.tolist() == [0, 0]
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
         assert "two masks with query index 0" in result.output
@@ -535,7 +534,7 @@ class TestPipeline:
         blocks = tmp_path / "blocks"
         blocks.mkdir()
         for name in ("block_00000.npz", "block_00001.npz"):
-            io.write_block_file(blocks / name, BlockPrediction(block_id=0, masks=[]))
+            io.write_block_file(blocks / name, BlockPrediction(block_id=0))
         (blocks / "block_00002.json").write_text('{"block_id": 2,\n')
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output

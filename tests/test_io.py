@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from forestseg import io
 from forestseg.core import PointCloud
-from forestseg.errors import ForestSegError, InputDataError, InvalidLabel, ParseError, ShapeMismatch
-from forestseg.merging import BlockPrediction, InstanceMask
+from forestseg.errors import ConfigError, ForestSegError, InputDataError, InvalidLabel, ParseError, ShapeMismatch
+from forestseg.merging import BlockMasks, BlockPrediction
 from forestseg.synthgen import ForestParams, generate_forest
 from io_reference import (reference_int_rows, reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
                           reference_write_ascii_ply, reference_write_block_file, reference_write_labels_tsv)
+from merging_reference import mask_ids
 
 
 def assert_clouds_equal(a: PointCloud, b: PointCloud):
@@ -540,7 +541,8 @@ def block_outcome(prediction: BlockPrediction):
     def array(a):
         return a.dtype.str, a.shape, a.tobytes()
 
-    masks = [(array(m.point_ids), m.score, m.block_id, m.query_index) for m in prediction.masks]
+    m = prediction.masks
+    masks = tuple(map(array, (m.point_ids, m.mask_sizes, m.score, m.query_index)))
     semantic = None if prediction.semantic is None else tuple(map(array, prediction.semantic))
     return prediction.block_id, masks, semantic
 
@@ -554,8 +556,8 @@ def block_predictions(draw):
     block_id = draw(st.integers(0, 2**31))
     queries = draw(st.lists(st.integers(0, 2**31), max_size=4, unique=True))
     scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    masks = [InstanceMask(point_ids=np.array(draw(ID_LISTS), dtype=np.int64), score=draw(scores),
-                          block_id=block_id, query_index=q) for q in queries]
+    masks = BlockMasks.pack([np.array(draw(ID_LISTS), dtype=np.int64) for _ in queries],
+                            [draw(scores) for _ in queries], queries)
     semantic = None
     if draw(st.booleans()):
         ids = draw(ID_LISTS)
@@ -653,49 +655,63 @@ NPZ_FAULTS = [
 
 class TestBlockFiles:
     def test_round_trip(self, tmp_path, rng):
-        masks = [
-            InstanceMask(point_ids=rng.choice(100, size=8, replace=False), score=0.75,
-                         block_id=3, query_index=q)
-            for q in range(4)
-        ]
+        ids = [rng.choice(100, size=8, replace=False) for _ in range(4)]
+        masks = BlockMasks.pack(ids, [0.75, 0.5, 1.0, 0.0], [3, 0, 2, 1])
         semantic = (np.arange(10), rng.integers(0, 3, size=10))
         path = tmp_path / "block_00003.npz"
         io.write_block_file(path, BlockPrediction(block_id=3, masks=masks, semantic=semantic))
         loaded = io.read_block_file(path)
         assert loaded.block_id == 3
         assert len(loaded.masks) == 4
-        for original, read in zip(masks, loaded.masks):
-            assert np.array_equal(np.sort(original.point_ids), read.point_ids)
-            assert read.score == original.score
-            assert (read.block_id, read.query_index) == (original.block_id, original.query_index)
+        assert [mask_ids(loaded.masks, i).tolist() for i in range(4)] == [np.sort(a).tolist() for a in ids]
+        assert loaded.masks.score.tolist() == [0.75, 0.5, 1.0, 0.0]
+        assert loaded.masks.query_index.tolist() == [3, 0, 2, 1]
         assert np.array_equal(loaded.semantic[0], semantic[0])
         assert np.array_equal(loaded.semantic[1], semantic[1])
 
     def test_npz_fields(self, tmp_path):
         # The layout an external predictor writes: these members, stored uncompressed with the zip format's
-        # fixed timestamp, holding these dtypes and shapes; masks in list order, not by query index.
+        # fixed timestamp, holding these dtypes and shapes; masks in the order they are held, not by query
+        # index. An integer field is int32 when all its values fit, and int64 otherwise.
         path = tmp_path / "block_00007.npz"
-        masks = [InstanceMask(point_ids=[2, 1], score=0.75, block_id=7, query_index=3),
-                 InstanceMask(point_ids=[], score=0.5, block_id=7, query_index=0),
-                 InstanceMask(point_ids=[5], score=1.0, block_id=7, query_index=8)]
+        masks = BlockMasks.pack([[2, 1], [], [5]], [0.75, 0.5, 1.0], [3, 0, 8])
         votes = (np.array([1, 2], dtype=np.int32), np.array([1, 2]))
         io.write_block_file(path, BlockPrediction(block_id=7, masks=masks, semantic=votes))
         with zipfile.ZipFile(path) as archive:
             assert [(i.filename, i.compress_type, i.date_time) for i in archive.infolist()] == [
                 (f"{name}.npy", zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0)) for name in NPZ_FIELDS]
         assert npz_fields(path) == {
-            "block_id": ("<i8", (), 7),
-            "query_index": ("<i8", (3,), [3, 0, 8]),
-            "mask_sizes": ("<i8", (3,), [2, 0, 1]),
+            "block_id": ("<i4", (), 7),
+            "query_index": ("<i4", (3,), [3, 0, 8]),
+            "mask_sizes": ("<i4", (3,), [2, 0, 1]),
             "score": ("<f8", (3,), [0.75, 0.5, 1.0]),
-            "point_ids": ("<i8", (3,), [1, 2, 5]),
-            "semantic_point_ids": ("<i8", (2,), [1, 2]),
-            "semantic_classes": ("<i8", (2,), [1, 2]),
+            "point_ids": ("<i4", (3,), [1, 2, 5]),
+            "semantic_point_ids": ("<i4", (2,), [1, 2]),
+            "semantic_classes": ("<i4", (2,), [1, 2]),
         }
-        io.write_block_file(path, BlockPrediction(block_id=7, masks=[]))
-        assert npz_fields(path) == {"block_id": ("<i8", (), 7), "query_index": ("<i8", (0,), []),
-                                    "mask_sizes": ("<i8", (0,), []), "score": ("<f8", (0,), []),
-                                    "point_ids": ("<i8", (0,), [])}
+        io.write_block_file(path, BlockPrediction(block_id=7))
+        assert npz_fields(path) == {"block_id": ("<i4", (), 7), "query_index": ("<i4", (0,), []),
+                                    "mask_sizes": ("<i4", (0,), []), "score": ("<f8", (0,), []),
+                                    "point_ids": ("<i4", (0,), [])}
+        wide = [2**31 - 1, 2**31]
+        io.write_block_file(path, BlockPrediction(block_id=2**31, masks=BlockMasks.pack([wide], [0.5], [-2**31]),
+                                                  semantic=(np.array(wide), np.array([1, 2]))))
+        assert npz_fields(path) == {"block_id": ("<i8", (), 2**31), "query_index": ("<i4", (1,), [-2**31]),
+                                    "mask_sizes": ("<i4", (1,), [2]), "score": ("<f8", (1,), [0.5]),
+                                    "point_ids": ("<i8", (2,), wide), "semantic_point_ids": ("<i8", (2,), wide),
+                                    "semantic_classes": ("<i4", (2,), [1, 2])}
+        assert block_outcome(io.read_block_file(path))[1][0] == ("<i8", (2,), np.array(wide).tobytes())
+
+    @pytest.mark.parametrize("name", ["block.json", "block.txt", "block.npy", "block"])
+    def test_write_to_another_suffix_rejected_before_opening(self, tmp_path, name):
+        path = tmp_path / name
+        suffix = path.suffix
+        message = f"{path}: block files are written as .npz, got suffix {suffix!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            io.write_block_file(path, BlockPrediction(block_id=0))
+        assert not path.exists()
+        io.write_block_file(tmp_path / "upper.NPZ", BlockPrediction(block_id=0))
+        assert block_outcome(io.read_block_file(tmp_path / "upper.NPZ")) == block_outcome(BlockPrediction(block_id=0))
 
     @pytest.mark.parametrize("write", [
         pytest.param(lambda path, fields: np.savez(path, **fields), id="savez"),
@@ -709,12 +725,12 @@ class TestBlockFiles:
                      "mask_sizes": [3, 0], "score": np.array([0.5, 1.0], dtype=np.float32),
                      "point_ids": np.array([9, 2, 5], dtype=np.uint16),
                      "semantic_point_ids": [2, 5, 9], "semantic_classes": np.array([1, 1, 2], dtype=np.uint8)})
-        expected = BlockPrediction(block_id=4, masks=[InstanceMask([2, 5, 9], 0.5, 4, 1), InstanceMask([], 1.0, 4, 0)],
+        expected = BlockPrediction(block_id=4, masks=BlockMasks.pack([[2, 5, 9], []], [0.5, 1.0], [1, 0]),
                                    semantic=(np.array([2, 5, 9]), np.array([1, 1, 2])))
         assert block_outcome(io.read_block_file(path)) == block_outcome(expected)
         write(path, {"block_id": 0, "query_index": [], "mask_sizes": [], "score": [], "point_ids": [],
                      "semantic_point_ids": [], "semantic_classes": []})
-        empty = BlockPrediction(block_id=0, masks=[], semantic=(np.empty(0, dtype=np.int64),) * 2)
+        empty = BlockPrediction(block_id=0, semantic=(np.empty(0, dtype=np.int64),) * 2)
         assert block_outcome(io.read_block_file(path)) == block_outcome(empty)
 
     @pytest.mark.parametrize("change, message", NPZ_FAULTS)
@@ -728,7 +744,8 @@ class TestBlockFiles:
     @pytest.mark.parametrize("name", ["block.txt", "block.npy", "block"])
     def test_other_extension_rejected(self, tmp_path, name):
         path = tmp_path / name
-        io.write_block_file(path, BlockPrediction(block_id=0, masks=[]))
+        io.write_block_file(tmp_path / "block.npz", BlockPrediction(block_id=0))
+        (tmp_path / "block.npz").rename(path)
         suffix = path.suffix
         with pytest.raises(ParseError, match=re.escape(f"{path}: unsupported extension {suffix!r}, expected .npz or "
                                                        ".json")):
@@ -742,7 +759,7 @@ class TestBlockFiles:
         legacy.write_text(
             '{\n  "block_id": 7,\n  "center": [\n    8.0,\n    0.25\n  ],\n  "masks": [],\n  "radius": 16.0\n}\n'
         )
-        empty = BlockPrediction(block_id=7, masks=[])
+        empty = BlockPrediction(block_id=7)
         assert block_outcome(io.read_block_file(legacy)) == block_outcome(empty)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -765,7 +782,7 @@ class TestBlockFiles:
         path.write_text('{"block_id": 0, "masks": [{"score": 0.5, "point_ids": []}],'
                         ' "semantic": {"point_ids": [], "classes": []}}')
         loaded = io.read_block_file(path)
-        for array in (loaded.masks[0].point_ids, *loaded.semantic):
+        for array in (mask_ids(loaded.masks, 0), *loaded.semantic):
             assert array.dtype == np.int64 and array.shape == (0,)
 
     @pytest.mark.parametrize("center, radius", [
@@ -788,8 +805,8 @@ class TestBlockFiles:
         )
         loaded = io.read_block_file(path)
         assert loaded.block_id == 0
-        assert loaded.masks[0].query_index == 0
-        assert loaded.masks[0].point_ids.tolist() == [1, 2, 3]
+        assert loaded.masks.query_index.tolist() == [0]
+        assert mask_ids(loaded.masks, 0).tolist() == [1, 2, 3]
         assert loaded.semantic is None
 
     def test_malformed_json_names_line(self, tmp_path):
@@ -853,10 +870,27 @@ class TestBlockFiles:
                                                        f"be in [0, 1], got {shown}")):
             io.read_block_file(path)
 
+    @pytest.mark.parametrize("masks, what", [
+        # Mask 1 is faulty too; mask 0's score, read first, is the fault named.
+        ('{"score": 1.5, "point_ids": [1]}, {"score": 0.5, "point_ids": [1.5]}',
+         "masks[0]: mask score must be in [0, 1], got 1.5"),
+        ('{"score": 1.5, "point_ids": [1]}, {"score": 0.5, "point_ids": [2], "query_index": 1180591620717411303424}',
+         "masks[0]: mask score must be in [0, 1], got 1.5"),
+        ('{"score": 0.5, "point_ids": [1]}, {"score": 0.5, "point_ids": [1.5]}, {"score": 2, "point_ids": []}',
+         "masks[1].point_ids must be a flat list of integers that fit int64"),
+        ('{"score": 0.5, "point_ids": [1], "query_index": 99999999999999999999}',
+         "masks[0].query_index must fit int64, got 99999999999999999999"),
+    ])
+    def test_first_fault_in_file_order_is_named(self, tmp_path, masks, what):
+        path = tmp_path / "faults.json"
+        path.write_text(f'{{"block_id": 0, "masks": [{masks}]}}')
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: malformed block file: {what}')}$"):
+            io.read_block_file(path)
+
     def test_boolean_spelled_only_in_an_unknown_string_still_reads(self, tmp_path):
         path = tmp_path / "note.json"
         path.write_text('{"block_id": 0, "note": "true or false", "masks": [{"score": 1, "point_ids": [2, 1]}]}')
-        assert io.read_block_file(path).masks[0].point_ids.tolist() == [1, 2]
+        assert mask_ids(io.read_block_file(path).masks, 0).tolist() == [1, 2]
 
     @pytest.mark.parametrize("section", [
         '"masks": [{"score": 0.5, "point_ids": [99999999999999999999]}]',
@@ -1081,7 +1115,7 @@ def binary_ply_twins(draw):
             rows[name][row] = value
     header = [f"comment {draw(COMMENTS)}", f"element vertex {len(rows)}",
               *(f"property {ptype} {name}" for name, ptype in types.items()), "end_header"]
-    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     encoding = "binary_little_endian" if byte_order == "<" else "binary_big_endian"
     binary = "".join(f"{line}{line_end}" for line in ["ply", f"format {encoding} 1.0", *header]).encode()
     binary += rows.tobytes()
@@ -1186,6 +1220,16 @@ class TestBinaryPly:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             io.read_ply(path)
 
+    def test_lone_cr_header_with_a_body_starting_at_byte_0x0a(self, tmp_path):
+        # A text reader takes the "\r" ending end_header and the body's first byte, "\n", as one line end.
+        body = b"\x0a\x00\x00\x00\x00\x00\xf0\x3f" + struct.pack("<2d", 2.0, 3.0)
+        header = b"\r".join([b"ply", b"format binary_little_endian 1.0", b"element vertex 1", b"property double x",
+                             b"property double y", b"property double z", b"end_header", b""])
+        assert len(header) == 118
+        path = tmp_path / "cr.ply"
+        path.write_bytes(header + body)
+        assert io.read_ply(path).positions.tolist() == [np.frombuffer(body, dtype="<f8").tolist()]
+
     def test_uint64_label_beyond_int64_names_vertex(self, tmp_path):
         path = tmp_path / "wide.ply"
         path.write_bytes(b"ply\nformat binary_big_endian 1.0\nelement vertex 3\nproperty double x\n"
@@ -1254,15 +1298,15 @@ def test_label_table_is_written_a_chunk_at_a_time(tmp_path, rng):
 _SMALL_CLOUD = PointCloud(positions=np.eye(3), semantic=[1, 1, 0], instance=[1, 1, 0])
 
 
-@pytest.mark.parametrize("write", [
-    pytest.param(lambda path: io.write_ply(path, _SMALL_CLOUD), id="write_ply"),
-    pytest.param(lambda path: io.write_tsv(path, _SMALL_CLOUD), id="write_tsv"),
-    pytest.param(lambda path: io.write_labels_tsv(path, [1, 0, 2]), id="write_labels_tsv"),
-    pytest.param(lambda path: io.write_block_file(path, BlockPrediction(3, [InstanceMask([0, 1], 0.5, 3, 0)])),
-                 id="write_block_file"),
-    pytest.param(lambda path: io.write_json(path, {"a": 1}), id="write_json"),
+@pytest.mark.parametrize("write, name", [
+    pytest.param(lambda path: io.write_ply(path, _SMALL_CLOUD), "out.ply", id="write_ply"),
+    pytest.param(lambda path: io.write_tsv(path, _SMALL_CLOUD), "out.tsv", id="write_tsv"),
+    pytest.param(lambda path: io.write_labels_tsv(path, [1, 0, 2]), "out.tsv", id="write_labels_tsv"),
+    pytest.param(lambda path: io.write_block_file(path, BlockPrediction(3, BlockMasks.pack([[0, 1]], [0.5]))),
+                 "out.npz", id="write_block_file"),
+    pytest.param(lambda path: io.write_json(path, {"a": 1}), "out.json", id="write_json"),
 ])
-def test_write_failing_after_the_file_opened_is_an_input_error(tmp_path, monkeypatch, write):
+def test_write_failing_after_the_file_opened_is_an_input_error(tmp_path, monkeypatch, write, name):
     real_open = builtins.open
 
     class FullDisk:
@@ -1284,7 +1328,7 @@ def test_write_failing_after_the_file_opened_is_an_input_error(tmp_path, monkeyp
             return getattr(self.f, name)
 
     monkeypatch.setattr(builtins, "open", lambda *args, **kwargs: FullDisk(real_open(*args, **kwargs)))
-    path = tmp_path / "out"
+    path = tmp_path / name
     message = f"^{re.escape(str(path))}: cannot write: No space left on device$"
     with pytest.raises(InputDataError, match=message) as caught:
         write(path)

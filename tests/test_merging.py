@@ -1,4 +1,9 @@
-"""Merging stages against brute-force oracles and order-independence checks."""
+"""Merging stages against brute-force oracles and order-independence checks.
+
+The packed kernels take ``BlockMasks`` and ``MaskTable`` values; the tests
+build masks as ``InstanceMask`` objects of the object reference, pack them,
+and turn the kernels' results back into masks to compare.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ from hypothesis import strategies as st
 from forestseg import merging
 from forestseg.errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
 from forestseg.merging import (
-    InstanceMask,
+    BlockMasks,
+    MaskTable,
     discard_boundary_masks,
     resolve_points,
     score_filter,
@@ -16,14 +22,37 @@ from forestseg.merging import (
     semantic_vote_arrays,
 )
 from merging_reference import (
+    InstanceMask,
+    block_objects,
+    mask_ids,
+    mask_keys,
+    pack,
     reference_discard_boundary_masks,
+    reference_resolve_points,
     reference_score_nms,
+    table,
+    table_objects,
 )
 
 
 def mask(point_ids, score, block_id=0, query_index=0):
     return InstanceMask(point_ids=np.asarray(point_ids, dtype=np.int64), score=score,
                         block_id=block_id, query_index=query_index)
+
+
+def nms(masks, threshold):
+    """score_nms over the masks as table rows, its kept rows as masks."""
+    return table_objects(score_nms(table(masks), threshold))
+
+
+def discard(masks, *args):
+    """discard_boundary_masks over the masks packed as one block, its kept masks as masks."""
+    return block_objects(0, discard_boundary_masks(pack(masks), *args))
+
+
+def same_block_masks(got, expected):
+    """Mask lists equal but for the block id, which a packed block does not hold."""
+    return [key[1:] for key in mask_keys(got)] == [key[1:] for key in mask_keys(expected)]
 
 
 # Ids an int64 cast would truncate, read as 0 and 1, wrap or parse, each with the start of its rejection.
@@ -39,48 +68,83 @@ NON_INTEGER_IDS = [
 ]
 
 
-class TestInstanceMask:
-    def test_ids_sorted_unique_and_flat(self):
-        m = mask([[5, 1], [3, 1]], 0.5)
-        assert m.point_ids.dtype == np.int64
-        assert m.point_ids.tolist() == [1, 3, 5]
+class TestBlockMasks:
+    def test_each_masks_ids_sorted_and_deduplicated(self):
+        masks = BlockMasks.pack([[5, 1, 5, 3], [1, 3, 3, 5], [], [9], [2, 1]], [0.5] * 5)
+        assert [mask_ids(masks, i).tolist() for i in range(len(masks))] == [[1, 3, 5], [1, 3, 5], [], [9], [1, 2]]
+        assert masks.mask_sizes.tolist() == [3, 3, 0, 1, 2] and masks.point_ids.dtype == np.int64
+        assert masks.query_index.tolist() == [0, 1, 2, 3, 4]
 
-    def test_ids_are_a_copy(self):
-        ids = np.array([1, 2, 3])
-        m = mask(ids, 0.5)
-        ids[0] = 9
-        assert m.point_ids.tolist() == [1, 2, 3]
+    def test_descending_across_a_mask_boundary_needs_no_sort(self):
+        ids = np.array([7, 8, 1, 2, 3, 0], dtype=np.int64)
+        masks = BlockMasks(ids, [2, 3, 0, 1], [0.5, 0.5, 0.5, 0.5])
+        assert masks.point_ids is ids  # already in form: held, not copied
+
+    def test_narrow_ids_become_int64(self):
+        masks = BlockMasks(np.array([1, 4, 9], dtype=np.int32), np.array([3], dtype=np.uint8), [1])
+        assert masks.point_ids.dtype == masks.mask_sizes.dtype == masks.query_index.dtype == np.int64
+        assert masks.score.dtype == np.float64 and masks.score.tolist() == [1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(id_lists=st.lists(st.lists(st.integers(-3, 12), max_size=8), max_size=6))
+    def test_normalizes_as_the_object_mask_does(self, id_lists):
+        masks = BlockMasks.pack(id_lists, [0.5] * len(id_lists))
+        expected = [mask(ids, 0.5).point_ids.tolist() for ids in id_lists]
+        assert [mask_ids(masks, i).tolist() for i in range(len(masks))] == expected
 
     @pytest.mark.parametrize("score", [0.0, 1.0, np.float64(0.5), 1])
     def test_score_in_unit_interval_accepted(self, score):
-        assert mask([0], score).score == score
+        assert BlockMasks.pack([[0], [1]], [0.5, score]).score.tolist() == [0.5, score]
 
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"), -0.1, 1.1, np.float64("nan")])
-    def test_score_outside_unit_interval_rejected(self, score):
-        with pytest.raises(ShapeMismatch, match="mask score must be in"):
-            mask([0], score)
+    @pytest.mark.parametrize("score, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"), (-0.1, "-0.1"), (1.1, "1.1"),
+        (np.float64("nan"), "nan"),
+    ])
+    def test_score_outside_unit_interval_names_the_mask(self, score, shown):
+        with pytest.raises(ShapeMismatch, match=rf"^masks\[1\]: mask score must be in \[0, 1\], got {shown}$"):
+            BlockMasks.pack([[0], [1], [2]], [0.5, score, 2.0])
 
-    def test_unsorted_ids_are_sorted_and_deduplicated(self):
-        assert mask([5, 1, 5, 3], 0.5).point_ids.tolist() == [1, 3, 5]
-        assert mask([1, 3, 3, 5], 0.5).point_ids.tolist() == [1, 3, 5]
-
-    def test_sorted_ids_are_copied_as_int64(self):
-        ids = np.array([1, 4, 9], dtype=np.int32)
-        m = mask(ids, 0.5)
-        assert m.point_ids.dtype == np.int64 and m.point_ids.tolist() == [1, 4, 9]
-        ids64 = np.array([2, 3], dtype=np.int64)
-        m = InstanceMask(point_ids=ids64, score=0.5, block_id=0, query_index=0)
-        ids64[0] = 7
-        assert m.point_ids.tolist() == [2, 3]
-
-    def test_empty_and_scalar_ids(self):
-        assert mask([], 0.5).point_ids.shape == (0,)
-        assert InstanceMask(point_ids=np.int64(4), score=0.5, block_id=0, query_index=0).point_ids.tolist() == [4]
+    @pytest.mark.parametrize("scores", [[True, False], ["0.5", "1"]])
+    def test_non_number_scores_rejected(self, scores):
+        with pytest.raises(ShapeMismatch, match="mask scores must be numbers"):
+            BlockMasks.pack([[0], [1]], scores)
 
     @pytest.mark.parametrize("point_ids, message", NON_INTEGER_IDS)
     def test_non_integer_ids_rejected(self, point_ids, message):
         with pytest.raises(ShapeMismatch, match=f"^mask point_ids {message}"):
-            InstanceMask(point_ids=point_ids, score=0.5, block_id=0, query_index=0)
+            BlockMasks(point_ids, [len(point_ids)], [0.5])
+        with pytest.raises(ShapeMismatch, match=f"^mask point_ids {message}"):
+            BlockMasks.pack([[0], point_ids], [0.5, 0.5])
+
+    @pytest.mark.parametrize("point_ids, sizes, scores, query_index, message", [
+        ([1, 2], [1, 1], [0.5], None, "query_index, mask_sizes and score lengths differ: 2, 2 and 1"),
+        ([1, 2], [2], [0.5], [0, 1], "query_index, mask_sizes and score lengths differ: 2, 1 and 1"),
+        ([1, 2], [3, -1], [0.5, 0.5], None, "mask_sizes must be >= 0, got -1"),
+        ([1, 2], [1, 2], [0.5, 0.5], None, "mask_sizes sum to 3, but point_ids holds 2"),
+        ([1, 2], [], [], None, "mask_sizes sum to 0, but point_ids holds 2"),
+        ([1, 2], [2**62] * 4 + [2], [0.5] * 5, None, "mask_sizes sum to 18446744073709551618, but point_ids holds 2"),
+        ([[1, 2]], [2], [0.5], None, "must be 1-D"),
+        ([1, 2], [2], [0.5], [[0]], "must be 1-D"),
+        ([1, 2], [2], [0.5], [0.0], "mask query_index must be integers, got dtype float64"),
+    ])
+    def test_inconsistent_arrays_rejected(self, point_ids, sizes, scores, query_index, message):
+        with pytest.raises(ShapeMismatch, match=message.replace("[", r"\[")):
+            BlockMasks(point_ids, sizes, scores, query_index)
+
+    def test_empty(self):
+        for masks in (BlockMasks(), BlockMasks.pack([], [])):
+            assert len(masks) == 0 and masks.point_ids.dtype == np.int64 and masks.point_ids.shape == (0,)
+
+    def test_keep_picks_masks_in_order(self):
+        masks = BlockMasks.pack([[1, 2], [], [3], [4, 5, 6]], [0.1, 0.2, 0.3, 0.4], [7, 5, 9, 8])
+        for chosen in ([True, False, True, True], [False, True, False, False], [False] * 4):
+            kept = masks.keep(np.array(chosen))
+            rows = np.flatnonzero(chosen)
+            assert ([mask_ids(kept, i).tolist() for i in range(len(kept))]
+                    == [mask_ids(masks, r).tolist() for r in rows])
+            assert kept.score.tolist() == masks.score[rows].tolist()
+            assert kept.query_index.tolist() == masks.query_index[rows].tolist()
+        assert masks.keep(np.ones(4, dtype=bool)) is masks
 
 
 def random_masks(rng, count, universe=200, max_size=40):
@@ -129,22 +193,23 @@ def duplicate_heavy_mask_lists(draw, universe=30):
 class TestScoreFilter:
     def test_threshold_keeps_at_or_above(self):
         masks = [mask([0], 0.9), mask([1], 0.39), mask([2], 0.41)]
-        kept = score_filter(masks, 0.4)
-        assert [m.score for m in kept] == [0.9, 0.41]
+        kept = score_filter(pack(masks), 0.4)
+        assert kept.score.tolist() == [0.9, 0.41]
+        assert [mask_ids(kept, i).tolist() for i in range(len(kept))] == [[0], [2]]
 
     def test_zero_threshold_is_identity(self, rng):
-        masks = random_masks(rng, 10)
-        assert score_filter(masks, 0.0) == masks
+        masks = pack(random_masks(rng, 10))
+        assert score_filter(masks, 0.0) is masks
 
     def test_matches_linear_scan_oracle(self, rng):
         masks = random_masks(rng, 50)
-        kept = score_filter(masks, 0.6)
-        assert kept == [m for m in masks if m.score >= 0.6]
+        kept = block_objects(0, score_filter(pack(masks), 0.6))
+        assert same_block_masks(kept, [m for m in masks if m.score >= 0.6])
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ConfigError, match=r"score threshold must be in \[0, 1\]"):
-            score_filter([mask([0], 0.5)], threshold)
+            score_filter(pack([mask([0], 0.5)]), threshold)
 
 
 class TestDiscardBoundaryMasks:
@@ -155,11 +220,11 @@ class TestDiscardBoundaryMasks:
 
     def test_mask_reaching_margin_discarded(self):
         masks, positions = self._setup(15.6)
-        assert discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5) == []
+        assert discard(masks, (0.0, 0.0), 16.0, positions, 0.5) == []
 
     def test_interior_mask_kept(self):
         masks, positions = self._setup(15.4)
-        assert len(discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5)) == 1
+        assert len(discard(masks, (0.0, 0.0), 16.0, positions, 0.5)) == 1
 
     @pytest.mark.parametrize("center, radius", [
         ((float("nan"), 0.0), 16.0), ((0.0, float("inf")), 16.0), ((0.0, 0.0, 5.0), 16.0), ((0.0,), 16.0),
@@ -169,39 +234,39 @@ class TestDiscardBoundaryMasks:
     def test_bad_footprint_rejected(self, center, radius):
         masks, positions = self._setup(1.0)
         with pytest.raises(ConfigError, match=r"block center must be a finite \(x, y\) pair and radius positive"):
-            discard_boundary_masks(masks, center, radius, positions, 0.5)
+            discard(masks, center, radius, positions, 0.5)
 
     def test_matches_distance_scan_oracle(self, rng):
         positions = np.c_[rng.uniform(-20, 20, size=(300, 2)), np.zeros(300)]
         masks = random_masks(rng, 40, universe=300)
         for _ in range(5):
             center = (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
-            kept = discard_boundary_masks(masks, center, 16.0, positions, 0.5)
+            kept = discard(masks, center, 16.0, positions, 0.5)
             expected = []
             for m in masks:
                 dists = [np.hypot(*(positions[p, :2] - np.array(center))) for p in m.point_ids]
                 if max(dists) <= 16.0 - 0.5:
                     expected.append(m)
-            assert kept == expected
+            assert same_block_masks(kept, expected)
 
     def test_block_narrower_than_margin_keeps_only_empty_masks(self):
         # radius - margin = -0.2, so every point lies beyond it, even one at the center.
         positions = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
         masks = [mask([0], 0.9), mask([0, 1], 0.9, query_index=1), mask([], 0.9, query_index=2)]
-        kept = discard_boundary_masks(masks, (0.0, 0.0), 0.3, positions, 0.5)
+        kept = discard(masks, (0.0, 0.0), 0.3, positions, 0.5)
         assert [m.query_index for m in kept] == [2]
 
     @pytest.mark.parametrize("margin", [-3.0, float("nan")])
     def test_negative_or_nan_margin_rejected(self, margin):
         positions = np.array([[3.0, 0.0, 0.0]])
         with pytest.raises(ConfigError, match="boundary margin must be >= 0"):
-            discard_boundary_masks([mask([0], 0.9)], (0.0, 0.0), 1.0, positions, margin)
+            discard([mask([0], 0.9)], (0.0, 0.0), 1.0, positions, margin)
 
     def test_empty_masks_kept_and_order_preserved(self):
         positions = np.array([[0.0, 0.0, 0.0], [15.6, 0.0, 0.0], [15.4, 0.0, 0.0]])
         masks = [mask([], 0.5, 0, 4), mask([0, 1], 0.5, 0, 1), mask([0, 2], 0.5, 0, 5),
                  mask([], 0.5, 0, 0), mask([1], 0.5, 0, 3), mask([2], 0.5, 0, 2)]
-        kept = discard_boundary_masks(masks, (0.0, 0.0), 16.0, positions, 0.5)
+        kept = discard(masks, (0.0, 0.0), 16.0, positions, 0.5)
         assert [m.query_index for m in kept] == [4, 5, 0, 2]
 
     @settings(max_examples=80, deadline=None)
@@ -222,54 +287,61 @@ class TestDiscardBoundaryMasks:
         positions[:4, :2] = np.array(center) + max(inner, 0.0) * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
         masks = [mask(gen.choice(60, size=int(gen.integers(0, 8)), replace=False), 0.5, query_index=i)
                  for i in range(n_masks)]
-        assert discard_boundary_masks(masks, center, radius, positions, margin) == \
-            reference_discard_boundary_masks(masks, center, radius, positions, margin)
+        assert mask_keys(discard(masks, center, radius, positions, margin)) == \
+            mask_keys(reference_discard_boundary_masks(masks, center, radius, positions, margin))
 
 
 class TestScoreNms:
     def test_duplicate_suppression(self):
         a = mask([0, 1, 2], 0.9, block_id=0)
         b = mask([0, 1, 2], 0.8, block_id=1)
-        kept = score_nms([b, a], 0.5)
-        assert kept == [a]
+        assert mask_keys(nms([b, a], 0.5)) == mask_keys([a])
 
     def test_disjoint_masks_all_kept(self):
         masks = [mask([0, 1], 0.9), mask([2, 3], 0.5, query_index=1), mask([4], 0.1, query_index=2)]
-        assert len(score_nms(masks, 0.3)) == 3
+        assert len(score_nms(table(masks), 0.3)) == 3
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ConfigError, match=r"NMS IoU threshold must be in \[0, 1\]"):
-            score_nms([mask([0], 0.5)], threshold)
+            score_nms(table([mask([0], 0.5)]), threshold)
 
     def test_matches_quadratic_greedy_oracle(self, rng):
         masks = random_masks(rng, 50)
-        kept = score_nms(masks, 0.25)
         ranked = sorted(masks, key=lambda m: (-m.score, m.block_id, m.query_index))
         expected = []
         for m in ranked:
             if all(set_iou(m, k) < 0.25 for k in expected):
                 expected.append(m)
-        assert kept == expected
+        assert mask_keys(nms(masks, 0.25)) == mask_keys(expected)
 
     def test_input_order_independence(self, rng):
         masks = random_masks(rng, 30)
-        reference = score_nms(masks, 0.3)
+        reference = mask_keys(nms(masks, 0.3))
         for _ in range(5):
             shuffled = list(masks)
             rng.shuffle(shuffled)
-            assert score_nms(shuffled, 0.3) == reference
+            assert mask_keys(nms(shuffled, 0.3)) == reference
 
     def test_threshold_one_keeps_everything(self, rng):
         masks = random_masks(rng, 20)
-        assert len(score_nms(masks, 1.0)) == 20
+        assert len(score_nms(table(masks), 1.0)) == 20
 
     def test_tiny_threshold_keeps_pairwise_disjoint_set(self, rng):
         masks = random_masks(rng, 20, universe=60)
-        kept = score_nms(masks, 1e-9)
+        kept = nms(masks, 1e-9)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert not set(kept[i].point_ids.tolist()) & set(kept[j].point_ids.tolist())
+
+    def test_rows_over_shared_sets(self):
+        # Rows 0 and 2 share set 1; the lower-ranked copy of it is suppressed, the other set survives.
+        rows = MaskTable(block_id=np.array([4, 1, 2]), query_index=np.array([0, 0, 3]),
+                         score=np.array([0.5, 0.5, 0.9]), set_index=np.array([1, 0, 1]),
+                         sets=[np.array([7, 8]), np.array([1, 2, 3])])
+        kept = score_nms(rows, 0.5)
+        assert list(zip(kept.block_id.tolist(), kept.query_index.tolist())) == [(2, 3), (1, 0)]
+        assert kept.sets is rows.sets and kept.set_index.tolist() == [1, 0]
 
 
 class TestIndexKernelsMatchPairwiseReference:
@@ -279,45 +351,42 @@ class TestIndexKernelsMatchPairwiseReference:
     @given(data=mask_lists(), threshold=st.sampled_from([0.0, 1e-9, 0.3, 1.0]))
     def test_score_nms(self, data, threshold):
         masks, shuffled = data
-        expected = reference_score_nms(masks, threshold)
-        assert score_nms(masks, threshold) == expected
-        assert score_nms(shuffled, threshold) == expected
+        expected = mask_keys(reference_score_nms(masks, threshold))
+        assert mask_keys(nms(masks, threshold)) == expected
+        assert mask_keys(nms(shuffled, threshold)) == expected
 
     @settings(deadline=None)
     @given(data=duplicate_heavy_mask_lists(), threshold=st.sampled_from([0.0, 1e-9, 0.3, 1.0]))
     def test_score_nms_on_exact_copies(self, data, threshold):
         masks, shuffled = data
         expected = reference_score_nms(masks, threshold)
-        assert score_nms(masks, threshold) == expected
-        assert score_nms(shuffled, threshold) == expected
+        assert mask_keys(nms(masks, threshold)) == mask_keys(expected)
+        assert mask_keys(nms(shuffled, threshold)) == mask_keys(expected)
         if threshold > 0:
             assert sum(m.size == 0 for m in expected) == sum(m.size == 0 for m in masks)
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 1.0])
-    def test_score_nms_ignores_whether_copies_share_an_array(self, threshold):
+    def test_score_nms_ignores_whether_copies_share_a_set(self, threshold):
         distinct = [np.arange(0, 40), np.arange(30, 70), np.arange(100, 120), np.array([], dtype=np.int64)]
-
-        def copies():
-            return [mask(ids, 0.5 + 0.01 * (copy % 7), block_id=copy, query_index=q)
-                    for copy in range(20) for q, ids in enumerate(distinct)]
-
-        own, shared = copies(), copies()
-        for m in shared:
-            m.point_ids = distinct[m.query_index]
+        own = [mask(ids, 0.5 + 0.01 * (copy % 7), block_id=copy, query_index=q)
+               for copy in range(20) for q, ids in enumerate(distinct)]
+        shared = table(own)
+        shared.sets, shared.set_index = distinct, shared.query_index.copy()
         expected = [(m.block_id, m.query_index) for m in reference_score_nms(own, threshold)]
-        for masks in (own, shared):
-            assert [(m.block_id, m.query_index) for m in score_nms(masks, threshold)] == expected
+        for rows in (table(own), shared):
+            kept = score_nms(rows, threshold)
+            assert list(zip(kept.block_id.tolist(), kept.query_index.tolist())) == expected
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.3, 0.5, 1.0])
     def test_score_nms_on_many_overlapping_masks(self, rng, threshold):
         masks = random_masks(rng, 300, universe=400, max_size=60)
         masks += [mask(m.point_ids, m.score, m.block_id, 300 + i) for i, m in enumerate(masks[:40])]
-        assert score_nms(masks, threshold) == reference_score_nms(masks, threshold)
+        assert mask_keys(nms(masks, threshold)) == mask_keys(reference_score_nms(masks, threshold))
 
     def test_zero_threshold_keeps_only_the_top_ranked_mask(self):
         masks = [mask([0], 0.5), mask([1], 0.9, query_index=1), mask([], 0.7, query_index=2)]
-        assert score_nms(masks, 0.0) == [masks[1]]
-        assert score_nms([], 0.0) == []
+        assert mask_keys(nms(masks, 0.0)) == mask_keys([masks[1]])
+        assert nms([], 0.0) == []
 
 
 def brute_force_intersections(indexed, query):
@@ -379,24 +448,25 @@ class TestResolvePoints:
     def test_highest_score_claims_shared_point(self):
         a = mask([0, 1], 0.9)
         b = mask([1, 2], 0.7, query_index=1)
-        out = resolve_points([a, b], 4)
+        out = resolve_points(table([a, b]), 4)
         assert out.tolist() == [1, 1, 2, 0]
 
     def test_unclaimed_point_gets_zero(self):
-        out = resolve_points([mask([2], 0.5)], 4)
+        out = resolve_points(table([mask([2], 0.5)]), 4)
         assert out.tolist() == [0, 0, 1, 0]
 
     def test_matches_argmax_oracle(self, rng):
         masks = random_masks(rng, 25, universe=150)
-        out = resolve_points(masks, 150)
+        out = resolve_points(table(masks), 150)
         order = sorted(masks, key=lambda m: (-m.score, m.block_id, m.query_index))
         for p in range(150):
             claimants = [r for r, m in enumerate(order, start=1) if p in set(m.point_ids.tolist())]
             assert out[p] == (claimants[0] if claimants else 0)
+        assert np.array_equal(out, reference_resolve_points(masks, 150))
 
     def test_partition_property(self, rng):
         masks = random_masks(rng, 25, universe=100)
-        out = resolve_points(masks, 100)
+        out = resolve_points(table(masks), 100)
         assert out.shape == (100,)
         claimed = set()
         for m in masks:

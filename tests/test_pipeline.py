@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from forestseg import io, merging, pipeline
 from forestseg.core import GROUND, N_CLASSES, WOOD, PointCloud
 from forestseg.errors import ConfigError, EmptyInput, ForestSegError, InvalidLabel, ShapeMismatch, UnknownBlock
-from forestseg.merging import BlockPrediction, InstanceMask
+from forestseg.merging import BlockMasks, BlockPrediction
 from forestseg.pipeline import (
     PipelineConfig,
     effective_threads,
@@ -23,7 +23,8 @@ from forestseg.pipeline import (
 )
 from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
 from forestseg.tiling import sliding_window_centers, tile_cloud
-from pipeline_reference import reference_check_block_ids, reference_merge_block_predictions
+from merging_reference import InstanceMask, mask_keys, table_objects
+from pipeline_reference import ReferencePrediction, reference_check_block_ids, reference_merge_block_predictions
 
 
 @pytest.fixture(scope="module")
@@ -156,52 +157,49 @@ class TestStageAccounting:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyInput, match="cannot merge predictions over an empty point cloud"):
-            merge_block_predictions([BlockPrediction(block_id=0, masks=[])], np.empty((0, 3)), PipelineConfig())
+            merge_block_predictions([BlockPrediction(block_id=0)], np.empty((0, 3)), PipelineConfig())
 
     def test_out_of_range_mask_points_rejected(self, forest):
         from forestseg.errors import ShapeMismatch
 
-        bad = BlockPrediction(
-            block_id=0,
-            masks=[InstanceMask(point_ids=np.array([forest.n + 5]), score=0.9, block_id=0, query_index=0)],
-        )
+        bad = BlockPrediction(block_id=0, masks=BlockMasks.pack([[forest.n + 5]], [0.9]))
         with pytest.raises(ShapeMismatch):
             run_pipeline_from_blocks([bad], forest, PipelineConfig())
 
     @pytest.mark.parametrize("block_ids", [[0, 0], [-1], [10_000]])
     def test_block_ids_off_the_grid_rejected(self, forest, block_ids):
-        bad = [BlockPrediction(block_id=i, masks=[]) for i in block_ids]
+        bad = [BlockPrediction(block_id=i) for i in block_ids]
         with pytest.raises(UnknownBlock):
             run_pipeline_from_blocks(bad, forest, PipelineConfig())
 
-    def test_mask_tagged_with_another_block_rejected(self):
-        # Both points lie well inside block 0 (centered at x = 0) and outside
-        # block 3 (x = 12), so measuring the mask against block 3 would drop it.
+    @pytest.mark.parametrize("holder, kept", [(0, [(0, 0)]), (3, [])])
+    def test_masks_are_measured_against_the_footprint_of_the_block_holding_them(self, holder, kept):
+        # Both points lie well inside block 0 (centered at x = 0) and outside block 3 (x = 12). A mask takes
+        # its block id from the prediction holding it, so block 0 keeps the mask and block 3 discards it.
         positions = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [12.0, 0.0, 0.0]])
-        stray = InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=3, query_index=0)
-        predictions = [BlockPrediction(block_id=0, masks=[stray]), BlockPrediction(block_id=3, masks=[])]
-        with pytest.raises(UnknownBlock, match="block 0 holds a mask of block 3"):
-            merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
+        predictions = [BlockPrediction(block_id=b, masks=BlockMasks.pack([[0, 1]] if b == holder else [],
+                                                                          [0.9] if b == holder else []))
+                       for b in (0, 3)]
+        outcome = merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
+        rows = outcome.masks_after_filter
+        assert list(zip(rows.block_id.tolist(), rows.query_index.tolist())) == kept
 
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     def test_repeated_mask_key_rejected(self, order):
         # The two masks tie on (score, block id, query index), so without the
         # check the labelling would follow their order inside the prediction.
-        twins = [InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=0, query_index=0),
-                 InstanceMask(point_ids=np.array([1, 2]), score=0.9, block_id=0, query_index=0)]
+        twins = [[0, 1], [1, 2]]
         if order == "reversed":
             twins.reverse()
-        prediction = BlockPrediction(block_id=0, masks=twins)
+        prediction = BlockPrediction(block_id=0, masks=BlockMasks.pack(twins, [0.9, 0.9], [0, 0]))
         with pytest.raises(UnknownBlock, match="block 0 holds two masks with query index 0"):
             merge_block_predictions([prediction], np.zeros((4, 3)), PipelineConfig(radius=4.0, stride=4.0))
 
     def test_repeated_block_id_rejected_even_with_distinct_query_indices(self):
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         predictions = [
-            BlockPrediction(block_id=0,
-                            masks=[InstanceMask(point_ids=np.array([0, 1]), score=0.9, block_id=0, query_index=0)]),
-            BlockPrediction(block_id=0,
-                            masks=[InstanceMask(point_ids=np.array([2, 3]), score=0.9, block_id=0, query_index=1)]),
+            BlockPrediction(block_id=0, masks=BlockMasks.pack([[0, 1]], [0.9], [0])),
+            BlockPrediction(block_id=0, masks=BlockMasks.pack([[2, 3]], [0.9], [1])),
         ]
         with pytest.raises(UnknownBlock, match="block 0 arrives twice"):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
@@ -220,7 +218,7 @@ class TestStageAccounting:
         bad = {"length": (pids, classes[:-1]), "class": (pids, np.r_[classes[:-1], N_CLASSES]),
                "point": (np.r_[pids[:-1], 12], classes), "repeat": (np.r_[pids, 3], np.r_[classes, 1]),
                "sorted_repeat": (np.sort(np.r_[pids, 3]), np.r_[classes, 1])}[fault]
-        predictions = [BlockPrediction(block_id=b, masks=[], semantic=bad if b == 2 else (pids, classes))
+        predictions = [BlockPrediction(block_id=b, semantic=bad if b == 2 else (pids, classes))
                        for b in range(3)]
         with pytest.raises(error, match=message):
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
@@ -251,18 +249,21 @@ class TestStageAccounting:
         assert np.array_equal(result.merge.semantic, ground.semantic)
         assert result.report["masks"]["predicted"] == 0
 
-FAULTS = ["repeated_block", "off_grid", "foreign_mask", "point_out_of_range", "repeated_query",
-          "vote_shape", "vote_point", "vote_class", "vote_repeat"]
+FAULTS = ["repeated_block", "off_grid", "point_out_of_range", "repeated_query", "score_out_of_range",
+          "non_integer_ids", "vote_shape", "vote_point", "vote_class", "vote_repeat"]
 
 
 @st.composite
 def merge_cases(draw):
-    """Random predictions over a tiny scene, shuffled, with at most one kind of fault.
+    """Random blocks over a tiny scene, as plain lists, shuffled, with at most one kind of fault.
 
-    Each block's masks are drawn mostly from the points near its grid
-    center, so that some survive boundary discard. Scores come from a few
-    values so that ties are common; masks may be empty, blocks may carry no
-    votes, and the margin, NMS and score thresholds include their edge values.
+    A block is ``(block_id, masks, semantic)``, each mask ``(ids, score,
+    query index)``. Each block's masks are drawn mostly from the points near
+    its grid center, so that some survive boundary discard. A mask's ids may
+    be unsorted and repeat a point, masks may be empty and come out of query
+    order, a few point sets recur across blocks, and scores come from a few
+    values, so that ties are common. Blocks may carry no votes, and the
+    margin, NMS and score thresholds include their edge values.
     """
     n_points = draw(st.integers(1, 24))
     xy = np.array(draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -279,44 +280,43 @@ def merge_cases(draw):
     # An empty stream is valid too, but rarer than hypothesis would make it.
     min_blocks = draw(st.sampled_from([0, 1, 1, 1]))
     block_ids = draw(st.lists(st.integers(0, n_grid - 1), unique=True, min_size=min_blocks, max_size=min(n_grid, 6)))
-    point_sets = st.sets(st.integers(0, n_points - 1), max_size=n_points)
-    predictions = []
+    point_lists = st.lists(st.integers(0, n_points - 1), max_size=n_points + 2)
+    recurring = draw(st.lists(st.sets(st.integers(0, n_points - 1), max_size=6), min_size=1, max_size=3))
+    blocks = []
     for block_id in block_ids:
         near = np.flatnonzero(np.hypot(*(xy - centers[block_id]).T) <= radius - 0.5).tolist()
-        mask_sets = st.sets(st.sampled_from(near)) if near else st.just(set())
-        queries = draw(st.lists(st.integers(0, 7), unique=True, max_size=4))
-        masks = [InstanceMask(point_ids=np.array(sorted(draw(st.one_of(mask_sets, point_sets))), dtype=np.int64),
-                              score=draw(st.sampled_from([0.0, 0.4, 0.7, 1.0])), block_id=block_id, query_index=q)
-                 for q in queries]
+        near_lists = st.lists(st.sampled_from(near), max_size=8) if near else st.just([])
+        copies = st.sampled_from(recurring).flatmap(lambda points: st.permutations(sorted(points)))
+        masks = [(draw(st.one_of(near_lists, point_lists, copies)), draw(st.sampled_from([0.0, 0.4, 0.7, 1.0])), q)
+                 for q in draw(st.lists(st.integers(0, 7), unique=True, max_size=4))]
         semantic = None
         voters = draw(st.sampled_from([None, "all", "some"]))
         if voters is not None:
-            pids = np.arange(n_points) if voters == "all" else np.array(sorted(draw(point_sets)), dtype=np.int64)
+            pids = (np.arange(n_points) if voters == "all"
+                    else np.array(sorted(draw(st.sets(st.integers(0, n_points - 1)))), dtype=np.int64))
             classes = np.array(draw(st.lists(st.integers(0, N_CLASSES - 1), min_size=len(pids), max_size=len(pids))),
                                dtype=np.int64)
             semantic = (pids, classes)
-        predictions.append(BlockPrediction(block_id=block_id, masks=masks, semantic=semantic))
+        blocks.append((block_id, masks, semantic))
 
-    fault = draw(st.one_of(st.none(), st.sampled_from(FAULTS))) if predictions else None
+    fault = draw(st.one_of(st.none(), st.sampled_from(FAULTS))) if blocks else None
     if fault is not None:
-        victim = draw(st.sampled_from(predictions))
-        block_id = victim.block_id
+        victim = draw(st.sampled_from(range(len(blocks))))
+        block_id, masks, semantic = blocks[victim]
         if fault == "repeated_block":
-            predictions.append(BlockPrediction(block_id=block_id, masks=[]))
+            blocks.append((block_id, [], None))
         elif fault == "off_grid":
-            victim.block_id = draw(st.sampled_from([n_grid, -1]))
-            for m in victim.masks:
-                m.block_id = victim.block_id
-        elif fault == "foreign_mask":
-            victim.masks.append(InstanceMask(point_ids=np.array([0]), score=0.5, block_id=block_id + 1,
-                                             query_index=8))
+            block_id = draw(st.sampled_from([n_grid, -1]))
         elif fault == "point_out_of_range":
-            victim.masks.append(InstanceMask(point_ids=np.array([draw(st.sampled_from([-1, n_points]))]),
-                                             score=0.5, block_id=block_id, query_index=8))
+            masks = masks + [([draw(st.sampled_from([-1, n_points]))], 0.5, 8)]
         elif fault == "repeated_query":
-            victim.masks += [InstanceMask(point_ids=np.array([0]), score=0.5, block_id=block_id, query_index=8)] * 2
+            masks = masks + [([0], 0.5, 8)] * 2
+        elif fault == "score_out_of_range":
+            masks = masks + [([0], draw(st.sampled_from([-0.5, 1.5, float("nan")])), 8)]
+        elif fault == "non_integer_ids":
+            masks = masks + [([0.5], 0.5, 8)]
         else:
-            pids, classes = victim.semantic if victim.semantic is not None else (np.array([0]), np.array([0]))
+            pids, classes = semantic if semantic is not None else (np.array([0]), np.array([0]))
             if fault == "vote_shape":
                 classes = np.r_[classes, 0]
             elif fault == "vote_point":
@@ -328,8 +328,20 @@ def merge_cases(draw):
                     pids, classes = np.array([0]), np.array([0])
                 order = draw(st.permutations(range(len(pids) + 1)))
                 pids, classes = np.r_[pids, pids[-1]][order], np.r_[classes, 0][order]
-            victim.semantic = (pids, classes)
-    return positions, config, draw(st.permutations(predictions))
+            semantic = (pids, classes)
+        blocks[victim] = (block_id, masks, semantic)
+    return positions, config, draw(st.permutations(blocks))
+
+
+def packed_predictions(blocks):
+    return [BlockPrediction(block_id, BlockMasks.pack(*zip(*masks)) if masks else BlockMasks(), semantic)
+            for block_id, masks, semantic in blocks]
+
+
+def object_predictions(blocks):
+    return [ReferencePrediction(block_id, [InstanceMask(np.array(ids), score, block_id, q) for ids, score, q in masks],
+                                semantic)
+            for block_id, masks, semantic in blocks]
 
 
 def _result_or_error(merge):
@@ -339,23 +351,23 @@ def _result_or_error(merge):
         return None, type(exc)
 
 
-def _mask_keys(masks):
-    return [(m.block_id, m.query_index, m.score, m.point_ids.tolist()) for m in masks]
-
-
 class TestStreamingMerge:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(case=merge_cases(), as_generator=st.booleans())
-    def test_stream_matches_the_batch_reference(self, case, as_generator):
-        positions, config, predictions = case
+    def test_packed_stream_matches_the_object_reference(self, case, as_generator):
+        positions, config, blocks = case
 
         def reference():
+            predictions = object_predictions(blocks)
             reference_check_block_ids(predictions, positions, config)
             return reference_merge_block_predictions(predictions, positions, config)
 
+        def packed():
+            predictions = packed_predictions(blocks)
+            return merge_block_predictions(iter(predictions) if as_generator else predictions, positions, config)
+
         expected, expected_error = _result_or_error(reference)
-        feed = (p for p in predictions) if as_generator else list(predictions)
-        outcome, error = _result_or_error(lambda: merge_block_predictions(feed, positions, config))
+        outcome, error = _result_or_error(packed)
         assert error is expected_error
         if expected is None:
             return
@@ -365,9 +377,9 @@ class TestStreamingMerge:
         else:
             assert np.array_equal(outcome.semantic, expected.semantic)
         assert outcome.stage_counts() == expected.stage_counts()
-        assert _mask_keys(outcome.masks_after_filter) == _mask_keys(expected.masks_after_filter)
-        assert _mask_keys(outcome.masks_kept) == _mask_keys(expected.masks_kept)
-        assert outcome.n_blocks == len(predictions)
+        assert mask_keys(table_objects(outcome.masks_after_filter)) == mask_keys(expected.masks_after_filter)
+        assert mask_keys(table_objects(outcome.masks_kept)) == mask_keys(expected.masks_kept)
+        assert outcome.n_blocks == len(blocks)
 
     def test_each_prediction_is_freed_before_the_next_is_pulled(self):
         positions = np.c_[np.arange(12.0), np.zeros(12), np.zeros(12)]
@@ -378,7 +390,7 @@ class TestStreamingMerge:
             ids = np.array([4 * block_id, 4 * block_id + 1])
             prediction = BlockPrediction(
                 block_id=block_id,
-                masks=[InstanceMask(point_ids=ids, score=0.9, block_id=block_id, query_index=0)],
+                masks=BlockMasks.pack([ids], [0.9]),
                 semantic=(np.arange(12), np.full(12, block_id % N_CLASSES)),
             )
             alive.append(weakref.ref(prediction))
@@ -402,7 +414,7 @@ class TestStreamingMerge:
             while True:
                 pulls += 1
                 assert pulls < 3, "pulled past the repeated block"
-                yield BlockPrediction(block_id=0, masks=[])
+                yield BlockPrediction(block_id=0)
 
         with pytest.raises(UnknownBlock, match="block 0 arrives twice"):
             merge_block_predictions(stream(), np.zeros((4, 3)), PipelineConfig(radius=4.0, stride=4.0))
@@ -450,6 +462,11 @@ class TestStreamingMerge:
             run_pipeline(forest, PipelineConfig(), threads=threads)
 
 
+def _constant_keys(point_ids, starts, sizes):
+    """A set key under which every point set collides."""
+    return np.zeros(len(starts), dtype=np.uint64)
+
+
 class TestSharedMaskIds:
     @staticmethod
     def _merge(cloud, corruption=CorruptionParams()):
@@ -459,35 +476,38 @@ class TestSharedMaskIds:
                                        cloud.positions, config)
 
     @staticmethod
-    def _arrays_by_set(masks):
-        arrays: dict[bytes, list] = {}
-        for mask in masks:
-            arrays.setdefault(mask.point_ids.tobytes(), []).append(mask.point_ids)
-        return arrays
+    def _sets_by_ids(rows):
+        """The set indices of each distinct point set among the rows."""
+        groups: dict[bytes, set[int]] = {}
+        for i in range(len(rows)):
+            groups.setdefault(rows.sets[rows.set_index[i]].tobytes(), set()).add(int(rows.set_index[i]))
+        return groups
 
     @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
     def test_equal_sets_share_one_read_only_array(self, forest, corruption):
-        masks = self._merge(forest, corruption).masks_after_filter
-        arrays = self._arrays_by_set(masks)
+        outcome = self._merge(forest, corruption)
+        rows = outcome.masks_after_filter
+        groups = self._sets_by_ids(rows)
         if corruption == CorruptionParams():
-            assert len(arrays) < len(masks)  # clean trees arrive as exact copies; noisy masks may all differ
-        for group in arrays.values():
-            assert all(ids is group[0] for ids in group)
-            assert not group[0].flags.writeable
-        firsts = [group[0] for group in arrays.values()]
-        assert len({id(ids) for ids in firsts}) == len(firsts)
+            assert len(groups) < len(rows)  # clean trees arrive as exact copies; noisy masks may all differ
+        assert all(len(indices) == 1 for indices in groups.values())
+        assert len(set().union(*groups.values())) == len(groups)
+        # One array per distinct point set, and one for the empty set: memory grows with the sets, not the copies.
+        assert len(rows.sets) == 1 + sum(len(ids) > 0 for ids in groups)
+        assert not any(ids.flags.writeable for ids in rows.sets)
+        assert outcome.masks_kept.sets is rows.sets
 
     def test_colliding_keys_keep_sets_apart(self, forest, monkeypatch):
         expected = self._merge(forest)
-        monkeypatch.setattr(pipeline, "_ids_key", lambda data: 0)
+        monkeypatch.setattr(pipeline, "_set_keys", _constant_keys)
         outcome = self._merge(forest)
-        assert [m.point_ids.tolist() for m in outcome.masks_after_filter] == \
-            [m.point_ids.tolist() for m in expected.masks_after_filter]
+        assert mask_keys(table_objects(outcome.masks_after_filter)) == \
+            mask_keys(table_objects(expected.masks_after_filter))
         assert np.array_equal(outcome.instance, expected.instance)
-        arrays = self._arrays_by_set(outcome.masks_after_filter)
-        assert len(arrays) == len(self._arrays_by_set(expected.masks_after_filter)) > 1
-        for group in arrays.values():
-            assert all(ids is group[0] for ids in group)
+        groups = self._sets_by_ids(outcome.masks_after_filter)
+        assert len(groups) == len(self._sets_by_ids(expected.masks_after_filter)) > 1
+        assert all(len(indices) == 1 for indices in groups.values())
+        assert len(outcome.masks_after_filter.sets) == len(expected.masks_after_filter.sets)
 
     @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
     def test_nms_queries_each_shared_array_once(self, forest, monkeypatch, corruption):
@@ -499,55 +519,71 @@ class TestSharedMaskIds:
             return intersections(index, point_ids)
 
         monkeypatch.setattr(merging._PointIndex, "intersections", counted)
-        masks = self._merge(forest, corruption).masks_after_filter
+        rows = self._merge(forest, corruption).masks_after_filter
         nonempty = [ids for ids in queried if len(ids)]
         assert len({id(ids) for ids in nonempty}) == len(nonempty)
-        assert len(nonempty) == len(self._arrays_by_set(m for m in masks if m.size))
+        assert len(nonempty) == sum(len(ids) > 0 for ids in self._sets_by_ids(rows))
 
     @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
     def test_nms_gets_every_empty_mask_and_each_sets_best_ranked_mask(self, forest, monkeypatch, corruption):
-        given, score_nms = [], pipeline.score_nms
+        given = []
+        score_nms = pipeline.score_nms
 
-        def recorded(masks, iou_threshold):
-            given.extend(masks)
-            return score_nms(given, iou_threshold)
+        def recorded(rows, iou_threshold):
+            given.extend(zip(rows.block_id.tolist(), rows.query_index.tolist()))
+            return score_nms(rows, iou_threshold)
 
         monkeypatch.setattr(pipeline, "score_nms", recorded)
-        masks = self._merge(forest, corruption).masks_after_filter
+        masks = table_objects(self._merge(forest, corruption).masks_after_filter)
         best = {}
         for mask in sorted((m for m in masks if m.size), key=InstanceMask.sort_key):
             best.setdefault(mask.point_ids.tobytes(), mask)
-        expected = [m for m in masks if not m.size] + list(best.values())
-        assert len(given) == len(expected) and {id(m) for m in given} == {id(m) for m in expected}
+        expected = [(m.block_id, m.query_index) for m in [*(m for m in masks if not m.size), *best.values()]]
+        assert len(given) == len(expected) and set(given) == set(expected)
 
 
-class TestMaskSets:
-    @staticmethod
-    def _add_all(*masks):
-        sets = pipeline._MaskSets()
-        for m in masks:
-            sets.add(m)
-        return sets
+class TestMaskCopies:
+    # Every point lies inside every block's footprint, so boundary discard keeps every mask.
+    POSITIONS = np.c_[np.linspace(0.0, 20.0, 10), np.zeros(10), np.zeros(10)]
+    CONFIG = PipelineConfig(radius=100.0, stride=4.0)
 
-    @pytest.mark.parametrize("key", [pipeline._ids_key, lambda data: 0])
-    def test_copies_share_the_first_array_and_only_the_best_ranked_reaches_nms(self, monkeypatch, key):
-        monkeypatch.setattr(pipeline, "_ids_key", key)  # a constant key makes every set collide
-        a = InstanceMask(np.array([1, 2, 3]), 0.5, block_id=0, query_index=0)
-        b = InstanceMask(np.array([1, 2, 4]), 0.5, block_id=0, query_index=1)
-        a_higher = InstanceMask(np.array([1, 2, 3]), 0.6, block_id=3, query_index=0)
-        b_lower = InstanceMask(np.array([1, 2, 4]), 0.4, block_id=2, query_index=0)
-        subset = InstanceMask(np.array([1, 2]), 0.5, block_id=4, query_index=0)
-        a_best = InstanceMask(np.array([1, 2, 3]), 0.9, block_id=5, query_index=0)
-        sets = self._add_all(a, b, a_higher, b_lower, subset, a_best)
-        assert a_higher.point_ids is a.point_ids and a_best.point_ids is a.point_ids
-        assert b_lower.point_ids is b.point_ids and b.point_ids is not a.point_ids
-        assert not any(m.point_ids.flags.writeable for m in (a, b, subset))
-        assert {id(m) for m in sets.for_nms} == {id(a_best), id(b), id(subset)}
+    def _merge(self, monkeypatch, blocks):
+        given = []
+        score_nms = pipeline.score_nms
 
-    @pytest.mark.parametrize("key", [pipeline._ids_key, lambda data: 0])
-    def test_every_empty_mask_reaches_nms(self, monkeypatch, key):
-        monkeypatch.setattr(pipeline, "_ids_key", key)
-        empties = [InstanceMask(np.array([], dtype=np.int64), 0.5, block_id=b, query_index=0) for b in range(3)]
-        full = InstanceMask(np.array([7]), 0.5, block_id=0, query_index=1)
-        sets = self._add_all(empties[0], full, empties[1], empties[2])
-        assert {id(m) for m in sets.for_nms} == {id(m) for m in (*empties, full)}
+        def recorded(rows, iou_threshold):
+            given.extend(zip(rows.block_id.tolist(), rows.query_index.tolist()))
+            return score_nms(rows, iou_threshold)
+
+        monkeypatch.setattr(pipeline, "score_nms", recorded)
+        predictions = [BlockPrediction(block_id, BlockMasks.pack(*zip(*masks))) for block_id, masks in blocks.items()]
+        return merge_block_predictions(predictions, self.POSITIONS, self.CONFIG), set(given)
+
+    @pytest.mark.parametrize("keys", [pipeline._set_keys, _constant_keys])
+    def test_copies_share_the_first_array_and_only_the_best_ranked_reaches_nms(self, monkeypatch, keys):
+        monkeypatch.setattr(pipeline, "_set_keys", keys)  # a constant key makes every set collide
+        blocks = {
+            0: [([1, 2, 3], 0.5, 0), ([1, 2, 4], 0.5, 1)],  # a and b, one size: only the ids tell them apart
+            3: [([3, 2, 1, 1], 0.6, 0)],  # a, unsorted and repeating a point
+            2: [([4, 2, 1], 0.4, 0)],  # b
+            4: [([1, 2], 0.5, 0)],
+            5: [([1, 2, 3], 0.9, 0), ([1, 2, 4], 0.45, 2)],  # the best-ranked a, and b again in the same block
+        }
+        outcome, given = self._merge(monkeypatch, blocks)
+        rows = outcome.masks_after_filter
+        set_of = {(b, q): s for b, q, s in zip(rows.block_id.tolist(), rows.query_index.tolist(),
+                                               rows.set_index.tolist())}
+        assert set_of[(0, 0)] == set_of[(3, 0)] == set_of[(5, 0)]
+        assert set_of[(0, 1)] == set_of[(2, 0)] == set_of[(5, 2)]
+        assert len({set_of[(0, 0)], set_of[(0, 1)], set_of[(4, 0)]}) == 3
+        assert [ids.tolist() for ids in rows.sets] == [[], [1, 2, 3], [1, 2, 4], [1, 2]]
+        assert not any(ids.flags.writeable for ids in rows.sets)
+        assert given == {(5, 0), (0, 1), (4, 0)}
+
+    @pytest.mark.parametrize("keys", [pipeline._set_keys, _constant_keys])
+    def test_every_empty_mask_reaches_nms(self, monkeypatch, keys):
+        monkeypatch.setattr(pipeline, "_set_keys", keys)
+        blocks = {0: [([], 0.5, 0), ([7], 0.5, 1)], 1: [([], 0.5, 0)], 2: [([], 0.5, 0)]}
+        outcome, given = self._merge(monkeypatch, blocks)
+        assert given == {(0, 0), (0, 1), (1, 0), (2, 0)}
+        assert outcome.masks_after_filter.set_index.tolist() == [0, 1, 0, 0]

@@ -16,7 +16,13 @@ from forestseg.synthgen import (
     oracle_predictor,
 )
 from forestseg.tiling import CylinderBlock, tile_cloud
+from merging_reference import block_objects
 from synthgen_reference import reference_oracle_predictor, reference_place_centers
+
+
+def oracle_masks(block, *args, **kwargs):
+    """The oracle's packed masks for ``block`` as a mask list."""
+    return block_objects(block.block_id, oracle_predictor(block, *args, **kwargs))
 
 
 def full_scene_block(cloud, block_id=0):
@@ -104,7 +110,7 @@ class TestGenerateForest:
 class TestOraclePredictor:
     def test_zero_corruption_reproduces_gt(self, small_forest):
         block = full_scene_block(small_forest)
-        masks = oracle_predictor(block, small_forest, CorruptionParams(), seed=0)
+        masks = oracle_masks(block, small_forest, CorruptionParams(), seed=0)
         gt_ids = np.unique(small_forest.instance[small_forest.instance >= 1])
         assert len(masks) == len(gt_ids)
         for mask, uid in zip(masks, gt_ids):
@@ -114,13 +120,13 @@ class TestOraclePredictor:
 
     def test_full_split_emits_two_masks_per_tree(self, small_forest):
         block = full_scene_block(small_forest)
-        masks = oracle_predictor(block, small_forest, CorruptionParams(split_prob=1.0), seed=0)
+        masks = oracle_masks(block, small_forest, CorruptionParams(split_prob=1.0), seed=0)
         gt_ids = np.unique(small_forest.instance[small_forest.instance >= 1])
         assert len(masks) == 2 * len(gt_ids)
 
     def test_split_fragments_overlap_their_pair(self, small_forest):
         block = full_scene_block(small_forest)
-        masks = oracle_predictor(block, small_forest, CorruptionParams(split_prob=1.0), seed=0)
+        masks = oracle_masks(block, small_forest, CorruptionParams(split_prob=1.0), seed=0)
         for a, b in zip(masks[::2], masks[1::2]):
             sa, sb = set(a.point_ids.tolist()), set(b.point_ids.tolist())
             iou = len(sa & sb) / len(sa | sb)
@@ -128,17 +134,17 @@ class TestOraclePredictor:
 
     def test_full_drop_emits_nothing(self, small_forest):
         block = full_scene_block(small_forest)
-        assert oracle_predictor(block, small_forest, CorruptionParams(drop_prob=1.0), seed=0) == []
+        assert oracle_masks(block, small_forest, CorruptionParams(drop_prob=1.0), seed=0) == []
 
     def test_full_merge_halves_mask_count(self, small_forest):
         block = full_scene_block(small_forest)
-        masks = oracle_predictor(block, small_forest, CorruptionParams(merge_prob=1.0), seed=0)
+        masks = oracle_masks(block, small_forest, CorruptionParams(merge_prob=1.0), seed=0)
         gt_ids = np.unique(small_forest.instance[small_forest.instance >= 1])
         assert len(masks) == (len(gt_ids) + 1) // 2
 
     def test_scores_track_membership_quality(self, small_forest):
         block = full_scene_block(small_forest)
-        noisy = oracle_predictor(block, small_forest, CorruptionParams(point_noise=0.6), seed=1)
+        noisy = oracle_masks(block, small_forest, CorruptionParams(point_noise=0.6), seed=1)
         for mask in noisy:
             uid = np.bincount(small_forest.instance[mask.point_ids]).argmax()
             full = np.flatnonzero(small_forest.instance == uid)
@@ -153,7 +159,7 @@ class TestOraclePredictor:
             for seed in range(20):
                 cloud = generate_forest(ForestParams(n_trees=5, plot_size=9.0, ground_density=4.0, seed=300 + seed))
                 block = full_scene_block(cloud)
-                masks = oracle_predictor(block, cloud, CorruptionParams(point_noise=level), seed=seed)
+                masks = oracle_masks(block, cloud, CorruptionParams(point_noise=level), seed=seed)
                 scores.extend(m.score for m in masks)
             means.append(np.mean(scores))
         assert means[0] >= means[1] >= means[2]
@@ -161,8 +167,8 @@ class TestOraclePredictor:
     def test_deterministic_given_seed(self, small_forest):
         block = full_scene_block(small_forest)
         corr = CorruptionParams(split_prob=0.5, point_noise=0.3, score_noise=0.1)
-        a = oracle_predictor(block, small_forest, corr, seed=4)
-        b = oracle_predictor(block, small_forest, corr, seed=4)
+        a = oracle_masks(block, small_forest, corr, seed=4)
+        b = oracle_masks(block, small_forest, corr, seed=4)
         assert len(a) == len(b)
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.point_ids, mb.point_ids)
@@ -174,7 +180,7 @@ class TestOraclePredictor:
         unlabeled = PointCloud(positions=small_forest.positions)
         block = full_scene_block(unlabeled)
         with pytest.raises(MissingLabels):
-            oracle_predictor(block, unlabeled, CorruptionParams(), seed=0)
+            oracle_masks(block, unlabeled, CorruptionParams(), seed=0)
 
 
 corruptions = st.builds(
@@ -204,7 +210,7 @@ class TestOraclePredictorMatchesSetReference:
         cloud = generate_forest(ForestParams(n_trees=6, plot_size=10.0, ground_density=6.0, seed=forest_seed))
         for block in tile_cloud(cloud, radius=4.0, stride=4.0):
             assert_same_masks(
-                oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
+                oracle_masks(block, cloud, corruption, seed=[seed, block.block_id]),
                 reference_oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
             )
 
@@ -214,7 +220,7 @@ class TestOraclePredictorMatchesSetReference:
         order = np.random.default_rng(seed).permutation(small_forest.n)
         block = CylinderBlock(point_indices=order[: max(1, int(keep * small_forest.n))], block_id=7)
         assert_same_masks(
-            oracle_predictor(block, small_forest, corruption, seed=seed),
+            oracle_masks(block, small_forest, corruption, seed=seed),
             reference_oracle_predictor(block, small_forest, corruption, seed=seed),
         )
 
@@ -226,7 +232,7 @@ class TestOraclePredictorMatchesSetReference:
         tree_sizes = np.bincount(cloud.instance)  # given once per cloud, as the pipeline does
         for block in tile_cloud(cloud, radius=6.0, stride=4.0):
             assert_same_masks(
-                oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id], tree_sizes=tree_sizes),
+                oracle_masks(block, cloud, corruption, seed=[seed, block.block_id], tree_sizes=tree_sizes),
                 reference_oracle_predictor(block, cloud, corruption, seed=[seed, block.block_id]),
             )
 
@@ -239,6 +245,6 @@ class TestOraclePredictorMatchesSetReference:
         assert block.n > 10_000
         corruption = CorruptionParams(split_prob=0.5, point_noise=1.0)
         assert_same_masks(
-            oracle_predictor(block, cloud, corruption, seed=[0, 5]),
+            oracle_masks(block, cloud, corruption, seed=[0, 5]),
             reference_oracle_predictor(block, cloud, corruption, seed=[0, 5]),
         )
