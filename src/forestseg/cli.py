@@ -27,6 +27,7 @@ from .metrics import evaluate_labels
 from .pipeline import PipelineConfig, effective_threads, run_pipeline, run_pipeline_from_blocks
 from .synthgen import CorruptionParams, ForestParams, generate_forest
 
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -173,6 +174,8 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
     config = _from_options(PipelineConfig, options)
     effective_threads(threads)
     corruption = _from_options(CorruptionParams, options)
+    if out_labels:
+        io._check_label_table_path(out_labels)
     if predictor != "oracle" and (corruption != CorruptionParams() or dump_blocks):
         flags = ", ".join(f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(CorruptionParams))
         raise ConfigError(f"{flags} and --dump-blocks apply only to the oracle predictor")

@@ -15,10 +15,12 @@ one row formatter; floats are written with ``repr`` so a read-back reproduces
 every value bit-exactly, as a binary PLY's float64 columns do. Label tables
 hold only integers, and one vectorized kernel formats them: each column's
 digits fill a right-aligned byte matrix, so no value becomes a Python string.
-Read back, a label table's values are checked as a cloud's labels are:
-instance ids >= 0, semantic classes 0, 1 or 2. A text reader opens its file
-once as UTF-8 text (an undecodable byte kept as a lone surrogate) and streams
-its rows into one ``np.loadtxt`` pass, holding no whole text or line list.
+A label table is not written under a ``.ply`` name, which the reader would
+take for a PLY cloud. Read back, a label table's values are checked as a
+cloud's labels are: instance ids >= 0, semantic classes 0, 1 or 2. A text
+reader opens its file once as UTF-8 text (an undecodable byte kept as a lone
+surrogate) and streams its rows into one ``np.loadtxt`` pass, holding no
+whole text or line list.
 Where that pass may differ from the row loop, the file is read again as lines
 for the loop, whose :class:`ParseError` names the file and line. A label
 table's ids are checked after the parse: a bad token anywhere comes before an
@@ -36,8 +38,9 @@ block files, as older dumps and other writers made them, are still read but
 no longer written. The JSON reader accepts any JSON whitespace and converts
 no value: ids must be JSON integers (not booleans) and scores JSON numbers,
 or the file is rejected. Its masks are checked one by one, so the first
-fault in file order is the one named, and packed once. A block file holds no footprint: the merge derives it from the
-block id, so the ``center`` and ``radius`` of older JSON dumps are ignored.
+fault in file order is the one named, and packed once. A block file holds
+no footprint: the merge derives it from the block id, so the ``center`` and
+``radius`` of older JSON dumps are ignored.
 """
 
 from __future__ import annotations
@@ -562,12 +565,20 @@ def write_cloud(path, cloud: PointCloud) -> None:
     _by_extension(path, write_ply, write_tsv)(path, cloud)
 
 
+def _check_label_table_path(path) -> None:
+    """A :class:`ConfigError` for a ``.ply`` path: :func:`read_labels_tsv` would read it back as a PLY cloud."""
+    if (suffix := Path(path).suffix).lower() == ".ply":
+        raise ConfigError(f"{path}: label tables are written as TSV, but a {suffix!r} file is read as a PLY cloud")
+
+
 def write_labels_tsv(path, instance, semantic=None) -> None:
     """Write final per-point labels: point_id, instance, and optional semantic.
 
+    A path with a ``.ply`` suffix, in any case, is a :class:`ConfigError`.
     ``instance`` must be 1-D and ``semantic`` of its length, or
-    :class:`ShapeMismatch` is raised before anything is written.
+    :class:`ShapeMismatch` is raised. Both are raised before the file is opened.
     """
+    _check_label_table_path(path)
     instance = np.asarray(instance, dtype=np.int64)
     if instance.ndim != 1:
         raise ShapeMismatch(f"instance must be 1-D, got shape {instance.shape}")

@@ -126,60 +126,34 @@ def effective_threads(requested: int) -> int:
     return 1
 
 
-def _set_keys(point_ids: npt.NDArray[np.int64], starts: npt.NDArray[np.int64],
-              sizes: npt.NDArray[np.int64]) -> npt.NDArray[np.uint64]:
-    """The index key of each nonempty mask of ``sizes`` ids starting at ``starts`` of ``point_ids``: the
-    wrapping sum of its ids and its last id, each times an odd constant, xor-ed with its size."""
-    key = np.add.reduceat(point_ids, starts).astype(np.uint64)
-    key *= np.uint64(0x9E3779B97F4A7C15)
-    last = point_ids[starts + sizes - 1].astype(np.uint64)
-    last *= np.uint64(0xBF58476D1CE4E5B9)
-    key ^= last
-    key ^= sizes.astype(np.uint64)
-    return key
-
-
 class _MaskCopies:
     """The score-filtered masks of every block so far, as rows over one
     read-only id array per distinct point set.
 
-    Set 0 is the empty set, which every empty mask shares. A block's
-    nonempty masks are keyed in one pass over its ids (:func:`_set_keys`),
-    each key is looked up once, and a hit is confirmed by comparing the
-    mask's bytes with the held set's, exact for int64 ids and several times
-    faster than ``np.array_equal``; no bytes copy of a set is held. A mask
-    that matches no held set of its key opens a new set, a read-only copy of
-    its ids, so no block's arrays outlive the block.
+    Set 0 is the empty set, which every empty mask shares. A nonempty mask's
+    ids are sorted and unique, so equal sets have equal bytes: one dict maps
+    the bytes of each set held to its index. A mask whose bytes are new opens
+    a set, an array over those bytes, so no block's arrays outlive the block.
     """
 
     def __init__(self) -> None:
-        empty = np.empty(0, dtype=np.int64)
-        empty.flags.writeable = False
+        empty = np.frombuffer(b"", dtype=np.int64)
         self.sets: list[npt.NDArray[np.int64]] = [empty]
-        self._by_key: dict[int, list[int]] = {}  # the sets with each key, by index into ``sets``
+        self._index: dict[bytes, int] = {}
         # Per block: block ids, query indices, scores and set indices; a first, empty block fixes their dtypes.
-        self._rows = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), empty)]
+        self._rows = [(empty, empty, np.empty(0), empty)]
 
     def add(self, block_id: int, masks: BlockMasks) -> None:
         """Hold ``masks``, whose ids are sorted and unique, as rows of block ``block_id``."""
-        sizes, starts = masks.mask_sizes, masks.starts()
         set_index = np.zeros(len(masks), dtype=np.int64)
-        nonempty = np.flatnonzero(sizes)
-        keys = _set_keys(masks.point_ids, starts[nonempty], sizes[nonempty]).tolist()
-        for row, start, end, key in zip(nonempty.tolist(), starts[nonempty].tolist(),
-                                        (starts + sizes)[nonempty].tolist(), keys):
-            ids = masks.point_ids[start:end]
-            data = ids.tobytes()
-            held = self._by_key.setdefault(key, [])
-            for index in held:
-                if self.sets[index].tobytes() == data:
-                    break
-            else:
-                index = len(self.sets)
-                self.sets.append(ids.copy())
-                self.sets[index].flags.writeable = False
-                held.append(index)
-            set_index[row] = index
+        ends = np.cumsum(masks.mask_sizes).tolist()
+        for row, (start, end) in enumerate(zip([0, *ends], ends)):
+            if start < end:
+                data = masks.point_ids[start:end].tobytes()
+                index = self._index.setdefault(data, len(self.sets))
+                if index == len(self.sets):
+                    self.sets.append(np.frombuffer(data, dtype=np.int64))
+                set_index[row] = index
         self._rows.append((np.full(len(masks), block_id, dtype=np.int64), masks.query_index, masks.score,
                            set_index))
 

@@ -432,6 +432,15 @@ class TestPipeline:
         assert result.exit_code == 3, result.output
         assert sorted(json_only.iterdir()) == [json_only / "block_00000.json"]
 
+    def test_ply_label_table_exits_3_before_the_input_is_read(self, runner, tmp_path):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("not a ply\n")
+        labels = tmp_path / "labels.PLY"
+        result = runner.invoke(main, ["pipeline", "--input", str(bad), "--out-labels", str(labels)])
+        assert result.exit_code == 3, result.output
+        assert "label tables are written as TSV" in result.output
+        assert not labels.exists()
+
     def test_dump_blocks_directory_that_cannot_be_made_exits_2(self, runner, tmp_path, forest_files, monkeypatch):
         def refused(self, *args, **kwargs):
             raise OSError(errno.EACCES, "Permission denied")

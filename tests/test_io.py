@@ -488,6 +488,15 @@ class TestLabelsTsv:
             io.write_labels_tsv(path, instance, semantic)
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", ["labels.ply", "labels.PLY", "labels.Ply"])
+    def test_ply_name_rejected_before_opening(self, tmp_path, name):
+        # read_labels_tsv picks the format by suffix, so a TSV table named *.ply could not be read back.
+        path = tmp_path / name
+        message = f"{path}: label tables are written as TSV, but a {path.suffix!r} file is read as a PLY cloud"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            io.write_labels_tsv(path, [[1, 2]])  # refused before the shape check, too
+        assert not path.exists()
+
     @pytest.mark.parametrize("header, rows, message", [
         ("point_id\tinstance", "0\t1\n1\t-3\n2\t0\n", "line 3: instance ids must be >= 0, got -3"),
         ("point_id\tinstance\tsemantic", "0\t1\t7\n1\t0\t0\n2\t0\t0\n",

@@ -462,11 +462,6 @@ class TestStreamingMerge:
             run_pipeline(forest, PipelineConfig(), threads=threads)
 
 
-def _constant_keys(point_ids, starts, sizes):
-    """A set key under which every point set collides."""
-    return np.zeros(len(starts), dtype=np.uint64)
-
-
 class TestSharedMaskIds:
     @staticmethod
     def _merge(cloud, corruption=CorruptionParams()):
@@ -496,18 +491,6 @@ class TestSharedMaskIds:
         assert len(rows.sets) == 1 + sum(len(ids) > 0 for ids in groups)
         assert not any(ids.flags.writeable for ids in rows.sets)
         assert outcome.masks_kept.sets is rows.sets
-
-    def test_colliding_keys_keep_sets_apart(self, forest, monkeypatch):
-        expected = self._merge(forest)
-        monkeypatch.setattr(pipeline, "_set_keys", _constant_keys)
-        outcome = self._merge(forest)
-        assert mask_keys(table_objects(outcome.masks_after_filter)) == \
-            mask_keys(table_objects(expected.masks_after_filter))
-        assert np.array_equal(outcome.instance, expected.instance)
-        groups = self._sets_by_ids(outcome.masks_after_filter)
-        assert len(groups) == len(self._sets_by_ids(expected.masks_after_filter)) > 1
-        assert all(len(indices) == 1 for indices in groups.values())
-        assert len(outcome.masks_after_filter.sets) == len(expected.masks_after_filter.sets)
 
     @pytest.mark.parametrize("corruption", [CorruptionParams(), CorruptionParams(split_prob=0.5, point_noise=0.3)])
     def test_nms_queries_each_shared_array_once(self, forest, monkeypatch, corruption):
@@ -559,15 +542,14 @@ class TestMaskCopies:
         predictions = [BlockPrediction(block_id, BlockMasks.pack(*zip(*masks))) for block_id, masks in blocks.items()]
         return merge_block_predictions(predictions, self.POSITIONS, self.CONFIG), set(given)
 
-    @pytest.mark.parametrize("keys", [pipeline._set_keys, _constant_keys])
-    def test_copies_share_the_first_array_and_only_the_best_ranked_reaches_nms(self, monkeypatch, keys):
-        monkeypatch.setattr(pipeline, "_set_keys", keys)  # a constant key makes every set collide
+    def test_copies_share_the_first_array_and_only_the_best_ranked_reaches_nms(self, monkeypatch):
         blocks = {
             0: [([1, 2, 3], 0.5, 0), ([1, 2, 4], 0.5, 1)],  # a and b, one size: only the ids tell them apart
             3: [([3, 2, 1, 1], 0.6, 0)],  # a, unsorted and repeating a point
             2: [([4, 2, 1], 0.4, 0)],  # b
             4: [([1, 2], 0.5, 0)],
             5: [([1, 2, 3], 0.9, 0), ([1, 2, 4], 0.45, 2)],  # the best-ranked a, and b again in the same block
+            1: [([1, 4, 5], 0.5, 0), ([2, 3, 5], 0.5, 1)],  # c and d: one size, id sum and last id
         }
         outcome, given = self._merge(monkeypatch, blocks)
         rows = outcome.masks_after_filter
@@ -575,14 +557,12 @@ class TestMaskCopies:
                                                rows.set_index.tolist())}
         assert set_of[(0, 0)] == set_of[(3, 0)] == set_of[(5, 0)]
         assert set_of[(0, 1)] == set_of[(2, 0)] == set_of[(5, 2)]
-        assert len({set_of[(0, 0)], set_of[(0, 1)], set_of[(4, 0)]}) == 3
-        assert [ids.tolist() for ids in rows.sets] == [[], [1, 2, 3], [1, 2, 4], [1, 2]]
+        assert len({set_of[(0, 0)], set_of[(0, 1)], set_of[(4, 0)], set_of[(1, 0)], set_of[(1, 1)]}) == 5
+        assert [ids.tolist() for ids in rows.sets] == [[], [1, 2, 3], [1, 2, 4], [1, 2], [1, 4, 5], [2, 3, 5]]
         assert not any(ids.flags.writeable for ids in rows.sets)
-        assert given == {(5, 0), (0, 1), (4, 0)}
+        assert given == {(5, 0), (0, 1), (4, 0), (1, 0), (1, 1)}
 
-    @pytest.mark.parametrize("keys", [pipeline._set_keys, _constant_keys])
-    def test_every_empty_mask_reaches_nms(self, monkeypatch, keys):
-        monkeypatch.setattr(pipeline, "_set_keys", keys)
+    def test_every_empty_mask_reaches_nms(self, monkeypatch):
         blocks = {0: [([], 0.5, 0), ([7], 0.5, 1)], 1: [([], 0.5, 0)], 2: [([], 0.5, 0)]}
         outcome, given = self._merge(monkeypatch, blocks)
         assert given == {(0, 0), (0, 1), (1, 0), (2, 0)}
