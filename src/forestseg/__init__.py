@@ -2,9 +2,9 @@
 
 Library layout; each name is imported from the module that defines it:
 
-* :mod:`forestseg.core` -- point clouds, sparse voxel grids, point-to-voxel labels
+* :mod:`forestseg.core` -- point clouds, semantic classes, per-point label checks
 * :mod:`forestseg.tiling` -- cylindrical crops and sliding-window centers
-* :mod:`forestseg.isa_select` -- the embedding space, oracle embeddings, query point selection
+* :mod:`forestseg.isa_select` -- sparse voxel grids and their labels, oracle embeddings, query selection
 * :mod:`forestseg.losses` -- loss stack with analytic gradients
 * :mod:`forestseg.merging` -- score-based block merging and voting
 * :mod:`forestseg.metrics` -- detection scores, coverage, semantic mIoU

@@ -18,9 +18,9 @@ from typing import Iterator
 import click
 
 from . import io
-from .core import voxelize, voxel_labels_from_points
 from .errors import ConfigError, ForestSegError, InputDataError, MissingLabels, ParseError
-from .isa_select import oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats
+from .isa_select import (oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats,
+                         voxel_labels_from_points, voxelize)
 from .losses import run_gradient_checks
 from .merging import BlockPrediction
 from .metrics import evaluate_labels
@@ -160,7 +160,7 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--predictor", default="oracle", show_default=True,
-              help="'oracle' or a directory of per-block mask files (*.npz, *.json).")
+              help="'oracle' or a directory of per-block mask files (*.npz, *.json; suffixes in any letter case).")
 @click.option("--out-labels", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--out-report", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--dump-blocks", type=_OutputDir(file_okay=False), default=None,
@@ -209,8 +209,8 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
 
 
 def _block_files(block_dir: Path) -> list[Path]:
-    """The directory's ``*.npz`` and ``*.json`` block files, in sorted name order."""
-    return sorted([*block_dir.glob("*.npz"), *block_dir.glob("*.json")])
+    """The directory's ``.npz`` and ``.json`` block files, suffixes in any letter case, in sorted name order."""
+    return sorted(path for path in block_dir.glob("*") if path.suffix.lower() in (".npz", ".json"))
 
 
 def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:

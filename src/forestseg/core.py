@@ -1,9 +1,6 @@
-"""Point-cloud and sparse-voxel-grid types, voxelization, and point-to-voxel
-label aggregation.
+"""Point clouds, the semantic classes and per-point label checks.
 
-Coordinates are meters in float64. Voxel keys are ``floor(p / resolution)``
-as signed 64-bit integers with the origin at world (0, 0, 0), so forest plots
-spanning hundreds of meters stay exact.
+Coordinates are meters in float64.
 """
 
 from __future__ import annotations
@@ -13,14 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import (
-    ConfigError,
-    EmptyInput,
-    InvalidGeometry,
-    InvalidLabel,
-    MissingLabels,
-    ShapeMismatch,
-)
+from .errors import InvalidGeometry, InvalidLabel, ShapeMismatch
 
 GROUND = 0
 WOOD = 1
@@ -85,110 +75,3 @@ class PointCloud:
     @property
     def has_labels(self) -> bool:
         return self.semantic is not None and self.instance is not None
-
-
-@dataclass(eq=False)
-class SparseVoxelization:
-    """Occupied-voxel set at fixed resolution with the point-to-voxel map.
-
-    ``voxel_keys`` are unique and lexicographically sorted; ``point_to_voxel``
-    gives each point's row in ``voxel_keys``.
-    """
-
-    resolution: float
-    voxel_keys: npt.NDArray[np.int64]
-    point_to_voxel: npt.NDArray[np.int64]
-
-    @property
-    def m(self) -> int:
-        return len(self.voxel_keys)
-
-    @property
-    def n(self) -> int:
-        return len(self.point_to_voxel)
-
-    def voxel_centers(self) -> npt.NDArray[np.float64]:
-        """World-space center of each occupied voxel, shape (M, 3)."""
-        return (self.voxel_keys.astype(np.float64) + 0.5) * self.resolution
-
-
-@dataclass(eq=False)
-class VoxelLabels:
-    """Per-voxel semantic class and instance id (0 = none)."""
-
-    semantic: npt.NDArray[np.int64]
-    instance: npt.NDArray[np.int64]
-
-    def __post_init__(self) -> None:
-        self.semantic = np.asarray(self.semantic, dtype=np.int64)
-        self.instance = np.asarray(self.instance, dtype=np.int64)
-        if self.semantic.shape != self.instance.shape:
-            raise ShapeMismatch("semantic and instance label arrays must have equal length")
-
-    @property
-    def m(self) -> int:
-        return len(self.semantic)
-
-
-def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
-    """Quantize a cloud onto a sparse grid of occupied voxels.
-
-    Voxel order is deterministic: lexicographic by integer key.
-
-    Raises:
-        EmptyInput: the cloud has no points.
-        ConfigError: resolution is not positive, or so small that a voxel
-            key overflows int64.
-    """
-    if resolution <= 0 or not np.isfinite(resolution):
-        raise ConfigError(f"resolution must be positive, got {resolution}")
-    if cloud.n == 0:
-        raise EmptyInput("cannot voxelize an empty point cloud")
-    reach = float(np.abs(cloud.positions).max())
-    if not reach / resolution < 2.0**63:  # also rejects the infinite quotient
-        raise ConfigError(f"resolution must keep voxel keys within int64, got {resolution} "
-                          f"for coordinates up to {reach}")
-    keys = np.floor(cloud.positions / resolution).astype(np.int64)
-    voxel_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return SparseVoxelization(
-        resolution=float(resolution),
-        voxel_keys=voxel_keys,
-        point_to_voxel=inverse.reshape(-1).astype(np.int64),
-    )
-
-
-def _majority_per_group(
-    group_index: npt.NDArray[np.int64],
-    values: npt.NDArray[np.int64],
-    n_groups: int,
-) -> npt.NDArray[np.int64]:
-    # Majority value per group; ties resolved toward the lowest value.
-    order = np.lexsort((values, group_index))
-    g = group_index[order]
-    v = values[order]
-    new_pair = np.r_[True, (g[1:] != g[:-1]) | (v[1:] != v[:-1])]
-    starts = np.flatnonzero(new_pair)
-    counts = np.diff(np.r_[starts, len(g)])
-    pair_group = g[starts]
-    pair_value = v[starts]
-    # Sorting by (group, -count, value) puts each group's winner first.
-    winner_order = np.lexsort((pair_value, -counts, pair_group))
-    first_of_group = np.r_[True, pair_group[winner_order][1:] != pair_group[winner_order][:-1]]
-    out = np.empty(n_groups, dtype=np.int64)
-    out[pair_group[winner_order][first_of_group]] = pair_value[winner_order][first_of_group]
-    return out
-
-
-def voxel_labels_from_points(vox: SparseVoxelization, cloud: PointCloud) -> VoxelLabels:
-    """Aggregate per-point labels to voxels by majority vote.
-
-    Ties break toward the lowest class or id value. Semantic and instance
-    majorities are computed independently.
-    """
-    if cloud.semantic is None or cloud.instance is None:
-        raise MissingLabels("cloud must carry both semantic and instance labels")
-    if cloud.n != vox.n:
-        raise ShapeMismatch(f"voxelization covers {vox.n} points, cloud has {cloud.n}")
-    sem = _majority_per_group(vox.point_to_voxel, cloud.semantic, vox.m)
-    inst = _majority_per_group(vox.point_to_voxel, cloud.instance, vox.m)
-    return VoxelLabels(semantic=sem, instance=inst)

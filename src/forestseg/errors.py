@@ -52,18 +52,6 @@ class InvalidLabel(InputDataError):
     """A semantic class or instance id is outside its valid domain."""
 
 
-class NoTreeVoxels(InputDataError):
-    """Tree-probability filtering left no candidate voxels."""
-
-
-class NoInstances(InputDataError):
-    """An instance-level operation found no instances."""
-
-
-class UnassociatedQuery(InputDataError):
-    """A query voxel carries no ground-truth instance."""
-
-
 class UnknownBlock(InputDataError):
     """Block or mask ids are unknown, repeated or inconsistent."""
 
@@ -76,13 +64,5 @@ class NoGroundTruth(InputDataError):
     """Evaluation requires at least one ground-truth instance."""
 
 
-class InvalidLoss(InternalInvariantError):
-    """A loss component is negative or non-finite."""
-
-
 class PlacementFailed(ConfigError):
     """Tree placement could not satisfy the minimum spacing."""
-
-
-class CodebookExhausted(ConfigError):
-    """More instances than constructible embedding codes."""

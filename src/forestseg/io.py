@@ -814,6 +814,7 @@ def _read_json_block(path: Path) -> BlockPrediction:
 
 
 def write_json(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, fixed indentation."""
+    """Deterministic JSON: sorted keys, fixed indentation. A payload that does not serialize leaves no file."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with _open_output(path, "w") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        f.write(text)

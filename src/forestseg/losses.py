@@ -21,16 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .core import N_CLASSES, VoxelLabels
-from .errors import (
-    ConfigError,
-    InvalidLabel,
-    InvalidLoss,
-    NoInstances,
-    ShapeMismatch,
-    UnassociatedQuery,
-)
-from .isa_select import DELTA_D, QuerySelection
+from .core import N_CLASSES
+from .errors import ConfigError, InputDataError, InternalInvariantError, InvalidLabel, ShapeMismatch
+from .isa_select import DELTA_D, QuerySelection, VoxelLabels
 
 EPS = 1e-7
 DELTA_V = 0.5
@@ -40,6 +33,18 @@ REG_WEIGHT = 0.001
 DECODER_LAYERS = 6
 _FD_STEP = 1e-5  # the central-difference step of the gradient checks
 _GRAD_TOL = 1e-4  # the largest relative gradient error a check passes
+
+
+class NoInstances(InputDataError):
+    """An instance-level operation found no instances."""
+
+
+class UnassociatedQuery(InputDataError):
+    """A query voxel carries no ground-truth instance."""
+
+
+class InvalidLoss(InternalInvariantError):
+    """A loss component is negative or non-finite."""
 
 
 def _sigmoid(z: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:

@@ -15,6 +15,7 @@ byte-identical for any block order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -35,7 +36,7 @@ from .merging import (
     semantic_vote_arrays,  # noqa: F401 -- perfbench's tracer wraps it by this module's name
 )
 from .metrics import EvalReport, evaluate_labels
-from .synthgen import CorruptionParams, oracle_predictor
+from .synthgen import CorruptionParams, _as_int, oracle_predictor
 from .tiling import sliding_window_centers, tile_cloud
 
 
@@ -56,6 +57,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value * value)):
                 raise ConfigError(f"{name} must be positive with a finite square, got {value}")
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))  # a numpy integer would not serialize to JSON
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A point midway between four grid centers is stride/sqrt(2) from each.
@@ -165,6 +167,8 @@ class _MaskCopies:
 def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, n_points: int, stride: float) -> None:
     """Check one arriving prediction: a new block id on the grid, mask ids in the cloud, distinct query indices."""
     block_id = prediction.block_id
+    if isinstance(block_id, bool) or not isinstance(block_id, numbers.Integral):
+        raise UnknownBlock(f"block id {block_id!r} is not an integer")
     if not 0 <= block_id < n_grid:
         raise UnknownBlock(f"block id {block_id} is outside the {n_grid}-cell grid at stride {stride}")
     if block_id in seen:

@@ -9,6 +9,7 @@ trained network so every downstream stage can be verified end to end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ MAX_SCENE_POINTS = 10_000_000
 _UNDERSTORY_MIN_POINTS = 40
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer (numpy integers pass) is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ForestParams:
     """Scene recipe; every field has a desk-scale default."""
@@ -46,6 +54,11 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Numpy integers are stored as int, which the JSON writer takes.
+        object.__setattr__(self, "n_trees", _as_int("n_trees", self.n_trees))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+        object.__setattr__(self, "points_per_tree_range",
+                           tuple(_as_int("each points_per_tree_range bound", v) for v in self.points_per_tree_range))
         # Written so that NaN fails too; the ground sample count squares plot_size.
         if self.n_trees < 1:
             raise ConfigError("n_trees must be >= 1")

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from forestseg import io
-from forestseg.core import PointCloud, voxel_labels_from_points, voxelize
+from forestseg.core import PointCloud
 from forestseg.isa_select import (
     oracle_embeddings,
     select_queries_fps_euclidean,
     select_queries_isa,
     selection_stats,
+    voxel_labels_from_points,
+    voxelize,
 )
 from forestseg.losses import (
     bce_mask_loss,

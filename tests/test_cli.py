@@ -387,6 +387,26 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert f"block {io.read_block_file(npz).block_id} arrives twice" in result.output
 
+    def test_block_file_suffixes_match_in_any_letter_case(self, runner, tmp_path, forest_files):
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+
+        def run(name, *flags):
+            report, labels = tmp_path / f"{name}.json", tmp_path / f"{name}.tsv"
+            result = runner.invoke(main, ["pipeline", "--input", str(ply), *flags, "--out-report", str(report),
+                                          "--out-labels", str(labels)])
+            assert result.exit_code == 0, result.output
+            return report.read_bytes(), labels.read_bytes()
+
+        direct = run("direct", "--dump-blocks", str(blocks))
+        dumped = sorted(blocks.glob("*.npz"))
+        for path in dumped[::2]:
+            path.rename(path.with_suffix(".NPZ"))
+        reference_write_block_file(dumped[1].with_suffix(".Json"), io.read_block_file(dumped[1]))
+        dumped[1].unlink()
+        assert len(cli._block_files(blocks)) == len(dumped)
+        assert run("replay", "--predictor", str(blocks)) == direct
+
     def test_legacy_footprint_keys_in_block_files_are_ignored(self, runner, tmp_path, forest_files):
         # Older JSON dumps wrote each block's center and radius; the merge takes
         # both from the block id and --radius, so even bogus values change nothing.
@@ -431,6 +451,17 @@ class TestPipeline:
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(json_only)])
         assert result.exit_code == 3, result.output
         assert sorted(json_only.iterdir()) == [json_only / "block_00000.json"]
+
+    def test_dump_blocks_into_directory_holding_an_upper_case_block_file_exits_3(self, runner, tmp_path, forest_files):
+        # A replay reads block files whose suffix is in any letter case, so such a file is refused too.
+        _, ply = forest_files
+        blocks = tmp_path / "blocks"
+        blocks.mkdir()
+        (blocks / "old.NPZ").write_bytes(b"")
+        result = runner.invoke(main, ["pipeline", "--input", str(ply), "--dump-blocks", str(blocks)])
+        assert result.exit_code == 3, result.output
+        assert "already holds block files (*.npz, *.json)" in result.output
+        assert sorted(blocks.iterdir()) == [blocks / "old.NPZ"]
 
     def test_ply_label_table_exits_3_before_the_input_is_read(self, runner, tmp_path):
         bad = tmp_path / "bad.ply"

@@ -40,9 +40,14 @@ def test_merge_path_process_loads_no_thread_pool():
     assert "concurrent.futures" not in loaded
 
 
+def _parse(module: str) -> ast.Module:
+    """The syntax tree of ``forestseg.<module>``'s source."""
+    return ast.parse((Path(forestseg.__file__).parent / f"{module}.py").read_text())
+
+
 def _package_imports(module: str) -> set[str]:
     """Sibling ``forestseg`` modules that ``module``'s source imports directly."""
-    tree = ast.parse((Path(forestseg.__file__).parent / f"{module}.py").read_text())
+    tree = _parse(module)
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -69,3 +74,35 @@ def test_merge_path_loads_no_training_code():
             reached.add(name)
             frontier |= _package_imports(name) - reached
         assert not reached & training, f"forestseg.{module} imports {sorted(reached & training)}"
+
+
+def _public_definitions(module: str) -> set[str]:
+    """Top-level functions, classes and assigned names of ``module`` without a leading underscore."""
+    names = set()
+    for node in _parse(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def _names_imported_from(module: str, importer: str) -> set[str]:
+    """Names that ``importer``'s source takes from ``from .<module> import ...``."""
+    return {alias.name for node in ast.walk(_parse(importer))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names}
+
+
+def test_shared_modules_define_only_what_the_pipeline_side_uses():
+    # core and errors sit under every module; a name there that only the training
+    # code (losses, isa_select) or the CLI uses belongs next to that code instead.
+    importers = ("tiling", "merging", "metrics", "io", "synthgen", "pipeline", "core")
+    exit_code_bases = {"ForestSegError", "InputDataError", "ConfigError", "InternalInvariantError"}
+    unused = {}
+    for module in ("core", "errors"):
+        used = set().union(*(_names_imported_from(module, importer) for importer in importers))
+        unused[module] = sorted(_public_definitions(module) - used - exit_code_bases)
+    assert unused == {"core": [], "errors": []}, "names that no pipeline module imports"

@@ -1304,6 +1304,13 @@ def test_label_table_is_written_a_chunk_at_a_time(tmp_path, rng):
     assert peak <= 2 * (instance.nbytes + semantic.nbytes)
 
 
+def test_write_json_that_does_not_serialize_makes_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        io.write_json(path, {"config": {"seed": object()}})
+    assert not path.exists()
+
+
 _SMALL_CLOUD = PointCloud(positions=np.eye(3), semantic=[1, 1, 0], instance=[1, 1, 0])
 
 

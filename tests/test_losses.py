@@ -6,17 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from forestseg.core import VoxelLabels
-from forestseg.errors import (
-    ConfigError,
-    InvalidLabel,
+from forestseg.errors import ConfigError, InvalidLabel, ShapeMismatch
+from forestseg.isa_select import QuerySelection, VoxelLabels
+from forestseg.losses import (
     InvalidLoss,
     NoInstances,
-    ShapeMismatch,
     UnassociatedQuery,
-)
-from forestseg.isa_select import QuerySelection
-from forestseg.losses import (
     bce_mask_loss,
     binary_tree_loss,
     compose_losses,

@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior: identity, determinism, external predictors."""
 
+import dataclasses
 import json
 import tracemalloc
 import weakref
@@ -155,6 +156,18 @@ class TestStageAccounting:
             PipelineConfig(radius=2.0, stride=8.0)
         PipelineConfig(radius=2.0, stride=2.8)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
+            PipelineConfig(seed=seed)
+
+    def test_numpy_integer_seed_gives_a_report(self, forest, tmp_path):
+        config = PipelineConfig(seed=np.int64(3))
+        assert type(config.seed) is int
+        report = tmp_path / "report.json"
+        io.write_json(report, run_pipeline(forest, config).report)
+        assert json.loads(report.read_text())["config"]["seed"] == 3
+
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyInput, match="cannot merge predictions over an empty point cloud"):
             merge_block_predictions([BlockPrediction(block_id=0)], np.empty((0, 3)), PipelineConfig())
@@ -171,6 +184,21 @@ class TestStageAccounting:
         bad = [BlockPrediction(block_id=i) for i in block_ids]
         with pytest.raises(UnknownBlock):
             run_pipeline_from_blocks(bad, forest, PipelineConfig())
+
+    @pytest.mark.parametrize("block_id", [1.5, True, "3"])
+    def test_non_integer_block_ids_rejected(self, forest, block_id):
+        # 1.5 would pass the grid's range check, and True would index the grid centers as a mask.
+        with pytest.raises(UnknownBlock, match=f"block id {block_id!r} is not an integer"):
+            run_pipeline_from_blocks([BlockPrediction(block_id=block_id)], forest, PipelineConfig())
+
+    def test_numpy_integer_block_id_merges(self, forest):
+        config = PipelineConfig()
+        block = next(block for block in tile_cloud(forest, config.radius, config.stride) if block.block_id == 3)
+        prediction = make_oracle_predictor(forest, CorruptionParams(), config.seed)(block)
+        results = [run_pipeline_from_blocks([dataclasses.replace(prediction, block_id=block_id, semantic=None)], forest, config)
+                   for block_id in (3, np.int64(3))]
+        assert results[1].report == results[0].report
+        assert np.array_equal(results[1].merge.instance, results[0].merge.instance)
 
     @pytest.mark.parametrize("holder, kept", [(0, [(0, 0)]), (3, [])])
     def test_masks_are_measured_against_the_footprint_of_the_block_holding_them(self, holder, kept):

@@ -99,6 +99,26 @@ class TestGenerateForest:
         with pytest.raises(ConfigError, match="got up to 10,000,040 tree points"):
             ForestParams(n_trees=250_001, points_per_tree_range=(1, 1), ground_density=0.0, min_spacing=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_trees", 2.5, "n_trees must be an integer, got 2.5"),
+        ("n_trees", True, "n_trees must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+        ("points_per_tree_range", (300.5, 800), "each points_per_tree_range bound must be an integer, got 300.5"),
+        # numpy 2 spells the value np.float64(800.0), numpy 1 as 800.0.
+        ("points_per_tree_range", (300, np.float64(800)), "each points_per_tree_range bound must be an integer"),
+        ("points_per_tree_range", (False, 800), "each points_per_tree_range bound must be an integer, got False"),
+    ])
+    def test_non_integer_counts_and_seeds_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ForestParams(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        params = ForestParams(n_trees=np.int64(3), points_per_tree_range=(np.int32(300), np.uint16(800)),
+                              seed=np.int64(4))
+        assert params == ForestParams(n_trees=3, points_per_tree_range=(300, 800), seed=4)
+        assert {type(value) for value in (params.n_trees, *params.points_per_tree_range, params.seed)} == {int}
+
     @pytest.mark.parametrize("understory_fraction", [0.0, 1.0])
     def test_tree_sizes_within_the_capped_bound(self, understory_fraction):
         for low, high in [(1, 1), (1, 39), (100, 120)]:
