@@ -60,9 +60,9 @@ from typing import IO, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Seque
 import numpy as np
 import numpy.typing as npt
 
-from .core import _LABEL_RULES, N_CLASSES, PointCloud, _as_labels
+from .core import _LABEL_RULES, N_CLASSES, PointCloud, _as_labels, _int64_ids
 from .errors import ConfigError, InputDataError, InvalidLabel, ParseError, ShapeMismatch
-from .merging import BlockMasks, BlockPrediction, _int64_ids
+from .merging import BlockMasks, BlockPrediction
 
 _SEMANTIC_KEYS = ("point_ids", "classes")  # a block file's per-point semantic votes
 # A block file's .npz fields -> each one's rank; the last two, a block's semantic votes, are both there or neither.
@@ -575,11 +575,11 @@ def write_labels_tsv(path, instance, semantic=None) -> None:
     """Write final per-point labels: point_id, instance, and optional semantic.
 
     A path with a ``.ply`` suffix, in any case, is a :class:`ConfigError`.
-    ``instance`` must be 1-D and ``semantic`` of its length, or
-    :class:`ShapeMismatch` is raised. Both are raised before the file is opened.
+    ``instance`` must be 1-D and ``semantic`` of its length, both integers
+    (as ``core._int64_ids`` takes them), or :class:`ShapeMismatch` is raised. Both are raised before the file is opened.
     """
     _check_label_table_path(path)
-    instance = np.asarray(instance, dtype=np.int64)
+    instance = _int64_ids(instance, "instance")
     if instance.ndim != 1:
         raise ShapeMismatch(f"instance must be 1-D, got shape {instance.shape}")
     columns = {"point_id": np.arange(len(instance), dtype=np.int64), "instance": instance}
@@ -702,7 +702,7 @@ def _read_npz_block(path: Path) -> BlockPrediction:
 
     Exactly the fields of ``_NPZ_FIELDS`` are allowed, the semantic pair both
     or neither, each of its rank. Integer fields are taken as
-    ``merging._int64_ids`` takes ids, and a nonempty ``score`` must be
+    ``core._int64_ids`` takes ids, and a nonempty ``score`` must be
     floats. The mask fields become one :class:`BlockMasks` as they are, with
     no object per mask, so its checks apply: ``query_index``, ``mask_sizes``
     and ``score`` have one length, and the sizes are >= 0 and sum to the

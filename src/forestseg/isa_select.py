@@ -16,13 +16,12 @@ spanning hundreds of meters stay exact.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .core import PointCloud
+from .core import PointCloud, _setting
 from .errors import ConfigError, EmptyInput, InputDataError, InvalidGeometry, MissingLabels, ShapeMismatch
 
 EMBEDDING_DIM = 5
@@ -205,10 +204,8 @@ def oracle_embeddings(
     origin code. Gaussian noise of the given sigma is added per voxel, and
     tree probabilities are exact 0/1 indicators.
     """
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    noise_sigma = _setting("noise_sigma", noise_sigma, "finite >= 0")
+    seed = _setting("seed", seed, "int >= 0")
     if gt.m != vox.m:
         raise ConfigError(f"labels cover {gt.m} voxels but the grid has {vox.m}")
     rng = np.random.default_rng(seed)
@@ -246,8 +243,7 @@ def filter_tree_voxels(field: EmbeddingField, threshold: float) -> npt.NDArray[n
     Raises:
         NoTreeVoxels: nothing passes the threshold; selection aborts.
     """
-    if not 0 <= threshold <= 1:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    threshold = _setting("threshold", threshold, "[0, 1]")
     candidates = np.flatnonzero(field.tree_prob >= threshold)
     if len(candidates) == 0:
         raise NoTreeVoxels(f"no voxel has tree probability >= {threshold}")
@@ -265,8 +261,7 @@ def fps(points, k: int) -> npt.NDArray[np.int64]:
     if pts.ndim != 2:
         raise ShapeMismatch(f"points must be 2-D, got shape {pts.shape}")
     n = len(pts)
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    k = _setting("k", k, "int >= 1")
     if n == 0:
         raise ConfigError("cannot sample from an empty point set")
     k = min(k, n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .core import N_CLASSES
+from .core import N_CLASSES, _setting
 from .errors import ConfigError, InputDataError, InternalInvariantError, InvalidLabel, ShapeMismatch
 from .isa_select import DELTA_D, QuerySelection, VoxelLabels
 
@@ -398,10 +398,8 @@ def run_gradient_checks(trials: int = 100, seed: int = 0) -> dict:
     Returns a report dict with one entry per loss: the worst relative error
     over all trials and whether it stayed below 1e-4.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    trials = _setting("trials", trials, "int >= 1")
+    seed = _setting("seed", seed, "int >= 0")
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
 

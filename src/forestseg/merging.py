@@ -32,31 +32,14 @@ best-ranked row of each distinct set, and NMS queries every row it is given.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .core import N_CLASSES
+from .core import N_CLASSES, _int64_ids, _setting
 from .errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
-
-
-def _int64_ids(values: npt.ArrayLike, what: str) -> npt.NDArray[np.int64]:
-    """``values`` as int64, if it holds integers that fit int64; otherwise ShapeMismatch.
-
-    Converting with ``dtype=np.int64`` would truncate fractions and read
-    booleans as 0 and 1, so a nonempty array must have an integer dtype and
-    no uint64 value above 2**63 - 1. An empty array may have any dtype, as
-    ``np.asarray([])`` is float64.
-    """
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "iu":
-        raise ShapeMismatch(f"{what} must be integers, got dtype {array.dtype}")
-    if array.size and array.dtype.kind == "u" and array.max() > np.iinfo(np.int64).max:
-        raise ShapeMismatch(f"{what} must fit int64, got {array.max()}")
-    return array.astype(np.int64, copy=False)
 
 
 class BlockMasks:
@@ -67,9 +50,9 @@ class BlockMasks:
     ``score[i]`` and was emitted by decoder query ``query_index[i]`` (by
     default its position); a block file's ``.npz`` fields are these arrays.
     Built, the value is checked in one vectorized test per rule: ids, sizes
-    and query indices are integers that fit int64 (as ``_int64_ids`` takes
-    them), the sizes are >= 0 and sum to the number of ids, and every score
-    lies in [0, 1]. Each mask's ids are then sorted with
+    and query indices are integers that fit int64 (as ``core._int64_ids``
+    takes them), the sizes are >= 0 and sum to the number of ids, and every
+    score lies in [0, 1]. Each mask's ids are then sorted with
     repeats dropped, in one ``lexsort`` over the block, and only where some
     mask needs it; arrays already in that form are held, not copied. The
     masks keep their order, and their query indices are not checked here:
@@ -240,9 +223,7 @@ class _PointIndex:
 
 def score_filter(masks: BlockMasks, threshold: float) -> BlockMasks:
     """Keep masks with score >= threshold; order preserved."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"score threshold must be in [0, 1], got {threshold}")
-    return masks.keep(masks.score >= threshold)
+    return masks.keep(masks.score >= _setting("score threshold", threshold, "[0, 1]"))
 
 
 def discard_boundary_masks(
@@ -263,12 +244,13 @@ def discard_boundary_masks(
     from one ``maximum.reduceat`` over the block's packed ids.
     """
     center = np.asarray(center_xy, dtype=np.float64)
+    footprint = (f"block center must be a finite (x, y) pair and radius positive with a finite square, "
+                 f"got center {center.tolist()} and radius {radius}")
+    radius = _setting("radius", radius, "length", footprint)
     # Written so that NaN fails too; a NaN footprint would silently drop every mask.
-    if not (center.shape == (2,) and np.isfinite(center).all() and radius > 0 and math.isfinite(radius * radius)):
-        raise ConfigError(f"block center must be a finite (x, y) pair and radius positive with a finite square, "
-                          f"got center {center.tolist()} and radius {radius}")
-    if not margin >= 0:
-        raise ConfigError(f"boundary margin must be >= 0, got {margin}")
+    if not (center.shape == (2,) and np.isfinite(center).all()):
+        raise ConfigError(footprint)
+    margin = _setting("boundary margin", margin, ">= 0")
     positions = np.asarray(positions, dtype=np.float64)
     sizes = masks.mask_sizes
     max_sq = np.zeros(len(masks))
@@ -297,8 +279,7 @@ def score_nms(masks: MaskTable, iou_threshold: float) -> MaskTable:
     stays below the threshold. The ranking is a total order, so the result
     does not depend on the rows' order.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ConfigError(f"NMS IoU threshold must be in [0, 1], got {iou_threshold}")
+    iou_threshold = _setting("NMS IoU threshold", iou_threshold, "[0, 1]")
     ranked = masks.ranked()
     if iou_threshold == 0:
         return ranked.take(np.arange(min(len(ranked), 1)))  # every IoU, even of disjoint masks, fails ``iou < 0``

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from .core import N_CLASSES, SEMANTIC_NAMES
-from .errors import ConfigError, EmptyInput, NoGroundTruth, ShapeMismatch
+from .core import N_CLASSES, SEMANTIC_NAMES, _int64_ids, _setting
+from .errors import EmptyInput, NoGroundTruth, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class MatchResult:
 
 
 def _check_universe(pred, gt):
-    pred = np.asarray(pred, dtype=np.int64).reshape(-1)
-    gt = np.asarray(gt, dtype=np.int64).reshape(-1)
+    pred = _int64_ids(pred, "pred").reshape(-1)
+    gt = _int64_ids(gt, "gt").reshape(-1)
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"pred has {len(pred)} points but gt has {len(gt)}")
     return pred, gt
@@ -75,11 +75,6 @@ def _contingency(pred, gt) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]
         )
     }
     return pred_ids, gt_ids, ious
-
-
-def _check_iou_threshold(iou_threshold: float) -> None:
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ConfigError(f"IoU threshold must be in [0, 1], got {iou_threshold}")
 
 
 def _match(pred_ids, gt_ids, ious, iou_threshold: float) -> MatchResult:
@@ -120,7 +115,7 @@ def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
     the threshold never matches, so its prediction counts as a false
     positive and its ground-truth tree as a false negative.
     """
-    _check_iou_threshold(iou_threshold)
+    iou_threshold = _setting("IoU threshold", iou_threshold, "[0, 1]")
     return _match(*_contingency(pred, gt), iou_threshold)
 
 
@@ -215,7 +210,7 @@ def evaluate_labels(
 
     Matching and coverage share one contingency pass over the instance labels.
     """
-    _check_iou_threshold(iou_threshold)
+    iou_threshold = _setting("IoU threshold", iou_threshold, "[0, 1]")
     pred_ids, gt_ids, ious = _contingency(pred_instance, gt_instance)
     match = _match(pred_ids, gt_ids, ious, iou_threshold)
     precision, recall, f1 = detection_scores(match)

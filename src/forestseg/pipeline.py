@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 import numpy.typing as npt
 
-from .core import PointCloud
+from .core import PointCloud, _setting
 from .errors import ConfigError, EmptyInput, InvalidLabel, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockMasks,
@@ -36,7 +36,7 @@ from .merging import (
     semantic_vote_arrays,  # noqa: F401 -- perfbench's tracer wraps it by this module's name
 )
 from .metrics import EvalReport, evaluate_labels
-from .synthgen import CorruptionParams, _as_int, oracle_predictor
+from .synthgen import CorruptionParams, oracle_predictor
 from .tiling import sliding_window_centers, tile_cloud
 
 
@@ -52,26 +52,20 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("radius", "stride"):
-            # Written so that NaN fails too; tiling and boundary discard square both.
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value * value)):
-                raise ConfigError(f"{name} must be positive with a finite square, got {value}")
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))  # a numpy integer would not serialize to JSON
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # Each field is stored as the Python number its rule returns, which the JSON writer takes.
+        for name, rule in (("radius", "length"), ("stride", "length"), ("seed", "int >= 0"), ("nms_iou", "[0, 1]"),
+                           ("score_threshold", "[0, 1]")):
+            object.__setattr__(self, name, _setting(name, getattr(self, name), rule))
         # A point midway between four grid centers is stride/sqrt(2) from each.
         if self.stride > self.radius * math.sqrt(2):
             raise ConfigError(
                 f"stride {self.stride} exceeds radius*sqrt(2) = {self.radius * math.sqrt(2):.4g}: "
                 "some points would lie in no block"
             )
-        for name in ("nms_iou", "score_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 <= self.boundary_margin < self.radius:
-            raise ConfigError("boundary_margin must be in [0, radius)")
+        outside = "boundary_margin must be in [0, radius)"
+        object.__setattr__(self, "boundary_margin", _setting("boundary_margin", self.boundary_margin, ">= 0", outside))
+        if not self.boundary_margin < self.radius:
+            raise ConfigError(outside)
 
 
 @dataclass(eq=False)
@@ -122,9 +116,8 @@ class PipelineResult:
 
 
 def effective_threads(requested: int) -> int:
-    """The worker count a run uses: 1, whatever ``requested`` (which must be >= 1) says."""
-    if requested < 1:
-        raise ConfigError("thread count must be >= 1")
+    """The worker count a run uses: 1, whatever ``requested`` (which must be an integer >= 1) says."""
+    _setting("thread count", requested, "int >= 1")
     return 1
 
 

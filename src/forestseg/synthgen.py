@@ -8,14 +8,12 @@ trained network so every downstream stage can be verified end to end.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .core import GROUND, LEAF, WOOD, PointCloud
+from .core import GROUND, LEAF, WOOD, PointCloud, _setting
 from .errors import ConfigError, MissingLabels, PlacementFailed
 from .merging import BlockMasks
 from .tiling import CylinderBlock
@@ -30,13 +28,6 @@ SPLIT_OVERLAP = 0.4
 MAX_SCENE_POINTS = 10_000_000
 # An understory tree keeps at least this many points.
 _UNDERSTORY_MIN_POINTS = 40
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integer (numpy integers pass) is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -54,24 +45,21 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Numpy integers are stored as int, which the JSON writer takes.
-        object.__setattr__(self, "n_trees", _as_int("n_trees", self.n_trees))
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))
-        object.__setattr__(self, "points_per_tree_range",
-                           tuple(_as_int("each points_per_tree_range bound", v) for v in self.points_per_tree_range))
-        # Written so that NaN fails too; the ground sample count squares plot_size.
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
-        if not (self.plot_size > 0 and math.isfinite(self.plot_size * self.plot_size)):
-            raise ConfigError(f"plot_size must be positive with a finite square, got {self.plot_size}")
-        for name in ("trunk_height_range", "crown_radius_range", "points_per_tree_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi < math.inf:
-                raise ConfigError(f"{name} must be a finite positive (low, high) range, got {(lo, hi)}")
-        if not 0.0 <= self.understory_fraction <= 1.0:
-            raise ConfigError("understory_fraction must be in [0, 1]")
-        if not (math.isfinite(self.ground_density) and self.ground_density >= 0):
-            raise ConfigError(f"ground_density must be finite and >= 0, got {self.ground_density}")
+        # Numbers are stored as their rules return them, which JSON takes; the ground count squares plot_size.
+        for name, rule in (("n_trees", "int >= 1"), ("plot_size", "length"), ("understory_fraction", "[0, 1]"),
+                           ("ground_density", "finite >= 0"), ("min_spacing", "finite >= 0"), ("seed", "int >= 0")):
+            object.__setattr__(self, name, _setting(name, getattr(self, name), rule))
+        for name, rule in (("trunk_height_range", "finite >= 0"), ("crown_radius_range", "finite >= 0"),
+                           ("points_per_tree_range", "int >= 0")):
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be a (low, high) pair, got {getattr(self, name)!r}") from None
+            message = f"{name} must be a finite positive (low, high) range, got {(lo, hi)}"
+            lo, hi = (_setting(f"each {name} bound", bound, rule, message) for bound in (lo, hi))
+            if not 0 < lo <= hi:
+                raise ConfigError(message)
+            object.__setattr__(self, name, (lo, hi))
         # Every point is held in memory at once, so the largest count the recipe allows is capped.
         tree_points = self.n_trees * max(self.points_per_tree_range[1], _UNDERSTORY_MIN_POINTS)
         if tree_points > MAX_SCENE_POINTS:
@@ -81,10 +69,6 @@ class ForestParams:
         if not ground_points <= MAX_SCENE_POINTS - tree_points:
             raise ConfigError(f"ground_density must keep the scene within {MAX_SCENE_POINTS:,} points, got up to "
                               f"{tree_points:,} tree points and {ground_points:,.0f} ground points")
-        if not (math.isfinite(self.min_spacing) and self.min_spacing >= 0):
-            raise ConfigError(f"min_spacing must be finite and >= 0, got {self.min_spacing}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +89,9 @@ class CorruptionParams:
     score_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("split_prob", "merge_prob", "drop_prob", "point_noise"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if not (math.isfinite(self.score_noise) and self.score_noise >= 0):
-            raise ConfigError(f"score_noise must be finite and >= 0, got {self.score_noise}")
+        for name, rule in (("split_prob", "[0, 1]"), ("merge_prob", "[0, 1]"), ("drop_prob", "[0, 1]"),
+                           ("point_noise", "[0, 1]"), ("score_noise", "finite >= 0")):
+            object.__setattr__(self, name, _setting(name, getattr(self, name), rule))
 
 
 def _place_centers(params: ForestParams, rng: np.random.Generator) -> npt.NDArray[np.float64]:
@@ -237,14 +218,12 @@ def oracle_predictor(
     per tree. Without merges, splits or noise the masks are the runs of the
     surviving trees, packed as the sort left them, each scored
     ``run length / tree size``: the draws a corrupted block makes after the
-    coins would change none of them. A mask holding only its tree's points,
-    untouched by point noise, is scored from its construction: its
-    intersection with the tree is the whole mask. A noisy mask draws its
-    added points from the pool of the block's points outside the mask, in
-    ascending order, so the random draws are those of a sorted set
-    difference. The pool is never built: the draw picks ranks into it, and
-    each rank maps to a point id through the mask's sorted positions among
-    the block's ids, so a noisy mask costs O(mask log block).
+    coins would change none of them. A noisy mask draws its added points
+    from the pool of the block's points outside the mask, in ascending
+    order, so the random draws are those of a sorted set difference. The
+    pool is never built: the draw picks ranks into it, and each rank maps to
+    a point id through the mask's sorted positions among the block's ids, so
+    a noisy mask costs O(mask log block).
     ``point_indices`` are taken to be unique.
     """
     if not cloud.has_labels:
@@ -304,11 +283,9 @@ def oracle_predictor(
         ordered = pts if (pts[1:] > pts[:-1]).all() else np.unique(pts)
     masks, scores = [], []
     for source, members in emitted:
-        untouched = len(source) == 1
         if corruption.point_noise > 0 and len(members):
             n_swap = int(rng.uniform(0.0, corruption.point_noise) * len(members))
             if n_swap:
-                untouched = False
                 keep = np.ones(len(members), dtype=bool)
                 keep[rng.choice(len(members), size=n_swap, replace=False)] = False
                 kept = members[keep]
@@ -324,14 +301,11 @@ def oracle_predictor(
                     added = ordered[rank + np.searchsorted(pool_before, rank, side="right")]
                 # kept and added are disjoint, so sorting their concatenation is their union.
                 members = np.sort(np.concatenate([kept, added]))
-        if untouched:  # every member is the tree's, so the IoU is len / size
-            score = len(members) / int(tree_sizes[source[0]])
-        else:
-            score = 0.0
-            for uid in source:
-                inter = int(np.count_nonzero(cloud.instance[members] == uid))
-                if inter:
-                    score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
+        score = 0.0
+        for uid in source:
+            inter = int(np.count_nonzero(cloud.instance[members] == uid))
+            if inter:
+                score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
         if corruption.score_noise > 0:
             score = float(np.clip(score + rng.normal(0.0, corruption.score_noise), 0.0, 1.0))
         masks.append(members)

@@ -8,14 +8,13 @@ still holds stay alive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 import numpy.typing as npt
 
-from .core import PointCloud
+from .core import PointCloud, _setting
 from .errors import ConfigError, EmptyInput
 
 # Tolerance when counting grid steps, so exact-multiple spans do not gain a
@@ -58,8 +57,7 @@ def sliding_window_centers(min_xy, max_xy, stride: float) -> npt.NDArray[np.floa
     Raises:
         ConfigError: the grid would have more than ``MAX_GRID_CELLS`` cells.
     """
-    if not (stride > 0 and math.isfinite(stride * stride)):
-        raise ConfigError(f"stride must be positive with a finite square, got {stride}")
+    stride = float(_setting("stride", stride, "length"))  # an int stride would multiply as an int64
     lo = np.asarray(min_xy, dtype=np.float64).reshape(2)
     hi = np.asarray(max_xy, dtype=np.float64).reshape(2)
     if np.any(hi < lo):
@@ -87,12 +85,9 @@ class Tiling:
     """
 
     def __init__(self, positions: npt.NDArray[np.float64], centers: npt.NDArray[np.float64], radius: float) -> None:
-        # Written so that NaN fails too; the crop squares the radius.
-        if not (radius > 0 and math.isfinite(radius * radius)):
-            raise ConfigError(f"radius must be positive with a finite square, got {radius}")
         self._positions = positions
         self._centers = centers
-        self._radius = float(radius)
+        self._radius = float(_setting("radius", radius, "length"))
 
     def __iter__(self) -> Iterator[CylinderBlock]:
         x = np.ascontiguousarray(self._positions[:, 0])

@@ -30,6 +30,11 @@ class TestPointCloudValidation:
                  r"semantic classes must be in \{0 \(ground\), 1 \(wood\), 2 \(leaf\)\}", id="semantic-class"),
     pytest.param(lambda: PointCloud(positions=np.zeros((2, 3)), instance=[0, -1]), InvalidLabel,
                  "instance ids must be >= 0", id="negative-instance"),
+    # Cast to int64, these would be truncated to [1, 0, 2] and read as 1s and 0s.
+    pytest.param(lambda: PointCloud(positions=np.zeros((3, 3)), instance=[1.7, 0.2, 2.9]), ShapeMismatch,
+                 "instance must be integers, got dtype float64", id="fractional-instance"),
+    pytest.param(lambda: PointCloud(positions=np.zeros((3, 3)), semantic=np.array([True, False, True])),
+                 ShapeMismatch, "semantic must be integers, got dtype bool", id="boolean-semantic"),
     pytest.param(lambda: VoxelLabels(semantic=[0, 1], instance=[0]), ShapeMismatch,
                  "semantic and instance label arrays must have equal length", id="voxel-label-lengths"),
     pytest.param(lambda: voxel_labels_from_points(voxelize(PointCloud(positions=np.eye(3)), 0.5),

@@ -481,6 +481,8 @@ class TestLabelsTsv:
         ([1, 2, 3], [[0, 1, 2]], r"semantic must have shape \(3,\), got \(1, 3\)"),
         ([[1, 2], [3, 4]], None, r"instance must be 1-D, got shape \(2, 2\)"),
         (5, None, r"instance must be 1-D, got shape \(\)"),
+        ([1.5, 2.0, 3.0], None, "instance must be integers, got dtype float64"),
+        ([1, 2, 3], [True, False, True], "semantic must be integers, got dtype bool"),
     ])
     def test_malformed_columns_rejected_before_writing(self, tmp_path, instance, semantic, message):
         path = tmp_path / "labels.tsv"

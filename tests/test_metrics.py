@@ -149,6 +149,15 @@ class TestMatchInstances:
         with pytest.raises(ShapeMismatch):
             match_instances([1, 2], [1])
 
+    @pytest.mark.parametrize("pred, gt, message", [
+        # Cast to int64, the fractional labeling would read as [1, 0, 2] and match both trees.
+        ([1.7, 0, 2.2], [1, 0, 2], "pred must be integers, got dtype float64"),
+        ([1, 0, 1], [True, False, True], "gt must be integers, got dtype bool"),
+    ])
+    def test_non_integer_labels_rejected(self, pred, gt, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            match_instances(pred, gt)
+
 
 class TestDetectionScores:
     def test_perfect(self):
