@@ -34,6 +34,16 @@ _SETTING_RULES = {
 }
 
 
+def _shown(value, text=str) -> str:
+    """``text(value)``, but an integer of over 1,000 digits, which Python may refuse to print, by its digit count."""
+    magnitude = abs(int(value)) if isinstance(value, numbers.Integral) else 0
+    if magnitude < 10**1000:
+        return text(value)
+    digits = int(math.log10(magnitude))  # the count less one, but for a rounding of log10 near a power of ten
+    digits += 1 + (magnitude >= 10 ** (digits + 1)) - (magnitude < 10**digits)
+    return f"<{'a negative' if value < 0 else 'an'} integer of {digits:,} digits>"
+
+
 def _setting(name: str, value, rule: str, message: str | None = None) -> int | float:
     """``value`` as a Python number if it keeps the rule ``_SETTING_RULES[rule]``, else ConfigError (with
     ``message``, if given, for a number that breaks the rule).
@@ -50,13 +60,13 @@ def _setting(name: str, value, rule: str, message: str | None = None) -> int | f
             float(number)  # an integer no float can hold raises OverflowError
     except (TypeError, OverflowError):
         raise ConfigError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a float'}, "
-                          f"got {value!r}") from None
+                          f"got {_shown(value, repr)}") from None
     try:
         kept = test(value) and test(number)
     except OverflowError:  # the square of an integer too large for a float
         kept = False
     if not kept:
-        raise ConfigError(message or f"{name} must be {statement}, got {value}")
+        raise ConfigError(message or f"{name} must be {statement}, got {_shown(value)}")
     return number
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .core import GROUND, LEAF, WOOD, PointCloud, _setting
+from .core import GROUND, LEAF, WOOD, PointCloud, _setting, _shown
 from .errors import ConfigError, MissingLabels, PlacementFailed
 from .merging import BlockMasks
 from .tiling import CylinderBlock
@@ -51,11 +51,13 @@ class ForestParams:
             object.__setattr__(self, name, _setting(name, getattr(self, name), rule))
         for name, rule in (("trunk_height_range", "finite >= 0"), ("crown_radius_range", "finite >= 0"),
                            ("points_per_tree_range", "int >= 0")):
+            pair = getattr(self, name)
             try:
-                lo, hi = getattr(self, name)
+                lo, hi = pair
             except (TypeError, ValueError):
-                raise ConfigError(f"{name} must be a (low, high) pair, got {getattr(self, name)!r}") from None
-            message = f"{name} must be a finite positive (low, high) range, got {(lo, hi)}"
+                raise ConfigError(f"{name} must be a (low, high) pair, got {_shown(pair, repr)}") from None
+            message = (f"{name} must be a finite positive (low, high) range, "
+                       f"got ({_shown(lo, repr)}, {_shown(hi, repr)})")
             lo, hi = (_setting(f"each {name} bound", bound, rule, message) for bound in (lo, hi))
             if not 0 < lo <= hi:
                 raise ConfigError(message)
@@ -64,7 +66,7 @@ class ForestParams:
         tree_points = self.n_trees * max(self.points_per_tree_range[1], _UNDERSTORY_MIN_POINTS)
         if tree_points > MAX_SCENE_POINTS:
             raise ConfigError(f"n_trees and points_per_tree_range must allow at most {MAX_SCENE_POINTS:,} points, "
-                              f"got up to {tree_points:,} tree points")
+                              f"got up to {_shown(tree_points, '{:,}'.format)} tree points")
         ground_points = self.ground_density * self.plot_size**2
         if not ground_points <= MAX_SCENE_POINTS - tree_points:
             raise ConfigError(f"ground_density must keep the scene within {MAX_SCENE_POINTS:,} points, got up to "
@@ -176,21 +178,21 @@ def generate_forest(params: ForestParams) -> PointCloud:
     )
 
 
-def _overlap_split(
-    positions: npt.NDArray[np.float64],
-    members: npt.NDArray[np.int64],
-    rng: np.random.Generator,
-) -> list[npt.NDArray[np.int64]]:
-    # Random vertical plane through the xy centroid; each fragment takes its
-    # side plus the shared band so the pair overlaps by SPLIT_OVERLAP.
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    normal = np.array([np.cos(theta), np.sin(theta)])
-    xy = positions[members, :2]
-    s = (xy - xy.mean(axis=0)) @ normal
-    order = np.argsort(s, kind="stable")
-    m = len(members)
-    take = min(m, max(1, int(np.ceil(m * (1.0 + SPLIT_OVERLAP) / 2.0))))
-    return [np.sort(members[order[:take]]), np.sort(members[order[m - take:]])]
+def _overlap_split(xy: npt.NDArray[np.float64], theta: float, take: int) -> list[npt.NDArray[np.bool_]]:
+    # Random vertical plane through the xy centroid; each fragment takes its side plus the shared band
+    # so the pair overlaps by SPLIT_OVERLAP. The fragments are the take lowest and highest projections,
+    # as the two ends of a stable sort hold them: of the ties at a bound, the first keeps the front ones.
+    s = (xy - xy.mean(axis=0)) @ np.array([np.cos(theta), np.sin(theta)])
+    bounds = np.sort(s)
+    low, high = bounds[take - 1], bounds[len(s) - take]
+    first, last = s <= low, s >= high
+    excess = np.count_nonzero(first) - take
+    if excess:
+        first[np.flatnonzero(s == low)[-excess:]] = False
+    excess = np.count_nonzero(last) - take
+    if excess:
+        last[np.flatnonzero(s == high)[:excess]] = False
+    return [first, last]
 
 
 def oracle_predictor(
@@ -218,13 +220,14 @@ def oracle_predictor(
     per tree. Without merges, splits or noise the masks are the runs of the
     surviving trees, packed as the sort left them, each scored
     ``run length / tree size``: the draws a corrupted block makes after the
-    coins would change none of them. A noisy mask draws its added points
-    from the pool of the block's points outside the mask, in ascending
-    order, so the random draws are those of a sorted set difference. The
-    pool is never built: the draw picks ranks into it, and each rank maps to
-    a point id through the mask's sorted positions among the block's ids, so
-    a noisy mask costs O(mask log block).
-    ``point_indices`` are taken to be unique.
+    coins would change none of them. A corrupted block takes two passes:
+    the first makes every other draw from mask sizes alone, in the order of
+    one loop over the masks; the second builds all masks as positions into
+    the block's sorted ids with block-sized array operations, but for one
+    sort of each split's projections. A noisy mask adds the points of its
+    ranks in the ascending pool of the block's points outside it, which is
+    never built: the ranks of all masks map to positions through one
+    ``searchsorted``. ``point_indices`` are taken to be unique.
     """
     if not cloud.has_labels:
         raise MissingLabels("oracle predictor requires ground-truth labels on the cloud")
@@ -244,70 +247,86 @@ def oracle_predictor(
     if tree_sizes is None:
         tree_sizes = np.bincount(cloud.instance)
     survives = rng.random(len(present)) >= corruption.drop_prob
-    if corruption == CorruptionParams(drop_prob=corruption.drop_prob):  # no merge, split or noise
-        runs = ends - starts
+    runs = ends - starts
+    if corruption.merge_prob == corruption.split_prob == corruption.point_noise == corruption.score_noise == 0:
         point_ids = by_tree[first:] if survives.all() else by_tree[first:][np.repeat(survives, runs)]
         sizes = runs[survives]
         return BlockMasks(point_ids, sizes, sizes / tree_sizes[present[survives]])
 
-    local = {int(uid): by_tree[a:b] for uid, a, b in zip(present, starts, ends)}
-    survivors = present[survives].tolist()
-
-    centroids: dict[int, np.ndarray] = {}
+    # Pass 1: every other draw, from sizes alone. A tree is named by the index of its run.
+    survivors, lengths = np.flatnonzero(survives).tolist(), runs.tolist()
+    if not survivors:
+        return BlockMasks()
     if corruption.merge_prob > 0:
-        centroids = {uid: cloud.positions[local[uid], :2].mean(axis=0) for uid in survivors}
+        centroids = {r: cloud.positions[by_tree[starts[r]:ends[r]], :2].mean(axis=0) for r in survivors}
     consumed: set[int] = set()
-    units: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for uid in survivors:
-        if uid in consumed:
+    units: list[tuple[int, ...]] = []
+    for r in survivors:
+        if r in consumed:
             continue
+        unit: tuple[int, ...] = (r,)
         if rng.random() < corruption.merge_prob:
-            others = [v for v in survivors if v not in consumed and v != uid]
+            others = [v for v in survivors if v not in consumed and v != r]
             if others:
-                dists = [float(np.hypot(*(centroids[v] - centroids[uid]))) for v in others]
-                partner = others[int(np.argmin(dists))]
-                consumed.update((uid, partner))
-                units.append(((uid, partner), np.sort(np.concatenate([local[uid], local[partner]]))))
-                continue
-        consumed.add(uid)
-        units.append(((uid,), local[uid]))
-
-    emitted: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for source, members in units:
-        if rng.random() < corruption.split_prob:
-            emitted.extend((source, frag) for frag in _overlap_split(cloud.positions, members, rng))
-        else:
-            emitted.append((source, members))
-
-    if corruption.point_noise > 0:
-        ordered = pts if (pts[1:] > pts[:-1]).all() else np.unique(pts)
-    masks, scores = [], []
-    for source, members in emitted:
-        if corruption.point_noise > 0 and len(members):
-            n_swap = int(rng.uniform(0.0, corruption.point_noise) * len(members))
-            if n_swap:
-                keep = np.ones(len(members), dtype=bool)
-                keep[rng.choice(len(members), size=n_swap, replace=False)] = False
-                kept = members[keep]
-                n_pool = len(ordered) - len(members)
-                n_add = min(n_swap, n_pool)
-                added = np.empty(0, dtype=np.int64)
-                if n_add:
-                    # choice draws the same ranks over range(n_pool) as over the ascending pool of the
-                    # block's other points. The rank-k pool point is found without building the pool:
-                    # it follows k pool points and every member placed before it.
-                    rank = rng.choice(n_pool, size=n_add, replace=False)
-                    pool_before = np.sort(np.searchsorted(ordered, members)) - np.arange(len(members))
-                    added = ordered[rank + np.searchsorted(pool_before, rank, side="right")]
-                # kept and added are disjoint, so sorting their concatenation is their union.
-                members = np.sort(np.concatenate([kept, added]))
-        score = 0.0
-        for uid in source:
-            inter = int(np.count_nonzero(cloud.instance[members] == uid))
-            if inter:
-                score = max(score, inter / (len(members) + int(tree_sizes[uid]) - inter))
+                dists = [float(np.hypot(*(centroids[v] - centroids[r]))) for v in others]
+                unit = (r, others[int(np.argmin(dists))])
+        consumed.update(unit)
+        units.append(unit)
+    angles, sizes = [], []  # per unit its split angle (None if kept whole), per mask its size
+    for unit in units:
+        m = sum(lengths[r] for r in unit)
+        angles.append(rng.uniform(0.0, 2.0 * np.pi) if rng.random() < corruption.split_prob else None)
+        sizes += [m] if angles[-1] is None else [min(m, max(1, int(np.ceil(m * (1.0 + SPLIT_OVERLAP) / 2.0))))] * 2
+    n = len(pts)
+    drops, ranks, score_noise = [], [], []
+    for m in sizes:
+        n_swap = int(rng.uniform(0.0, corruption.point_noise) * m) if corruption.point_noise > 0 else 0
+        n_add = min(n_swap, n - m)
+        drops.append(rng.choice(m, size=n_swap, replace=False) if n_swap else np.empty(0, dtype=np.int64))
+        # choice draws the same ranks over range(n - m) as over the ascending pool of the other points.
+        ranks.append(rng.choice(n - m, size=n_add, replace=False) if n_add else np.empty(0, dtype=np.int64))
         if corruption.score_noise > 0:
-            score = float(np.clip(score + rng.normal(0.0, corruption.score_noise), 0.0, 1.0))
-        masks.append(members)
-        scores.append(score)
-    return BlockMasks.pack(masks, scores)
+            score_noise.append(rng.normal(0.0, corruption.score_noise))
+
+    # Pass 2: each mask as positions into the sorted ids, its members in the order its drops index: a
+    # tree's run keeps block order, and merged units and fragments are sorted. Offset by n per mask,
+    # positions sort each mask within its own range of keys.
+    in_order = bool((pts[1:] > pts[:-1]).all())
+    ordered = pts if in_order else np.sort(pts)
+    pos = order if in_order else np.searchsorted(ordered, by_tree)
+    tree_pos = [pos[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    masks, sources = [], []
+    for unit, theta in zip(units, angles):
+        members = tree_pos[unit[0]] if len(unit) == 1 else np.sort(np.concatenate([tree_pos[r] for r in unit]))
+        if theta is None:
+            masks.append(members)
+        else:
+            fragments = _overlap_split(cloud.positions[ordered[members], :2], theta, sizes[len(masks)])
+            masks += [members[f] if in_order else np.sort(members[f]) for f in fragments]
+        sources += [(unit[0], unit[-1])] * (len(masks) - len(sources))
+    sizes, offset = np.array(sizes), np.arange(len(masks)) * n
+    key = np.repeat(offset, sizes) + np.concatenate(masks)
+    if corruption.point_noise > 0:
+        start = np.cumsum(sizes) - sizes
+        dropped = np.concatenate(drops) + np.repeat(start, [len(drop) for drop in drops])
+        # A member's sorted position less its rank in its mask counts the pool points before it; offset
+        # by n + 1 per mask, these counts ascend across the block, and so do the sorted queries.
+        before = (key if in_order else np.sort(key, kind="stable")) - np.arange(len(key))
+        before += np.repeat(start + np.arange(len(masks)), sizes)
+        query = np.sort(np.repeat(offset + np.arange(len(masks)), [len(r) for r in ranks]) + np.concatenate(ranks))
+        of = query // (n + 1)  # the mask of each query
+        added = query - of + np.searchsorted(before, query, side="right") - start[of]
+        key = np.concatenate([np.delete(key, dropped), added])
+        sizes += [len(rank) - len(drop) for rank, drop in zip(ranks, drops)]
+    if corruption.point_noise > 0 or not in_order:
+        key = np.sort(key, kind="stable")  # runs of sorted keys, which a stable sort merges
+    mask_of = np.repeat(np.arange(len(masks)), sizes)
+    key -= mask_of * n
+    # Each mask's IoU with its source trees (a lone tree twice), the best one for a merged unit.
+    source = present[np.array(sources).T]
+    tree = (inst if in_order else cloud.instance[ordered])[key]
+    inter = np.array([np.bincount(mask_of[tree == np.repeat(trees, sizes)], minlength=len(masks)) for trees in source])
+    score = np.where(inter > 0, inter / (sizes + tree_sizes[source] - inter), 0.0).max(axis=0)
+    if corruption.score_noise > 0:
+        score = np.clip(score + score_noise, 0.0, 1.0)
+    return BlockMasks(ordered[key], sizes, score)

@@ -4,7 +4,8 @@ and for the crop of each ``forestseg.tiling.tile_cloud`` block.
 
 The oracle here draws each noisy mask's pool with ``np.setdiff1d`` over the
 whole block, joins members with ``np.union1d``, finds each tree's points with
-``np.flatnonzero`` over the whole cloud and scores with ``np.intersect1d``.
+``np.flatnonzero`` over the whole cloud and scores with ``np.intersect1d``; it
+splits a mask by one stable argsort of its projections, one mask at a time.
 The fast predictor must return exactly the masks this returns, and consume the
 same random stream.
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from forestseg.errors import ConfigError, MissingLabels, PlacementFailed
 from merging_reference import InstanceMask
-from forestseg.synthgen import CorruptionParams, _overlap_split
+from forestseg.synthgen import SPLIT_OVERLAP, CorruptionParams
 from forestseg.tiling import CylinderBlock
 
 
@@ -45,6 +46,18 @@ def reference_cylinder_crop(cloud, center_xy, radius, block_id=0):
     if len(indices) == 0:
         return None
     return CylinderBlock(point_indices=indices, block_id=block_id)
+
+
+def reference_overlap_split(positions, members, rng):
+    """The two fragments of a split mask: the ends of a stable argsort by projection on a random plane."""
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    normal = np.array([np.cos(theta), np.sin(theta)])
+    xy = positions[members, :2]
+    s = (xy - xy.mean(axis=0)) @ normal
+    order = np.argsort(s, kind="stable")
+    m = len(members)
+    take = min(m, max(1, int(np.ceil(m * (1.0 + SPLIT_OVERLAP) / 2.0))))
+    return [np.sort(members[order[:take]]), np.sort(members[order[m - take:]])]
 
 
 def reference_oracle_predictor(block, cloud, corruption=CorruptionParams(), seed=0):
@@ -82,7 +95,7 @@ def reference_oracle_predictor(block, cloud, corruption=CorruptionParams(), seed
     emitted = []
     for source, members in units:
         if rng.random() < corruption.split_prob:
-            emitted.extend((source, frag) for frag in _overlap_split(cloud.positions, members, rng))
+            emitted.extend((source, frag) for frag in reference_overlap_split(cloud.positions, members, rng))
         else:
             emitted.append((source, members))
 

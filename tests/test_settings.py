@@ -138,6 +138,11 @@ def test_every_config_field_is_rejected_or_stored_as_a_python_number(data):
 @pytest.mark.parametrize("build, message", [
     (lambda: PipelineConfig(radius=True, stride=True, boundary_margin=False), "radius must be a float, got True"),
     (lambda: PipelineConfig(radius=10**400), "radius must be a float, got 1000"),
+    # Python prints no integer of more than 4,300 digits, so these are given by their digit count.
+    (lambda: PipelineConfig(radius=10**5000), "radius must be a float, got <an integer of 5,001 digits>$"),
+    (lambda: PipelineConfig(seed=-10**5000), "seed must be >= 0, got <a negative integer of 5,001 digits>$"),
+    (lambda: ForestParams(n_trees=10**5000), "got up to <an integer of 5,003 digits> tree points$"),
+    (lambda: ForestParams(points_per_tree_range=(300, 10**5000)), "got up to <an integer of 5,002 digits> tree"),
     (lambda: PipelineConfig(score_threshold=None), "score_threshold must be a float, got None"),
     (lambda: CorruptionParams(split_prob="0.5"), "split_prob must be a float, got '0.5'"),
     (lambda: CorruptionParams(score_noise=Decimal("0.1")), r"score_noise must be a float, got Decimal\('0.1'\)"),

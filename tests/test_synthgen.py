@@ -11,13 +11,14 @@ from forestseg.synthgen import (
     MAX_SCENE_POINTS,
     CorruptionParams,
     ForestParams,
+    _overlap_split,
     _place_centers,
     generate_forest,
     oracle_predictor,
 )
 from forestseg.tiling import CylinderBlock, tile_cloud
 from merging_reference import block_objects
-from synthgen_reference import reference_oracle_predictor, reference_place_centers
+from synthgen_reference import reference_oracle_predictor, reference_overlap_split, reference_place_centers
 
 
 def oracle_masks(block, *args, **kwargs):
@@ -213,6 +214,22 @@ corruptions = st.builds(
 )
 
 
+@st.composite
+def tied_clouds(draw):
+    """Trees whose points sit on a few shared xy spots, so their projections tie exactly, among them
+    trees of 1 and 2 points (both fragments then take every point), with ground points mixed in.
+    ``generate_forest`` jitters every point, so its trees tie with probability 0."""
+    positions, instance = [], []
+    for tree in range(draw(st.integers(1, 6)) + 1):  # tree 0 is the ground
+        n_points = draw(st.sampled_from([1, 2, 3, 4, 7, 30]))
+        spots = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4))
+        for i in range(n_points):
+            positions.append((tree + spots[i % len(spots)][0] / 4, spots[i % len(spots)][1] / 4, i / 8))
+            instance.append(tree)
+    semantic = np.where(np.array(instance) > 0, WOOD, GROUND)
+    return PointCloud(positions=np.array(positions), semantic=semantic, instance=np.array(instance))
+
+
 def assert_same_masks(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -243,6 +260,29 @@ class TestOraclePredictorMatchesSetReference:
             oracle_masks(block, small_forest, corruption, seed=seed),
             reference_oracle_predictor(block, small_forest, corruption, seed=seed),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=tied_clouds(), corruption=corruptions, seed=st.integers(0, 2**32 - 1), shuffle=st.booleans())
+    def test_tied_projections(self, cloud, corruption, seed, shuffle):
+        # A shuffled block keeps each tree in block order and each merged pair in id order, and ties
+        # split by that order.
+        indices = np.random.default_rng(seed).permutation(cloud.n) if shuffle else np.arange(cloud.n)
+        block = CylinderBlock(point_indices=indices, block_id=3)
+        assert_same_masks(
+            oracle_masks(block, cloud, corruption, seed=seed),
+            reference_oracle_predictor(block, cloud, corruption, seed=seed),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(spots=st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_split_selects_the_ends_of_a_stable_sort(self, spots, seed):
+        xyz = np.array([(x, y, 0.0) for x, y in spots], dtype=np.float64)
+        members = np.arange(len(xyz))
+        expected = reference_overlap_split(xyz, members, np.random.default_rng(seed))
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi)
+        fragments = _overlap_split(xyz[members, :2], theta, len(expected[0]))
+        assert [np.flatnonzero(fragment).tolist() for fragment in fragments] == [e.tolist() for e in expected]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_corrupted_scene_with_many_masks(self, seed):
