@@ -91,11 +91,13 @@ def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
 
     Raises:
         EmptyInput: the cloud has no points.
-        ConfigError: resolution is not positive, or so small that a voxel
-            key overflows int64.
+        ConfigError: resolution is not a positive finite number, or so small
+            that a voxel key overflows int64.
     """
-    if resolution <= 0 or not np.isfinite(resolution):
+    resolution = _setting("resolution", resolution, "finite >= 0")
+    if resolution == 0:
         raise ConfigError(f"resolution must be positive, got {resolution}")
+    resolution = float(resolution)  # numpy 1.x divides by an int past int64 as objects
     if cloud.n == 0:
         raise EmptyInput("cannot voxelize an empty point cloud")
     reach = float(np.abs(cloud.positions).max())
@@ -105,7 +107,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
     keys = np.floor(cloud.positions / resolution).astype(np.int64)
     voxel_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
     return SparseVoxelization(
-        resolution=float(resolution),
+        resolution=resolution,
         voxel_keys=voxel_keys,
         point_to_voxel=inverse.reshape(-1).astype(np.int64),
     )

@@ -52,9 +52,9 @@ def _instance_sets(labels: npt.NDArray[np.int64]) -> tuple[npt.NDArray[np.int64]
     return np.unique(labels[labels >= 1], return_counts=True)
 
 
-def _contingency(pred, gt) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], dict[tuple[int, int], float]]:
-    """Instance ids of both labelings and the IoU of every (pred_id, gt_id)
-    pair with non-empty intersection, from one count over the points.
+def _contingency(pred, gt):
+    """Instance ids of both labelings and the pair table, from one count over the points: for each (pred_id,
+    gt_id) pair with non-empty intersection, the positions ``p`` and ``g`` of its ids in them, and its IoU.
 
     Each point labelled on both sides is keyed by the dense ranks of its ids,
     ``pred_rank * n_gt + gt_rank``. The key stays below the square of the
@@ -68,44 +68,27 @@ def _contingency(pred, gt) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]
     key = np.searchsorted(pred_ids, pred[both]) * len(gt_ids) + np.searchsorted(gt_ids, gt[both])
     keys, inters = np.unique(key, return_counts=True)
     p, g = np.divmod(keys, len(gt_ids))
-    ious = {
-        (pid, gid): inter / (a + b - inter)
-        for pid, gid, a, b, inter in zip(
-            pred_ids[p].tolist(), gt_ids[g].tolist(), pred_sizes[p].tolist(), gt_sizes[g].tolist(), inters.tolist()
-        )
-    }
-    return pred_ids, gt_ids, ious
+    return pred_ids, gt_ids, p, g, inters / (pred_sizes[p] + gt_sizes[g] - inters)
 
 
-def _match(pred_ids, gt_ids, ious, iou_threshold: float) -> MatchResult:
-    candidates = sorted(
-        ((p, g, iou) for (p, g), iou in ious.items() if iou >= iou_threshold),
-        key=lambda t: (-t[2], t[1], t[0]),
-    )
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
+def _match(pred_ids, gt_ids, p, g, iou, iou_threshold: float) -> MatchResult:
+    order = np.lexsort((p, g, -iou))[: np.count_nonzero(iou >= iou_threshold)]
+    used_pred, used_gt = np.zeros(len(pred_ids), dtype=bool), np.zeros(len(gt_ids), dtype=bool)
     pairs = []
-    for p, g, iou in candidates:
-        if p in used_pred or g in used_gt:
-            continue
-        used_pred.add(p)
-        used_gt.add(g)
-        pairs.append((p, g, iou))
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_preds=tuple(int(p) for p in pred_ids if p not in used_pred),
-        unmatched_gts=tuple(int(g) for g in gt_ids if g not in used_gt),
-    )
+    for i, j, value in zip(p[order].tolist(), g[order].tolist(), iou[order].tolist()):
+        if not (used_pred[i] or used_gt[j]):
+            used_pred[i] = used_gt[j] = True
+            pairs.append((int(pred_ids[i]), int(gt_ids[j]), value))
+    return MatchResult(pairs=tuple(pairs), unmatched_preds=tuple(pred_ids[~used_pred].tolist()),
+                       unmatched_gts=tuple(gt_ids[~used_gt].tolist()))
 
 
-def _coverage(gt_ids, ious) -> float:
+def _coverage(gt_ids, g, iou) -> float:
     if len(gt_ids) == 0:
         raise NoGroundTruth("coverage requires at least one ground-truth instance")
-    best = {int(g): 0.0 for g in gt_ids}
-    for (_, g), iou in ious.items():
-        if iou > best[g]:
-            best[g] = iou
-    return float(np.mean([best[int(g)] for g in gt_ids]))
+    best = np.zeros(len(gt_ids))
+    np.maximum.at(best, g, iou)
+    return float(best.mean())
 
 
 def match_instances(pred, gt, iou_threshold: float = 0.5) -> MatchResult:
@@ -134,8 +117,8 @@ def coverage(pred, gt) -> float:
     No threshold and not one-to-one: a single prediction may be the best
     match of several trees.
     """
-    _, gt_ids, ious = _contingency(pred, gt)
-    return _coverage(gt_ids, ious)
+    _, gt_ids, _, g, iou = _contingency(pred, gt)
+    return _coverage(gt_ids, g, iou)
 
 
 def semantic_miou(pred_classes, gt_classes) -> tuple[dict[int, float], float]:
@@ -211,10 +194,10 @@ def evaluate_labels(
     Matching and coverage share one contingency pass over the instance labels.
     """
     iou_threshold = _setting("IoU threshold", iou_threshold, "[0, 1]")
-    pred_ids, gt_ids, ious = _contingency(pred_instance, gt_instance)
-    match = _match(pred_ids, gt_ids, ious, iou_threshold)
+    pred_ids, gt_ids, p, g, iou = _contingency(pred_instance, gt_instance)
+    match = _match(pred_ids, gt_ids, p, g, iou, iou_threshold)
     precision, recall, f1 = detection_scores(match)
-    cov = _coverage(gt_ids, ious)
+    cov = _coverage(gt_ids, g, iou)
     per_class: dict[int, float] = {}
     miou = None
     if pred_semantic is not None and gt_semantic is not None:

@@ -258,19 +258,19 @@ def oracle_predictor(
     if not survivors:
         return BlockMasks()
     if corruption.merge_prob > 0:
-        centroids = {r: cloud.positions[by_tree[starts[r]:ends[r]], :2].mean(axis=0) for r in survivors}
-    consumed: set[int] = set()
+        centroids = np.array([cloud.positions[by_tree[starts[r]:ends[r]], :2].mean(axis=0) for r in survivors])
+    free = np.ones(len(survivors), dtype=bool)  # the survivors no unit holds yet
     units: list[tuple[int, ...]] = []
-    for r in survivors:
-        if r in consumed:
+    for k, r in enumerate(survivors):
+        if not free[k]:
             continue
+        free[k] = False
         unit: tuple[int, ...] = (r,)
-        if rng.random() < corruption.merge_prob:
-            others = [v for v in survivors if v not in consumed and v != r]
-            if others:
-                dists = [float(np.hypot(*(centroids[v] - centroids[r]))) for v in others]
-                unit = (r, others[int(np.argmin(dists))])
-        consumed.update(unit)
+        if rng.random() < corruption.merge_prob and free.any():
+            others = np.flatnonzero(free)  # argmin keeps the first of tied distances
+            partner = int(others[np.argmin(np.hypot(*(centroids[others] - centroids[k]).T))])
+            free[partner] = False
+            unit = (r, survivors[partner])
         units.append(unit)
     angles, sizes = [], []  # per unit its split angle (None if kept whole), per mask its size
     for unit in units:

@@ -301,7 +301,8 @@ class TestContingencyMatchesPairReference:
     @example(data=(np.array([1, 0, 2, 0]), np.array([0, 1, 0, 2])), threshold=0.0, semantic_seed=0)
     def test_same_ious_matches_coverage_and_report(self, data, threshold, semantic_seed):
         pred, gt = data
-        ious = _contingency(pred, gt)[2]
+        pred_ids, gt_ids, p, g, iou = _contingency(pred, gt)
+        ious = dict(zip(zip(pred_ids[p].tolist(), gt_ids[g].tolist()), iou.tolist()))
         expected = reference_pair_ious(pred, gt)
         assert list(ious.items()) == list(expected.items())
         assert match_instances(pred, gt, threshold) == reference_match_instances(pred, gt, threshold)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from forestseg.core import PointCloud
 from forestseg.errors import ConfigError
-from forestseg.isa_select import EmbeddingField, filter_tree_voxels, fps
+from forestseg.isa_select import EmbeddingField, filter_tree_voxels, fps, voxelize
 from forestseg.losses import run_gradient_checks
 from forestseg.merging import BlockMasks, MaskTable, discard_boundary_masks, score_filter, score_nms
 from forestseg.metrics import match_instances
@@ -195,7 +195,27 @@ POSITIONS = np.zeros((1, 3))
     (lambda: sliding_window_centers((0.0, 0.0), (1.0, 1.0), True), "stride must be a float, got True"),
     (lambda: Tiling(POSITIONS, np.zeros((1, 2)), "16"), "radius must be a float, got '16'"),
     (lambda: match_instances([1], [1], iou_threshold=Decimal("0.5")), "IoU threshold must be a float"),
+    (lambda: voxelize(ONE_POINT, True), "resolution must be a float, got True"),
+    (lambda: voxelize(ONE_POINT, "0.2"), "resolution must be a float, got '0.2'"),
+    (lambda: voxelize(ONE_POINT, None), "resolution must be a float, got None"),
+    (lambda: voxelize(ONE_POINT, 10**400), "resolution must be a float, got 1000"),
+    (lambda: voxelize(ONE_POINT, float("nan")), "resolution must be finite and >= 0, got nan"),
+    (lambda: voxelize(ONE_POINT, 0), "resolution must be positive, got 0$"),
 ])
 def test_stage_parameters_that_are_no_setting_rejected(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(value=setting_values())
+def test_voxelize_takes_exactly_the_positive_finite_resolutions(value):
+    # The one point at the origin keeps every voxel key at 0, so no resolution overflows one.
+    expected = passes("float", lambda v: math.isfinite(v) and v > 0, ANY, value)
+    try:
+        vox = voxelize(ONE_POINT, value)
+    except ConfigError:
+        assert not expected
+        return
+    assert expected and type(vox.resolution) is float and vox.resolution == float(value)

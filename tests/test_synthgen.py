@@ -163,6 +163,17 @@ class TestOraclePredictor:
         gt_ids = np.unique(small_forest.instance[small_forest.instance >= 1])
         assert len(masks) == (len(gt_ids) + 1) // 2
 
+    @pytest.mark.parametrize("spots", [[(0, 0), (1, 0), (0, 1)], [(0, 0), (0, -1), (-1, 0), (1, 0), (0, 1)],
+                                       [(0, 0), (3, 4), (5, 0), (0, -5)]])
+    def test_merge_partner_ties_go_to_the_first_tree(self, spots):
+        # Every tree after the first stands at one distance from it, so the tie rule alone picks its partner.
+        cloud = PointCloud(positions=[(x, y, z) for x, y in spots for z in (0.0, 1.0)],
+                           semantic=np.full(2 * len(spots), WOOD), instance=np.repeat(np.arange(1, len(spots) + 1), 2))
+        block, merge = full_scene_block(cloud), CorruptionParams(merge_prob=1.0)
+        masks = oracle_masks(block, cloud, merge, seed=0)
+        assert masks[0].point_ids.tolist() == [0, 1, 2, 3]
+        assert_same_masks(masks, reference_oracle_predictor(block, cloud, merge, seed=0))
+
     def test_scores_track_membership_quality(self, small_forest):
         block = full_scene_block(small_forest)
         noisy = oracle_masks(block, small_forest, CorruptionParams(point_noise=0.6), seed=1)
