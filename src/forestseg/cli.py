@@ -13,16 +13,14 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import click
 
-from . import io
+from . import core, io
 from .errors import ConfigError, ForestSegError, InputDataError, MissingLabels, ParseError
-from .isa_select import (oracle_embeddings, select_queries_fps_euclidean, select_queries_isa, selection_stats,
-                         voxel_labels_from_points, voxelize)
+from .isa_select import (_resolution, oracle_embeddings, select_queries_fps_euclidean, select_queries_isa,
+                         selection_stats, voxel_labels_from_points, voxelize)
 from .losses import run_gradient_checks
-from .merging import BlockPrediction
 from .metrics import evaluate_labels
 from .pipeline import PipelineConfig, effective_threads, run_pipeline, run_pipeline_from_blocks
 from .synthgen import CorruptionParams, ForestParams, generate_forest
@@ -160,7 +158,7 @@ def synth(params_path: str, out: str, seed: int | None) -> None:
 @main.command()
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--predictor", default="oracle", show_default=True,
-              help="'oracle' or a directory of per-block mask files (*.npz, *.json; suffixes in any letter case).")
+              help=f"'oracle' or a directory of block files ({io._BLOCK_PATTERNS}; suffixes in any letter case).")
 @click.option("--out-labels", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--out-report", type=_OutputFile(dir_okay=False), default=None)
 @click.option("--dump-blocks", type=_OutputDir(file_okay=False), default=None,
@@ -184,9 +182,14 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
             Path(dump_blocks).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InputDataError(f"{dump_blocks}: cannot create directory: {exc.strerror or exc}") from None
-        if _block_files(Path(dump_blocks)):
+        if io._block_files(dump_blocks):
             # A replay reads every block file there, so files of an earlier dump would join this one's.
-            raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block files (*.npz, *.json)")
+            raise ConfigError(f"--dump-blocks directory {dump_blocks} already holds block files ({io._BLOCK_PATTERNS})")
+    if predictor != "oracle":
+        if not os.path.isdir(predictor):  # False, not an OSError, for a path the OS refuses, such as a name too long
+            raise ParseError(f"predictor must be 'oracle' or a directory, got {predictor!r}")
+        if not (block_files := io._block_files(predictor)):
+            raise ParseError(f"{Path(predictor)}: no block files ({io._BLOCK_PATTERNS}) found")
     cloud = io.read_cloud(input_path)
     if predictor == "oracle":
         result = run_pipeline(cloud, config, corruption=corruption, threads=threads)
@@ -198,28 +201,12 @@ def pipeline(input_path, predictor, out_labels, out_report, dump_blocks, threads
             for block in tile_cloud(cloud, config.radius, config.stride):
                 io.write_block_file(Path(dump_blocks) / f"block_{block.block_id:05d}.npz", predict(block))
     else:
-        block_dir = Path(predictor)
-        if not block_dir.is_dir():
-            raise ParseError(f"predictor must be 'oracle' or a directory, got {predictor!r}")
-        result = run_pipeline_from_blocks(_load_block_dir(block_dir), cloud, config)
+        # Each file read as the merge pulls it; a generator, not ``map``, so an escaping StopIteration fails the run.
+        result = run_pipeline_from_blocks((io.read_block_file(path) for path in block_files), cloud, config)
 
     if out_labels:
         io.write_labels_tsv(out_labels, result.merge.instance, result.merge.semantic)
     _emit_json(result.report, out_report)
-
-
-def _block_files(block_dir: Path) -> list[Path]:
-    """The directory's ``.npz`` and ``.json`` block files, suffixes in any letter case, in sorted name order."""
-    return sorted(path for path in block_dir.glob("*") if path.suffix.lower() in (".npz", ".json"))
-
-
-def _load_block_dir(block_dir: Path) -> Iterator[BlockPrediction]:
-    """The directory's block files in sorted order, each read only when the merge pulls it."""
-    files = _block_files(block_dir)
-    if not files:
-        raise ParseError(f"{block_dir}: no block files (*.npz, *.json) found")
-    # A generator, not ``map``: a StopIteration escaping the reader must fail the run, not end it.
-    return (io.read_block_file(path) for path in files)
 
 
 @main.command("select-queries")
@@ -239,6 +226,11 @@ def select_queries(input_path, method, k, threshold, resolution, noise_sigma, se
     isa_only = [p for p in ctx.command.params if p.name in ("threshold", "noise_sigma", "seed")]
     if method == "fps" and any(ctx.params[p.name] != p.default for p in isa_only):
         raise ConfigError("--threshold, --noise-sigma and --seed apply only to --method isa")
+    # Each option's rule, in the order the stages below apply them, before the cloud is read.
+    _resolution(resolution)
+    for name, value, rule in (("noise_sigma", noise_sigma, "finite >= 0"), ("seed", seed, "int >= 0"),
+                              ("threshold", threshold, "[0, 1]"), ("k", k, "int >= 1")):
+        core._setting(name, value, rule)
     cloud = io.read_cloud(input_path)
     if not cloud.has_labels:
         raise MissingLabels(f"{input_path}: query selection statistics need GT labels")
@@ -271,6 +263,7 @@ def select_queries(input_path, method, k, threshold, resolution, noise_sigma, se
 @_handle_errors
 def evaluate(pred_path, gt_path, iou, out) -> None:
     """Evaluate predicted labels against ground truth; JSON report."""
+    core._setting("IoU threshold", iou, "[0, 1]")  # evaluate_labels' rule, checked before any file is read
     pred_inst, pred_sem = io.read_labels_tsv(pred_path)
     gt_inst, gt_sem = io.read_labels_tsv(gt_path)
     report = evaluate_labels(pred_inst, gt_inst, pred_sem, gt_sem, iou_threshold=iou)

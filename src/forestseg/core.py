@@ -119,7 +119,7 @@ class PointCloud:
         n = len(self.positions)
         if self.semantic is not None:
             self.semantic = _as_labels(self.semantic, "semantic", n)
-            if self.semantic.size and not np.all(np.isin(self.semantic, (GROUND, WOOD, LEAF))):
+            if self.semantic.size and (self.semantic.min() < 0 or self.semantic.max() >= N_CLASSES):
                 raise InvalidLabel(_LABEL_RULES["semantic"])
         if self.instance is not None:
             self.instance = _as_labels(self.instance, "instance", n)

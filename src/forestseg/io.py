@@ -548,12 +548,9 @@ def write_tsv(path, cloud: PointCloud) -> None:
 
 
 def _by_extension(path, ply, tsv):
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        return ply
-    if suffix in (".tsv", ".txt"):
-        return tsv
-    raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .ply or .tsv")
+    if (suffix := Path(path).suffix.lower()) not in (".ply", ".tsv", ".txt"):
+        raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .ply or .tsv")
+    return ply if suffix == ".ply" else tsv
 
 
 def read_cloud(path) -> PointCloud:
@@ -683,14 +680,11 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
 
 def read_block_file(path) -> BlockPrediction:
     """Read one block's predictions from a ``.npz`` archive, as :func:`write_block_file` writes them, or from a
-    ``.json`` file; any other extension is a :class:`ParseError`."""
+    ``.json`` file, the suffix in any letter case; any other extension is a :class:`ParseError`."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".npz":
-        return _read_npz_block(path)
-    if suffix == ".json":
-        return _read_json_block(path)
-    raise ParseError(f"{path}: unsupported extension {suffix!r}, expected .npz or .json")
+    if (suffix := path.suffix.lower()) not in _BLOCK_READERS:
+        raise ParseError(f"{path}: unsupported extension {suffix!r}, expected {' or '.join(_BLOCK_READERS)}")
+    return _BLOCK_READERS[suffix](path)
 
 
 def _malformed(path: Path, message: str) -> ParseError:
@@ -759,7 +753,6 @@ def _read_json_block(path: Path) -> BlockPrediction:
     raised. Other keys, such as the
     ``center`` and ``radius`` older dumps wrote, are ignored.
     """
-    path = Path(path)
     with _open_text(path) as f:
         text = f.read()
     try:
@@ -811,6 +804,16 @@ def _read_json_block(path: Path) -> BlockPrediction:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise malformed(repr(exc)) from None
     return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
+
+
+# A block file's suffix, matched in any letter case -> its reader. Only these files are block files.
+_BLOCK_READERS = {".npz": _read_npz_block, ".json": _read_json_block}
+_BLOCK_PATTERNS = ", ".join(f"*{suffix}" for suffix in _BLOCK_READERS)  # "*.npz, *.json", as messages list them
+
+
+def _block_files(directory) -> list[Path]:
+    """The block files in ``directory``, in sorted name order."""
+    return sorted(path for path in Path(directory).glob("*") if path.suffix.lower() in _BLOCK_READERS)
 
 
 def write_json(path, payload: dict) -> None:

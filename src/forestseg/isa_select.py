@@ -84,6 +84,14 @@ class VoxelLabels:
         return len(self.semantic)
 
 
+def _resolution(resolution) -> float:
+    """``resolution`` as a float if it is a positive finite number, else ConfigError."""
+    resolution = _setting("resolution", resolution, "finite >= 0")
+    if resolution == 0:
+        raise ConfigError(f"resolution must be positive, got {resolution}")
+    return float(resolution)  # numpy 1.x divides by an int past int64 as objects
+
+
 def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
     """Quantize a cloud onto a sparse grid of occupied voxels.
 
@@ -94,10 +102,7 @@ def voxelize(cloud: PointCloud, resolution: float) -> SparseVoxelization:
         ConfigError: resolution is not a positive finite number, or so small
             that a voxel key overflows int64.
     """
-    resolution = _setting("resolution", resolution, "finite >= 0")
-    if resolution == 0:
-        raise ConfigError(f"resolution must be positive, got {resolution}")
-    resolution = float(resolution)  # numpy 1.x divides by an int past int64 as objects
+    resolution = _resolution(resolution)
     if cloud.n == 0:
         raise EmptyInput("cannot voxelize an empty point cloud")
     reach = float(np.abs(cloud.positions).max())

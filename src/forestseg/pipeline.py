@@ -167,15 +167,12 @@ def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, 
     if block_id in seen:
         raise UnknownBlock(f"block {block_id} arrives twice")
     seen.add(block_id)
-    masks = prediction.masks
-    ids = masks.point_ids
+    ids = prediction.masks.point_ids
     if len(ids) and (ids.min() < 0 or ids.max() >= n_points):
         raise ShapeMismatch(f"mask from block {block_id} references points outside 0..{n_points - 1}")
-    query = masks.query_index
-    if (query[1:] <= query[:-1]).any():  # strictly ascending indices, as the oracle emits, need no sort
-        ordered = np.sort(query)
-        if (repeated := ordered[1:] == ordered[:-1]).any():
-            raise UnknownBlock(f"block {block_id} holds two masks with query index {ordered[1:][repeated][0]}")
+    ordered = np.sort(prediction.masks.query_index)
+    if (repeated := ordered[1:] == ordered[:-1]).any():
+        raise UnknownBlock(f"block {block_id} holds two masks with query index {ordered[1:][repeated][0]}")
 
 
 def merge_block_predictions(

@@ -317,6 +317,24 @@ class TestPipeline:
         assert result.exit_code == 2, result.output
         assert f"error: predictor must be 'oracle' or a directory, got {str(tmp_path / 'none')!r}" in result.output
 
+    def test_bad_predictor_exits_2_before_the_input_is_read(self, runner, tmp_path):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("not a ply\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("")
+        (empty / "block_00000.npy").write_bytes(b"")
+        for predictor, message in ((tmp_path / "none", f"predictor must be 'oracle' or a directory, got "
+                                                       f"{str(tmp_path / 'none')!r}"),
+                                   (bad, f"predictor must be 'oracle' or a directory, got {str(bad)!r}"),
+                                   (empty, f"{empty}: no block files (*.npz, *.json) found"),
+                                   # A name the OS refuses, and the empty name, though Path("") is "."
+                                   ("a" * 300, f"predictor must be 'oracle' or a directory, got {'a' * 300!r}"),
+                                   ("", "predictor must be 'oracle' or a directory, got ''")):
+            result = runner.invoke(main, ["pipeline", "--input", str(bad), "--predictor", str(predictor)])
+            assert result.exit_code == 2, result.output
+            assert result.output == f"error: {message}\n"
+
     def test_unsupported_input_extension_exits_2(self, runner, tmp_path):
         las = tmp_path / "x.las"
         las.write_text("0 0 0\n")
@@ -404,7 +422,7 @@ class TestPipeline:
             path.rename(path.with_suffix(".NPZ"))
         reference_write_block_file(dumped[1].with_suffix(".Json"), io.read_block_file(dumped[1]))
         dumped[1].unlink()
-        assert len(cli._block_files(blocks)) == len(dumped)
+        assert len(io._block_files(blocks)) == len(dumped)
         assert run("replay", "--predictor", str(blocks)) == direct
 
     def test_legacy_footprint_keys_in_block_files_are_ignored(self, runner, tmp_path, forest_files):
@@ -745,7 +763,7 @@ class TestEvaluateCommand:
         assert result.exit_code == 3, result.output
 
 
-@pytest.mark.parametrize("command, flags, name", [
+UNUSABLE_VALUES = [
     ("evaluate", ["--iou", "nan"], "IoU threshold"),
     ("evaluate", ["--iou", "1.5"], "IoU threshold"),
     ("select-queries", ["--noise-sigma", "-1"], "noise_sigma"),
@@ -756,11 +774,29 @@ class TestEvaluateCommand:
     ("gradcheck", ["--seed", "-1"], "seed"),
     ("select-queries", ["--resolution", "1e-300"], "resolution"),
     ("select-queries", ["--resolution", "0"], "resolution"),
-])
+    ("select-queries", ["--k", "0"], "k"),
+    ("select-queries", ["--resolution", "-0.2"], "resolution"),
+    ("select-queries", ["--resolution", "inf"], "resolution"),
+]
+
+
+@pytest.mark.parametrize("command, flags, name", UNUSABLE_VALUES)
 def test_unusable_values_exit_3(runner, tmp_path, forest_files, command, flags, name):
     _, ply = forest_files
     inputs = {"evaluate": ["--pred", str(ply), "--gt", str(ply)], "select-queries": ["--input", str(ply)]}
     result = runner.invoke(main, [command, *inputs.get(command, []), *flags])
+    assert result.exit_code == 3, result.output
+    assert f"{name} must" in result.output
+
+
+# A resolution too fine for the cloud's coordinates is known only once the cloud is read.
+@pytest.mark.parametrize("command, flags, name", [case for case in UNUSABLE_VALUES
+                                                  if case[0] != "gradcheck" and "1e-300" not in case[1]])
+def test_unusable_values_exit_3_before_a_malformed_input_is_read(runner, tmp_path, command, flags, name):
+    bad = tmp_path / "bad.ply"
+    bad.write_text("not a ply\n")
+    inputs = {"evaluate": ["--pred", str(bad), "--gt", str(bad)], "select-queries": ["--input", str(bad)]}
+    result = runner.invoke(main, [command, *inputs[command], *flags])
     assert result.exit_code == 3, result.output
     assert f"{name} must" in result.output
 

@@ -762,6 +762,12 @@ class TestBlockFiles:
                                                        ".json")):
             io.read_block_file(path)
 
+    def test_block_files_are_listed_by_the_readers_suffixes_in_name_order(self, tmp_path):
+        for name in ("d.Json", "b.json", "c.npz", "a.NPZ", "e.npy", "f.txt", "g", "json", ".npz.bak"):
+            (tmp_path / name).write_bytes(b"")
+        assert [path.name for path in io._block_files(tmp_path)] == ["a.NPZ", "b.json", "c.npz", "d.Json"]
+        assert [path.name for path in io._block_files(str(tmp_path))] == ["a.NPZ", "b.json", "c.npz", "d.Json"]
+
     def test_indented_legacy_text_reads_the_same(self, tmp_path):
         compact, legacy = tmp_path / "compact.json", tmp_path / "legacy.json"
         compact.write_text(BLOCK_TEXT)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -25,7 +26,9 @@ from forestseg.pipeline import (
 from forestseg.synthgen import CorruptionParams, ForestParams, generate_forest
 from forestseg.tiling import sliding_window_centers, tile_cloud
 from merging_reference import InstanceMask, mask_keys, table_objects
+from metrics_reference import reference_evaluate_labels
 from pipeline_reference import ReferencePrediction, reference_check_block_ids, reference_merge_block_predictions
+from synthgen_reference import reference_cylinder_crop, reference_oracle_predictor
 
 
 @pytest.fixture(scope="module")
@@ -595,3 +598,62 @@ class TestMaskCopies:
         outcome, given = self._merge(monkeypatch, blocks)
         assert given == {(0, 0), (0, 1), (1, 0), (2, 0)}
         assert outcome.masks_after_filter.set_index.tolist() == [0, 1, 0, 0]
+
+
+def reference_run(cloud, config, corruption):
+    """The labels and report of :func:`run_pipeline`, composed from the stage references: a loop crop per grid
+    center, the set-operation oracle, the batch object merge and the pair-table evaluation."""
+    xy = cloud.positions[:, :2]
+    centers = sliding_window_centers(xy.min(axis=0), xy.max(axis=0), config.stride)
+    predictions = []
+    for block_id, center in enumerate(centers):
+        block = reference_cylinder_crop(cloud, center, config.radius, block_id=block_id)
+        if block is not None:
+            masks = reference_oracle_predictor(block, cloud, corruption, seed=[config.seed, block_id])
+            votes = (block.point_indices, cloud.semantic[block.point_indices])
+            predictions.append(ReferencePrediction(block_id, masks, votes))
+    merge = reference_merge_block_predictions(predictions, cloud.positions, config)
+    report = {
+        "config": dataclasses.asdict(config),
+        "blocks": {"grid": len(centers), "processed": len(predictions),
+                   "empty_skipped": len(centers) - len(predictions)},
+        "masks": merge.stage_counts(),
+    }
+    if (cloud.instance > 0).any():
+        report["evaluation"] = reference_evaluate_labels(merge.instance, cloud.instance, merge.semantic,
+                                                         cloud.semantic).to_dict()
+    return merge.instance, merge.semantic, report
+
+
+@st.composite
+def end_to_end_cases(draw):
+    """A scene of 1 to 8 trees, a config that includes margin 0, NMS IoU 0 and 1 and stride = radius·√2, and a
+    corruption."""
+    forest = ForestParams(n_trees=draw(st.integers(1, 8)), plot_size=draw(st.sampled_from([5.0, 8.0, 12.0])),
+                          points_per_tree_range=(20, 80), ground_density=2.0, min_spacing=1.0,
+                          seed=draw(st.integers(0, 2**16)))
+    radius = draw(st.sampled_from([2.5, 4.0, 7.0]))
+    stride = radius * math.sqrt(2) * draw(st.one_of(st.sampled_from([1.0, 0.6]), st.floats(0.5, 1.0)))
+    config = PipelineConfig(radius=radius, stride=stride,
+                            nms_iou=draw(st.one_of(st.sampled_from([0.0, 1.0, 0.3]), st.floats(0.0, 1.0))),
+                            score_threshold=draw(st.sampled_from([0.0, 0.4, 0.9])),
+                            boundary_margin=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9))) * radius,
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    corruption = CorruptionParams(split_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                  merge_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                                  drop_prob=draw(st.sampled_from([0.0, 0.3])),
+                                  point_noise=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                                  score_noise=draw(st.sampled_from([0.0, 0.1])))
+    return generate_forest(forest), config, corruption
+
+
+class TestEndToEndReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=end_to_end_cases())
+    def test_run_pipeline_matches_the_composed_references(self, case):
+        cloud, config, corruption = case
+        result = run_pipeline(cloud, config, corruption)
+        instance, semantic, report = reference_run(cloud, config, corruption)
+        assert np.array_equal(result.merge.instance, instance)
+        assert np.array_equal(result.merge.semantic, semantic)
+        assert json.dumps(result.report, sort_keys=True) == json.dumps(report, sort_keys=True)
