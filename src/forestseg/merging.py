@@ -18,13 +18,12 @@ point resolution rank a table's rows by a total order (score descending,
 then block id, then query index), one ``lexsort``, so no stage depends on
 the order in which blocks were produced.
 
-NMS never compares masks pairwise. It keeps a point→mask index of
-``(point, mask id)`` entries sorted by point, holding only the masks it has
-kept; a query gathers the entries of a candidate's points with
-``searchsorted`` ranges and counts them per kept mask with ``bincount``, so
-pairs that share no point are never visited. A candidate costs
-O(|mask| log E) plus the entries it hits, where E is the number of entries
-in the index.
+NMS never compares masks pairwise. It chains the masks it has kept per
+point: ``head`` holds each point's newest kept entry, and each entry names
+its kept mask (``owner``) and the point's next older entry (``older``). A
+query walks the chains of a candidate's points and counts the owners with
+``bincount``, so pairs that share no point are never visited. A candidate
+costs O(|mask|) plus the owner entries it meets.
 
 Copies of one point set are the merge's concern alone: it hands NMS the
 best-ranked row of each distinct set, and NMS queries every row it is given.
@@ -138,9 +137,9 @@ class MaskTable:
 
     Row i is the mask of query ``query_index[i]`` in block ``block_id[i]``,
     scored ``score[i]``; its point ids are ``sets[set_index[i]]``, a sorted
-    array of unique int64 ids. Rows with equal point sets may share one
-    array, so a table costs memory per distinct set. The merge builds these
-    tables, with every set read-only.
+    array of unique int64 ids, each >= 0. Rows with equal point sets may
+    share one array, so a table costs memory per distinct set. The merge
+    builds these tables, with every set read-only.
     """
 
     block_id: npt.NDArray[np.int64]
@@ -174,53 +173,6 @@ class BlockPrediction:
     semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
 
 
-_RUN_RATIO = 8
-
-
-class _PointIndex:
-    """``(point, mask id)`` entries sorted by point, for intersection counts.
-
-    The entries live in a few sorted runs, each more than ``_RUN_RATIO`` times
-    the size of the next newer one. Adding a mask merges runs the way a
-    counter carries, so a query searches O(log E) runs and an entry is
-    re-merged O(log E) times. NMS makes many more queries than additions,
-    hence a ratio that keeps the runs few.
-    """
-
-    def __init__(self) -> None:
-        self._runs: list[tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]] = []
-
-    def add(self, point_ids: npt.NDArray[np.int64], mask_id: int) -> None:
-        """Index a mask's sorted, unique ``point_ids`` under ``mask_id``."""
-        if not len(point_ids):
-            return
-        points, owners = point_ids, np.full(len(point_ids), mask_id, dtype=np.int64)
-        while self._runs and len(self._runs[-1][0]) <= _RUN_RATIO * len(points):
-            older_points, older_owners = self._runs.pop()
-            points = np.concatenate([older_points, points])
-            order = np.argsort(points, kind="stable")
-            points, owners = points[order], np.concatenate([older_owners, owners])[order]
-        self._runs.append((points, owners))
-
-    def intersections(
-        self, point_ids: npt.NDArray[np.int64]
-    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-        """Ids of the indexed masks sharing a point with ``point_ids``, and how many each shares."""
-        hits = []
-        for points, owners in self._runs:
-            lo = np.searchsorted(points, point_ids, side="left")
-            n = np.searchsorted(points, point_ids, side="right") - lo
-            total = int(n.sum())
-            if total:
-                starts = np.repeat(lo - (np.cumsum(n) - n), n)
-                hits.append(owners[starts + np.arange(total)])
-        if not hits:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        counts = np.bincount(np.concatenate(hits))
-        ids = np.flatnonzero(counts)
-        return ids, counts[ids]
-
-
 def score_filter(masks: BlockMasks, threshold: float) -> BlockMasks:
     """Keep masks with score >= threshold; order preserved."""
     return masks.keep(masks.score >= _setting("score threshold", threshold, "[0, 1]"))
@@ -241,7 +193,8 @@ def discard_boundary_masks(
     than the margin keeps only empty masks. Trees cut by the crop boundary
     always reach the annulus, and the small stride guarantees an interior
     copy from a neighboring block survives. Each mask's farthest point comes
-    from one ``maximum.reduceat`` over the block's packed ids.
+    from one ``maximum.reduceat`` over the block's packed ids. An id that is
+    not a row of ``positions`` is a ``ShapeMismatch``.
     """
     center = np.asarray(center_xy, dtype=np.float64)
     footprint = (f"block center must be a finite (x, y) pair and radius positive with a finite square, "
@@ -257,6 +210,8 @@ def discard_boundary_masks(
     nonempty = sizes > 0
     if nonempty.any():
         ids = masks.point_ids
+        if ids.min() < 0 or ids.max() >= len(positions):
+            raise ShapeMismatch(f"masks reference points outside 0..{len(positions) - 1}")
         # Each column is gathered through its own 1-D view, about twice as fast as ``positions[ids, 0]``
         # (numpy 2.4); the gathered columns are squared and summed in place, with no further temporaries.
         dist_sq, dy = positions[:, 0][ids], positions[:, 1][ids]
@@ -271,27 +226,57 @@ def discard_boundary_masks(
     return masks.keep(keep)
 
 
+def _row_sets(masks: MaskTable, n_points: int | None = None) -> tuple[list[npt.NDArray[np.int64]], int]:
+    """The rows' point sets in row order, and the number of points they index: ``n_points`` if given, else
+    one more than their largest id. An id below 0, or not below a given ``n_points``, is a ``ShapeMismatch``;
+    a set is sorted, so only its ends are read."""
+    sets = [masks.sets[i] for i in masks.set_index.tolist()]
+    ends = np.array([(ids[0], ids[-1]) for ids in sets if len(ids)], dtype=np.int64).reshape(-1, 2)
+    low, high = int(ends[:, 0].min(initial=0)), int(ends[:, 1].max(initial=-1))
+    if low < 0:
+        raise ShapeMismatch(f"mask ids must be >= 0, got {low}")
+    if n_points is not None and high >= n_points:
+        raise ShapeMismatch(f"mask ids must be below the {n_points} points, got {high}")
+    return sets, high + 1 if n_points is None else n_points
+
+
 def score_nms(masks: MaskTable, iou_threshold: float) -> MaskTable:
     """Greedy non-maximum suppression over point-set IoU; the kept rows, in rank order.
 
     Rows are ranked by score descending (ties: lower block id, then lower
     query index); a row survives iff its IoU with every already-kept row
     stays below the threshold. The ranking is a total order, so the result
-    does not depend on the rows' order.
+    does not depend on the rows' order. A negative id is a ``ShapeMismatch``.
     """
     iou_threshold = _setting("NMS IoU threshold", iou_threshold, "[0, 1]")
     ranked = masks.ranked()
     if iou_threshold == 0:
         return ranked.take(np.arange(min(len(ranked), 1)))  # every IoU, even of disjoint masks, fails ``iou < 0``
-    index = _PointIndex()
+    sets, n_points = _row_sets(ranked)
+    # A point's owner chain: ``head`` holds its newest kept entry, or -1, and entry e names the kept mask
+    # ``owner[e]`` and the point's next older entry ``older[e]``. Only kept masks write entries.
+    head = np.full(n_points, -1, dtype=np.int64)
+    owner = np.empty(sum(map(len, sets)), dtype=np.int64)
+    older = np.empty_like(owner)
     kept: list[int] = []
     kept_sizes = np.empty(len(ranked), dtype=np.int64)
-    for row, set_index in enumerate(ranked.set_index.tolist()):
-        point_ids = ranked.sets[set_index]
-        ids, inter = index.intersections(point_ids)
-        if np.any(inter / (len(point_ids) + kept_sizes[ids] - inter) >= iou_threshold):
-            continue
-        index.add(point_ids, len(kept))
+    n_entries = 0
+    for row, point_ids in enumerate(sets):
+        at, hits = head[point_ids], []
+        while len(at := at[at >= 0]):
+            hits.append(owner[at])
+            at = older[at]
+        if hits:
+            inter = np.bincount(np.concatenate(hits))
+            ids = np.flatnonzero(inter)
+            inter = inter[ids]
+            if np.any(inter / (len(point_ids) + kept_sizes[ids] - inter) >= iou_threshold):
+                continue
+        end = n_entries + len(point_ids)
+        owner[n_entries:end] = len(kept)
+        older[n_entries:end] = head[point_ids]
+        head[point_ids] = np.arange(n_entries, end)
+        n_entries = end
         kept_sizes[len(kept)] = len(point_ids)
         kept.append(row)
     return ranked.take(np.array(kept, dtype=np.int64))
@@ -301,12 +286,11 @@ def resolve_points(kept_masks: MaskTable, n_points: int) -> npt.NDArray[np.int64
     """Arbitrate overlapping kept masks into a per-point instance labeling.
 
     Each point goes to its highest-ranked claimant (same total order as NMS);
-    unclaimed points get id 0. Output ids are 1..K in rank order.
+    unclaimed points get id 0. Output ids are 1..K in rank order. An id
+    outside 0..n_points-1 is a ``ShapeMismatch``.
     """
     out = np.zeros(n_points, dtype=np.int64)
-    ranked = kept_masks.ranked()
-    for rank, set_index in enumerate(ranked.set_index.tolist(), start=1):
-        ids = ranked.sets[set_index]
+    for rank, ids in enumerate(_row_sets(kept_masks.ranked(), n_points)[0], start=1):
         out[ids[out[ids] == 0]] = rank
     return out
 

@@ -157,8 +157,8 @@ class _MaskCopies:
         return MaskTable(*map(np.concatenate, zip(*self._rows)), sets=self.sets)
 
 
-def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, n_points: int, stride: float) -> None:
-    """Check one arriving prediction: a new block id on the grid, mask ids in the cloud, distinct query indices."""
+def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, stride: float) -> None:
+    """Check one arriving prediction: a new block id on the grid and distinct query indices."""
     block_id = prediction.block_id
     if isinstance(block_id, bool) or not isinstance(block_id, numbers.Integral):
         raise UnknownBlock(f"block id {block_id!r} is not an integer")
@@ -167,9 +167,6 @@ def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, 
     if block_id in seen:
         raise UnknownBlock(f"block {block_id} arrives twice")
     seen.add(block_id)
-    ids = prediction.masks.point_ids
-    if len(ids) and (ids.min() < 0 or ids.max() >= n_points):
-        raise ShapeMismatch(f"mask from block {block_id} references points outside 0..{n_points - 1}")
     ordered = np.sort(prediction.masks.query_index)
     if (repeated := ordered[1:] == ordered[:-1]).any():
         raise UnknownBlock(f"block {block_id} holds two masks with query index {ordered[1:][repeated][0]}")
@@ -210,21 +207,21 @@ def merge_block_predictions(
     copies = _MaskCopies()
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
-        _check_prediction(prediction, seen, len(centers), n_points, config.stride)
+        _check_prediction(prediction, seen, len(centers), config.stride)
         masks = prediction.masks
-        # Indexed only once checked: numpy would wrap a negative id to a cell at the grid's end.
-        inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
-                                        config.boundary_margin)
+        try:
+            # Indexed only once checked: numpy would wrap a negative id to a cell at the grid's end.
+            inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
+                                            config.boundary_margin)
+            if prediction.semantic is not None:
+                if votes is None:
+                    votes = SemanticVotes(n_points)
+                votes.add(*prediction.semantic)
+        except (ShapeMismatch, InvalidLabel) as exc:
+            raise type(exc)(f"block {prediction.block_id}: {exc}") from None
         copies.add(prediction.block_id, score_filter(inside, config.score_threshold))
         n_predicted += len(masks)
         n_after_boundary += len(inside)
-        if prediction.semantic is not None:
-            if votes is None:
-                votes = SemanticVotes(n_points)
-            try:
-                votes.add(*prediction.semantic)
-            except (ShapeMismatch, InvalidLabel) as exc:
-                raise type(exc)(f"block {prediction.block_id}: {exc}") from None
         del prediction, masks, inside  # free this block's arrays before the next one is pulled
 
     survivors = copies.table()

@@ -236,6 +236,12 @@ class TestDiscardBoundaryMasks:
         with pytest.raises(ConfigError, match=r"block center must be a finite \(x, y\) pair and radius positive"):
             discard(masks, center, radius, positions, 0.5)
 
+    @pytest.mark.parametrize("point_id", [-1, 7])
+    def test_id_outside_the_positions_rejected(self, point_id):
+        with pytest.raises(ShapeMismatch, match=r"^masks reference points outside 0\.\.2$"):
+            discard_boundary_masks(BlockMasks.pack([[0], [point_id]], [0.9, 0.9]), (0.0, 0.0), 16.0, np.zeros((3, 3)),
+                                   0.5)
+
     def test_matches_distance_scan_oracle(self, rng):
         positions = np.c_[rng.uniform(-20, 20, size=(300, 2)), np.zeros(300)]
         masks = random_masks(rng, 40, universe=300)
@@ -334,6 +340,10 @@ class TestScoreNms:
             for j in range(i + 1, len(kept)):
                 assert not set(kept[i].point_ids.tolist()) & set(kept[j].point_ids.tolist())
 
+    def test_negative_id_rejected(self):
+        with pytest.raises(ShapeMismatch, match="^mask ids must be >= 0, got -1$"):
+            score_nms(table([mask([0, 1], 0.9), mask([-1, 2], 0.5, query_index=1)]), 0.3)
+
     def test_rows_over_shared_sets(self):
         # Rows 0 and 2 share set 1; the lower-ranked copy of it is suppressed, the other set survives.
         rows = MaskTable(block_id=np.array([4, 1, 2]), query_index=np.array([0, 0, 3]),
@@ -345,7 +355,7 @@ class TestScoreNms:
 
 
 class TestIndexKernelsMatchPairwiseReference:
-    """The point-index kernels against the pairwise ``intersect1d`` loops they replaced."""
+    """NMS's owner chains against the pairwise ``intersect1d`` loop of the object reference."""
 
     @settings(deadline=None)
     @given(data=mask_lists(), threshold=st.sampled_from([0.0, 1e-9, 0.3, 1.0]))
@@ -383,68 +393,37 @@ class TestIndexKernelsMatchPairwiseReference:
         masks += [mask(m.point_ids, m.score, m.block_id, 300 + i) for i, m in enumerate(masks[:40])]
         assert mask_keys(nms(masks, threshold)) == mask_keys(reference_score_nms(masks, threshold))
 
+    @pytest.mark.parametrize("threshold", [0.3, 0.9, 1.0])
+    def test_score_nms_on_deep_owner_chains(self, rng, threshold):
+        # 45 nested masks share point 0, each under 0.89 of the size of the next larger one, so at IoU 0.9 and 1.0
+        # all are kept, and every later query of point 0 walks a chain of dozens of owners. The scores rank the
+        # masks in no size order, and random masks overlap them. Ranked last, a copy of each nested mask must
+        # find its original however deep in the chains it lies.
+        sizes = [1]
+        while len(sizes) < 45:
+            sizes.append(int(sizes[-1] / 0.89) + 1)
+        scores = (1 + rng.permutation(len(sizes))) / len(sizes)
+        masks = [mask(np.arange(size), score, query_index=i) for i, (size, score) in enumerate(zip(sizes, scores))]
+        masks += [mask(m.point_ids, m.score, 1, i) for i, m in enumerate(random_masks(rng, 30, universe=sizes[-1]))]
+        masks += [mask(m.point_ids, 0.0, 2, i) for i, m in enumerate(masks[:len(sizes)])]
+        kept = nms(masks, threshold)
+        assert mask_keys(kept) == mask_keys(reference_score_nms(masks, threshold))
+        if threshold >= 0.9:
+            assert sum(m.point_ids[0] == 0 for m in kept) >= 45
+
     def test_zero_threshold_keeps_only_the_top_ranked_mask(self):
         masks = [mask([0], 0.5), mask([1], 0.9, query_index=1), mask([], 0.7, query_index=2)]
         assert mask_keys(nms(masks, 0.0)) == mask_keys([masks[1]])
         assert nms([], 0.0) == []
 
 
-def brute_force_intersections(indexed, query):
-    """Ids of the masks in ``indexed``, a list of point sets, sharing a point with ``query``, and how many each shares."""
-    shared = [(mask_id, len(points & query)) for mask_id, points in enumerate(indexed)]
-    return [mask_id for mask_id, n in shared if n], [n for _, n in shared if n]
-
-
-# Mask sizes one below, at and above 0, the run ratio and 9 times it: runs a ratio apart form, so an add carries
-# across several of them.
-INDEX_SIZES = sorted({max(k * merging._RUN_RATIO + d, 0) for k in (0, 1, 9) for d in (-1, 0, 1)})
-
-
-@st.composite
-def index_operations(draw, universe=160):
-    """Steps on a ``_PointIndex``: ``(True, points)`` adds a mask, ``(False, points)`` queries."""
-    steps = []
-    for _ in range(draw(st.integers(1, 40))):
-        size, seed = draw(st.sampled_from(INDEX_SIZES)), draw(st.integers(0, 2**32 - 1))
-        points = set(np.random.default_rng(seed).choice(universe, size=size, replace=False).tolist())
-        steps.append((draw(st.booleans()), points))
-    return steps
-
-
-class TestPointIndex:
-    """``_PointIndex.intersections`` against a set count over every mask added so far."""
-
-    @staticmethod
-    def _run(steps):
-        index, indexed = merging._PointIndex(), []
-        for is_add, points in steps:
-            ids = np.array(sorted(points), dtype=np.int64)
-            if is_add:
-                index.add(ids, len(indexed))
-                indexed.append(points)
-            else:
-                hit, shared = index.intersections(ids)
-                assert (hit.tolist(), shared.tolist()) == brute_force_intersections(indexed, points)
-        for points in [set(), *indexed]:
-            hit, shared = index.intersections(np.array(sorted(points), dtype=np.int64))
-            assert (hit.tolist(), shared.tolist()) == brute_force_intersections(indexed, points)
-        return index
-
-    @settings(deadline=None)
-    @given(steps=index_operations())
-    def test_matches_set_count(self, steps):
-        self._run(steps)
-
-    def test_add_carries_across_several_runs(self):
-        ratio = merging._RUN_RATIO
-        sizes = [ratio * (ratio + 1) + 1, ratio + 1, 1]  # each run more than ``ratio`` times the next newer one
-        steps = [(True, set(range(i, i + n))) for i, n in enumerate(sizes)]
-        assert len(self._run(steps)._runs) == 3
-        # Two more points absorb the newest run, and each merged run then absorbs the next older one.
-        assert len(self._run(steps + [(True, {0, 1})])._runs) == 1
-
-
 class TestResolvePoints:
+    @pytest.mark.parametrize("point_id, message", [(-1, "must be >= 0, got -1"),
+                                                   (6, "must be below the 6 points, got 6")])
+    def test_id_outside_the_cloud_rejected(self, point_id, message):
+        with pytest.raises(ShapeMismatch, match=f"^mask ids {message}$"):
+            resolve_points(table([mask([point_id], 0.9), mask([5], 0.5, query_index=1)]), 6)
+
     def test_highest_score_claims_shared_point(self):
         a = mask([0, 1], 0.9)
         b = mask([1, 2], 0.7, query_index=1)
