@@ -16,11 +16,11 @@ every value bit-exactly, as a binary PLY's float64 columns do. Label tables
 hold only integers, and one vectorized kernel formats them: each column's
 digits fill a right-aligned byte matrix, so no value becomes a Python string.
 A label table is not written under a ``.ply`` name, which the reader would
-take for a PLY cloud. Read back, a label table's values are checked as a
-cloud's labels are: instance ids >= 0, semantic classes 0, 1 or 2. A text
-reader opens its file once as UTF-8 text (an undecodable byte kept as a lone
-surrogate) and streams its rows into one ``np.loadtxt`` pass, holding no
-whole text or line list.
+take for a PLY cloud. One rule checks its values on write and on read, as a
+cloud's labels are checked: instance ids >= 0, semantic classes 0, 1 or 2, so
+the kernel writes no sign. A text reader opens its file once as UTF-8 text (an
+undecodable byte kept as a lone surrogate) and streams its rows into one
+``np.loadtxt`` pass, holding no whole text or line list.
 Where that pass may differ from the row loop, the file is read again as lines
 for the loop, whose :class:`ParseError` names the file and line. A label
 table's ids are checked after the parse: a bad token anywhere comes before an
@@ -154,37 +154,22 @@ def _cloud(values: dict[str, npt.NDArray]) -> PointCloud:
     return PointCloud(positions=positions, **labels)
 
 
-def _write_rows(path, header: list[str], sep: str, columns: dict[str, npt.NDArray]) -> None:
-    """Write the header lines, then the columns as ``sep``-joined rows (``str`` of a float is its ``repr``)."""
-    with _open_output(path, "w") as f:
-        f.write("\n".join(header) + "\n")
-        for start in range(0, len(columns["x"]), _WRITE_CHUNK_ROWS):
-            chunk = (map(str, c[start:start + _WRITE_CHUNK_ROWS].tolist()) for c in columns.values())
-            f.write("\n".join(map(sep.join, zip(*chunk, strict=True))) + "\n")
-
-
 def _int_rows(columns: Sequence[npt.NDArray[np.int64]]) -> bytes:
-    """The rows of ``columns`` (1-D int64 arrays of one length) as ASCII text:
+    """The rows of ``columns`` (1-D int64 arrays of one length, every value >= 0) as ASCII text:
     each value as ``str`` spells it, tab-separated, every row ended by a newline.
 
     Each column takes a right-aligned slot in one uint8 matrix, as wide as its
-    widest value, filled one digit place per floor division by ten. Signs,
-    tabs and newlines are placed by index, and one boolean compress drops the
-    slots' left padding.
+    widest value, filled one digit place per floor division by ten. Tabs and
+    newlines are placed by index, and one boolean compress drops the slots'
+    left padding.
     """
     n = len(columns[0])
-    laid_out = []
-    for values in columns:
-        negative = values < 0
-        # uint64 magnitudes: two's-complement negation is exact for every int64, -2**63 included.
-        magnitude = values.astype(np.uint64)
-        np.negative(magnitude, out=magnitude, where=negative)
-        laid_out.append((magnitude, negative, len(str(magnitude.max())) if n else 1, bool(negative.any())))
-    table = np.empty((n, sum(n_digits + signed + 1 for *_, n_digits, signed in laid_out)), dtype=np.uint8)
+    widths = [len(str(values.max())) if n else 1 for values in columns]
+    table = np.empty((n, sum(widths) + len(widths)), dtype=np.uint8)
     keep = np.ones(table.shape, dtype=bool)
     end = 0
-    for i, (rest, negative, n_digits, signed) in enumerate(laid_out):
-        lead, end = end + signed, end + signed + n_digits  # the column's digit places are lead..end-1
+    for rest, n_digits in zip(columns, widths):
+        lead, end = end, end + n_digits  # the column's digit places are lead..end-1
         for place in range(end - 1, lead - 1, -1):
             quotient = rest // 10
             np.subtract(rest, quotient * 10, out=table[:, place], casting="unsafe")
@@ -192,14 +177,9 @@ def _int_rows(columns: Sequence[npt.NDArray[np.int64]]) -> bytes:
             if place < end - 1:
                 np.not_equal(rest, 0, out=keep[:, place])  # a zero left of the leading digit is padding
             rest = quotient
-        if signed:
-            keep[:, lead - 1] = False
-            rows = np.flatnonzero(negative)
-            sign = lead - 1 + np.argmax(keep[rows, lead:end], axis=1)  # just left of each leading digit
-            table[rows, sign] = ord("-")
-            keep[rows, sign] = True
-        table[:, end] = ord("\n" if i == len(laid_out) - 1 else "\t")
+        table[:, end] = ord("\t")
         end += 1
+    table[:, -1] = ord("\n")
     return table[keep].tobytes()
 
 
@@ -543,8 +523,13 @@ def _tsv_columns(path: Path, first: str, first_lineno: int) -> tuple[list[str], 
 
 
 def write_tsv(path, cloud: PointCloud) -> None:
+    """Write a header row of column names, then tab-joined rows (``str`` of a float is its ``repr``)."""
     columns = _cloud_columns(cloud)
-    _write_rows(path, ["\t".join(columns)], "\t", columns)
+    with _open_output(path, "w") as f:
+        f.write("\t".join(columns) + "\n")
+        for start in range(0, cloud.n, _WRITE_CHUNK_ROWS):
+            chunk = (map(str, c[start:start + _WRITE_CHUNK_ROWS].tolist()) for c in columns.values())
+            f.write("\n".join(map("\t".join, zip(*chunk, strict=True))) + "\n")
 
 
 def _by_extension(path, ply, tsv):
@@ -568,12 +553,25 @@ def _check_label_table_path(path) -> None:
         raise ConfigError(f"{path}: label tables are written as TSV, but a {suffix!r} file is read as a PLY cloud")
 
 
+def _check_label_domains(path, values: dict[str, npt.NDArray[np.int64]], row_name: Callable[[int], str]) -> None:
+    """Reject the first row with an instance id < 0 or a semantic class (if given) outside 0..2, named by ``row_name``,
+    instance before semantic. No tree/ground cross-check: a noisy mask may give a ground point a tree id."""
+    invalid = {"instance": values["instance"] < 0}
+    if "semantic" in values:
+        invalid["semantic"] = (values["semantic"] < 0) | (values["semantic"] >= N_CLASSES)
+    rows = np.flatnonzero(np.any(list(invalid.values()), axis=0))
+    if len(rows):
+        name = next(name for name, bad in invalid.items() if bad[rows[0]])
+        raise InvalidLabel(f"{path}: {row_name(rows[0])}: {_LABEL_RULES[name]}, got {values[name][rows[0]]}")
+
+
 def write_labels_tsv(path, instance, semantic=None) -> None:
     """Write final per-point labels: point_id, instance, and optional semantic.
 
-    A path with a ``.ply`` suffix, in any case, is a :class:`ConfigError`.
-    ``instance`` must be 1-D and ``semantic`` of its length, both integers
-    (as ``core._int64_ids`` takes them), or :class:`ShapeMismatch` is raised. Both are raised before the file is opened.
+    A path with a ``.ply`` suffix, in any case, is a :class:`ConfigError`. ``instance`` must be 1-D and
+    ``semantic`` of its length, both integers (as ``core._int64_ids`` takes them), or :class:`ShapeMismatch` is
+    raised. A label :func:`read_labels_tsv` refuses, an instance id < 0 or a class outside 0..2, is an
+    :class:`InvalidLabel` naming its point. All are raised before the file is opened.
     """
     _check_label_table_path(path)
     instance = _int64_ids(instance, "instance")
@@ -582,6 +580,7 @@ def write_labels_tsv(path, instance, semantic=None) -> None:
     columns = {"point_id": np.arange(len(instance), dtype=np.int64), "instance": instance}
     if semantic is not None:
         columns["semantic"] = _as_labels(semantic, "semantic", len(instance))
+    _check_label_domains(path, columns, lambda row: f"point {row}")
     with _open_output(path, "wb") as f:
         f.write(("\t".join(columns) + "\n").encode())
         for start in range(0, len(instance), _WRITE_CHUNK_ROWS):
@@ -626,15 +625,7 @@ def read_labels_tsv(path) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64] 
         row = int(np.argmax(outside | repeat))
         fault = f"point_id {ids[row]} outside 0..{n - 1}" if outside[row] else f"duplicate point_id {ids[row]}"
         raise ParseError(f"{path}: line {_table_lines(path)[1][row + 1]}: {fault}")
-    # A cloud's label domains. There is no tree/ground cross-check: a noisy mask may give a ground point a tree id.
-    invalid = {"instance": values["instance"] < 0}
-    if "semantic" in values:
-        invalid["semantic"] = (values["semantic"] < 0) | (values["semantic"] >= N_CLASSES)
-    rows = np.flatnonzero(np.any(list(invalid.values()), axis=0))
-    if len(rows):
-        name = next(name for name, bad in invalid.items() if bad[rows[0]])
-        lineno = _table_lines(path)[1][rows[0] + 1]
-        raise InvalidLabel(f"{path}: line {lineno}: {_LABEL_RULES[name]}, got {values[name][rows[0]]}")
+    _check_label_domains(path, values, lambda row: f"line {_table_lines(path)[1][row + 1]}")
     by_id = {name: np.empty(n, dtype=np.int64) for name in ("instance", "semantic") if name in values}
     for name, column in by_id.items():
         column[ids] = values[name]  # the ids are a permutation: this orders the rows by point id
@@ -657,15 +648,16 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     ``point_ids``, cut apart again by ``mask_sizes``. Each integer field is
     stored as int32 when all its values fit, and as int64 otherwise. Every
     member is stored with the zip format's fixed 1980 timestamp, so one
-    prediction always gives the same bytes. A path whose suffix is not
-    ``.npz`` is a :class:`ConfigError`, raised before the file is opened:
-    :func:`read_block_file` would read it by its suffix.
+    prediction always gives the same bytes. Before the file is opened, a path
+    whose suffix is not ``.npz`` (:func:`read_block_file` reads by suffix) is a
+    :class:`ConfigError`, a block id that is not an integer an :class:`UnknownBlock`,
+    and a field not of the reader's rank a :class:`ShapeMismatch`.
     """
     if (suffix := Path(path).suffix.lower()) != ".npz":
         raise ConfigError(f"{path}: block files are written as .npz, got suffix {suffix!r}")
     masks = prediction.masks
     fields = {
-        "block_id": _narrowest(prediction.block_id),
+        "block_id": _narrowest(prediction._checked_block_id()),
         "query_index": _narrowest(masks.query_index),
         "mask_sizes": _narrowest(masks.mask_sizes),
         "score": masks.score,
@@ -674,6 +666,9 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     if prediction.semantic is not None:
         for key, values in zip(_SEMANTIC_KEYS, prediction.semantic):
             fields[f"semantic_{key}"] = _narrowest(_int64_ids(values, f"semantic {key}"))
+    for name, value in fields.items():  # the ranks the reader checks
+        if value.ndim != _NPZ_FIELDS[name]:
+            raise ShapeMismatch(f"{path}: {name} must have rank {_NPZ_FIELDS[name]}, got shape {value.shape}")
     with _open_output(path, "wb") as f:
         np.savez(f, **fields)
 

@@ -31,6 +31,7 @@ best-ranked row of each distinct set, and NMS queries every row it is given.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import N_CLASSES, _int64_ids, _setting
-from .errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
+from .errors import ConfigError, InvalidLabel, ShapeMismatch, UnknownBlock, Unvoted
 
 
 class BlockMasks:
@@ -171,6 +172,12 @@ class BlockPrediction:
     block_id: int
     masks: BlockMasks = field(default_factory=BlockMasks)
     semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
+
+    def _checked_block_id(self) -> int:
+        """The block id, or UnknownBlock if it is no integer (a bool is none). The merge and the writer read it here."""
+        if isinstance(self.block_id, bool) or not isinstance(self.block_id, numbers.Integral):
+            raise UnknownBlock(f"block id {self.block_id!r} is not an integer")
+        return self.block_id
 
 
 def score_filter(masks: BlockMasks, threshold: float) -> BlockMasks:

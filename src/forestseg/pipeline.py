@@ -15,7 +15,6 @@ byte-identical for any block order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -159,9 +158,7 @@ class _MaskCopies:
 
 def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, stride: float) -> None:
     """Check one arriving prediction: a new block id on the grid and distinct query indices."""
-    block_id = prediction.block_id
-    if isinstance(block_id, bool) or not isinstance(block_id, numbers.Integral):
-        raise UnknownBlock(f"block id {block_id!r} is not an integer")
+    block_id = prediction._checked_block_id()
     if not 0 <= block_id < n_grid:
         raise UnknownBlock(f"block id {block_id} is outside the {n_grid}-cell grid at stride {stride}")
     if block_id in seen:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from forestseg import io
 from forestseg.core import PointCloud
-from forestseg.errors import ConfigError, ForestSegError, InputDataError, InvalidLabel, ParseError, ShapeMismatch
+from forestseg.errors import (ConfigError, ForestSegError, InputDataError, InvalidLabel, ParseError, ShapeMismatch,
+                              UnknownBlock)
 from forestseg.merging import BlockMasks, BlockPrediction
 from forestseg.synthgen import ForestParams, generate_forest
 from io_reference import (reference_int_rows, reference_read_labels_tsv, reference_read_ply, reference_read_tsv,
@@ -375,6 +376,39 @@ class TestLabelsTsv:
         assert np.array_equal(inst, cloud.instance)
         assert np.array_equal(sem, cloud.semantic)
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(0, 20), with_semantic=st.booleans())
+    def test_writer_refuses_exactly_the_tables_the_reader_refuses(self, tmp_path, data, n, with_semantic):
+        # Valid columns with up to three labels swapped for bad ones: negative ids, classes outside 0..2.
+        instance = np.array(data.draw(st.lists(NON_NEGATIVE_INT64S, min_size=n, max_size=n)), dtype=np.int64)
+        semantic = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+        bad_classes = NEGATIVE_INT64S | st.integers(3, 2**63 - 1)
+        for _ in range(data.draw(st.integers(0, 3)) if n else 0):
+            row, column = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from(["instance", "semantic"]))
+            if column == "instance":
+                instance[row] = data.draw(NEGATIVE_INT64S)
+            else:
+                semantic[row] = data.draw(bad_classes)
+        semantic = semantic if with_semantic else None
+        reference, path = tmp_path / "reference.tsv", tmp_path / "labels.tsv"
+        path.unlink(missing_ok=True)
+        reference_write_labels_tsv(reference, instance, semantic)
+        try:
+            read = io.read_labels_tsv(reference)
+        except InvalidLabel as refused:
+            with pytest.raises(InvalidLabel) as raised:
+                io.write_labels_tsv(path, instance, semantic)
+            assert not path.exists()
+            # The same rule and value, at the row the reader names by its line: the header takes line 1.
+            line, read_rule = re.fullmatch(rf"{re.escape(str(reference))}: line (\d+): (.*)", str(refused)).groups()
+            point, write_rule = re.fullmatch(rf"{re.escape(str(path))}: point (\d+): (.*)", str(raised.value)).groups()
+            assert (int(point) + 2, write_rule) == (int(line), read_rule)
+        else:
+            assert read[0].tolist() == instance.tolist()
+            assert read[1] is None if semantic is None else read[1].tolist() == semantic.tolist()
+            io.write_labels_tsv(path, instance, semantic)
+            assert path.read_bytes() == reference.read_bytes()  # so it reads back as the reference did
+
     def test_reads_labels_from_headerless_cloud_tsv(self, cloud, tmp_path):
         path = tmp_path / "cloud.tsv"
         io.write_tsv(path, cloud)
@@ -522,9 +556,11 @@ class TestLabelsTsv:
         assert inst.tolist() == [3, 0] and sem.tolist() == [0, 2]
 
 
-# Any int64, with the extremes, values near them and one-digit values drawn often.
-INT64S = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-12, 12),
-                   st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 10**18, -(10**18)]))
+# Any int64 >= 0, the values a label table holds, with the extremes, powers of ten and one-digit values drawn often.
+NON_NEGATIVE_INT64S = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 12),
+                                st.sampled_from([0, 9, 10, 10**18, 2**63 - 1, 2**63 - 2]))
+# Any int64 below 0, the instance ids and classes a label table refuses.
+NEGATIVE_INT64S = st.one_of(st.integers(-(2**63), -1), st.integers(-12, -1), st.sampled_from([-(2**63), -1]))
 
 
 class TestIntegerKernel:
@@ -533,15 +569,16 @@ class TestIntegerKernel:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n_columns=st.integers(1, 3), n_rows=st.integers(0, 50))
     def test_matches_str_join(self, data, n_columns, n_rows):
-        columns = [np.array(data.draw(st.lists(INT64S, min_size=n_rows, max_size=n_rows)), dtype=np.int64)
-                   for _ in range(n_columns)]
+        columns = [np.array(data.draw(st.lists(NON_NEGATIVE_INT64S, min_size=n_rows, max_size=n_rows)),
+                            dtype=np.int64) for _ in range(n_columns)]
         assert io._int_rows(columns) == reference_int_rows(columns)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(instance=st.lists(INT64S, max_size=50), semantic=st.none() | st.integers(0, 2), data=st.data())
+    @given(instance=st.lists(NON_NEGATIVE_INT64S, max_size=50), semantic=st.none() | st.integers(0, 2),
+           data=st.data())
     def test_label_table_matches_reference_writer(self, tmp_path, instance, semantic, data):
         if semantic is not None:
-            semantic = data.draw(st.lists(INT64S, min_size=len(instance), max_size=len(instance)))
+            semantic = data.draw(st.lists(st.integers(0, 2), min_size=len(instance), max_size=len(instance)))
         io.write_labels_tsv(tmp_path / "fast.tsv", instance, semantic)
         reference_write_labels_tsv(tmp_path / "reference.tsv", instance, semantic)
         assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
@@ -712,6 +749,23 @@ class TestBlockFiles:
                                     "point_ids": ("<i8", (2,), wide), "semantic_point_ids": ("<i8", (2,), wide),
                                     "semantic_classes": ("<i4", (2,), [1, 2])}
         assert block_outcome(io.read_block_file(path))[1][0] == ("<i8", (2,), np.array(wide).tobytes())
+
+    @pytest.mark.parametrize("make, error, message", [
+        pytest.param(lambda: BlockPrediction(block_id=3.7), UnknownBlock, "block id 3.7 is not an integer",
+                     id="float-block-id"),
+        pytest.param(lambda: BlockPrediction(block_id=True), UnknownBlock, "block id True is not an integer",
+                     id="bool-block-id"),
+        pytest.param(lambda: BlockPrediction(block_id=[1, 2]), UnknownBlock, "block id [1, 2] is not an integer",
+                     id="list-block-id"),
+        pytest.param(lambda: BlockPrediction(block_id=0, semantic=(np.zeros((2, 2), dtype=np.int64),) * 2),
+                     ShapeMismatch, "semantic_point_ids must have rank 1, got shape (2, 2)", id="2-d-semantic"),
+    ])
+    def test_prediction_the_merge_or_reader_refuses_is_not_written(self, tmp_path, make, error, message):
+        # Each was once written: as block 3, as block 1, or as a file the reader refuses for its rank.
+        path = tmp_path / "block.npz"
+        with pytest.raises(error, match=re.escape(message)):
+            io.write_block_file(path, make())
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", ["block.json", "block.txt", "block.npy", "block"])
     def test_write_to_another_suffix_rejected_before_opening(self, tmp_path, name):
@@ -1300,9 +1354,9 @@ class TestReadMemory:
 
 
 def test_label_table_is_written_a_chunk_at_a_time(tmp_path, rng):
-    # 100,000 rows span seven chunks: one wide and one negative id make chunks of different widths.
+    # 100,000 rows span seven chunks: one wide id makes chunks of different widths.
     instance = rng.integers(0, 200, size=100_000)
-    instance[[50_000, 70_000]] = [10**12, -5]
+    instance[50_000] = 10**12
     semantic = rng.integers(0, 3, size=100_000)
     path = tmp_path / "labels.tsv"
     _, peak = traced_peak(lambda p: io.write_labels_tsv(p, instance, semantic), path)
