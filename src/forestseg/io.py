@@ -648,16 +648,16 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     ``point_ids``, cut apart again by ``mask_sizes``. Each integer field is
     stored as int32 when all its values fit, and as int64 otherwise. Every
     member is stored with the zip format's fixed 1980 timestamp, so one
-    prediction always gives the same bytes. Before the file is opened, a path
-    whose suffix is not ``.npz`` (:func:`read_block_file` reads by suffix) is a
-    :class:`ConfigError`, a block id that is not an integer an :class:`UnknownBlock`,
-    and a field not of the reader's rank a :class:`ShapeMismatch`.
+    prediction always gives the same bytes. A path whose suffix is not
+    ``.npz`` (:func:`read_block_file` reads by suffix) is a :class:`ConfigError`
+    before the file is opened. Nothing else is checked: every field comes from
+    a :class:`BlockPrediction`, checked by the merge's rules when it was built.
     """
     if (suffix := Path(path).suffix.lower()) != ".npz":
         raise ConfigError(f"{path}: block files are written as .npz, got suffix {suffix!r}")
     masks = prediction.masks
     fields = {
-        "block_id": _narrowest(prediction._checked_block_id()),
+        "block_id": _narrowest(prediction.block_id),
         "query_index": _narrowest(masks.query_index),
         "mask_sizes": _narrowest(masks.mask_sizes),
         "score": masks.score,
@@ -665,10 +665,7 @@ def write_block_file(path, prediction: BlockPrediction) -> None:
     }
     if prediction.semantic is not None:
         for key, values in zip(_SEMANTIC_KEYS, prediction.semantic):
-            fields[f"semantic_{key}"] = _narrowest(_int64_ids(values, f"semantic {key}"))
-    for name, value in fields.items():  # the ranks the reader checks
-        if value.ndim != _NPZ_FIELDS[name]:
-            raise ShapeMismatch(f"{path}: {name} must have rank {_NPZ_FIELDS[name]}, got shape {value.shape}")
+            fields[f"semantic_{key}"] = _narrowest(values)
     with _open_output(path, "wb") as f:
         np.savez(f, **fields)
 

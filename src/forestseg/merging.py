@@ -56,7 +56,7 @@ class BlockMasks:
     repeats dropped, in one ``lexsort`` over the block, and only where some
     mask needs it; arrays already in that form are held, not copied. The
     masks keep their order, and their query indices are not checked here:
-    the merge requires them distinct.
+    :class:`BlockPrediction` requires them distinct.
     """
 
     def __init__(self, point_ids: npt.ArrayLike = (), mask_sizes: npt.ArrayLike = (), score: npt.ArrayLike = (),
@@ -163,21 +163,44 @@ class MaskTable:
         return self.take(np.lexsort((self.query_index, self.block_id, -self.score)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BlockPrediction:
     """Everything one block contributes to the merge: its grid id, its masks
     and optional per-point semantic votes as a pair of (point_ids, classes)
-    arrays. The block's footprint follows from its id and the run's config."""
+    arrays. The block's footprint follows from its id and the run's config.
+    Frozen, it is checked when built by every rule that the merge applies to
+    one block alone, and its votes are held as int64; a vote fault names the block.
+    """
 
     block_id: int
     masks: BlockMasks = field(default_factory=BlockMasks)
     semantic: tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]] | None = None
 
-    def _checked_block_id(self) -> int:
-        """The block id, or UnknownBlock if it is no integer (a bool is none). The merge and the writer read it here."""
-        if isinstance(self.block_id, bool) or not isinstance(self.block_id, numbers.Integral):
-            raise UnknownBlock(f"block id {self.block_id!r} is not an integer")
-        return self.block_id
+    def __post_init__(self) -> None:
+        block_id = self.block_id
+        if isinstance(block_id, bool) or not isinstance(block_id, numbers.Integral):
+            raise UnknownBlock(f"block id {block_id!r} is not an integer")
+        ordered = np.sort(self.masks.query_index)
+        if (repeated := ordered[1:] == ordered[:-1]).any():
+            raise UnknownBlock(f"block {block_id} holds two masks with query index {ordered[1:][repeated][0]}")
+        if self.semantic is None:
+            return
+        at = f"block {block_id}: "
+        ids = _int64_ids(self.semantic[0], f"{at}per-block point_ids")
+        classes = _int64_ids(self.semantic[1], f"{at}per-block classes")
+        if ids.ndim != 1 or classes.ndim != 1:
+            raise ShapeMismatch(f"{at}per-block point_ids and classes must be 1-D, got {ids.shape} and {classes.shape}")
+        if len(ids) != len(classes):
+            raise ShapeMismatch(f"{at}per-block point_ids and classes lengths differ")
+        if len(ids) and ids.min() < 0:
+            raise ShapeMismatch(f"{at}semantic votes name point {ids.min()}, but point ids must be >= 0")
+        if len(classes) and (classes.min() < 0 or classes.max() >= N_CLASSES):
+            raise InvalidLabel(f"{at}semantic votes name an invalid class")
+        if not np.all(ids[1:] > ids[:-1]):  # strictly ascending ids, as tiled blocks carry, need no sort
+            ordered = np.sort(ids)
+            if (repeated := ordered[1:] == ordered[:-1]).any():
+                raise ShapeMismatch(f"{at}semantic votes name point {ordered[1:][repeated][0]} more than once")
+        object.__setattr__(self, "semantic", (ids, classes))
 
 
 def score_filter(masks: BlockMasks, threshold: float) -> BlockMasks:
@@ -303,7 +326,7 @@ def resolve_points(kept_masks: MaskTable, n_points: int) -> npt.NDArray[np.int64
 
 
 class SemanticVotes:
-    """Per-point semantic vote counts, added one block at a time.
+    """Per-point semantic vote counts, added one checked :class:`BlockPrediction` at a time.
 
     A block votes at most once per point, so it cannot outvote the others, and
     a count is at most the number of blocks added (in the pipeline, at most
@@ -317,24 +340,12 @@ class SemanticVotes:
         self.counts = np.zeros((n_points, N_CLASSES), dtype=np.int32)
         self._added = 0
 
-    def add(self, point_ids: npt.ArrayLike, classes: npt.ArrayLike) -> None:
-        """Count one block's votes, ``classes[i]`` for point ``point_ids[i]``, if
-        both are 1-D integer arrays of one length, with valid points and classes and no id repeated."""
-        n_points = len(self.counts)
-        pids = _int64_ids(point_ids, "per-block point_ids")
-        classes = _int64_ids(classes, "per-block classes")
-        if pids.ndim != 1 or classes.ndim != 1:
-            raise ShapeMismatch(f"per-block point_ids and classes must be 1-D, got {pids.shape} and {classes.shape}")
-        if len(pids) != len(classes):
-            raise ShapeMismatch("per-block point_ids and classes lengths differ")
-        if len(pids) and (pids.min() < 0 or pids.max() >= n_points):
-            raise ShapeMismatch(f"semantic votes reference points outside 0..{n_points - 1}")
-        if len(classes) and (classes.min() < 0 or classes.max() >= N_CLASSES):
-            raise InvalidLabel("semantic votes name an invalid class")
-        if not np.all(pids[1:] > pids[:-1]):  # strictly ascending ids, as tiled blocks carry, need no sort
-            ordered = np.sort(pids)
-            if (repeated := ordered[1:] == ordered[:-1]).any():
-                raise ShapeMismatch(f"semantic votes name point {ordered[1:][repeated][0]} more than once")
+    def add(self, prediction: BlockPrediction) -> None:
+        """Count ``prediction``'s votes, checked when it was built; here only ids past the cloud's end are refused."""
+        n = len(self.counts)
+        pids, classes = prediction.semantic
+        if len(pids) and pids.max() >= n:
+            raise ShapeMismatch(f"block {prediction.block_id}: semantic votes reference points outside 0..{n - 1}")
         self._added += 1
         if self._added > np.iinfo(self.counts.dtype).max:
             self.counts = self.counts.astype(np.int64)
@@ -359,11 +370,11 @@ def semantic_vote_arrays(
 ) -> npt.NDArray[np.int64]:
     """Majority semantic class per point from per-block (point_ids, classes) votes.
 
-    Each block's votes are added as :meth:`SemanticVotes.add` adds them, so a
-    block may name each point at most once. Ties resolve toward the lowest
+    Pair i is counted as the votes of a :class:`BlockPrediction` of block i, so
+    a block may name each point at most once. Ties resolve toward the lowest
     class index. Every point must receive at least one vote.
     """
     votes = SemanticVotes(n_points)
-    for pids, classes in zip(point_ids_per_block, classes_per_block):
-        votes.add(pids, classes)
+    for block_id, semantic in enumerate(zip(point_ids_per_block, classes_per_block)):
+        votes.add(BlockPrediction(block_id, semantic=semantic))
     return votes.majority()

@@ -22,7 +22,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .core import PointCloud, _setting
-from .errors import ConfigError, EmptyInput, InvalidLabel, ShapeMismatch, UnknownBlock
+from .errors import ConfigError, EmptyInput, ShapeMismatch, UnknownBlock
 from .merging import (
     BlockMasks,
     BlockPrediction,
@@ -156,19 +156,6 @@ class _MaskCopies:
         return MaskTable(*map(np.concatenate, zip(*self._rows)), sets=self.sets)
 
 
-def _check_prediction(prediction: BlockPrediction, seen: set[int], n_grid: int, stride: float) -> None:
-    """Check one arriving prediction: a new block id on the grid and distinct query indices."""
-    block_id = prediction._checked_block_id()
-    if not 0 <= block_id < n_grid:
-        raise UnknownBlock(f"block id {block_id} is outside the {n_grid}-cell grid at stride {stride}")
-    if block_id in seen:
-        raise UnknownBlock(f"block {block_id} arrives twice")
-    seen.add(block_id)
-    ordered = np.sort(prediction.masks.query_index)
-    if (repeated := ordered[1:] == ordered[:-1]).any():
-        raise UnknownBlock(f"block {block_id} holds two masks with query index {ordered[1:][repeated][0]}")
-
-
 def merge_block_predictions(
     predictions: Iterable[BlockPrediction],
     positions: npt.NDArray[np.float64],
@@ -190,9 +177,9 @@ def merge_block_predictions(
     which boundary discard measures its masks, is the cylinder of
     ``config.radius`` around the grid center its id names, so predictions
     must come from blocks tiled with the same radius and stride. A block's
-    mask ids must be points of the cloud, no two masks of a block may share
-    a query index, and a block's semantic votes may name each point at most
-    once. The first fault to arrive is the one raised.
+    mask and vote ids must be points of the cloud; its other rules its
+    :class:`BlockPrediction` checked when built. The first fault to arrive is
+    the one raised.
     """
     n_points = len(positions)
     if n_points == 0:
@@ -204,19 +191,22 @@ def merge_block_predictions(
     copies = _MaskCopies()
     n_predicted = n_after_boundary = 0
     for prediction in predictions:
-        _check_prediction(prediction, seen, len(centers), config.stride)
-        masks = prediction.masks
+        block_id, masks = prediction.block_id, prediction.masks
+        if not 0 <= block_id < len(centers):
+            raise UnknownBlock(f"block id {block_id} is outside the {len(centers)}-cell grid at stride {config.stride}")
+        if block_id in seen:
+            raise UnknownBlock(f"block {block_id} arrives twice")
+        seen.add(block_id)
         try:
             # Indexed only once checked: numpy would wrap a negative id to a cell at the grid's end.
-            inside = discard_boundary_masks(masks, centers[prediction.block_id], config.radius, positions,
-                                            config.boundary_margin)
-            if prediction.semantic is not None:
-                if votes is None:
-                    votes = SemanticVotes(n_points)
-                votes.add(*prediction.semantic)
-        except (ShapeMismatch, InvalidLabel) as exc:
-            raise type(exc)(f"block {prediction.block_id}: {exc}") from None
-        copies.add(prediction.block_id, score_filter(inside, config.score_threshold))
+            inside = discard_boundary_masks(masks, centers[block_id], config.radius, positions, config.boundary_margin)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"block {block_id}: {exc}") from None
+        if prediction.semantic is not None:
+            if votes is None:
+                votes = SemanticVotes(n_points)
+            votes.add(prediction)
+        copies.add(block_id, score_filter(inside, config.score_threshold))
         n_predicted += len(masks)
         n_after_boundary += len(inside)
         del prediction, masks, inside  # free this block's arrays before the next one is pulled

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.typing as npt
 
 from forestseg.errors import ShapeMismatch, UnknownBlock
-from forestseg.merging import SemanticVotes
+from forestseg.merging import BlockPrediction, SemanticVotes
 from forestseg.pipeline import PipelineConfig
 from forestseg.tiling import sliding_window_centers
 from merging_reference import (
@@ -119,7 +119,7 @@ def reference_merge_block_predictions(
     if voted:
         votes = SemanticVotes(n_points)
         for p in voted:
-            votes.add(*p.semantic)
+            votes.add(BlockPrediction(p.block_id, semantic=p.semantic))
         semantic = votes.majority()
     return ReferenceMergeOutcome(
         masks_predicted=masks,

@@ -547,11 +547,10 @@ class TestPipeline:
         cloud, ply = forest_files
         blocks = tmp_path / "blocks"
         blocks.mkdir()
-        io.write_block_file(blocks / "block_00000.npz", BlockPrediction(
-            block_id=0,
-            masks=BlockMasks.pack([np.flatnonzero(cloud.instance == uid) for uid in (1, 2)], [0.9, 0.9], [0, 0]),
-        ))
-        assert io.read_block_file(blocks / "block_00000.npz").masks.query_index.tolist() == [0, 0]
+        # Written as an external predictor might: the writer refuses such a block.
+        trees = [np.flatnonzero(cloud.instance == uid) for uid in (1, 2)]
+        np.savez(blocks / "block_00000.npz", block_id=0, query_index=[0, 0], mask_sizes=[len(ids) for ids in trees],
+                 score=[0.9, 0.9], point_ids=np.concatenate(trees))
         result = runner.invoke(main, ["pipeline", "--input", str(ply), "--predictor", str(blocks)])
         assert result.exit_code == 2, result.output
         assert "two masks with query index 0" in result.output
@@ -865,6 +864,13 @@ class TestGradcheckCommand:
         assert (payload["h"], payload["tolerance"]) == (1e-05, 0.0001)
         for entry in payload["losses"].values():
             assert entry["pass"] is True
+
+    def test_a_failed_check_exits_4_after_printing_the_report(self, runner, monkeypatch):
+        report = {"all_pass": False, "losses": {"bce": {"pass": False}}}
+        monkeypatch.setattr(cli, "run_gradient_checks", lambda trials, seed: report)
+        result = runner.invoke(main, ["gradcheck", "--trials", "1"])
+        assert result.exit_code == 4, result.output
+        assert json.loads(result.output) == report
 
 
 class TestUnreadableTextInputs:

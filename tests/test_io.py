@@ -595,7 +595,8 @@ def block_outcome(prediction: BlockPrediction):
     return prediction.block_id, masks, semantic
 
 
-ID_LISTS = st.lists(st.one_of(st.integers(0, 50), st.integers(2**63 - 3, 2**63 - 1)), max_size=12)
+IDS = st.one_of(st.integers(0, 50), st.integers(2**63 - 3, 2**63 - 1))
+ID_LISTS = st.lists(IDS, max_size=12)
 
 
 @st.composite
@@ -608,7 +609,7 @@ def block_predictions(draw):
                             [draw(scores) for _ in queries], queries)
     semantic = None
     if draw(st.booleans()):
-        ids = draw(ID_LISTS)
+        ids = draw(st.lists(IDS, max_size=12, unique=True))  # a block votes at most once per point
         classes = draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
         semantic = (np.array(ids, dtype=np.int64), np.array(classes, dtype=np.int64))
     return BlockPrediction(block_id=block_id, masks=masks, semantic=semantic)
@@ -758,10 +759,22 @@ class TestBlockFiles:
         pytest.param(lambda: BlockPrediction(block_id=[1, 2]), UnknownBlock, "block id [1, 2] is not an integer",
                      id="list-block-id"),
         pytest.param(lambda: BlockPrediction(block_id=0, semantic=(np.zeros((2, 2), dtype=np.int64),) * 2),
-                     ShapeMismatch, "semantic_point_ids must have rank 1, got shape (2, 2)", id="2-d-semantic"),
+                     ShapeMismatch, "block 0: per-block point_ids and classes must be 1-D, got (2, 2) and (2, 2)",
+                     id="2-d-semantic"),
+        pytest.param(lambda: BlockPrediction(block_id=0, masks=BlockMasks.pack([[1], [2]], [0.5, 0.5], [5, 5])),
+                     UnknownBlock, "block 0 holds two masks with query index 5", id="repeated-query-index"),
+        pytest.param(lambda: BlockPrediction(block_id=0, semantic=(np.array([1, 2]), np.array([1]))),
+                     ShapeMismatch, "block 0: per-block point_ids and classes lengths differ", id="vote-lengths"),
+        pytest.param(lambda: BlockPrediction(block_id=0, semantic=(np.array([1]), np.array([7]))),
+                     InvalidLabel, "block 0: semantic votes name an invalid class", id="vote-class"),
+        pytest.param(lambda: BlockPrediction(block_id=0, semantic=(np.array([1, 1]), np.array([1, 2]))),
+                     ShapeMismatch, "block 0: semantic votes name point 1 more than once", id="repeated-vote-id"),
+        pytest.param(lambda: BlockPrediction(block_id=0, semantic=(np.array([-1]), np.array([1]))),
+                     ShapeMismatch, "block 0: semantic votes name point -1, but point ids must be >= 0",
+                     id="negative-vote-id"),
     ])
     def test_prediction_the_merge_or_reader_refuses_is_not_written(self, tmp_path, make, error, message):
-        # Each was once written: as block 3, as block 1, or as a file the reader refuses for its rank.
+        # Each was once written, and refused only when read or merged; now none can be built.
         path = tmp_path / "block.npz"
         with pytest.raises(error, match=re.escape(message)):
             io.write_block_file(path, make())

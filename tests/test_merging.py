@@ -5,6 +5,8 @@ build masks as ``InstanceMask`` objects of the object reference, pack them,
 and turn the kernels' results back into masks to compare.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from forestseg import merging
 from forestseg.errors import ConfigError, InvalidLabel, ShapeMismatch, Unvoted
 from forestseg.merging import (
     BlockMasks,
+    BlockPrediction,
     MaskTable,
     discard_boundary_masks,
     resolve_points,
@@ -513,14 +516,14 @@ class TestSemanticVote:
     def test_votes_not_1d_rejected(self, point_ids, classes):
         votes = merging.SemanticVotes(2)
         with pytest.raises(ShapeMismatch, match="point_ids and classes must be 1-D"):
-            votes.add(np.array(point_ids), np.array(classes))
+            votes.add(BlockPrediction(0, semantic=(np.array(point_ids), np.array(classes))))
         assert not votes.counts.any()
 
     @pytest.mark.parametrize("point_ids, message", NON_INTEGER_IDS)
     def test_non_integer_point_ids_rejected(self, point_ids, message):
         votes = merging.SemanticVotes(20)
-        with pytest.raises(ShapeMismatch, match=f"^per-block point_ids {message}"):
-            votes.add(point_ids, np.ones(len(point_ids), dtype=np.int64))
+        with pytest.raises(ShapeMismatch, match=f"^block 0: per-block point_ids {message}"):
+            votes.add(BlockPrediction(0, semantic=(point_ids, np.ones(len(point_ids), dtype=np.int64))))
         assert not votes.counts.any()
 
     @pytest.mark.parametrize("classes, message", [
@@ -528,13 +531,13 @@ class TestSemanticVote:
     ])
     def test_non_integer_classes_rejected(self, classes, message):
         votes = merging.SemanticVotes(2)
-        with pytest.raises(ShapeMismatch, match=f"^per-block classes {message}"):
-            votes.add(np.array([0, 1]), classes)
+        with pytest.raises(ShapeMismatch, match=f"^block 0: per-block classes {message}"):
+            votes.add(BlockPrediction(0, semantic=(np.array([0, 1]), classes)))
         assert not votes.counts.any()
 
     def test_empty_votes_of_any_dtype_accepted(self):
         votes = merging.SemanticVotes(2)
-        votes.add([], np.array([], dtype=np.float64))
+        votes.add(BlockPrediction(0, semantic=([], np.array([], dtype=np.float64))))
         assert not votes.counts.any()
 
     @pytest.mark.parametrize("cls", [-1, 3])
@@ -550,30 +553,30 @@ class TestSemanticVote:
     @pytest.mark.parametrize("point_ids", [[1, 0, 1], [0, 1, 1]])
     def test_repeated_point_rejected_and_not_counted(self, point_ids):
         votes = merging.SemanticVotes(2)
-        votes.add(np.array([0, 1]), np.array([1, 1]))
-        with pytest.raises(ShapeMismatch, match="semantic votes name point 1 more than once"):
-            votes.add(np.array(point_ids), np.array([2, 2, 2]))
+        votes.add(BlockPrediction(0, semantic=(np.array([0, 1]), np.array([1, 1]))))
+        with pytest.raises(ShapeMismatch, match="block 1: semantic votes name point 1 more than once"):
+            votes.add(BlockPrediction(1, semantic=(np.array(point_ids), np.array([2, 2, 2]))))
         assert votes.counts.tolist() == [[0, 1, 0], [0, 1, 0]]
         with pytest.raises(ShapeMismatch, match="semantic votes name point 1 more than once"):
             semantic_vote_arrays([np.array([0, 1]), np.array(point_ids)], [np.array([1, 1]), np.array([2, 2, 2])], 2)
 
     def test_counts_are_int32(self):
         votes = merging.SemanticVotes(2)
-        votes.add(np.array([0, 1]), np.array([2, 0]))
-        votes.add(np.array([1]), np.array([0]))
+        votes.add(BlockPrediction(0, semantic=(np.array([0, 1]), np.array([2, 0]))))
+        votes.add(BlockPrediction(1, semantic=(np.array([1]), np.array([0]))))
         assert votes.counts.dtype == np.int32
         assert votes.counts.tolist() == [[0, 0, 1], [2, 0, 0]]
 
     def test_counts_widen_before_they_could_overflow(self):
         top = np.iinfo(np.int32).max
         votes = merging.SemanticVotes(3)
-        votes.add(np.array([0, 1]), np.array([1, 0]))
+        votes.add(BlockPrediction(0, semantic=(np.array([0, 1]), np.array([1, 0]))))
         votes.counts[0, 1] = top - 1
         votes._added = top - 1  # as if top - 1 blocks had voted
         # A block adds at most one vote per count, so a block of many points does not widen the counts.
-        votes.add(np.array([0, 1, 2]), np.array([1, 0, 2]))
+        votes.add(BlockPrediction(1, semantic=(np.array([0, 1, 2]), np.array([1, 0, 2]))))
         assert votes.counts.dtype == np.int32 and votes.counts[0, 1] == top
-        votes.add(np.array([0]), np.array([1]))
+        votes.add(BlockPrediction(2, semantic=(np.array([0]), np.array([1]))))
         assert votes.counts.dtype == np.int64
         assert votes.counts[0, 1] == top + 1
         assert votes.majority().tolist() == [1, 0, 2]
@@ -588,3 +591,11 @@ class TestMergeConfig:
 
         with pytest.raises(ConfigError):
             PipelineConfig(boundary_margin=16.0, radius=16.0)
+
+
+def test_block_prediction_cannot_be_changed_once_checked():
+    # Its rules are checked once, when it is built, so a field assigned later would escape them.
+    prediction = BlockPrediction(block_id=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prediction.block_id = True
+    assert prediction.block_id == 3

@@ -126,9 +126,7 @@ class TestExternalPredictorInterface:
         predict = make_oracle_predictor(forest, CorruptionParams(), config.seed)
         predictions = []
         for block in tile_cloud(forest, config.radius, config.stride):
-            prediction = predict(block)
-            prediction.semantic = None
-            predictions.append(prediction)
+            predictions.append(dataclasses.replace(predict(block), semantic=None))
         result = run_pipeline_from_blocks(predictions, forest, config)
         assert result.merge.semantic is None
         assert result.evaluation.miou is None
@@ -222,8 +220,8 @@ class TestStageAccounting:
         twins = [[0, 1], [1, 2]]
         if order == "reversed":
             twins.reverse()
-        prediction = BlockPrediction(block_id=0, masks=BlockMasks.pack(twins, [0.9, 0.9], [0, 0]))
         with pytest.raises(UnknownBlock, match="block 0 holds two masks with query index 0"):
+            prediction = BlockPrediction(block_id=0, masks=BlockMasks.pack(twins, [0.9, 0.9], [0, 0]))
             merge_block_predictions([prediction], np.zeros((4, 3)), PipelineConfig(radius=4.0, stride=4.0))
 
     def test_repeated_block_id_rejected_even_with_distinct_query_indices(self):
@@ -249,9 +247,9 @@ class TestStageAccounting:
         bad = {"length": (pids, classes[:-1]), "class": (pids, np.r_[classes[:-1], N_CLASSES]),
                "point": (np.r_[pids[:-1], 12], classes), "repeat": (np.r_[pids, 3], np.r_[classes, 1]),
                "sorted_repeat": (np.sort(np.r_[pids, 3]), np.r_[classes, 1])}[fault]
-        predictions = [BlockPrediction(block_id=b, semantic=bad if b == 2 else (pids, classes))
-                       for b in range(3)]
         with pytest.raises(error, match=message):
+            predictions = [BlockPrediction(block_id=b, semantic=bad if b == 2 else (pids, classes))
+                           for b in range(3)]
             merge_block_predictions(predictions, positions, PipelineConfig(radius=4.0, stride=4.0))
 
     def test_one_block_cannot_outvote_the_others_by_repeating_a_point(self):
@@ -263,13 +261,15 @@ class TestStageAccounting:
         assert cloud.semantic[0] == WOOD and len(covering) > 1
         pids, classes = covering[0].semantic
         repeats = len(covering)
-        covering[0].semantic = (np.r_[pids, [0] * repeats], np.r_[classes, [GROUND] * repeats])
-        # Counted, the repeats would turn point 0 to ground; the vote count refuses them.
-        with pytest.raises(ShapeMismatch, match="semantic votes name point 0 more than once"):
-            merging.semantic_vote_arrays([p.semantic[0] for p in predictions],
-                                         [p.semantic[1] for p in predictions], cloud.n)
+        repeated = (np.r_[pids, [0] * repeats], np.r_[classes, [GROUND] * repeats])
+        # Counted, the repeats would turn point 0 to ground; the prediction refuses them when built.
+        point_ids, classes_per_block = [p.semantic[0] for p in predictions], [p.semantic[1] for p in predictions]
+        index = predictions.index(covering[0])
+        point_ids[index], classes_per_block[index] = repeated
+        with pytest.raises(ShapeMismatch, match=f"block {index}: semantic votes name point 0 more than once"):
+            merging.semantic_vote_arrays(point_ids, classes_per_block, cloud.n)
         with pytest.raises(ShapeMismatch, match=f"block {covering[0].block_id}: semantic votes name point 0 more than once"):
-            merge_block_predictions(predictions, cloud.positions, config)
+            dataclasses.replace(covering[0], semantic=repeated)
 
     def test_labelled_cloud_without_trees_is_not_evaluated(self, forest):
         ground = PointCloud(positions=forest.positions, semantic=np.zeros(forest.n, dtype=np.int64),
